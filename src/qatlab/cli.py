@@ -27,7 +27,8 @@ import numpy as np
 from .acceptance import run_all
 from .config import ConfigError, RunSetup, parse_config
 from .quant import quantize
-from .trainer import DivergenceError, train_base, train_vr, write_metrics_csv, run_sweep, RefreshPolicy
+from .trainer import (DivergenceError, RefreshPolicy, atomic_write_text, run_sweep, train_base,
+                      train_vr, write_metrics_csv)
 
 __all__ = ["RunManifest", "run", "main", "DIAGNOSE_NAMES"]
 
@@ -52,25 +53,9 @@ class RunManifest:
     harness: str | None = None
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json(path: str, payload: dict) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True,
-                                        default=_json_default) + "\n")
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True,
+                                       default=_json_default) + "\n")
 
 
 def _json_default(value):
@@ -88,7 +73,7 @@ def _rows_to_csv(path: str, header: list[str], rows: list[list]) -> None:
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write_text(path, buf.getvalue())
+    atomic_write_text(path, buf.getvalue())
 
 
 def _load_setup(manifest: RunManifest) -> RunSetup:

@@ -146,8 +146,8 @@ def _require(cond: bool, message: str) -> None:
 def _build_quant(cfg: dict, weights: GroupedWeights) -> QuantSpec:
     mode = cfg["mode"]
     gs = cfg["group_size"]
-    _require(isinstance(gs, int) and gs >= 1, "quant.group_size must be a positive integer")
-    _require(cfg["step"] > 0, "quant.step must be positive")
+    _require(isinstance(cfg["step"], (int, float)) and cfg["step"] > 0,
+             "quant.step must be a positive number")
     try:
         if mode == "generic":
             _require(cfg["bits"] is not None, "quant.bits required for generic mode")
@@ -175,7 +175,9 @@ def _build_objective(cfg: dict, quant_cfg: dict, master_seed: int,
                      ) -> tuple[Objective, GroupedWeights, QuantSpec | None]:
     kind = cfg["kind"]
     _require(kind in _KINDS, f"objective.kind {kind!r} not one of {'|'.join(_KINDS)}")
-    seed = master_seed if cfg["seed"] is None else int(cfg["seed"])
+    _require(cfg["seed"] is None or (isinstance(cfg["seed"], int) and cfg["seed"] >= 0),
+             "objective.seed must be a non-negative integer or null")
+    seed = master_seed if cfg["seed"] is None else cfg["seed"]
     dim = cfg["dim"]
     n = cfg["n_samples"]
     _require(isinstance(dim, int) and dim >= 1, "objective.dim must be a positive integer")
@@ -207,7 +209,10 @@ def _build_objective(cfg: dict, quant_cfg: dict, master_seed: int,
                             noise=float(cfg["noise"]))
     else:  # csv
         _require(cfg["path"] is not None, "objective.path required for csv kind")
-        obj = LinearRegression(load_csv_dataset(cfg["path"]))
+        try:
+            obj = LinearRegression(load_csv_dataset(cfg["path"]))
+        except ValueError as exc:
+            raise ConfigError(f"objective.path: {exc}") from exc
 
     w0 = substream(seed, "init").normal(0.0, float(cfg["w0_scale"]), size=obj.dim)
     weights = GroupedWeights.from_flat(w0, group_size=quant_cfg["group_size"])
@@ -221,21 +226,24 @@ def parse_config_dict(raw: dict, seed_override: int | None = None) -> RunSetup:
     for key in raw:
         if key not in ("seed", "objective", "quant", "train", "sweep"):
             raise ConfigError(f"unknown key {key!r}")
-    seed = raw.get("seed", 0)
-    _require(isinstance(seed, int), "seed must be an integer")
-    if seed_override is not None:
-        seed = int(seed_override)
+    seed = raw.get("seed", 0) if seed_override is None else int(seed_override)
+    _require(isinstance(seed, int) and seed >= 0, "seed must be a non-negative integer")
 
     obj_cfg = _merge("objective", raw.get("objective", {}), _OBJECTIVE_DEFAULTS)
     quant_cfg = _merge("quant", raw.get("quant", {}), _QUANT_DEFAULTS)
     train_cfg = _merge("train", raw.get("train", {}), _TRAIN_DEFAULTS)
+    gs = quant_cfg["group_size"]
+    _require(isinstance(gs, int) and gs >= 1, "quant.group_size must be a positive integer")
+    sigma, num_probes = train_cfg["probe_sigma"], train_cfg["num_probes"]
+    _require(sigma is None or (isinstance(sigma, (int, float)) and sigma > 0),
+             "train.probe_sigma must be a positive number or null")
+    _require(isinstance(num_probes, int) and num_probes >= 1, "train.num_probes must be >= 1")
 
     objective, weights, task_spec = _build_objective(obj_cfg, quant_cfg, seed)
     if task_spec is not None:
         spec = task_spec
         quant_cfg = dict(quant_cfg)
-        quant_cfg.update(mode=spec.mode, step=float(np.min(spec.step)) if spec.per_group
-                         else float(spec.step), group_size=spec.group_size)
+        quant_cfg.update(mode=spec.mode, step=float(np.min(spec.step)), group_size=spec.group_size)
     else:
         spec = _build_quant(quant_cfg, weights)
 
@@ -263,9 +271,8 @@ def parse_config_dict(raw: dict, seed_override: int | None = None) -> RunSetup:
             jac_mode=str(train_cfg["jac_mode"]),
             vr_mode=str(train_cfg["vr_mode"]),
             ema_rate=float(train_cfg["ema_rate"]),
-            probe_sigma=None if train_cfg["probe_sigma"] is None
-            else float(train_cfg["probe_sigma"]),
-            num_probes=int(train_cfg["num_probes"]),
+            probe_sigma=None if sigma is None else float(sigma),
+            num_probes=num_probes,
             seed=seed,
         )
     except ValueError as exc:

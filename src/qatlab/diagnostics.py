@@ -16,7 +16,7 @@ import numpy as np
 
 from .jacobian import ProbeConfig, SurrogateJacobian, apply_gains, probe_slope_samples, probe_update
 from .objectives import Objective, Quadratic, make_pl_instance
-from .quant import GroupedWeights, QuantSpec, mean_field_sensitivity, quantize_array
+from .quant import GroupedWeights, QuantSpec, group_sizes, mean_field_sensitivity, quantize_array
 from .rng import substream
 from .trainer import RefreshPolicy, TrainConfig, train_vr
 from .vrgrad import surrogate_batch
@@ -119,9 +119,8 @@ def fd_reference(weights: GroupedWeights, spec: QuantSpec, eps: float | None = N
     if coords is None:
         coords = np.arange(weights.dim)
     coords = np.asarray(coords, dtype=int)
-    step = spec.step_per_weight(weights.group_bounds) if spec.per_group else float(spec.step)
-    step_c = np.asarray(step)[coords] if spec.per_group else step
-    eps_c = (np.asarray(step_c) / 10.0) if eps is None else eps
+    step_c = spec.step_per_weight(weights.group_bounds)[coords]
+    eps_c = (step_c / 10.0) if eps is None else eps
     if np.any(np.asarray(eps_c) <= 0):
         raise ValueError("eps must be positive")
     w_c = weights.values[coords]
@@ -286,8 +285,8 @@ def pl_contraction_harness(mu: float, l_smooth: float, eta: float, jac_err: floa
     obj = make_pl_instance(dim, mu, l_smooth, seed=instance_seed)
     t_bar = obj.mean_target()
     w = t_bar + substream(seed, "w0").normal(0.0, 1.0, dim)
-    sizes = [min(group_size, dim - lo) for lo in range(0, dim, group_size)]
-    n_groups = len(sizes)
+    sizes = group_sizes(GroupedWeights.from_flat(w, group_size).group_bounds)
+    n_groups = sizes.size
     gaps = np.empty(steps)
     l_star = obj.optimal_loss()
     for t in range(steps):

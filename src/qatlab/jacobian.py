@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quant import DitherDraw, GroupedWeights, QuantSpec, quantize_array
+from .quant import (DitherDraw, GroupedWeights, QuantSpec, dither_block, draw_per_group, group_sizes,
+                    per_weight, quantize_array)
 from .rng import substream
 
 __all__ = [
@@ -82,8 +83,37 @@ class ProbeConfig:
     @classmethod
     def for_spec(cls, spec: QuantSpec, num_probes: int = 1, seed_tag: int = 0) -> "ProbeConfig":
         """Default probe scale: half the quantizer step."""
-        step = float(np.min(spec.step)) if spec.per_group else float(spec.step)
-        return cls(sigma=0.5 * step, num_probes=num_probes, seed_tag=seed_tag)
+        return cls(sigma=0.5 * float(np.min(spec.step)), num_probes=num_probes, seed_tag=seed_tag)
+
+
+def _group_sums(a: np.ndarray, b: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per-group, per-row inner products of two (m, d) blocks, shape (n_groups, m).
+
+    One einsum per run of k equal-size groups, reshaped to (m, k, s), rounds
+    exactly like one einsum per group; np.add.reduceat would not.
+    """
+    m = a.shape[0]
+    out = np.empty((sizes.size, m))
+    edges = np.concatenate(([0], np.cumsum(sizes)))
+    runs = np.flatnonzero(np.diff(sizes, prepend=-1))
+    for g0, g1 in zip(runs, [*runs[1:], sizes.size]):
+        lo, hi, shape = edges[g0], edges[g1], (m, g1 - g0, sizes[g0])
+        out[g0:g1] = np.einsum("mks,mks->km", a[:, lo:hi].reshape(shape), b[:, lo:hi].reshape(shape))
+    return out
+
+
+def _slope_sums(values: np.ndarray, spec: QuantSpec, step: float | np.ndarray,
+                deltas: np.ndarray, dither: np.ndarray | None,
+                sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group cross <dq_k, delta_k> and energy |delta_k|^2, each (n_groups, m)."""
+    if dither is None:
+        base = quantize_array(values, spec, step=step)[None, :]
+        shifted = quantize_array(values[None, :] + deltas, spec, step=step)
+    else:
+        base = quantize_array(values[None, :] + dither, spec, step=step) - dither
+        shifted = quantize_array(values[None, :] + deltas + dither, spec, step=step) - dither
+    dq = shifted - base
+    return _group_sums(dq, deltas, sizes), _group_sums(deltas, deltas, sizes)
 
 
 def probe_slope_samples(w_group: np.ndarray, spec: QuantSpec, step: float,
@@ -98,44 +128,40 @@ def probe_slope_samples(w_group: np.ndarray, spec: QuantSpec, step: float,
     dither is shared across probes; a (m, group) array is per-probe.
     """
     deltas = rng.normal(0.0, sigma, size=(m, w_group.size))
-    if dither is None:
-        base = quantize_array(w_group, spec, step=step)[None, :]
-        shifted = quantize_array(w_group[None, :] + deltas, spec, step=step)
-    else:
-        dither = np.atleast_2d(dither)
-        base = quantize_array(w_group[None, :] + dither, spec, step=step) - dither
-        shifted = quantize_array(w_group[None, :] + deltas + dither, spec, step=step) - dither
-    dq = shifted - base
-    cross = np.einsum("ij,ij->i", dq, deltas)
-    energy = np.einsum("ij,ij->i", deltas, deltas)
-    return cross, energy
+    dither = None if dither is None else np.atleast_2d(dither)
+    cross, energy = _slope_sums(w_group, spec, step, deltas, dither, np.array([w_group.size]))
+    return cross[0], energy[0]
 
 
-def _per_group_update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobian,
-                      sigma: float, m: int, rng_for_group, least_squares: bool,
-                      dither_for_group=None) -> SurrogateJacobian:
-    n_groups = weights.n_groups
-    if jac.gains.size != n_groups:
+def _update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobian, cfg: ProbeConfig,
+            draw_key: int, least_squares: bool,
+            dither: np.ndarray | None = None) -> SurrogateJacobian:
+    """One gain update of every group from the per-group probe substreams.
+
+    Group g draws its probes from (seed_tag, "probe", draw_key, g). The
+    per-group estimate is the mean of the per-probe slope fits, or the
+    least-squares fit over all probes; empty groups keep their gain.
+    """
+    sizes = group_sizes(weights.group_bounds)
+    if jac.gains.size != sizes.size:
         raise ValueError("gain count does not match group count")
-    estimates = np.zeros(n_groups)
-    mask = np.zeros(n_groups, dtype=bool)
-    for g, (lo, hi) in enumerate(weights.group_bounds):
-        if hi == lo:
-            warnings.warn(f"empty group {g} skipped", stacklevel=3)
-            continue
-        step_g = spec.step_for_group(g)
-        dither = dither_for_group(g, hi - lo, step_g) if dither_for_group is not None else None
-        cross, energy = probe_slope_samples(weights.values[lo:hi], spec, step_g,
-                                            sigma, m, rng_for_group(g), dither=dither)
-        if least_squares:
-            denom = float(energy.sum())
-            if denom == 0.0:
-                raise ValueError("zero excitation")
-            estimates[g] = float(cross.sum()) / denom
-        else:
-            estimates[g] = float(np.mean(cross / (energy + jac.reg_eps)))
-        mask[g] = True
-    return jac._ema(estimates, mask)
+    filled = sizes > 0
+    if not filled.all():
+        warnings.warn(f"empty group {np.flatnonzero(~filled).tolist()} skipped", stacklevel=3)
+    deltas = draw_per_group(weights, (cfg.num_probes,), lambda g, shape: substream(
+        cfg.seed_tag, "probe", draw_key, g).normal(0.0, cfg.sigma, size=shape))
+    cross, energy = _slope_sums(weights.values, spec, spec.step_per_weight(weights.group_bounds),
+                                deltas, dither, sizes)
+    cross, energy = cross[filled], energy[filled]
+    estimates = np.zeros(sizes.size)
+    if least_squares:
+        denom = energy.sum(axis=1)
+        if np.any(denom == 0.0):
+            raise ValueError("zero excitation")
+        estimates[filled] = cross.sum(axis=1) / denom
+    else:
+        estimates[filled] = np.mean(cross / (energy + jac.reg_eps), axis=1)
+    return jac._ema(estimates, filled)
 
 
 def probe_update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobian,
@@ -144,21 +170,13 @@ def probe_update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobia
 
     With num_probes > 1 the raw estimates are averaged before clipping.
     """
-    def rng_for_group(g: int) -> np.random.Generator:
-        return substream(cfg.seed_tag, "probe", draw_key, g)
-
-    return _per_group_update(weights, spec, jac, cfg.sigma, cfg.num_probes,
-                             rng_for_group, least_squares=False)
+    return _update(weights, spec, jac, cfg, draw_key, least_squares=False)
 
 
 def probe_ls_update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobian,
                     cfg: ProbeConfig, draw_key: int = 0) -> SurrogateJacobian:
     """Scalar least-squares over the probe batch: sum<dq,delta> / sum|delta|^2."""
-    def rng_for_group(g: int) -> np.random.Generator:
-        return substream(cfg.seed_tag, "probe", draw_key, g)
-
-    return _per_group_update(weights, spec, jac, cfg.sigma, cfg.num_probes,
-                             rng_for_group, least_squares=True)
+    return _update(weights, spec, jac, cfg, draw_key, least_squares=True)
 
 
 def dither_update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobian,
@@ -166,28 +184,14 @@ def dither_update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobi
                   fixed_dither: DitherDraw | None = None) -> SurrogateJacobian:
     """Slope fit on the de-dithered proxy, common dither across both evaluations.
 
-    Each probe draws its own dither, shared by that probe's base and
-    perturbed evaluation. ``fixed_dither`` reuses an externally drawn
-    dither (e.g. the forward dither of a training step) for every probe
-    instead.
+    Each probe draws its own dither from (dither_seed, "dither", draw_key,
+    g), shared by that probe's base and perturbed evaluation.
+    ``fixed_dither`` reuses an externally drawn dither (e.g. the forward
+    dither of a training step) for every probe instead.
     """
-    def rng_for_group(g: int) -> np.random.Generator:
-        return substream(cfg.seed_tag, "probe", draw_key, g)
-
-    if fixed_dither is not None:
-        bounds = weights.group_bounds
-
-        def dither_for_group(g: int, size: int, step_g: float) -> np.ndarray:
-            lo, hi = bounds[g]
-            return fixed_dither.r[lo:hi]
-    else:
-        def dither_for_group(g: int, size: int, step_g: float) -> np.ndarray:
-            rng = substream(dither_seed, "dither", draw_key, g)
-            return rng.uniform(-0.5 * step_g, 0.5 * step_g, size=(cfg.num_probes, size))
-
-    return _per_group_update(weights, spec, jac, cfg.sigma, cfg.num_probes,
-                             rng_for_group, least_squares=False,
-                             dither_for_group=dither_for_group)
+    dither = (fixed_dither.r[None, :] if fixed_dither is not None
+              else dither_block(weights, spec, dither_seed, draw_key, (cfg.num_probes,)))
+    return _update(weights, spec, jac, cfg, draw_key, least_squares=False, dither=dither)
 
 
 def apply_gains(jac: SurrogateJacobian, v: np.ndarray,
@@ -196,7 +200,4 @@ def apply_gains(jac: SurrogateJacobian, v: np.ndarray,
     v = np.asarray(v, dtype=float)
     if len(group_bounds) != jac.gains.size or (group_bounds and group_bounds[-1][1] != v.size):
         raise ValueError("gradient length does not match group bounds")
-    out = np.empty_like(v)
-    for g, (lo, hi) in enumerate(group_bounds):
-        out[lo:hi] = jac.gains[g] * v[lo:hi]
-    return out
+    return per_weight(jac.gains, group_bounds) * v

@@ -327,4 +327,6 @@ def load_csv_dataset(path: str) -> Dataset:
     data = np.asarray(rows, dtype=float)
     if data.shape[1] < 2:
         raise ValueError("need at least one feature column and one target column")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"non-finite value in {path}")
     return Dataset(inputs=data[:, :-1], targets=data[:, -1])

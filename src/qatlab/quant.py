@@ -19,6 +19,7 @@ Modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,12 +36,17 @@ __all__ = [
     "mean_field",
     "mean_field_sensitivity",
     "calibrate_step",
+    "group_sizes",
+    "per_weight",
+    "draw_per_group",
+    "dither_block",
 ]
 
 _MODES = ("generic", "w2", "w1_58", "w1", "identity")
 
 # Cap per mean-field chunk, keeps the MC accumulators at ~16 MB.
 _MC_CHUNK_ELEMS = 2_000_000
+_MC_BLOCK_ELEMS = 32_768  # a chunk is sampled in row blocks of this size, in cache
 
 
 @dataclass(frozen=True)
@@ -117,11 +123,7 @@ class QuantSpec:
 
     def step_per_weight(self, bounds: tuple[tuple[int, int], ...]) -> np.ndarray:
         """Expand the (possibly per-group) step to one value per weight."""
-        d = bounds[-1][1] if bounds else 0
-        out = np.empty(d)
-        for g, (lo, hi) in enumerate(bounds):
-            out[lo:hi] = self.step_for_group(g)
-        return out
+        return per_weight(self.step, bounds)
 
     def clip_level(self) -> float | np.ndarray:
         """Magnitude of the largest representable value (mid-tread grids)."""
@@ -159,10 +161,8 @@ class GroupedWeights:
         values = np.asarray(values, dtype=float)
         if group_size < 1:
             raise ValueError("group_size must be >= 1")
-        bounds = tuple((lo, min(lo + group_size, values.size))
-                       for lo in range(0, values.size, group_size))
-        if not bounds:
-            bounds = ((0, 0),)
+        starts = range(0, values.size, group_size)
+        bounds = tuple(zip(starts, [*starts[1:], values.size])) or ((0, 0),)
         return cls(values=values, group_bounds=bounds)
 
     @property
@@ -179,13 +179,28 @@ class GroupedWeights:
 
     def group_index(self) -> np.ndarray:
         """Group id per weight (int array of length dim)."""
-        idx = np.empty(self.dim, dtype=int)
-        for g, (lo, hi) in enumerate(self.group_bounds):
-            idx[lo:hi] = g
-        return idx
+        return np.repeat(np.arange(self.n_groups), group_sizes(self.group_bounds))
 
     def with_values(self, values: np.ndarray) -> "GroupedWeights":
         return GroupedWeights(values=values, group_bounds=self.group_bounds)
+
+
+# Cached: every gain application and quantization needs it, and a run keeps one layout.
+@lru_cache(maxsize=64)
+def group_sizes(bounds: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Size of each contiguous (lo, hi) group, as a read-only int array."""
+    edges = np.asarray(bounds, dtype=np.intp).reshape(-1, 2)
+    sizes = edges[:, 1] - edges[:, 0]
+    sizes.setflags(write=False)
+    return sizes
+
+
+def per_weight(per_group: float | np.ndarray, bounds: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Broadcast a scalar or one value per group to one float per weight."""
+    sizes = group_sizes(bounds)
+    values = np.empty(sizes.size)
+    values[:] = per_group
+    return np.repeat(values, sizes)
 
 
 @dataclass(frozen=True)
@@ -199,17 +214,8 @@ class DitherDraw:
         object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    # np.round would round halves to even; the grid uses half-away-from-zero.
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
 def quantize_array(x: np.ndarray, spec: QuantSpec, step: float | np.ndarray | None = None) -> np.ndarray:
-    """Quantize a raw array; ``step`` broadcasts against ``x`` (scalar by default).
-
-    Used by :func:`quantize` and by the per-group probe estimators, which
-    quantize group segments with that group's step.
-    """
+    """Quantize a raw array; ``step`` broadcasts against ``x`` (scalar by default)."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite weight")
@@ -222,38 +228,91 @@ def quantize_array(x: np.ndarray, spec: QuantSpec, step: float | np.ndarray | No
     if spec.mode == "w1":
         return np.where(x >= 0, 1.0, -1.0) * step
     c = spec.clip_codes
+    codes = np.asarray(x / step)  # the one fresh array, rounded in place (0-d for a scalar x)
     if spec.mid_rise:
-        codes = np.clip(np.floor(x / step), -c - 1, c)
-        return (codes + 0.5) * step
-    codes = np.clip(_round_half_away(x / step), -c, c)
-    return codes * step
+        np.clip(np.floor(codes, out=codes), -c - 1, c, out=codes)
+        codes += 0.5
+    else:  # sign * floor(|x| + 0.5): halves away from zero, where np.round goes to even
+        sign = np.sign(codes)
+        np.abs(codes, out=codes)
+        codes += 0.5
+        np.floor(codes, out=codes)
+        codes *= sign
+        np.clip(codes, -c, c, out=codes)
+    codes *= step
+    return codes[()]
 
 
 def quantize(weights: GroupedWeights, spec: QuantSpec) -> np.ndarray:
     """Hard quantization of a grouped weight vector."""
-    if spec.per_group:
-        return quantize_array(weights.values, spec,
-                              step=spec.step_per_weight(weights.group_bounds))
-    return quantize_array(weights.values, spec)
+    return quantize_array(weights.values, spec, step=spec.step_per_weight(weights.group_bounds))
+
+
+def draw_per_group(weights: GroupedWeights, rows: tuple[int, ...], draw) -> np.ndarray:
+    """(*rows, dim) block whose columns of group g are ``draw(g, (*rows, size))``."""
+    block = np.empty((*rows, weights.dim))
+    for g, (lo, hi) in enumerate(weights.group_bounds):
+        if hi > lo:
+            block[..., lo:hi] = draw(g, (*rows, hi - lo))
+    return block
+
+
+def dither_block(weights: GroupedWeights, spec: QuantSpec, seed: int, key: int,
+                 rows: tuple[int, ...]) -> np.ndarray:
+    """Uniform dither within half a step; group g draws from ("dither", key, g)."""
+    def draw(g: int, shape: tuple[int, ...]) -> np.ndarray:
+        half = 0.5 * spec.step_for_group(g)
+        return substream(seed, "dither", key, g).uniform(-half, half, size=shape)
+
+    return draw_per_group(weights, rows, draw)
 
 
 def draw_dither(weights: GroupedWeights, spec: QuantSpec, seed: int, seed_tag: int = 0) -> DitherDraw:
     """Draw one uniform dither vector, one substream per group."""
-    r = np.empty(weights.dim)
-    for g, (lo, hi) in enumerate(weights.group_bounds):
-        half = 0.5 * spec.step_for_group(g)
-        rng = substream(seed, "dither", seed_tag, g)
-        r[lo:hi] = rng.uniform(-half, half, size=hi - lo)
-    return DitherDraw(r=r, seed_tag=seed_tag)
+    return DitherDraw(r=dither_block(weights, spec, seed, seed_tag, ()), seed_tag=seed_tag)
 
 
 def dither_quantize(weights: GroupedWeights, dither: DitherDraw, spec: QuantSpec) -> np.ndarray:
     """De-dithered proxy: quantize(W + r) - r."""
-    step = spec.step_per_weight(weights.group_bounds) if spec.per_group else float(spec.step)
-    if np.any(np.abs(dither.r) > 0.5 * np.asarray(step) + 1e-15):
+    step = spec.step_per_weight(weights.group_bounds)
+    if np.any(np.abs(dither.r) > 0.5 * step + 1e-15):
         raise ValueError("invalid dither")
-    q = quantize_array(weights.values + dither.r, spec, step=step)
-    return q - dither.r
+    return quantize_array(weights.values + dither.r, spec, step=step) - dither.r
+
+
+def _mc_average(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: int,
+                sample, return_sem: bool) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate mean (and SEM) of ``sample(w, r, step)`` over dither draws r.
+
+    The per-group chunk schedule fixes both the summation order and the memory
+    peak; ``sample`` is elementwise, so row blocks of a chunk give the same values.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    values = weights.values
+    if not np.all(np.isfinite(values)):
+        raise ValueError("non-finite weight")
+    total, total_sq = np.zeros((2, values.size))
+    for g, (lo, hi) in enumerate(weights.group_bounds):
+        if hi == lo:
+            continue
+        step_g = spec.step_for_group(g)
+        rng = substream(seed, "dither", g)
+        chunk = max(1, _MC_CHUNK_ELEMS // (hi - lo))
+        block = max(1, _MC_BLOCK_ELEMS // (hi - lo))
+        for done in range(0, n_samples, chunk):
+            k = min(chunk, n_samples - done)
+            r = rng.uniform(-0.5 * step_g, 0.5 * step_g, size=(k, hi - lo))
+            s = np.empty_like(r)
+            for a in range(0, k, block):
+                s[a:a + block] = sample(values[None, lo:hi], r[a:a + block], step_g)
+            total[lo:hi] += s.sum(axis=0)
+            total_sq[lo:hi] += np.square(s, out=s).sum(axis=0)
+    mean = total / n_samples
+    if not return_sem:
+        return mean
+    var = np.maximum(total_sq / n_samples - mean * mean, 0.0)
+    return mean, np.sqrt(var / n_samples)
 
 
 def mean_field(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: int,
@@ -264,36 +323,8 @@ def mean_field(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: i
     per-coordinate standard error of the mean is returned as well, for
     callers that need an MC tolerance.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    values = weights.values
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite weight")
-    d = values.size
-    total = np.zeros(d)
-    total_sq = np.zeros(d)
-    for g, (lo, hi) in enumerate(weights.group_bounds):
-        if hi == lo:
-            continue
-        step_g = spec.step_for_group(g)
-        half = 0.5 * step_g
-        rng = substream(seed, "dither", g)
-        chunk = max(1, _MC_CHUNK_ELEMS // (hi - lo))
-        done = 0
-        w_g = values[lo:hi]
-        while done < n_samples:
-            k = min(chunk, n_samples - done)
-            r = rng.uniform(-half, half, size=(k, hi - lo))
-            q = quantize_array(w_g[None, :] + r, spec, step=step_g) - r
-            total[lo:hi] += q.sum(axis=0)
-            total_sq[lo:hi] += (q * q).sum(axis=0)
-            done += k
-    mean = total / n_samples
-    if not return_sem:
-        return mean
-    var = np.maximum(total_sq / n_samples - mean * mean, 0.0)
-    sem = np.sqrt(var / n_samples)
-    return mean, sem
+    return _mc_average(weights, spec, n_samples, seed,
+                       lambda w, r, step: quantize_array(w + r, spec, step=step) - r, return_sem)
 
 
 def mean_field_sensitivity(weights: GroupedWeights, spec: QuantSpec, probe_eps: float | None = None,
@@ -305,48 +336,21 @@ def mean_field_sensitivity(weights: GroupedWeights, spec: QuantSpec, probe_eps: 
     numbers), which removes most of the MC variance. The default offset
     is step/100. Values are reported unclamped.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    values = weights.values
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite weight")
-    d = values.size
-    total = np.zeros(d)
-    total_sq = np.zeros(d)
-    for g, (lo, hi) in enumerate(weights.group_bounds):
-        if hi == lo:
-            continue
-        step_g = spec.step_for_group(g)
-        eps = (step_g / 100.0) if probe_eps is None else float(probe_eps)
+    def slope(w: np.ndarray, r: np.ndarray, step: float) -> np.ndarray:
+        eps = (step / 100.0) if probe_eps is None else float(probe_eps)
         if not eps > 0:
             raise ValueError("probe_eps must be positive")
-        half = 0.5 * step_g
-        rng = substream(seed, "dither", g)
-        chunk = max(1, _MC_CHUNK_ELEMS // (hi - lo))
-        done = 0
-        w_g = values[lo:hi]
-        while done < n_samples:
-            k = min(chunk, n_samples - done)
-            r = rng.uniform(-half, half, size=(k, hi - lo))
-            hi_q = quantize_array(w_g[None, :] + eps + r, spec, step=step_g)
-            lo_q = quantize_array(w_g[None, :] - eps + r, spec, step=step_g)
-            slope = (hi_q - lo_q) / (2.0 * eps)
-            total[lo:hi] += slope.sum(axis=0)
-            total_sq[lo:hi] += (slope * slope).sum(axis=0)
-            done += k
-    mean = total / n_samples
-    if not return_sem:
-        return mean
-    var = np.maximum(total_sq / n_samples - mean * mean, 0.0)
-    sem = np.sqrt(var / n_samples)
-    return mean, sem
+        hi_q = quantize_array(w + eps + r, spec, step=step)
+        lo_q = quantize_array(w - eps + r, spec, step=step)
+        return (hi_q - lo_q) / (2.0 * eps)
+
+    return _mc_average(weights, spec, n_samples, seed, slope, return_sem)
 
 
 def calibrate_step(weights: GroupedWeights, spec: QuantSpec, floor: float = 1e-12) -> QuantSpec:
     """Per-group step = max-abs(group) / clip_codes, frozen thereafter."""
-    steps = np.empty(weights.n_groups)
-    for g in range(weights.n_groups):
-        w_g = weights.group(g)
-        peak = float(np.max(np.abs(w_g))) if w_g.size else 0.0
-        steps[g] = max(peak / spec.clip_codes, floor)
-    return replace(spec, step=steps)
+    sizes = group_sizes(weights.group_bounds)
+    filled = sizes > 0
+    peaks = np.zeros(sizes.size)
+    peaks[filled] = np.maximum.reduceat(np.abs(weights.values), (np.cumsum(sizes) - sizes)[filled])
+    return replace(spec, step=np.maximum(peaks / spec.clip_codes, floor))

@@ -3,6 +3,15 @@
 A single master seed spawns independent generators keyed by a label
 ("probe", "dither", "minibatch", ...) plus integer indices, so adding
 draws to one stream never perturbs another.
+
+Keys of the training and oracle draws (g is the group; the trainer's
+draw_key and seed_tag are the step). The golden digests pin this layout:
+
+  ("probe", draw_key, g)    gain-update probes of group g
+  ("dither", draw_key, g)   per-probe dither (dither_update) and forward
+                            dither (draw_dither, key = seed_tag) of group g
+  ("dither", g)             Monte-Carlo oracles mean_field(_sensitivity)
+  ("minibatch", step), ("refresh", step)
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ deterministic given the config seed.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import tempfile
 from dataclasses import dataclass, replace
@@ -19,7 +20,7 @@ import numpy as np
 
 from .jacobian import ProbeConfig, SurrogateJacobian, apply_gains, dither_update, probe_ls_update, probe_update
 from .objectives import Objective
-from .quant import GroupedWeights, QuantSpec, dither_quantize, draw_dither, quantize
+from .quant import GroupedWeights, QuantSpec, calibrate_step, dither_quantize, draw_dither, per_weight, quantize
 from .rng import substream
 from .vrgrad import VRState, ctrl_update, grad_est, init_vr_state, refresh_anchor, surrogate_batch
 
@@ -146,14 +147,8 @@ class TrainResult:
 def _frac_saturated(weights: GroupedWeights, spec: QuantSpec) -> float:
     if spec.mode == "identity" or weights.dim == 0:
         return 0.0
-    if spec.mode == "w1":
-        mult = 1.0
-    elif spec.mid_rise:
-        mult = spec.clip_codes + 0.5
-    else:
-        mult = float(spec.clip_codes)
-    step = spec.step_per_weight(weights.group_bounds) if spec.per_group else float(spec.step)
-    return float(np.mean(np.abs(weights.values) > np.asarray(step) * mult))
+    clip = per_weight(spec.clip_level(), weights.group_bounds)
+    return float(np.mean(np.abs(weights.values) > clip))
 
 
 def _sample_batch(n: int, batch_size: int, seed: int, step: int) -> np.ndarray:
@@ -283,11 +278,8 @@ def train_base(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: T
 
 def _run_cell(args) -> dict:
     obj, values, spec, cfg, group_size, refresh, jac_mode, use_base = args
-    from .quant import calibrate_step
-
     weights = GroupedWeights.from_flat(values, group_size)
-    cell_spec = replace(spec, group_size=group_size,
-                        step=float(np.min(spec.step)) if spec.per_group else spec.step)
+    cell_spec = replace(spec, group_size=group_size, step=float(np.min(spec.step)))
     if spec.per_group:
         cell_spec = calibrate_step(weights, cell_spec)
     cell_cfg = replace(cfg, refresh=refresh, jac_mode=jac_mode)
@@ -335,8 +327,10 @@ def run_sweep(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, base_cf
     return [_run_cell(cell) for cell in cells]
 
 
-def _atomic_write(path: str, text: str) -> None:
+def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it into place."""
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
@@ -350,8 +344,6 @@ def _atomic_write(path: str, text: str) -> None:
 
 def write_metrics_csv(trace: list[MetricsRecord], path: str) -> None:
     """Fixed-header CSV, one row per step; written whole-file-or-nothing."""
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(METRICS_HEADER)
@@ -361,4 +353,4 @@ def write_metrics_csv(trace: list[MetricsRecord], path: str) -> None:
             repr(rec.mean_gain), repr(rec.min_gain), repr(rec.max_gain),
             repr(rec.frac_saturated), int(rec.refresh),
         ])
-    _atomic_write(path, buf.getvalue())
+    atomic_write_text(path, buf.getvalue())

@@ -236,3 +236,26 @@ def test_main_argv_round_trip(tmp_path):
     assert summary["config"]["seed"] == 11
     assert sorted(DIAGNOSE_NAMES) == ["dither-fixed-point", "dominance", "pl-contraction",
                                       "probe-rate", "tracking", "vr-variance", "windows"]
+
+
+BAD_CONFIGS = [
+    ("quant.step", {"quant": {"step": "1"}}),
+    ("train.probe_sigma", {"train": {"probe_sigma": -1}}),
+    ("train.num_probes", {"train": {"num_probes": 0}}),
+    ("seed", {"seed": -1}),
+    ("quant.group_size", {"quant": {"group_size": 0}}),
+    ("objective.path", {"objective": {"kind": "csv", "path": "nan.csv"}}),
+]
+
+
+@pytest.mark.parametrize("field,payload", BAD_CONFIGS, ids=[f for f, _ in BAD_CONFIGS])
+def test_bad_config_fails_at_parse_time(tmp_path, monkeypatch, capsys, field, payload):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.csv").write_text("x,y\n1.0,2.0\nnan,3.0\n")
+    config = {"seed": 0, "objective": {"kind": "quadratic", "dim": 8, "n_samples": 4},
+              "quant": {}, "train": {"steps": 2}}
+    for section, values in payload.items():
+        config[section] = {**config[section], **values} if isinstance(values, dict) else values
+    path = write_config(tmp_path, config)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}")
