@@ -196,8 +196,8 @@ def dither_update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobi
 
 def apply_gains(jac: SurrogateJacobian, v: np.ndarray,
                 group_bounds: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Scale an upstream gradient by its group's gain: out_i = b_{group(i)} * v_i."""
+    """Scale an upstream gradient (or each row of a (b, d) block) by its group's gain."""
     v = np.asarray(v, dtype=float)
-    if len(group_bounds) != jac.gains.size or (group_bounds and group_bounds[-1][1] != v.size):
+    if len(group_bounds) != jac.gains.size or (group_bounds and group_bounds[-1][1] != v.shape[-1]):
         raise ValueError("gradient length does not match group bounds")
     return per_weight(jac.gains, group_bounds) * v

@@ -1,8 +1,10 @@
 """Desk-scale differentiable objectives with handwritten per-sample gradients.
 
 Each objective exposes exact analytic gradients of the per-sample loss
-with respect to the (quantized) weight vector. No autodiff framework;
-a finite-difference checker in the test suite guards every kind.
+with respect to the (quantized) weight vector, one row per batch sample.
+Rows use ``np.vecdot`` and stacked ``np.matmul`` (not ``X @ q`` or ``einsum``),
+so a row's bits never depend on its batch-mates. No autodiff framework;
+finite differences in the tests check every kind.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class Dataset:
 
 
 class Objective:
-    """Interface: per-sample loss and exact gradient w.r.t. the weight vector."""
+    """Interface: per-sample losses and exact gradients; a kind implements only ``_rows``."""
 
     dim: int
 
@@ -62,12 +64,24 @@ class Objective:
     def n(self) -> int:
         raise NotImplementedError
 
-    def loss_and_grad(self, q: np.ndarray, i: int) -> tuple[float, np.ndarray]:
+    def _rows(self, q: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
+    def loss_and_grad_batch(self, q: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Losses (b,) and gradients (b, d) of the samples ``idx`` at q, in the given order."""
+        idx = np.asarray(idx, dtype=int)
+        if idx.size == 0:
+            raise ValueError("empty batch")
+        if idx.min() < 0 or idx.max() >= self.n:
+            raise IndexError("sample index out of range")
+        return self._rows(np.asarray(q, dtype=float), idx)
+
+    def loss_and_grad(self, q: np.ndarray, i: int) -> tuple[float, np.ndarray]:
+        losses, grads = self.loss_and_grad_batch(q, [i])
+        return float(losses[0]), grads[0]
+
     def full_loss(self, q: np.ndarray) -> float:
-        losses = [self.loss_and_grad(q, i)[0] for i in range(self.n)]
-        return float(np.mean(losses))
+        return float(np.mean(self.loss_and_grad_batch(q, np.arange(self.n))[0]))
 
 
 class Quadratic(Objective):
@@ -88,17 +102,21 @@ class Quadratic(Objective):
     def n(self) -> int:
         return self.targets.shape[0]
 
+    def _rows(self, q: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r = q - self.targets[idx]
+        if self.curvature.ndim == 1:
+            ar = self.curvature * r
+        else:
+            ar = np.matmul(r[:, None, :], self.curvature.T)[:, 0]
+        return 0.5 * np.vecdot(r, ar), ar
+
     def _apply_a(self, x: np.ndarray) -> np.ndarray:
         if self.curvature.ndim == 1:
             return self.curvature * x
         return x @ self.curvature.T
 
-    def loss_and_grad(self, q: np.ndarray, i: int) -> tuple[float, np.ndarray]:
-        r = q - self.targets[i]
-        ar = self._apply_a(r)
-        return 0.5 * float(r @ ar), ar
-
     def full_loss(self, q: np.ndarray) -> float:
+        # whole-data einsum and matmul: they round unlike the rows, and reported losses keep their bits
         r = q[None, :] - self.targets
         return 0.5 * float(np.mean(np.einsum("ij,ij->i", r, self._apply_a(r))))
 
@@ -121,12 +139,13 @@ class LinearRegression(Objective):
     def n(self) -> int:
         return self.data.n
 
-    def loss_and_grad(self, q: np.ndarray, i: int) -> tuple[float, np.ndarray]:
-        x = self.data.inputs[i]
-        resid = float(x @ q - self.data.targets[i])
-        return 0.5 * resid * resid, resid * x
+    def _rows(self, q: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = self.data.inputs[idx]
+        resid = np.vecdot(x, q) - self.data.targets[idx]
+        return 0.5 * resid * resid, resid[:, None] * x
 
     def full_loss(self, q: np.ndarray) -> float:
+        # whole-data matmul, as in Quadratic.full_loss
         resid = self.data.inputs @ q - self.data.targets
         return 0.5 * float(np.mean(resid * resid))
 
@@ -145,13 +164,12 @@ class LogisticRegression(Objective):
     def n(self) -> int:
         return self.data.n
 
-    def loss_and_grad(self, q: np.ndarray, i: int) -> tuple[float, np.ndarray]:
-        x = self.data.inputs[i]
-        y = self.data.targets[i]
-        margin = -y * float(x @ q)
-        loss = float(np.logaddexp(0.0, margin))
+    def _rows(self, q: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = self.data.inputs[idx]
+        y = self.data.targets[idx]
+        margin = -y * np.vecdot(x, q)
         sigma = 1.0 / (1.0 + np.exp(-margin))
-        return loss, (-y * sigma) * x
+        return np.logaddexp(0.0, margin), (-y * sigma)[:, None] * x
 
 
 class TwoLayerMLP(Objective):
@@ -181,35 +199,24 @@ class TwoLayerMLP(Objective):
         b2 = float(q[-1])
         return w1, b1, w2, b2
 
-    def loss_and_grad(self, q: np.ndarray, i: int) -> tuple[float, np.ndarray]:
+    def _rows(self, q: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w1, b1, w2, b2 = self.unpack(q)
-        x = self.data.inputs[i]
-        y = self.data.targets[i]
-        z = w1 @ x + b1
-        a = np.tanh(z)
-        f = float(w2 @ a + b2)
-        df = f - y
-        loss = 0.5 * df * df
-        dz = (df * w2) * (1.0 - a * a)
-        grad = np.concatenate([np.outer(dz, x).ravel(), dz, df * a, [df]])
-        return loss, grad
+        x = self.data.inputs[idx]
+        a = np.tanh(np.matmul(w1, x[:, :, None])[:, :, 0] + b1)
+        df = np.vecdot(w2, a) + b2 - self.data.targets[idx]
+        dz = (df[:, None] * w2) * (1.0 - a * a)
+        outer = (dz[:, :, None] * x[:, None, :]).reshape(idx.size, -1)
+        return 0.5 * df * df, np.concatenate([outer, dz, df[:, None] * a, df[:, None]], axis=1)
 
 
 def per_sample_grad(obj: Objective, q: np.ndarray, i: int) -> tuple[float, np.ndarray]:
     """Loss and exact gradient of sample i at the quantized point q."""
-    if not 0 <= i < obj.n:
-        raise IndexError("sample index out of range")
-    return obj.loss_and_grad(np.asarray(q, dtype=float), i)
+    return obj.loss_and_grad(q, i)
 
 
 def batch_grad(obj: Objective, q: np.ndarray, batch: np.ndarray) -> tuple[float, np.ndarray]:
     """Arithmetic mean of per-sample losses and gradients, in the given order."""
-    batch = np.asarray(batch, dtype=int)
-    if batch.size == 0:
-        raise ValueError("empty batch")
-    pairs = [per_sample_grad(obj, q, int(i)) for i in batch]
-    losses = np.array([p[0] for p in pairs])
-    grads = np.stack([p[1] for p in pairs])
+    losses, grads = obj.loss_and_grad_batch(q, batch)
     return float(np.mean(losses)), np.mean(grads, axis=0)
 
 

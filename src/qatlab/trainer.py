@@ -1,10 +1,13 @@
-"""Training loops: variance-reduced, non-variance-reduced, and the plain baseline.
+"""One training loop, entered as the variance-reduced or the plain baseline loop.
 
-One step samples a minibatch, estimates a gradient from gain-modulated
-per-sample gradients, and applies a constant-stepsize SGD update. The
-gain vector refreshes on probability or fixed-interval events; each
-refresh also synchronizes the variance-reduction anchor. Everything is
-deterministic given the config seed.
+One step samples a minibatch, evaluates its per-sample gradients once at
+the step's quantized point, estimates a gradient from their gain-modulated
+rows, and applies a constant-stepsize SGD update. The entry points differ
+only in forward and gain cadence: ``train_vr`` refreshes the gains and the
+variance-reduction anchor on probability or fixed-interval events;
+``train_base`` has no control variates, refreshes probe gains on that
+schedule and ``ste`` never, and in ``dither`` mode runs a dithered forward
+and updates the gains every step. Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .jacobian import ProbeConfig, SurrogateJacobian, apply_gains, dither_update
 from .objectives import Objective
 from .quant import GroupedWeights, QuantSpec, calibrate_step, dither_quantize, draw_dither, per_weight, quantize
 from .rng import substream
-from .vrgrad import VRState, ctrl_update, grad_est, init_vr_state, refresh_anchor, surrogate_batch
+from .vrgrad import ctrl_update, grad_est, init_vr_state, refresh_anchor
 
 __all__ = [
     "RefreshPolicy",
@@ -191,6 +194,52 @@ def _update_gains(jac: SurrogateJacobian, weights: GroupedWeights, spec: QuantSp
                          draw_key=step, fixed_dither=fixed_dither)
 
 
+def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
+           initial_gains: SurrogateJacobian | None, capture_trace: bool,
+           base: bool) -> TrainResult:
+    probe_cfg = cfg.probe_config(spec)
+    jac = initial_gains if initial_gains is not None else SurrogateJacobian.identity(
+        weights0.n_groups, ema_rate=cfg.ema_rate, clip_lo=cfg.gain_clip_lo,
+        clip_hi=cfg.gain_clip_hi)
+    dithered = base and cfg.jac_mode == "dither"
+    scheduled = not base or cfg.jac_mode in ("probe", "probe_ls")
+    weights = weights0
+    q = None if dithered else quantize(weights, spec)  # the hard forward is carried to the next step
+    state = init_vr_state("plain" if base else cfg.vr_mode, weights, jac, obj, spec, q=q)
+    trace: list[MetricsRecord] = []
+    states: list[tuple[GroupedWeights, SurrogateJacobian, np.ndarray]] | None = (
+        [] if capture_trace else None)
+    initial_loss = None
+    for step in range(1, cfg.steps + 1):
+        batch = _sample_batch(obj.n, cfg.batch_size, cfg.seed, step)
+        dither = None
+        if dithered:
+            dither = draw_dither(weights, spec, cfg.seed, seed_tag=step)
+            q = dither_quantize(weights, dither, spec)
+        losses, grads = obj.loss_and_grad_batch(q, batch)
+        loss, v_bar = float(np.mean(losses)), np.mean(grads, axis=0)
+        g = grad_est(weights, jac, state, obj, spec, batch, grads=grads)
+        if states is not None:
+            states.append((weights, jac, v_bar))
+        new_weights = weights.with_values(weights.values - cfg.stepsize * g)
+        if initial_loss is None:
+            initial_loss = loss
+        if not np.all(np.isfinite(new_weights.values)):
+            trace.append(_record(step, loss, v_bar, g, jac, weights, spec, False))
+            _guard(loss, initial_loss, step, trace)
+            raise DivergenceError(f"latent weights became non-finite at step {step}", trace)
+        q = None if dithered else quantize(new_weights, spec)
+        state = ctrl_update(state, new_weights, batch, obj, spec, jac=jac, grad=g, q=q)
+        refreshed = dithered or (scheduled and cfg.refresh.fires(step, cfg.seed))
+        if refreshed:
+            jac = _update_gains(jac, new_weights, spec, cfg, probe_cfg, step, fixed_dither=dither)
+            state = refresh_anchor(state, new_weights, jac, obj, spec, q=q)
+        trace.append(_record(step, loss, v_bar, g, jac, weights, spec, refreshed))
+        _guard(loss, initial_loss, step, trace)
+        weights = new_weights
+    return TrainResult(weights=weights, gains=jac, metrics=trace, state_trace=states)
+
+
 def train_vr(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
              initial_gains: SurrogateJacobian | None = None,
              capture_trace: bool = False) -> TrainResult:
@@ -200,34 +249,7 @@ def train_vr(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Tra
     Refresh events update the gains, synchronize the anchor to the new
     point, and recompute the reference gradient.
     """
-    probe_cfg = cfg.probe_config(spec)
-    jac = initial_gains if initial_gains is not None else SurrogateJacobian.identity(
-        weights0.n_groups, ema_rate=cfg.ema_rate, clip_lo=cfg.gain_clip_lo,
-        clip_hi=cfg.gain_clip_hi)
-    weights = weights0
-    state = init_vr_state(cfg.vr_mode, weights, jac, obj, spec)
-    trace: list[MetricsRecord] = []
-    states: list[tuple[GroupedWeights, SurrogateJacobian, np.ndarray]] | None = (
-        [] if capture_trace else None)
-    initial_loss = None
-    for step in range(1, cfg.steps + 1):
-        batch = _sample_batch(obj.n, cfg.batch_size, cfg.seed, step)
-        loss, v_bar, _ = surrogate_batch(weights, jac, obj, spec, batch)
-        g = grad_est(weights, jac, state, obj, spec, batch)
-        if states is not None:
-            states.append((weights, jac, v_bar))
-        new_weights = weights.with_values(weights.values - cfg.stepsize * g)
-        state = ctrl_update(state, new_weights, batch, obj, spec, jac=jac, grad=g)
-        refreshed = cfg.refresh.fires(step, cfg.seed)
-        if refreshed:
-            jac = _update_gains(jac, new_weights, spec, cfg, probe_cfg, step)
-            state = refresh_anchor(state, new_weights, jac, obj, spec)
-        trace.append(_record(step, loss, v_bar, g, jac, weights, spec, refreshed))
-        if initial_loss is None:
-            initial_loss = loss
-        _guard(loss, initial_loss, step, trace)
-        weights = new_weights
-    return TrainResult(weights=weights, gains=jac, metrics=trace, state_trace=states)
+    return _train(obj, weights0, spec, cfg, initial_gains, capture_trace, base=False)
 
 
 def train_base(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
@@ -239,41 +261,7 @@ def train_base(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: T
     draws a fresh dither each step, runs the forward on the de-dithered
     proxy, and updates the gains every step reusing the forward dither.
     """
-    probe_cfg = cfg.probe_config(spec)
-    jac = initial_gains if initial_gains is not None else SurrogateJacobian.identity(
-        weights0.n_groups, ema_rate=cfg.ema_rate, clip_lo=cfg.gain_clip_lo,
-        clip_hi=cfg.gain_clip_hi)
-    weights = weights0
-    trace: list[MetricsRecord] = []
-    states: list[tuple[GroupedWeights, SurrogateJacobian, np.ndarray]] | None = (
-        [] if capture_trace else None)
-    initial_loss = None
-    for step in range(1, cfg.steps + 1):
-        batch = _sample_batch(obj.n, cfg.batch_size, cfg.seed, step)
-        dither = None
-        if cfg.jac_mode == "dither":
-            dither = draw_dither(weights, spec, cfg.seed, seed_tag=step)
-            q = dither_quantize(weights, dither, spec)
-        else:
-            q = quantize(weights, spec)
-        loss, v_bar, g = surrogate_batch(weights, jac, obj, spec, batch, q=q)
-        if states is not None:
-            states.append((weights, jac, v_bar))
-        new_weights = weights.with_values(weights.values - cfg.stepsize * g)
-        refreshed = False
-        if cfg.jac_mode in ("probe", "probe_ls") and cfg.refresh.fires(step, cfg.seed):
-            jac = _update_gains(jac, new_weights, spec, cfg, probe_cfg, step)
-            refreshed = True
-        elif cfg.jac_mode == "dither":
-            jac = _update_gains(jac, new_weights, spec, cfg, probe_cfg, step,
-                                fixed_dither=dither)
-            refreshed = True
-        trace.append(_record(step, loss, v_bar, g, jac, weights, spec, refreshed))
-        if initial_loss is None:
-            initial_loss = loss
-        _guard(loss, initial_loss, step, trace)
-        weights = new_weights
-    return TrainResult(weights=weights, gains=jac, metrics=trace, state_trace=states)
+    return _train(obj, weights0, spec, cfg, initial_gains, capture_trace, base=True)
 
 
 def _run_cell(args) -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .jacobian import SurrogateJacobian, apply_gains
-from .objectives import Objective, per_sample_grad
+from .objectives import Objective
 from .quant import GroupedWeights, QuantSpec, quantize
 from .rng import substream
 
@@ -37,154 +37,158 @@ _MODES = ("plain", "svrg", "saga", "sarah")
 def surrogate_per_sample(weights: GroupedWeights, jac: SurrogateJacobian, obj: Objective,
                          spec: QuantSpec, i: int, q: np.ndarray | None = None) -> np.ndarray:
     """F_i(W) = gains * grad of sample i at the quantized point."""
-    if q is None:
-        q = quantize(weights, spec)
-    _, v = per_sample_grad(obj, q, i)
-    return apply_gains(jac, v, weights.group_bounds)
+    return surrogate_batch(weights, jac, obj, spec, [i], q=q)[2]
 
 
 def surrogate_batch(weights: GroupedWeights, jac: SurrogateJacobian, obj: Objective,
                     spec: QuantSpec, batch: np.ndarray, q: np.ndarray | None = None,
                     ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean loss, mean raw gradient and mean modulated gradient over a batch."""
-    if q is None:
-        q = quantize(weights, spec)
-    batch = np.asarray(batch, dtype=int)
-    if batch.size == 0:
-        raise ValueError("empty batch")
-    pairs = [per_sample_grad(obj, q, int(i)) for i in batch]
-    loss = float(np.mean([p[0] for p in pairs]))
-    v_bar = np.mean(np.stack([p[1] for p in pairs]), axis=0)
-    return loss, v_bar, apply_gains(jac, v_bar, weights.group_bounds)
+    q = quantize(weights, spec) if q is None else q
+    losses, grads = obj.loss_and_grad_batch(q, batch)
+    v_bar = np.mean(grads, axis=0)
+    return float(np.mean(losses)), v_bar, apply_gains(jac, v_bar, weights.group_bounds)
 
 
 @dataclass(frozen=True)
 class VRState:
-    """Anchor state plus mode-specific memory for the gradient estimator."""
+    """Anchor state plus mode-specific memory; each mode holds only what it reads.
+
+    SVRG and SARAH hold the reference gradient; SAGA's table and mean are
+    updated in place by ``ctrl_update``. ``control_q`` caches (weights, spec,
+    quantized weights), read only while those are the control point's objects.
+    """
 
     mode: str
     anchor_weights: GroupedWeights
     anchor_gains: SurrogateJacobian
-    anchor_grad: np.ndarray
+    anchor_grad: np.ndarray | None = None
     saga_table: np.ndarray | None = None
     saga_mean: np.ndarray | None = None
     sarah_prev: tuple[GroupedWeights, SurrogateJacobian, np.ndarray] | None = None
     ref_set: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    control_q: tuple[GroupedWeights, QuantSpec, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"unknown VR mode {self.mode!r}")
-        if not np.all(np.isfinite(self.anchor_grad)):
+        if self.anchor_grad is None and self.mode in ("svrg", "sarah"):
+            raise ValueError(f"{self.mode.upper()} state needs its anchor gradient")
+        if self.anchor_grad is not None and not np.all(np.isfinite(self.anchor_grad)):
             raise ValueError("anchor gradient must be finite")
 
 
 def ref_grad(anchor_weights: GroupedWeights, anchor_gains: SurrogateJacobian, obj: Objective,
-             spec: QuantSpec, ref_set: np.ndarray | None = None) -> np.ndarray:
+             spec: QuantSpec, ref_set: np.ndarray | None = None,
+             q: np.ndarray | None = None) -> np.ndarray:
     """Reference gradient: mean modulated gradient at the anchor (full data by default)."""
-    if ref_set is None:
-        ref_set = np.arange(obj.n)
-    ref_set = np.asarray(ref_set, dtype=int)
-    if ref_set.size == 0:
-        raise ValueError("empty reference set")
-    _, _, g = surrogate_batch(anchor_weights, anchor_gains, obj, spec, ref_set)
-    return g
+    ref_set = np.arange(obj.n) if ref_set is None else ref_set
+    return surrogate_batch(anchor_weights, anchor_gains, obj, spec, ref_set, q=q)[2]
 
 
 def init_vr_state(mode: str, weights: GroupedWeights, jac: SurrogateJacobian, obj: Objective,
-                  spec: QuantSpec, ref_set: np.ndarray | None = None) -> VRState:
-    """Anchor at the given point; SAGA tables start from anchor gradients."""
-    if ref_set is None:
-        ref_set = np.arange(obj.n)
-    ref_set = np.asarray(ref_set, dtype=int)
-    g_ref = ref_grad(weights, jac, obj, spec, ref_set)
-    saga_table = None
-    saga_mean = None
-    if mode == "saga":
-        q = quantize(weights, spec)
-        saga_table = np.stack([surrogate_per_sample(weights, jac, obj, spec, i, q=q)
-                               for i in range(obj.n)])
-        saga_mean = saga_table.mean(axis=0)
-    return VRState(mode=mode, anchor_weights=weights, anchor_gains=jac,
-                   anchor_grad=g_ref, saga_table=saga_table, saga_mean=saga_mean,
-                   ref_set=ref_set)
+                  spec: QuantSpec, ref_set: np.ndarray | None = None,
+                  q: np.ndarray | None = None) -> VRState:
+    """Anchor at the given point; SAGA's table starts from the modulated gradients there.
+
+    ``q`` is the quantized point of ``weights`` when the caller has it.
+    """
+    ref_set = np.arange(obj.n) if ref_set is None else np.asarray(ref_set, dtype=int)
+    if mode != "saga":
+        return VRState(mode=mode, **_anchor_fields(mode, weights, jac, obj, spec, ref_set, q))
+    q = quantize(weights, spec) if q is None else q
+    table = apply_gains(jac, obj.loss_and_grad_batch(q, np.arange(obj.n))[1], weights.group_bounds)
+    return VRState(mode=mode, anchor_weights=weights, anchor_gains=jac, saga_table=table,
+                   saga_mean=table.mean(axis=0), ref_set=ref_set)
 
 
 def grad_est(weights: GroupedWeights, jac: SurrogateJacobian, state: VRState, obj: Objective,
-             spec: QuantSpec, batch: np.ndarray) -> np.ndarray:
-    """Control-variate gradient estimate for one minibatch."""
+             spec: QuantSpec, batch: np.ndarray, grads: np.ndarray | None = None) -> np.ndarray:
+    """Control-variate gradient estimate for one minibatch.
+
+    ``grads`` are the batch's raw gradient rows at the quantized ``weights``;
+    they are computed here unless the caller has them.
+    """
+    if state.mode == "sarah" and state.sarah_prev is None:
+        return state.anchor_grad.copy()  # right after a refresh
     batch = np.asarray(batch, dtype=int)
-    if batch.size == 0:
-        raise ValueError("empty batch")
-    q = quantize(weights, spec)
+    if grads is None:
+        grads = obj.loss_and_grad_batch(quantize(weights, spec), batch)[1]
     if state.mode == "plain":
-        _, _, g = surrogate_batch(weights, jac, obj, spec, batch, q=q)
-        return g
-    if state.mode == "svrg":
-        q_anchor = quantize(state.anchor_weights, spec)
-        diffs = [surrogate_per_sample(weights, jac, obj, spec, int(i), q=q)
-                 - surrogate_per_sample(state.anchor_weights, state.anchor_gains, obj, spec,
-                                        int(i), q=q_anchor)
-                 for i in batch]
-        return np.mean(np.stack(diffs), axis=0) + state.anchor_grad
+        return apply_gains(jac, np.mean(grads, axis=0), weights.group_bounds)
     if state.mode == "saga":
         if state.saga_table is None or state.saga_mean is None:
             raise ValueError("SAGA state missing its per-index table")
-        diffs = [surrogate_per_sample(weights, jac, obj, spec, int(i), q=q) - state.saga_table[int(i)]
-                 for i in batch]
-        return np.mean(np.stack(diffs), axis=0) + state.saga_mean
-    # sarah: anchor value right after a refresh, recursive difference otherwise
-    if state.sarah_prev is None:
-        return state.anchor_grad.copy()
-    prev_weights, prev_gains, prev_grad = state.sarah_prev
-    q_prev = quantize(prev_weights, spec)
-    diffs = [surrogate_per_sample(weights, jac, obj, spec, int(i), q=q)
-             - surrogate_per_sample(prev_weights, prev_gains, obj, spec, int(i), q=q_prev)
-             for i in batch]
-    return np.mean(np.stack(diffs), axis=0) + prev_grad
+        control, reference = state.saga_table[batch], state.saga_mean
+    else:
+        point, gains, reference = (state.sarah_prev if state.mode == "sarah" else
+                                   (state.anchor_weights, state.anchor_gains, state.anchor_grad))
+        cached = state.control_q
+        hit = cached is not None and cached[0] is point and cached[1] is spec
+        q_control = cached[2] if hit else quantize(point, spec)
+        control = apply_gains(gains, obj.loss_and_grad_batch(q_control, batch)[1],
+                              weights.group_bounds)
+    return np.mean(apply_gains(jac, grads, weights.group_bounds) - control, axis=0) + reference
 
 
 def ctrl_update(state: VRState, weights: GroupedWeights, batch: np.ndarray, obj: Objective,
                 spec: QuantSpec, jac: SurrogateJacobian | None = None,
-                grad: np.ndarray | None = None) -> VRState:
-    """Refresh the estimator memory after a step.
+                grad: np.ndarray | None = None, q: np.ndarray | None = None) -> VRState:
+    """Refresh the estimator memory after a step; ``q`` is the quantized ``weights`` if known.
 
-    SAGA replaces the touched table rows and adjusts the running mean
-    incrementally; SARAH stores the step's (weights, gains, estimate);
-    plain and SVRG states are returned unchanged.
+    SAGA writes the touched table rows and adjusts the running mean row by
+    row, in place: the state it returns is the one it was given, and the
+    old table and mean are gone. SARAH stores the step's (weights, gains,
+    estimate) and caches its quantized point; plain and SVRG states are
+    returned unchanged.
     """
     if state.mode in ("plain", "svrg"):
         return state
-    if state.mode == "saga":
-        if state.saga_table is None or state.saga_mean is None:
-            raise ValueError("SAGA state missing its per-index table")
-        if jac is None:
-            raise ValueError("SAGA update needs the current gains")
-        table = state.saga_table.copy()
-        mean = state.saga_mean.copy()
-        q = quantize(weights, spec)
-        n = table.shape[0]
-        for i in np.asarray(batch, dtype=int):
-            fresh = surrogate_per_sample(weights, jac, obj, spec, int(i), q=q)
-            mean = mean + (fresh - table[int(i)]) / n
-            table[int(i)] = fresh
-        return replace(state, saga_table=table, saga_mean=mean)
-    # sarah
-    if jac is None or grad is None:
-        raise ValueError("SARAH update needs the current gains and gradient estimate")
-    return replace(state, sarah_prev=(weights, jac, np.asarray(grad, dtype=float)))
+    if jac is None:
+        raise ValueError(f"{state.mode.upper()} update needs the current gains")
+    q = quantize(weights, spec) if q is None else q
+    if state.mode == "sarah":
+        if grad is None:
+            raise ValueError("SARAH update needs the current gradient estimate")
+        return replace(state, sarah_prev=(weights, jac, np.asarray(grad, dtype=float)),
+                       control_q=(weights, spec, q))
+    if state.saga_table is None or state.saga_mean is None:
+        raise ValueError("SAGA state missing its per-index table")
+    batch = np.asarray(batch, dtype=int)
+    fresh = apply_gains(jac, obj.loss_and_grad_batch(q, batch)[1], weights.group_bounds)
+    # a repeated index meets the row its first occurrence wrote, which is its own fresh row
+    first = np.zeros(batch.size, dtype=bool)
+    first[np.unique(batch, return_index=True)[1]] = True
+    old = np.where(first[:, None], state.saga_table[batch], fresh)
+    steps = np.vstack([state.saga_mean, (fresh - old) / state.saga_table.shape[0]])
+    state.saga_mean[:] = np.add.accumulate(steps, axis=0)[-1]
+    state.saga_table[batch] = fresh
+    return state
 
 
 def refresh_anchor(state: VRState, weights: GroupedWeights, jac: SurrogateJacobian,
-                   obj: Objective, spec: QuantSpec,
-                   ref_set: np.ndarray | None = None) -> VRState:
-    """Synchronize the anchor to the given point and recompute the reference gradient."""
+                   obj: Objective, spec: QuantSpec, ref_set: np.ndarray | None = None,
+                   q: np.ndarray | None = None) -> VRState:
+    """Synchronize the anchor to the given point; SVRG and SARAH recompute the reference gradient.
+
+    ``q`` is the quantized point of ``weights`` when the caller has it.
+    """
     if ref_set is None:
         ref_set = state.ref_set if state.ref_set.size else np.arange(obj.n)
     ref_set = np.asarray(ref_set, dtype=int)
-    g_ref = ref_grad(weights, jac, obj, spec, ref_set)
-    sarah_prev = None if state.mode == "sarah" else state.sarah_prev
-    return replace(state, anchor_weights=weights, anchor_gains=jac, anchor_grad=g_ref,
-                   sarah_prev=sarah_prev, ref_set=ref_set)
+    return replace(state, **_anchor_fields(state.mode, weights, jac, obj, spec, ref_set, q))
+
+
+def _anchor_fields(mode: str, weights: GroupedWeights, jac: SurrogateJacobian, obj: Objective,
+                   spec: QuantSpec, ref_set: np.ndarray, q: np.ndarray | None) -> dict:
+    """State fields of an anchor at ``weights``; SVRG and SARAH get the reference gradient."""
+    anchor_grad = None
+    if mode in ("svrg", "sarah"):
+        q = quantize(weights, spec) if q is None else q
+        anchor_grad = ref_grad(weights, jac, obj, spec, ref_set, q=q)
+    return dict(anchor_weights=weights, anchor_gains=jac, anchor_grad=anchor_grad,
+                sarah_prev=None, ref_set=ref_set,
+                control_q=None if q is None else (weights, spec, q))
 
 
 def estimator_variance(state: VRState, weights: GroupedWeights, jac: SurrogateJacobian,

@@ -1,0 +1,181 @@
+"""Property tests: batched objective rows against one-sample loop references.
+
+The references below restate each kind's one-sample loss and gradient
+(and each kind's whole-data loss) as plain per-sample formulas.
+``loss_and_grad_batch`` must match them bit for bit for every row of any
+batch, duplicates included, so a row never depends on its batch-mates.
+The in-place SAGA update is checked the same way against the row-by-row
+table update.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qatlab.jacobian import SurrogateJacobian
+from qatlab.objectives import (
+    Dataset,
+    LinearRegression,
+    LogisticRegression,
+    Quadratic,
+    TwoLayerMLP,
+    batch_grad,
+    per_sample_grad,
+)
+from qatlab.quant import GroupedWeights, QuantSpec
+from qatlab.rng import substream
+from qatlab.vrgrad import ctrl_update, init_vr_state, surrogate_per_sample
+
+SETTINGS = settings(max_examples=60, deadline=None)
+KINDS = ("quadratic", "quadratic_dense", "linear_regression", "logistic_regression", "mlp")
+
+
+def loop_quadratic(obj, q, i):
+    r = q - obj.targets[i]
+    ar = obj.curvature * r if obj.curvature.ndim == 1 else r @ obj.curvature.T
+    return 0.5 * float(r @ ar), ar
+
+
+def loop_linear(obj, q, i):
+    x = obj.data.inputs[i]
+    resid = float(x @ q - obj.data.targets[i])
+    return 0.5 * resid * resid, resid * x
+
+
+def loop_logistic(obj, q, i):
+    x = obj.data.inputs[i]
+    y = obj.data.targets[i]
+    margin = -y * float(x @ q)
+    loss = float(np.logaddexp(0.0, margin))
+    sigma = 1.0 / (1.0 + np.exp(-margin))
+    return loss, (-y * sigma) * x
+
+
+def loop_mlp(obj, q, i):
+    w1, b1, w2, b2 = obj.unpack(q)
+    x = obj.data.inputs[i]
+    y = obj.data.targets[i]
+    a = np.tanh(w1 @ x + b1)
+    f = float(w2 @ a + b2)
+    df = f - y
+    dz = (df * w2) * (1.0 - a * a)
+    return 0.5 * df * df, np.concatenate([np.outer(dz, x).ravel(), dz, df * a, [df]])
+
+
+LOOPS = {Quadratic: loop_quadratic, LinearRegression: loop_linear,
+         LogisticRegression: loop_logistic, TwoLayerMLP: loop_mlp}
+
+
+def loop_full_loss(obj, q):
+    if isinstance(obj, Quadratic):
+        r = q[None, :] - obj.targets
+        ar = obj.curvature * r if obj.curvature.ndim == 1 else r @ obj.curvature.T
+        return 0.5 * float(np.mean(np.einsum("ij,ij->i", r, ar)))
+    if isinstance(obj, LinearRegression):
+        resid = obj.data.inputs @ q - obj.data.targets
+        return 0.5 * float(np.mean(resid * resid))
+    return float(np.mean([LOOPS[type(obj)](obj, q, i)[0] for i in range(obj.n)]))
+
+
+def make_objective(kind: str, n: int, d: int, seed: int):
+    rng = substream(seed, "batch-property")
+    inputs = rng.normal(0.0, 1.0, size=(n, d))
+    if kind == "quadratic":
+        return Quadratic(rng.uniform(0.1, 3.0, size=d), rng.normal(0.0, 1.0, size=(n, d)))
+    if kind == "quadratic_dense":
+        m = rng.normal(0.0, 1.0, size=(d, d))
+        return Quadratic(m @ m.T + np.eye(d), rng.normal(0.0, 1.0, size=(n, d)))
+    if kind == "linear_regression":
+        return LinearRegression(Dataset(inputs, rng.normal(0.0, 1.0, size=n)))
+    if kind == "logistic_regression":
+        return LogisticRegression(Dataset(inputs, rng.choice((-1.0, 1.0), size=n)))
+    return TwoLayerMLP(Dataset(inputs, rng.normal(0.0, 1.0, size=n)),
+                       hidden_width=int(rng.integers(1, 9)))
+
+
+def same_bits(got, expected) -> bool:
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def problems(draw):
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 12 if kind == "mlp" else 40))
+    obj = make_objective(kind, n, d, draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from([0.1, 1.0, 4.0]))
+    q = substream(draw(st.integers(0, 2**16)), "q").normal(0.0, scale, size=obj.dim)
+    batch = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    return obj, q, np.array(batch)
+
+
+@SETTINGS
+@given(problems())
+def test_batch_rows_match_per_sample_loop(problem):
+    obj, q, batch = problem
+    losses, grads = obj.loss_and_grad_batch(q, batch)
+    assert losses.shape == (batch.size,) and grads.shape == (batch.size, obj.dim)
+    loop = LOOPS[type(obj)]
+    for k, i in enumerate(batch):
+        loss, grad = loop(obj, q, int(i))
+        assert same_bits(losses[k], loss) and same_bits(grads[k], grad)
+        assert same_bits(per_sample_grad(obj, q, int(i))[1], grad)
+    mean_loss, mean_grad = batch_grad(obj, q, batch)
+    pairs = [loop(obj, q, int(i)) for i in batch]
+    assert same_bits(mean_loss, np.mean([p[0] for p in pairs]))
+    assert same_bits(mean_grad, np.mean(np.stack([p[1] for p in pairs]), axis=0))
+
+
+@SETTINGS
+@given(problems())
+def test_full_loss_matches_loop_reference(problem):
+    obj, q, _ = problem
+    assert same_bits(obj.full_loss(q), loop_full_loss(obj, q))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sample_indices_are_range_checked_not_wrapped(kind):
+    obj = make_objective(kind, 4, 3, seed=0)
+    q = np.zeros(obj.dim)
+    for bad in ([-1], [0, 4], [2, -4]):
+        with pytest.raises(IndexError, match="out of range"):
+            obj.loss_and_grad_batch(q, bad)
+    with pytest.raises(IndexError, match="out of range"):
+        per_sample_grad(obj, q, -1)
+    with pytest.raises(ValueError, match="empty"):
+        obj.loss_and_grad_batch(q, [])
+
+
+def loop_saga_update(table, mean, fresh_rows, batch):
+    """The row-by-row SAGA update: each index's fresh row replaces its table row in turn."""
+    table, mean = table.copy(), mean.copy()
+    for k, i in enumerate(batch):
+        mean = mean + (fresh_rows[k] - table[i]) / table.shape[0]
+        table[i] = fresh_rows[k]
+    return table, mean
+
+
+@SETTINGS
+@given(st.integers(1, 12), st.sampled_from([1, 2, 7, 30]), st.integers(0, 2**16), st.data())
+def test_saga_update_in_place_matches_row_loop(n, d, seed, data):
+    obj = make_objective("linear_regression", n, d, seed)
+    weights = GroupedWeights.from_flat(substream(seed, "w").normal(0.0, 1.0, d), group_size=4)
+    spec = QuantSpec.generic(bits=3, step=0.3, group_size=4)
+    jac = SurrogateJacobian.identity(weights.n_groups).with_gains(
+        substream(seed, "gains").uniform(0.0, 1.0, weights.n_groups))
+    state = init_vr_state("saga", weights, jac, obj, spec)
+    # drift the table away from one point so every row differs from the fresh ones
+    state = ctrl_update(state, weights.with_values(weights.values * 0.7), np.arange(n), obj, spec,
+                        jac=jac.with_gains(np.ones(weights.n_groups)))
+    batch = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n)))
+    moved = weights.with_values(weights.values + 0.4)
+    fresh = [surrogate_per_sample(moved, jac, obj, spec, int(i)) for i in batch]
+    table, mean = loop_saga_update(state.saga_table, state.saga_mean, fresh, batch)
+    table_id, mean_id = id(state.saga_table), id(state.saga_mean)
+    after = ctrl_update(state, moved, batch, obj, spec, jac=jac)
+    assert after is state and id(after.saga_table) == table_id and id(after.saga_mean) == mean_id
+    assert same_bits(after.saga_table, table) and same_bits(after.saga_mean, mean)

@@ -144,6 +144,24 @@ def test_cli_train_divergence_reports_error(tmp_path):
     assert "divergence" in summary["error"]
 
 
+@pytest.mark.parametrize("loop", ["base", "vr"])
+def test_cli_train_non_finite_weights_end_as_divergence(tmp_path, loop):
+    cfg = write_config(tmp_path, {
+        "objective": {"kind": "saturating", "dim": 64, "n_samples": 8},
+        "quant": {"group_size": 16},
+        "train": {"loop": loop, "jac_mode": "ste", "stepsize": 1e308, "steps": 20},
+    })
+    out = tmp_path / "nonfinite"
+    with np.errstate(over="ignore"):
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert "non-finite" in summary["error"]
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert summary["steps_run"] == len(rows) - 1 >= 1
+    assert all(np.isfinite(float(row[1])) for row in rows[1:])
+
+
 def test_cli_sweep(tmp_path):
     cfg = write_config(tmp_path, {
         "seed": 2,

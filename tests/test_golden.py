@@ -6,6 +6,11 @@ cover a short last group, calibrated per-group steps, mid-rise, w1 and
 ternary grids, every ``jac_mode``, every ``vr_mode``, both loops, and
 eight or more probes (numpy's pairwise summation of probe means).
 
+The base-loop configs in ``BASE_CONFIGS`` pin the paths the plain loop
+takes apart from the variance-reduced one: no gain update (``ste``), a
+scheduled ``probe_ls`` update and a non-default ``vr_mode`` that the base
+loop ignores. Their digests are in ``golden/base_digests.json``.
+
 A digest may change only with a CHANGES.md entry naming which bytes
 changed and why; on a mismatch the test prints the new digests.
 """
@@ -19,6 +24,7 @@ from pathlib import Path
 from qatlab.cli import main
 
 DIGESTS_PATH = Path(__file__).parent / "golden" / "digests.json"
+BASE_DIGESTS_PATH = Path(__file__).parent / "golden" / "base_digests.json"
 
 CONFIGS = {
     "svrg-probe-short-group": {
@@ -72,6 +78,30 @@ CONFIGS = {
     },
 }
 
+BASE_CONFIGS = {
+    "base-ste-regression-calibrated": {
+        "seed": 9,
+        "objective": {"kind": "linear_regression", "dim": 20, "n_samples": 12},
+        "quant": {"mode": "generic", "bits": 3, "group_size": 6, "calibrate": True},
+        "train": {"loop": "base", "jac_mode": "ste", "steps": 25, "batch_size": 4,
+                  "refresh": {"interval": 3}},
+    },
+    "base-probe-ls-logistic": {
+        "seed": 10,
+        "objective": {"kind": "logistic_regression", "dim": 24, "n_samples": 16},
+        "quant": {"mode": "w2", "group_size": 8, "step": 0.5},
+        "train": {"loop": "base", "jac_mode": "probe_ls", "num_probes": 4, "steps": 25,
+                  "refresh": {"kind": "probability", "probability": 0.4}},
+    },
+    "base-saga-ignored-mlp": {
+        "seed": 11,
+        "objective": {"kind": "mlp", "dim": 5, "hidden_width": 3, "n_samples": 12},
+        "quant": {"mode": "generic", "bits": 3, "group_size": 6, "calibrate": True},
+        "train": {"loop": "base", "vr_mode": "saga", "jac_mode": "probe", "num_probes": 3,
+                  "steps": 20, "batch_size": 4, "refresh": {"interval": 3}},
+    },
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -94,4 +124,12 @@ def test_golden_digests(tmp_path, monkeypatch):
     got = {name: _run_digests(name, config) for name, config in CONFIGS.items()}
     expected = json.loads(DIGESTS_PATH.read_text())
     assert got == expected, "golden digests changed; new digests:\n" + json.dumps(
+        got, indent=2, sort_keys=True)
+
+
+def test_golden_digests_base_loop(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = {name: _run_digests(name, config) for name, config in BASE_CONFIGS.items()}
+    expected = json.loads(BASE_DIGESTS_PATH.read_text())
+    assert got == expected, "base-loop golden digests changed; new digests:\n" + json.dumps(
         got, indent=2, sort_keys=True)

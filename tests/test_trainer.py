@@ -249,3 +249,17 @@ def test_config_validation():
     with pytest.raises(ValueError, match="jac_mode"):
         TrainConfig(stepsize=0.1, batch_size=1, steps=1,
                     refresh=RefreshPolicy("interval", interval=1), jac_mode="nope")
+
+
+@pytest.mark.parametrize("runner", [train_base, train_vr])
+def test_loss_guard_reported_before_non_finite_weights(runner):
+    # the second step's loss is inf and its update overflows the weights too
+    obj = make_regression_task(4, 6, seed=3)
+    w0 = GroupedWeights.from_flat(np.full(4, 0.5), group_size=4)
+    cfg = TrainConfig(stepsize=1e200, batch_size=2, steps=5,
+                      refresh=RefreshPolicy("interval", interval=100),
+                      jac_mode="ste", vr_mode="plain", seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+        runner(obj, w0, QuantSpec.identity(group_size=4), cfg)
+    assert "exceeded divergence guard at step 2" in str(err.value)
+    assert [r.step for r in err.value.trace] == [1, 2]

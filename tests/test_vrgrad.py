@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from qatlab.jacobian import SurrogateJacobian
 from qatlab.objectives import make_regression_task
 from qatlab.quant import GroupedWeights, QuantSpec
 from qatlab.vrgrad import (
+    VRState,
     ctrl_update,
     estimator_variance,
     grad_est,
@@ -184,3 +186,52 @@ def test_svrg_variance_below_plain_near_anchor():
     v_svrg = estimator_variance(state_svrg, moved, jac, obj, spec, batch_size=4, trials=200)
     v_plain = estimator_variance(state_plain, moved, jac, obj, spec, batch_size=4, trials=200)
     assert v_svrg <= v_plain
+
+
+def test_hand_built_svrg_state_matches_init():
+    obj, weights, spec, jac = setup(gains=[0.6, 1.1])
+    made = init_vr_state("svrg", weights, jac, obj, spec)
+    hand = VRState(mode="svrg", anchor_weights=weights, anchor_gains=jac,
+                   anchor_grad=ref_grad(weights, jac, obj, spec))
+    moved = weights.with_values(weights.values + 0.35)
+    batch = np.array([0, 3, 5])
+    g = grad_est(moved, jac, hand, obj, spec, batch)
+    assert np.all(np.isfinite(g))
+    assert np.array_equal(g, grad_est(moved, jac, made, obj, spec, batch))
+
+
+def test_replaced_anchor_or_spec_is_quantized_afresh():
+    obj, weights, spec, jac = setup(gains=[0.8, 1.2])
+    state = init_vr_state("svrg", weights, jac, obj, spec)
+    moved = weights.with_values(weights.values - 0.3)
+    replaced = replace(state, anchor_weights=moved, anchor_grad=ref_grad(moved, jac, obj, spec))
+    refreshed = refresh_anchor(state, moved, jac, obj, spec)
+    point = weights.with_values(weights.values + 0.2)
+    batch = np.array([1, 2, 6])
+    assert np.array_equal(grad_est(point, jac, replaced, obj, spec, batch),
+                          grad_est(point, jac, refreshed, obj, spec, batch))
+    coarse = QuantSpec.generic(bits=3, step=0.5, group_size=3)
+    hand = VRState(mode="svrg", anchor_weights=moved, anchor_gains=jac,
+                   anchor_grad=refreshed.anchor_grad)
+    assert np.array_equal(grad_est(point, jac, refreshed, obj, coarse, batch),
+                          grad_est(point, jac, hand, obj, coarse, batch))
+
+
+def test_hand_built_sarah_state_matches_ctrl_update():
+    obj, weights, spec, jac = setup(n=6, gains=[0.9, 0.7])
+    state = init_vr_state("sarah", weights, jac, obj, spec)
+    g0 = state.anchor_grad
+    made = ctrl_update(state, weights, np.array([1, 3]), obj, spec, jac=jac, grad=g0)
+    hand = VRState(mode="sarah", anchor_weights=weights, anchor_gains=jac, anchor_grad=g0,
+                   sarah_prev=(weights, jac, g0))
+    moved = weights.with_values(weights.values + 0.4)
+    batch = np.array([0, 2, 5])
+    assert np.array_equal(grad_est(moved, jac, hand, obj, spec, batch),
+                          grad_est(moved, jac, made, obj, spec, batch))
+
+
+@pytest.mark.parametrize("mode", ["svrg", "sarah"])
+def test_state_without_anchor_gradient_rejected(mode):
+    _, weights, _, jac = setup()
+    with pytest.raises(ValueError, match="anchor gradient"):
+        VRState(mode=mode, anchor_weights=weights, anchor_gains=jac)
