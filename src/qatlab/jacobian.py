@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quant import (DitherDraw, GroupedWeights, QuantSpec, dither_block, draw_per_group, group_sizes,
-                    per_weight, quantize_array)
+from .quant import (DitherDraw, GroupedWeights, QuantSpec, dither_block, group_sizes, per_weight,
+                    quantize_array)
 from .rng import substream
 
 __all__ = [
@@ -62,7 +62,9 @@ class SurrogateJacobian:
     def _ema(self, estimates: np.ndarray, mask: np.ndarray) -> "SurrogateJacobian":
         clipped = np.clip(estimates, self.clip_lo, self.clip_hi)
         new = self.gains.copy()
-        new[mask] = (1.0 - self.ema_rate) * self.gains[mask] + self.ema_rate * clipped[mask]
+        # clipped again: a start outside [clip_lo, clip_hi] (identity gains) must not leak through
+        new[mask] = np.clip((1.0 - self.ema_rate) * self.gains[mask] + self.ema_rate * clipped[mask],
+                            self.clip_lo, self.clip_hi)
         return self.with_gains(new)
 
 
@@ -136,11 +138,12 @@ def probe_slope_samples(w_group: np.ndarray, spec: QuantSpec, step: float,
 def _update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobian, cfg: ProbeConfig,
             draw_key: int, least_squares: bool,
             dither: np.ndarray | None = None) -> SurrogateJacobian:
-    """One gain update of every group from the per-group probe substreams.
+    """One gain update of every group from one (num_probes, dim) probe block.
 
-    Group g draws its probes from (seed_tag, "probe", draw_key, g). The
-    per-group estimate is the mean of the per-probe slope fits, or the
-    least-squares fit over all probes; empty groups keep their gain.
+    The block comes from the (seed_tag, "probe", draw_key) stream; group g
+    takes its columns. The per-group estimate is the mean of the per-probe
+    slope fits, or the least-squares fit over all probes; empty groups keep
+    their gain.
     """
     sizes = group_sizes(weights.group_bounds)
     if jac.gains.size != sizes.size:
@@ -148,8 +151,8 @@ def _update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobian, cf
     filled = sizes > 0
     if not filled.all():
         warnings.warn(f"empty group {np.flatnonzero(~filled).tolist()} skipped", stacklevel=3)
-    deltas = draw_per_group(weights, (cfg.num_probes,), lambda g, shape: substream(
-        cfg.seed_tag, "probe", draw_key, g).normal(0.0, cfg.sigma, size=shape))
+    deltas = substream(cfg.seed_tag, "probe", draw_key).normal(0.0, cfg.sigma,
+                                                                size=(cfg.num_probes, weights.dim))
     cross, energy = _slope_sums(weights.values, spec, spec.step_per_weight(weights.group_bounds),
                                 deltas, dither, sizes)
     cross, energy = cross[filled], energy[filled]
@@ -184,8 +187,9 @@ def dither_update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobi
                   fixed_dither: DitherDraw | None = None) -> SurrogateJacobian:
     """Slope fit on the de-dithered proxy, common dither across both evaluations.
 
-    Each probe draws its own dither from (dither_seed, "dither", draw_key,
-    g), shared by that probe's base and perturbed evaluation.
+    Each probe draws its own dither row from one (num_probes, dim) block of
+    the (dither_seed, "dither_block", draw_key) stream, shared by that
+    probe's base and perturbed evaluation.
     ``fixed_dither`` reuses an externally drawn dither (e.g. the forward
     dither of a training step) for every probe instead.
     """

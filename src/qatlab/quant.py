@@ -38,7 +38,6 @@ __all__ = [
     "calibrate_step",
     "group_sizes",
     "per_weight",
-    "draw_per_group",
     "dither_block",
 ]
 
@@ -248,27 +247,15 @@ def quantize(weights: GroupedWeights, spec: QuantSpec) -> np.ndarray:
     return quantize_array(weights.values, spec, step=spec.step_per_weight(weights.group_bounds))
 
 
-def draw_per_group(weights: GroupedWeights, rows: tuple[int, ...], draw) -> np.ndarray:
-    """(*rows, dim) block whose columns of group g are ``draw(g, (*rows, size))``."""
-    block = np.empty((*rows, weights.dim))
-    for g, (lo, hi) in enumerate(weights.group_bounds):
-        if hi > lo:
-            block[..., lo:hi] = draw(g, (*rows, hi - lo))
-    return block
-
-
 def dither_block(weights: GroupedWeights, spec: QuantSpec, seed: int, key: int,
                  rows: tuple[int, ...]) -> np.ndarray:
-    """Uniform dither within half a step; group g draws from ("dither", key, g)."""
-    def draw(g: int, shape: tuple[int, ...]) -> np.ndarray:
-        half = 0.5 * spec.step_for_group(g)
-        return substream(seed, "dither", key, g).uniform(-half, half, size=shape)
-
-    return draw_per_group(weights, rows, draw)
+    """(*rows, dim) uniform dither within half of each weight's group step, one draw."""
+    half = 0.5 * spec.step_per_weight(weights.group_bounds)
+    return substream(seed, "dither_block", key).uniform(-half, half, size=(*rows, weights.dim))
 
 
 def draw_dither(weights: GroupedWeights, spec: QuantSpec, seed: int, seed_tag: int = 0) -> DitherDraw:
-    """Draw one uniform dither vector, one substream per group."""
+    """Draw one uniform dither vector from the ("dither_block", seed_tag) stream."""
     return DitherDraw(r=dither_block(weights, spec, seed, seed_tag, ()), seed_tag=seed_tag)
 
 

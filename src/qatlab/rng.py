@@ -4,13 +4,16 @@ A single master seed spawns independent generators keyed by a label
 ("probe", "dither", "minibatch", ...) plus integer indices, so adding
 draws to one stream never perturbs another.
 
-Keys of the training and oracle draws (g is the group; the trainer's
-draw_key and seed_tag are the step). The golden digests pin this layout:
+Keys of the training and oracle draws (the trainer's draw_key and
+seed_tag are the step; g is a group). A training draw is one block over
+all weights, whatever the group layout. The golden digests pin this layout:
 
-  ("probe", draw_key, g)    gain-update probes of group g
-  ("dither", draw_key, g)   per-probe dither (dither_update) and forward
-                            dither (draw_dither, key = seed_tag) of group g
-  ("dither", g)             Monte-Carlo oracles mean_field(_sensitivity)
+  ("probe", draw_key)         (num_probes, dim) gain-update probes
+  ("dither_block", draw_key)  (num_probes, dim) per-probe dither of
+                              dither_update, or the (dim,) forward dither
+                              of draw_dither (key = seed_tag)
+  ("dither", g)               Monte-Carlo oracles mean_field(_sensitivity),
+                              one stream per group
   ("minibatch", step), ("refresh", step)
 """
 

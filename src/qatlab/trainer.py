@@ -228,8 +228,11 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
             trace.append(_record(step, loss, v_bar, g, jac, weights, spec, False))
             _guard(loss, initial_loss, step, trace)
             raise DivergenceError(f"latent weights became non-finite at step {step}", trace)
+        q_step = q
         q = None if dithered else quantize(new_weights, spec)
-        state = ctrl_update(state, new_weights, batch, obj, spec, jac=jac, grad=g, q=q)
+        # SARAH differences the next step against this step's point; SAGA's table moves on
+        point, q_point = (weights, q_step) if state.mode == "sarah" else (new_weights, q)
+        state = ctrl_update(state, point, batch, obj, spec, jac=jac, grad=g, q=q_point)
         refreshed = dithered or (scheduled and cfg.refresh.fires(step, cfg.seed))
         if refreshed:
             jac = _update_gains(jac, new_weights, spec, cfg, probe_cfg, step, fixed_dither=dither)

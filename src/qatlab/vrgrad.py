@@ -139,8 +139,9 @@ def ctrl_update(state: VRState, weights: GroupedWeights, batch: np.ndarray, obj:
     SAGA writes the touched table rows and adjusts the running mean row by
     row, in place: the state it returns is the one it was given, and the
     old table and mean are gone. SARAH stores the step's (weights, gains,
-    estimate) and caches its quantized point; plain and SVRG states are
-    returned unchanged.
+    estimate), so ``weights`` is the point the estimate was taken at, not
+    the updated one, and caches its quantized point; plain and SVRG states
+    are returned unchanged.
     """
     if state.mode in ("plain", "svrg"):
         return state

@@ -5,17 +5,22 @@ a time. The array versions must match them bit for bit over random
 contiguous layouts, including empty groups and a short last group. The
 grid rule and the Monte-Carlo oracles are checked the same way against a
 plain restatement that evaluates each chunk in one go with fresh arrays.
+Each gain update or dither draw is one block from one stream, so the
+draws must not depend on the group layout, and the dither stays within
+half of each group's step.
 """
 
 from __future__ import annotations
 
 import warnings
+from itertools import product
 from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qatlab import jacobian
 from qatlab.jacobian import (
     ProbeConfig,
     SurrogateJacobian,
@@ -30,6 +35,7 @@ from qatlab.quant import (
     GroupedWeights,
     QuantSpec,
     calibrate_step,
+    dither_quantize,
     draw_dither,
     mean_field,
     mean_field_sensitivity,
@@ -139,8 +145,22 @@ def loop_slope_samples(w, spec, step, sigma, m, rng, dither=None):
     return np.einsum("ij,ij->i", dq, deltas), np.einsum("ij,ij->i", deltas, deltas)
 
 
+class BlockColumns:
+    """Stands in for a generator: hands out one group's columns of a drawn block."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def normal(self, loc, scale, size):
+        assert size == self.columns.shape
+        return self.columns
+
+
 def loop_update(weights, spec, jac, cfg, draw_key, least_squares=False,
                 dither_seed=None, fixed_dither=None):
+    """Gain update one group at a time; group g takes its columns of each (m, d) block."""
+    shape = (cfg.num_probes, weights.dim)
+    probes = substream(cfg.seed_tag, "probe", draw_key).normal(0.0, cfg.sigma, size=shape)
     estimates = np.zeros(weights.n_groups)
     mask = np.zeros(weights.n_groups, dtype=bool)
     for g, (lo, hi) in enumerate(weights.group_bounds):
@@ -151,13 +171,11 @@ def loop_update(weights, spec, jac, cfg, draw_key, least_squares=False,
         if fixed_dither is not None:
             dither = fixed_dither.r[lo:hi]
         elif dither_seed is not None:
-            dither = substream(dither_seed, "dither", draw_key, g).uniform(
-                -0.5 * step_g, 0.5 * step_g, size=(cfg.num_probes, hi - lo))
+            dither = substream(dither_seed, "dither_block", draw_key).uniform(
+                -0.5 * step_g, 0.5 * step_g, size=shape)[:, lo:hi]
         args = (weights.values[lo:hi], spec, step_g, cfg.sigma, cfg.num_probes)
-        cross, energy = probe_slope_samples(
-            *args, substream(cfg.seed_tag, "probe", draw_key, g), dither=dither)
-        direct = loop_slope_samples(
-            *args, substream(cfg.seed_tag, "probe", draw_key, g), dither=dither)
+        cross, energy = probe_slope_samples(*args, BlockColumns(probes[:, lo:hi]), dither=dither)
+        direct = loop_slope_samples(*args, BlockColumns(probes[:, lo:hi]), dither=dither)
         assert_same_bits(cross, direct[0])
         assert_same_bits(energy, direct[1])
         if least_squares:
@@ -208,6 +226,81 @@ def test_gain_updates_match_per_group_probe_loop(data, num_probes, draw_key):
         ]
     for got, expected in pairs:
         assert_same_bits(got.gains, expected.gains)
+
+
+def probe_block_of(weights, spec, cfg, draw_key):
+    """The (m, d) probe block one probe_update hands to the slope kernel."""
+    seen = []
+    kernel = jacobian._slope_sums
+
+    def spy(values, spec, step, deltas, dither, sizes):
+        seen.append(deltas)
+        return kernel(values, spec, step, deltas, dither, sizes)
+
+    with patch.object(jacobian, "_slope_sums", spy):
+        probe_update(weights, spec, SurrogateJacobian.identity(weights.n_groups), cfg, draw_key)
+    return seen[0]
+
+
+@SETTINGS
+@given(st.integers(1, 40), st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**16),
+       st.integers(1, 4), st.booleans())
+def test_draws_do_not_depend_on_group_size(dim, size_a, size_b, seed, num_probes, calibrated):
+    values = substream(seed, "layout").normal(0.0, 1.0, dim)
+    cfg = ProbeConfig(sigma=0.3, num_probes=num_probes, seed_tag=seed)
+    blocks, units = [], []
+    for size in (size_a, size_b):
+        weights = GroupedWeights.from_flat(values, size)
+        spec = QuantSpec.w2(step=0.5, group_size=size)
+        spec = calibrate_step(weights, spec) if calibrated else spec
+        half = 0.5 * spec.step_per_weight(weights.group_bounds)
+        blocks.append(probe_block_of(weights, spec, cfg, draw_key=seed % 7))
+        units.append(quant.dither_block(weights, spec, seed, seed % 7, (num_probes,)) / half)
+    assert_same_bits(blocks[0], blocks[1])
+    assert units[0].shape == (num_probes, dim)
+    # r = -h + 2h * u rounds relative to h, so only a calibrated (per-group) h moves r / h
+    tolerance = 4 * np.finfo(float).eps if calibrated else 0.0
+    assert np.all(np.abs(units[0] - units[1]) <= tolerance)
+
+
+@SETTINGS
+@given(st.data(), st.integers(0, 2**16), st.sampled_from([(), (1,), (3,)]))
+def test_dither_lies_within_half_of_its_group_step(data, seed, rows):
+    weights = data.draw(layouts())
+    spec = calibrate_step(weights, data.draw(specs(weights)))
+    r = quant.dither_block(weights, spec, seed, seed % 5, rows)
+    assert r.shape == (*rows, weights.dim)
+    for g, (lo, hi) in enumerate(weights.group_bounds):
+        assert np.all(np.abs(r[..., lo:hi]) <= 0.5 * spec.step_for_group(g))
+    dither_quantize(weights, draw_dither(weights, spec, seed, seed_tag=seed % 5), spec)
+
+
+def test_training_dither_is_not_the_oracle_stream():
+    # the forward dither of step g must not replay the MC oracle's ("dither", g) stream
+    weights = GroupedWeights.from_flat(substream(3, "w").normal(0.0, 1.0, 24), group_size=24)
+    spec = QuantSpec.w2(step=0.5, group_size=24)
+    for seed, g in product((0, 1, 9), (0, 1, 2, 5)):
+        forward = draw_dither(weights, spec, seed, seed_tag=g).r
+        oracle = substream(seed, "dither", g).uniform(-0.25, 0.25, size=(1, weights.dim))[0]
+        assert not np.any(forward == oracle)
+
+
+@SETTINGS
+@given(st.integers(0, 2**16), st.integers(1, 40), st.integers(1, 9),
+       st.floats(0.0, 1.2), st.floats(0.0, 1.2), st.sampled_from(["probe", "probe_ls", "dither"]),
+       st.sampled_from([0.3, 0.9, 1.0]), st.booleans())
+def test_gains_stay_within_clip_range_after_updates(seed, dim, size, lo, hi, kind, rate, identity):
+    lo, hi = min(lo, hi), max(lo, hi)
+    weights = GroupedWeights.from_flat(substream(seed, "w").normal(0.0, 2.0, dim), size)
+    spec = QuantSpec.w2(step=1.0, group_size=size)
+    start = (np.ones(weights.n_groups) if identity
+             else substream(seed, "start").uniform(-0.5, 1.5, weights.n_groups))
+    jac = SurrogateJacobian(gains=start, ema_rate=rate, clip_lo=lo, clip_hi=hi)
+    update = {"probe": probe_update, "probe_ls": probe_ls_update,
+              "dither": lambda *a, **k: dither_update(*a, dither_seed=seed, **k)}[kind]
+    for t in range(3):
+        jac = update(weights, spec, jac, ProbeConfig(sigma=0.5, seed_tag=seed), draw_key=t)
+        assert np.all(jac.gains >= lo) and np.all(jac.gains <= hi)
 
 
 GRID_SPECS = [QuantSpec.w2(step=0.5), QuantSpec.generic(3, step=0.3),

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qatlab.jacobian import SurrogateJacobian
+from qatlab.config import parse_config_dict
+from qatlab.jacobian import SurrogateJacobian, apply_gains
 from qatlab.objectives import Quadratic, make_pl_instance, make_regression_task, make_saturating_task
 from qatlab.quant import GroupedWeights, QuantSpec, quantize
 from qatlab.rng import substream
@@ -115,6 +116,32 @@ def test_always_refresh_svrg_yields_full_batch_gradient():
         assert rec.surrogate_grad_norm == pytest.approx(float(np.linalg.norm(g_full)), rel=1e-12)
         w = w.with_values(w.values - eta * g_full)
     np.testing.assert_allclose(final.values, w.values, rtol=1e-12)
+
+
+def test_sarah_differences_consecutive_points():
+    # v_t = mean_i (B F_i(w_t) - B F_i(w_{t-1})) + v_{t-1}: the estimate moves every step,
+    # not only at refreshes, and follows the recursion until the first refresh (step 5)
+    setup = parse_config_dict({
+        "objective": {"kind": "linear_regression", "dim": 16, "n_samples": 16},
+        "quant": {"mode": "identity"},
+        "train": {"loop": "vr", "vr_mode": "sarah", "batch_size": 4, "stepsize": 0.02,
+                  "steps": 12, "refresh": {"interval": 5}},
+    })
+    obj, cfg = setup.objective, setup.train
+    res = train_vr(obj, setup.weights, setup.spec, cfg, capture_trace=True)
+    norms = [rec.surrogate_grad_norm for rec in res.metrics]
+    assert all(a != b for a, b in zip(norms, norms[1:]))
+    w, jac, _ = res.state_trace[0]
+
+    def mean_grad(point, batch):
+        return obj.loss_and_grad_batch(point.values, batch)[1].mean(axis=0)
+
+    g = apply_gains(jac, mean_grad(w, np.arange(obj.n)), w.group_bounds)
+    for step in range(2, 6):
+        w_prev, (w, jac, _) = w, res.state_trace[step - 1]
+        batch = substream(cfg.seed, "minibatch", step).choice(obj.n, size=4, replace=False)
+        g = apply_gains(jac, mean_grad(w, batch) - mean_grad(w_prev, batch), w.group_bounds) + g
+        assert norms[step - 1] == pytest.approx(float(np.linalg.norm(g)), rel=1e-12)
 
 
 def test_pl_quadratic_full_batch_contracts_at_theory_rate():
