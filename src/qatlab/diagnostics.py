@@ -339,7 +339,7 @@ def window_composition_harness(deltas: np.ndarray, steps_per_window: int, dim: i
         if norm > 0 and delta != 0.0:
             target = target + delta * direction / norm
         obj_k = Quadratic(curvature=base.curvature, targets=target[None, :])
-        weights, _ = train_vr(obj_k, weights, spec, cfg)
+        weights = train_vr(obj_k, weights, spec, cfg).weights
         gaps[k] = obj_k.full_loss(weights.values) - obj_k.optimal_loss()
     return WindowCompositionResult(window_gaps=gaps, final_gap=float(gaps[-1]))
 
@@ -356,6 +356,6 @@ def grad_norm_trend(obj: Objective, weights0: GroupedWeights, spec: QuantSpec,
     if not horizons:
         raise ValueError("need at least one horizon")
     run_cfg = replace(cfg, steps=horizons[-1])
-    _, trace = train_vr(obj, weights0, spec, run_cfg)
+    trace = train_vr(obj, weights0, spec, run_cfg).metrics
     norms = np.array([rec.grad_norm for rec in trace])
     return {h: float(np.min(norms[:h])) for h in horizons}

@@ -181,7 +181,14 @@ class GroupedWeights:
         return np.repeat(np.arange(self.n_groups), group_sizes(self.group_bounds))
 
     def with_values(self, values: np.ndarray) -> "GroupedWeights":
-        return GroupedWeights(values=values, group_bounds=self.group_bounds)
+        """Same groups, new values; only the values are checked, the bounds already were."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.values.shape:
+            raise ValueError("new values must be a flat vector of the weights' length")
+        new = object.__new__(GroupedWeights)
+        object.__setattr__(new, "values", values)
+        object.__setattr__(new, "group_bounds", self.group_bounds)
+        return new
 
 
 # Cached: every gain application and quantization needs it, and a run keeps one layout.

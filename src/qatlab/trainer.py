@@ -2,7 +2,7 @@
 
 One step samples a minibatch, evaluates its per-sample gradients once at
 the step's quantized point, estimates a gradient from their gain-modulated
-rows, and applies a constant-stepsize SGD update. The entry points differ
+mean, and applies a constant-stepsize SGD update. The entry points differ
 only in forward and gain cadence: ``train_vr`` refreshes the gains and the
 variance-reduction anchor on probability or fixed-interval events;
 ``train_base`` has no control variates, refreshes probe gains on that
@@ -142,10 +142,6 @@ class TrainResult:
     metrics: list[MetricsRecord]
     state_trace: list[tuple[GroupedWeights, SurrogateJacobian, np.ndarray]] | None = None
 
-    def __iter__(self):
-        # allows ``weights, metrics = train_...(...)`` unpacking
-        return iter((self.weights, self.metrics))
-
 
 def _frac_saturated(weights: GroupedWeights, spec: QuantSpec) -> float:
     if spec.mode == "identity" or weights.dim == 0:
@@ -218,7 +214,7 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
             q = dither_quantize(weights, dither, spec)
         losses, grads = obj.loss_and_grad_batch(q, batch)
         loss, v_bar = float(np.mean(losses)), np.mean(grads, axis=0)
-        g = grad_est(weights, jac, state, obj, spec, batch, grads=grads)
+        g = grad_est(weights, jac, state, obj, spec, batch, v_bar=v_bar)
         if states is not None:
             states.append((weights, jac, v_bar))
         new_weights = weights.with_values(weights.values - cfg.stepsize * g)

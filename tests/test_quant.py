@@ -207,6 +207,16 @@ def test_grouped_weights_validation():
     assert np.array_equal(w.group_index(), [0, 0, 0, 0, 1, 1, 1, 1, 2, 2])
 
 
+def test_with_values_checks_only_the_new_values():
+    w = GroupedWeights.from_flat(np.zeros(10), group_size=4)
+    for bad in (np.zeros(9), np.zeros(11), np.zeros((2, 5)), np.zeros((10, 1))):
+        with pytest.raises(ValueError, match="flat vector"):
+            w.with_values(bad)
+    moved = w.with_values([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+    assert moved.group_bounds is w.group_bounds
+    assert moved.values.dtype == float and np.array_equal(moved.values, np.arange(1.0, 11.0))
+
+
 def test_quant_spec_validation():
     with pytest.raises(ValueError):
         QuantSpec(step=-1.0)

@@ -43,7 +43,8 @@ def test_reduction_to_plain_sgd_on_passthrough():
     cfg = TrainConfig(stepsize=0.05, batch_size=4, steps=1000,
                       refresh=RefreshPolicy("interval", interval=100),
                       jac_mode="ste", vr_mode="plain", seed=7)
-    final, trace = train_vr(obj, w0, spec, cfg)
+    result = train_vr(obj, w0, spec, cfg)
+    final, trace = result.weights, result.metrics
     ref = sgd_reference(obj, w0.values, 0.05, 1000, seed=7, batch_size=4)
     assert np.max(np.abs(final.values - ref[-1])) <= 1e-8
     assert len(trace) == 1000
@@ -56,7 +57,7 @@ def test_base_dither_passthrough_reduces_to_sgd():
     cfg = TrainConfig(stepsize=0.1, batch_size=2, steps=200,
                       refresh=RefreshPolicy("interval", interval=50),
                       jac_mode="dither", vr_mode="plain", seed=5)
-    final, _ = train_base(obj, w0, spec, cfg)
+    final = train_base(obj, w0, spec, cfg).weights
     ref = sgd_reference(obj, w0.values, 0.1, 200, seed=5, batch_size=2)
     assert np.max(np.abs(final.values - ref[-1])) <= 1e-8
 
@@ -66,8 +67,8 @@ def test_deterministic_traces_and_csv_bytes(tmp_path):
     cfg = TrainConfig(stepsize=0.05, batch_size=4, steps=60,
                       refresh=RefreshPolicy("interval", interval=10),
                       jac_mode="probe", vr_mode="svrg", seed=11)
-    _, trace_a = train_vr(obj, w0, spec, cfg)
-    _, trace_b = train_vr(obj, w0, spec, cfg)
+    trace_a = train_vr(obj, w0, spec, cfg).metrics
+    trace_b = train_vr(obj, w0, spec, cfg).metrics
     assert trace_a == trace_b
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_metrics_csv(trace_a, str(p1))
@@ -82,7 +83,7 @@ def test_refresh_accounting_interval():
     cfg = TrainConfig(stepsize=0.01, batch_size=2, steps=50,
                       refresh=RefreshPolicy("interval", interval=10),
                       jac_mode="probe", vr_mode="svrg", seed=0)
-    _, trace = train_vr(obj, w0, spec, cfg)
+    trace = train_vr(obj, w0, spec, cfg).metrics
     flagged = [r.step for r in trace if r.refresh]
     assert flagged == [10, 20, 30, 40, 50]
 
@@ -94,7 +95,7 @@ def test_refresh_probability_one_fires_every_step():
     cfg = TrainConfig(stepsize=0.02, batch_size=2, steps=20,
                       refresh=RefreshPolicy("probability", probability=1.0),
                       jac_mode="ste", vr_mode="svrg", seed=1)
-    _, trace = train_vr(obj, w0, spec, cfg)
+    trace = train_vr(obj, w0, spec, cfg).metrics
     assert all(r.refresh for r in trace)
 
 
@@ -108,7 +109,8 @@ def test_always_refresh_svrg_yields_full_batch_gradient():
     cfg = TrainConfig(stepsize=eta, batch_size=2, steps=30,
                       refresh=RefreshPolicy("probability", probability=1.0),
                       jac_mode="ste", vr_mode="svrg", seed=2)
-    final, trace = train_vr(obj, w0, spec, cfg)
+    result = train_vr(obj, w0, spec, cfg)
+    final, trace = result.weights, result.metrics
     jac = SurrogateJacobian.identity(1)
     w = w0
     for rec in trace:
@@ -153,7 +155,8 @@ def test_pl_quadratic_full_batch_contracts_at_theory_rate():
     cfg = TrainConfig(stepsize=eta, batch_size=obj.n, steps=120,
                       refresh=RefreshPolicy("interval", interval=1000),
                       jac_mode="ste", vr_mode="plain", seed=3)
-    final, trace = train_vr(obj, w0, spec, cfg)
+    result = train_vr(obj, w0, spec, cfg)
+    final, trace = result.weights, result.metrics
     l_star = obj.optimal_loss()
     gaps = [r.loss - l_star for r in trace]
     for prev, nxt in zip(gaps, gaps[1:]):
@@ -191,7 +194,8 @@ def test_gain_damping_on_fully_saturated_group():
                       refresh=RefreshPolicy("interval", interval=20),
                       jac_mode="probe", vr_mode="plain", probe_sigma=0.25,
                       num_probes=8, seed=9)
-    final, trace = train_vr(obj, w0, spec, cfg)
+    result = train_vr(obj, w0, spec, cfg)
+    final, trace = result.weights, result.metrics
     sat_frac = np.mean([r.frac_saturated for r in trace])
     assert sat_frac >= 0.45  # half the coordinates stay saturated
     assert trace[-1].min_gain <= 0.2
@@ -202,7 +206,7 @@ def test_metrics_record_fields_finite_and_fractional():
     cfg = TrainConfig(stepsize=0.05, batch_size=4, steps=30,
                       refresh=RefreshPolicy("interval", interval=10),
                       jac_mode="dither", vr_mode="plain", seed=12)
-    _, trace = train_base(obj, w0, spec, cfg)
+    trace = train_base(obj, w0, spec, cfg).metrics
     for rec in trace:
         assert isinstance(rec, MetricsRecord)
         assert np.isfinite([rec.loss, rec.grad_norm, rec.surrogate_grad_norm,
@@ -218,7 +222,7 @@ def test_sweep_single_cell_matches_single_run():
                       jac_mode="probe", vr_mode="plain", seed=3)
     table = run_sweep(obj, w0, spec, cfg, group_sizes=[16])
     assert len(table) == 1
-    final, _ = train_vr(obj, w0, spec, cfg)
+    final = train_vr(obj, w0, spec, cfg).weights
     assert table[0]["final_loss"] == pytest.approx(obj.full_loss(quantize(final, spec)))
     assert table[0]["error"] == ""
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 from qatlab.jacobian import SurrogateJacobian
 from qatlab.objectives import make_regression_task
-from qatlab.quant import GroupedWeights, QuantSpec
+from qatlab.quant import GroupedWeights, QuantSpec, quantize
 from qatlab.vrgrad import (
     VRState,
     ctrl_update,
@@ -52,12 +51,6 @@ def test_ref_grad_matches_direct_summation():
     np.testing.assert_allclose(g, total / obj.n, rtol=1e-13)
 
 
-def test_ref_grad_empty_set_rejected():
-    obj, weights, spec, jac = setup()
-    with pytest.raises(ValueError, match="empty"):
-        ref_grad(weights, jac, obj, spec, ref_set=np.array([], dtype=int))
-
-
 def test_plain_full_batch_is_full_surrogate_gradient():
     obj, weights, spec, jac = setup(gains=[0.7, 0.9])
     state = init_vr_state("plain", weights, jac, obj, spec)
@@ -69,7 +62,7 @@ def test_svrg_at_anchor_returns_reference_bit_exactly():
     obj, weights, spec, jac = setup()
     state = init_vr_state("svrg", weights, jac, obj, spec)
     g = grad_est(weights, jac, state, obj, spec, np.array([2, 5, 1]))
-    assert np.array_equal(g, state.anchor_grad)
+    assert np.array_equal(g, state.reference)
 
 
 @pytest.mark.parametrize("mode,n,batch", [("svrg", 4, 1), ("svrg", 6, 2),
@@ -100,7 +93,7 @@ def test_saga_running_mean_invariant_after_updates():
     for t in range(10):
         point = weights.with_values(weights.values + rng.normal(0, 0.3, weights.dim))
         state = ctrl_update(state, point, rng.choice(8, size=3, replace=False), obj, spec, jac=jac)
-        assert np.max(np.abs(state.saga_mean - state.saga_table.mean(axis=0))) <= 1e-10
+        assert np.max(np.abs(state.reference - state.saga_table.mean(axis=0))) <= 1e-10
 
 
 def test_saga_full_update_sets_mean_to_fresh_gradients():
@@ -108,7 +101,7 @@ def test_saga_full_update_sets_mean_to_fresh_gradients():
     state = init_vr_state("saga", weights, jac, obj, spec)
     point = weights.with_values(weights.values * 0.5)
     state = ctrl_update(state, point, np.arange(6), obj, spec, jac=jac)
-    np.testing.assert_allclose(state.saga_mean, full_surrogate(obj, point, spec, jac), atol=1e-12)
+    np.testing.assert_allclose(state.reference, full_surrogate(obj, point, spec, jac), atol=1e-12)
 
 
 def test_svrg_ctrl_update_is_identity():
@@ -120,12 +113,8 @@ def test_svrg_ctrl_update_is_identity():
 
 
 def test_missing_saga_table_rejected():
-    obj, weights, spec, jac = setup()
-    state = init_vr_state("svrg", weights, jac, obj, spec)
-    bad = type(state)(mode="saga", anchor_weights=state.anchor_weights,
-                      anchor_gains=state.anchor_gains, anchor_grad=state.anchor_grad)
     with pytest.raises(ValueError, match="table"):
-        grad_est(weights, jac, bad, obj, spec, np.array([0]))
+        VRState(mode="saga", reference=np.zeros(6))
 
 
 def test_sarah_refresh_then_recursive_difference():
@@ -133,7 +122,7 @@ def test_sarah_refresh_then_recursive_difference():
     state = init_vr_state("sarah", weights, jac, obj, spec)
     # right after (implicit) refresh: estimate equals the anchor gradient
     g0 = grad_est(weights, jac, state, obj, spec, np.array([1, 3]))
-    assert np.array_equal(g0, state.anchor_grad)
+    assert np.array_equal(g0, state.reference)
     state = ctrl_update(state, weights, np.array([1, 3]), obj, spec, jac=jac, grad=g0)
     moved = weights.with_values(weights.values + 0.4)
     batch = np.array([0, 2])
@@ -146,9 +135,9 @@ def test_sarah_refresh_then_recursive_difference():
     np.testing.assert_allclose(g1, expected, rtol=1e-13)
     # refresh clears the recursive memory
     state = refresh_anchor(state, moved, jac, obj, spec)
-    assert state.sarah_prev is None
+    assert state.control is None
     g2 = grad_est(moved, jac, state, obj, spec, np.array([4]))
-    assert np.array_equal(g2, state.anchor_grad)
+    assert np.array_equal(g2, state.reference)
 
 
 def test_refresh_anchor_idempotent_and_matches_recomputation():
@@ -157,10 +146,10 @@ def test_refresh_anchor_idempotent_and_matches_recomputation():
     moved = weights.with_values(weights.values - 0.3)
     once = refresh_anchor(state, moved, jac, obj, spec)
     twice = refresh_anchor(once, moved, jac, obj, spec)
-    assert np.array_equal(once.anchor_grad, twice.anchor_grad)
-    np.testing.assert_allclose(once.anchor_grad, full_surrogate(obj, moved, spec, jac), rtol=1e-14)
+    assert np.array_equal(once.reference, twice.reference)
+    np.testing.assert_allclose(once.reference, full_surrogate(obj, moved, spec, jac), rtol=1e-14)
     g = grad_est(moved, jac, once, obj, spec, np.array([0, 1]))
-    assert np.array_equal(g, once.anchor_grad)
+    assert np.array_equal(g, once.reference)
 
 
 def test_estimator_variance_full_batch_is_zero():
@@ -191,8 +180,8 @@ def test_svrg_variance_below_plain_near_anchor():
 def test_hand_built_svrg_state_matches_init():
     obj, weights, spec, jac = setup(gains=[0.6, 1.1])
     made = init_vr_state("svrg", weights, jac, obj, spec)
-    hand = VRState(mode="svrg", anchor_weights=weights, anchor_gains=jac,
-                   anchor_grad=ref_grad(weights, jac, obj, spec))
+    hand = VRState(mode="svrg", control=(quantize(weights, spec), jac),
+                   reference=ref_grad(weights, jac, obj, spec))
     moved = weights.with_values(weights.values + 0.35)
     batch = np.array([0, 3, 5])
     g = grad_est(moved, jac, hand, obj, spec, batch)
@@ -200,30 +189,12 @@ def test_hand_built_svrg_state_matches_init():
     assert np.array_equal(g, grad_est(moved, jac, made, obj, spec, batch))
 
 
-def test_replaced_anchor_or_spec_is_quantized_afresh():
-    obj, weights, spec, jac = setup(gains=[0.8, 1.2])
-    state = init_vr_state("svrg", weights, jac, obj, spec)
-    moved = weights.with_values(weights.values - 0.3)
-    replaced = replace(state, anchor_weights=moved, anchor_grad=ref_grad(moved, jac, obj, spec))
-    refreshed = refresh_anchor(state, moved, jac, obj, spec)
-    point = weights.with_values(weights.values + 0.2)
-    batch = np.array([1, 2, 6])
-    assert np.array_equal(grad_est(point, jac, replaced, obj, spec, batch),
-                          grad_est(point, jac, refreshed, obj, spec, batch))
-    coarse = QuantSpec.generic(bits=3, step=0.5, group_size=3)
-    hand = VRState(mode="svrg", anchor_weights=moved, anchor_gains=jac,
-                   anchor_grad=refreshed.anchor_grad)
-    assert np.array_equal(grad_est(point, jac, refreshed, obj, coarse, batch),
-                          grad_est(point, jac, hand, obj, coarse, batch))
-
-
 def test_hand_built_sarah_state_matches_ctrl_update():
     obj, weights, spec, jac = setup(n=6, gains=[0.9, 0.7])
     state = init_vr_state("sarah", weights, jac, obj, spec)
-    g0 = state.anchor_grad
+    g0 = state.reference
     made = ctrl_update(state, weights, np.array([1, 3]), obj, spec, jac=jac, grad=g0)
-    hand = VRState(mode="sarah", anchor_weights=weights, anchor_gains=jac, anchor_grad=g0,
-                   sarah_prev=(weights, jac, g0))
+    hand = VRState(mode="sarah", control=(quantize(weights, spec), jac), reference=g0)
     moved = weights.with_values(weights.values + 0.4)
     batch = np.array([0, 2, 5])
     assert np.array_equal(grad_est(moved, jac, hand, obj, spec, batch),
@@ -232,6 +203,9 @@ def test_hand_built_sarah_state_matches_ctrl_update():
 
 @pytest.mark.parametrize("mode", ["svrg", "sarah"])
 def test_state_without_anchor_gradient_rejected(mode):
-    _, weights, _, jac = setup()
-    with pytest.raises(ValueError, match="anchor gradient"):
-        VRState(mode=mode, anchor_weights=weights, anchor_gains=jac)
+    _, weights, spec, jac = setup()
+    with pytest.raises(ValueError, match="reference gradient"):
+        VRState(mode=mode, control=(quantize(weights, spec), jac))
+    if mode == "svrg":  # SARAH has no control point right after a refresh, SVRG always has one
+        with pytest.raises(ValueError, match="anchor point"):
+            VRState(mode=mode, reference=np.zeros(weights.dim))
