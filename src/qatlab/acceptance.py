@@ -79,7 +79,7 @@ def a1_quantizer_suite() -> tuple[bool, dict]:
     # dither unbiasedness on interior coordinates, 1e5 samples, 4 sigma
     spec = QuantSpec.generic(bits=3, step=1.0)  # clip at 3 steps
     vals = np.array([-2.0, -1.4, -0.7, -0.2, 0.0, 0.3, 1.1, 1.9])
-    weights = GroupedWeights.from_flat(vals, group_size=8)
+    weights = GroupedWeights(vals, group_size=8)
     mean, sem = mean_field(weights, spec, n_samples=100_000, seed=17, return_sem=True)
     dev = np.abs(mean - vals)
     checks["dither_unbiasedness"] = bool(np.all(dev <= 4.0 * sem + 1e-12))
@@ -112,7 +112,7 @@ def a3_dither_fixed_point() -> tuple[bool, dict]:
             rng.choice((-1.0, 1.0), n_sat) * rng.uniform(1.8, 2.6, n_sat),
         ])
         groups.append(seg)
-    weights = GroupedWeights.from_flat(np.concatenate(groups), group_size=d_g)
+    weights = GroupedWeights(np.concatenate(groups), group_size=d_g)
     oracle = mean_field_sensitivity(weights, spec, probe_eps=0.1, n_samples=50_000, seed=29)
     target = np.array([np.mean(oracle[lo:hi]) for lo, hi in weights.group_bounds])
     jac = SurrogateJacobian.identity(weights.n_groups, ema_rate=0.05)
@@ -133,8 +133,8 @@ def a3_dither_fixed_point() -> tuple[bool, dict]:
 def a4_vr_variance() -> tuple[bool, dict]:
     """SVRG variance halves the plain variance near the anchor; exact unbiasedness."""
     obj = make_regression_task(16, 64, seed=41)
-    weights = GroupedWeights.from_flat(substream(43, "w0").normal(0, 1, 16), group_size=8)
-    spec = QuantSpec.generic(bits=4, step=0.25, group_size=8)
+    weights = GroupedWeights(substream(43, "w0").normal(0, 1, 16), group_size=8)
+    spec = QuantSpec.generic(bits=4, step=0.25)
     jac = SurrogateJacobian.identity(weights.n_groups)
     state_svrg = init_vr_state("svrg", weights, jac, obj, spec)
     state_plain = init_vr_state("plain", weights, jac, obj, spec)
@@ -151,8 +151,8 @@ def a4_vr_variance() -> tuple[bool, dict]:
     from itertools import combinations
 
     small = make_regression_task(5, 6, seed=59)
-    w_small = GroupedWeights.from_flat(np.linspace(-1, 1, 5), group_size=5)
-    spec_small = QuantSpec.generic(bits=4, step=0.25, group_size=5)
+    w_small = GroupedWeights(np.linspace(-1, 1, 5), group_size=5)
+    spec_small = QuantSpec.generic(bits=4, step=0.25)
     jac_small = SurrogateJacobian.identity(1).with_gains(np.array([0.7]))
     worst = 0.0
     for mode in ("svrg", "saga"):
@@ -258,8 +258,8 @@ def a9_reduction_determinism() -> tuple[bool, dict]:
     import tempfile
 
     obj = make_regression_task(6, 16, seed=1)
-    w0 = GroupedWeights.from_flat(substream(2, "w0").normal(0, 1, 6), group_size=3)
-    spec = QuantSpec.identity(group_size=3)
+    w0 = GroupedWeights(substream(2, "w0").normal(0, 1, 6), group_size=3)
+    spec = QuantSpec.identity()
     cfg = TrainConfig(stepsize=0.05, batch_size=4, steps=1000,
                       refresh=RefreshPolicy("interval", interval=100),
                       jac_mode="ste", vr_mode="plain", seed=7)

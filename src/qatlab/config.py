@@ -145,23 +145,21 @@ def _require(cond: bool, message: str) -> None:
 
 def _build_quant(cfg: dict, weights: GroupedWeights) -> QuantSpec:
     mode = cfg["mode"]
-    gs = cfg["group_size"]
     _require(isinstance(cfg["step"], (int, float)) and cfg["step"] > 0,
              "quant.step must be a positive number")
     try:
         if mode == "generic":
             _require(cfg["bits"] is not None, "quant.bits required for generic mode")
             spec = QuantSpec.generic(int(cfg["bits"]), step=float(cfg["step"]),
-                                     group_size=gs, mid_rise=bool(cfg["mid_rise"]))
+                                     mid_rise=bool(cfg["mid_rise"]))
         elif mode == "w1":
-            spec = QuantSpec.w1(step=float(cfg["step"]), group_size=gs)
+            spec = QuantSpec.w1(step=float(cfg["step"]))
         elif mode == "w1_58":
-            spec = QuantSpec.ternary(step=float(cfg["step"]), group_size=gs)
+            spec = QuantSpec.ternary(step=float(cfg["step"]))
         elif mode == "w2":
-            spec = QuantSpec.w2(step=float(cfg["step"]), group_size=gs,
-                                mid_rise=bool(cfg["mid_rise"]))
+            spec = QuantSpec.w2(step=float(cfg["step"]), mid_rise=bool(cfg["mid_rise"]))
         elif mode == "identity":
-            spec = QuantSpec.identity(step=float(cfg["step"]), group_size=gs)
+            spec = QuantSpec.identity(step=float(cfg["step"]))
         else:
             raise ConfigError(f"quant.mode {mode!r} not one of w2|w1|w1_58|generic|identity")
     except ValueError as exc:
@@ -215,7 +213,7 @@ def _build_objective(cfg: dict, quant_cfg: dict, master_seed: int,
             raise ConfigError(f"objective.path: {exc}") from exc
 
     w0 = substream(seed, "init").normal(0.0, float(cfg["w0_scale"]), size=obj.dim)
-    weights = GroupedWeights.from_flat(w0, group_size=quant_cfg["group_size"])
+    weights = GroupedWeights(w0, group_size=quant_cfg["group_size"])
     return obj, weights, None
 
 
@@ -243,7 +241,7 @@ def parse_config_dict(raw: dict, seed_override: int | None = None) -> RunSetup:
     if task_spec is not None:
         spec = task_spec
         quant_cfg = dict(quant_cfg)
-        quant_cfg.update(mode=spec.mode, step=float(np.min(spec.step)), group_size=spec.group_size)
+        quant_cfg.update(mode=spec.mode, step=float(np.min(spec.step)))
     else:
         spec = _build_quant(quant_cfg, weights)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .jacobian import ProbeConfig, SurrogateJacobian, apply_gains, probe_slope_samples, probe_update
 from .objectives import Objective, Quadratic, make_pl_instance
-from .quant import GroupedWeights, QuantSpec, group_sizes, mean_field_sensitivity, quantize_array
+from .quant import GroupedWeights, QuantSpec, mean_field_sensitivity, quantize_array
 from .rng import substream
 from .trainer import RefreshPolicy, TrainConfig, train_vr
 from .vrgrad import surrogate_batch
@@ -86,13 +86,12 @@ def bias_report(weights: GroupedWeights, jac: SurrogateJacobian, v_bar: np.ndarr
                                           n_samples=mc.n_samples, seed=mc.seed,
                                           return_sem=True)
     g_target = j_hat * v_bar
-    g_learned = apply_gains(jac, v_bar, weights.group_bounds)
+    g_learned = apply_gains(jac, v_bar, weights)
     v_norm = float(np.linalg.norm(v_bar))
-    gains_per_weight = apply_gains(jac, np.ones(weights.dim), weights.group_bounds)
-    gamma = float(np.max(np.abs(1.0 - j_hat))) if weights.dim else 0.0
+    gamma = float(np.max(np.abs(1.0 - j_hat)))
     bias_jq = float(np.linalg.norm(g_learned - g_target))
     bias_ste = float(np.linalg.norm(v_bar - g_target))
-    bound_jq = float(np.max(np.abs(gains_per_weight - j_hat))) * v_norm if weights.dim else 0.0
+    bound_jq = float(np.max(np.abs(weights.per_weight(jac.gains) - j_hat))) * v_norm
     bound_ste = gamma * v_norm
     slack = 1e-9 * max(v_norm, 1.0)
     return DiagnosticsReport(
@@ -119,7 +118,7 @@ def fd_reference(weights: GroupedWeights, spec: QuantSpec, eps: float | None = N
     if coords is None:
         coords = np.arange(weights.dim)
     coords = np.asarray(coords, dtype=int)
-    step_c = spec.step_per_weight(weights.group_bounds)[coords]
+    step_c = weights.per_weight(spec.step)[coords]
     eps_c = (step_c / 10.0) if eps is None else eps
     if np.any(np.asarray(eps_c) <= 0):
         raise ValueError("eps must be positive")
@@ -145,7 +144,7 @@ def fd_mismatch_variance(trace: list[tuple[GroupedWeights, SurrogateJacobian, np
     for weights, jac, v_bar in trace:
         idx, fd = fd_reference(weights, spec, eps=eps, coords=coords)
         v = np.asarray(v_bar, dtype=float)[idx]
-        gains = apply_gains(jac, np.ones(weights.dim), weights.group_bounds)[idx]
+        gains = weights.per_weight(jac.gains)[idx]
         ref = fd * v
         mism_jq.append(gains * v - ref)
         mism_ste.append(v - ref)
@@ -186,7 +185,7 @@ def probe_rate_harness(spec: QuantSpec, group_dim: int, sigma: float,
         rng.uniform(-interior_halfwidth, interior_halfwidth, group_dim - n_sat) * step,
         rng.choice((-1.0, 1.0), n_sat) * rng.uniform(1.8, 2.6, n_sat) * step * spec.clip_codes,
     ])
-    weights = GroupedWeights.from_flat(vals, group_size=group_dim)
+    weights = GroupedWeights(vals, group_size=group_dim)
     # wide FD offset: exact in the linear/flat regions this layout uses,
     # and 10x less oracle noise than the default offset
     oracle = mean_field_sensitivity(weights, spec, probe_eps=step / 10.0,
@@ -238,7 +237,7 @@ def tracking_harness(spec: QuantSpec, group_dim: int, drift_per_step: np.ndarray
     betas = np.broadcast_to(np.asarray(ema_rates, dtype=float), (steps,))
     rng = substream(seed, "layout")
     start = rng.uniform(-1.3, 0.9, group_dim) * step * spec.clip_codes
-    weights = GroupedWeights.from_flat(start, group_size=group_dim)
+    weights = GroupedWeights(start, group_size=group_dim)
     jac = SurrogateJacobian.identity(1)
     errors = np.empty(steps)
     gains = np.empty(steps)
@@ -285,15 +284,14 @@ def pl_contraction_harness(mu: float, l_smooth: float, eta: float, jac_err: floa
     obj = make_pl_instance(dim, mu, l_smooth, seed=instance_seed)
     t_bar = obj.mean_target()
     w = t_bar + substream(seed, "w0").normal(0.0, 1.0, dim)
-    sizes = group_sizes(GroupedWeights.from_flat(w, group_size).group_bounds)
-    n_groups = sizes.size
+    layout = GroupedWeights(w, group_size)
     gaps = np.empty(steps)
     l_star = obj.optimal_loss()
     for t in range(steps):
         gaps[t] = obj.full_loss(w) - l_star
         v = obj._apply_a(w - t_bar)
-        u = substream(seed, "jacnoise", t).uniform(0.0, 1.0, n_groups)
-        gains = np.repeat(np.clip(1.0 - jac_err * u, 0.0, 1.0), sizes)
+        u = substream(seed, "jacnoise", t).uniform(0.0, 1.0, layout.n_groups)
+        gains = layout.per_weight(np.clip(1.0 - jac_err * u, 0.0, 1.0))
         w = w - eta * gains * v
     floor = float(np.mean(gaps[int(0.8 * steps):]))
     bound = 1.0 - eta * mu + 1e-3
@@ -313,22 +311,20 @@ class WindowCompositionResult:
 
 def window_composition_harness(deltas: np.ndarray, steps_per_window: int, dim: int = 12,
                                mu: float = 0.1, l_smooth: float = 1.0, eta: float = 0.5,
-                               seed: int = 0,
-                               spec: QuantSpec | None = None) -> WindowCompositionResult:
+                               seed: int = 0) -> WindowCompositionResult:
     """Chain of quadratic windows whose optimum shifts by delta_k between windows.
 
     Each window warm-starts from the previous endpoint and trains full
-    batch; the terminal optimality gap of each window is recorded.
+    batch under the pass-through quantizer, with all weights in one group;
+    the terminal optimality gap of each window is recorded.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
         raise ValueError("need a 1-D schedule of window shifts")
     base = make_pl_instance(dim, mu, l_smooth, seed=seed)
     target = base.mean_target().copy()
-    if spec is None:
-        spec = QuantSpec.identity(group_size=dim)
-    weights = GroupedWeights.from_flat(target + substream(seed, "w0").normal(0, 1.0, dim),
-                                       group_size=spec.group_size)
+    spec = QuantSpec.identity()
+    weights = GroupedWeights(target + substream(seed, "w0").normal(0, 1.0, dim), group_size=dim)
     cfg = TrainConfig(stepsize=eta, batch_size=1, steps=steps_per_window,
                       refresh=RefreshPolicy("interval", interval=10 ** 9),
                       jac_mode="ste", vr_mode="plain", seed=seed)

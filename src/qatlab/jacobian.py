@@ -9,13 +9,11 @@ an EMA. The straight-through rule is the special case of all-ones gains.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quant import (DitherDraw, GroupedWeights, QuantSpec, dither_block, group_sizes, per_weight,
-                    quantize_array)
+from .quant import DitherDraw, GroupedWeights, QuantSpec, dither_block, quantize_array
 from .rng import substream
 
 __all__ = [
@@ -59,13 +57,11 @@ class SurrogateJacobian:
     def with_gains(self, gains: np.ndarray) -> "SurrogateJacobian":
         return replace(self, gains=np.asarray(gains, dtype=float))
 
-    def _ema(self, estimates: np.ndarray, mask: np.ndarray) -> "SurrogateJacobian":
+    def _ema(self, estimates: np.ndarray) -> "SurrogateJacobian":
         clipped = np.clip(estimates, self.clip_lo, self.clip_hi)
-        new = self.gains.copy()
         # clipped again: a start outside [clip_lo, clip_hi] (identity gains) must not leak through
-        new[mask] = np.clip((1.0 - self.ema_rate) * self.gains[mask] + self.ema_rate * clipped[mask],
-                            self.clip_lo, self.clip_hi)
-        return self.with_gains(new)
+        return self.with_gains(np.clip((1.0 - self.ema_rate) * self.gains + self.ema_rate * clipped,
+                                       self.clip_lo, self.clip_hi))
 
 
 @dataclass(frozen=True)
@@ -88,25 +84,29 @@ class ProbeConfig:
         return cls(sigma=0.5 * float(np.min(spec.step)), num_probes=num_probes, seed_tag=seed_tag)
 
 
-def _group_sums(a: np.ndarray, b: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _group_sums(a: np.ndarray, b: np.ndarray, group_size: int) -> np.ndarray:
     """Per-group, per-row inner products of two (m, d) blocks, shape (n_groups, m).
 
-    One einsum per run of k equal-size groups, reshaped to (m, k, s), rounds
-    exactly like one einsum per group; np.add.reduceat would not.
+    One einsum over the (m, k, group_size) full groups and one over the
+    (m, 1, tail) short last group round exactly like one einsum per group;
+    np.add.reduceat would not. The result is C-ordered, so that a reduction
+    over probes sums each row the same way.
     """
-    m = a.shape[0]
-    out = np.empty((sizes.size, m))
-    edges = np.concatenate(([0], np.cumsum(sizes)))
-    runs = np.flatnonzero(np.diff(sizes, prepend=-1))
-    for g0, g1 in zip(runs, [*runs[1:], sizes.size]):
-        lo, hi, shape = edges[g0], edges[g1], (m, g1 - g0, sizes[g0])
-        out[g0:g1] = np.einsum("mks,mks->km", a[:, lo:hi].reshape(shape), b[:, lo:hi].reshape(shape))
+    m, d = a.shape
+    k, tail = divmod(d, group_size)
+    full = d - tail
+    out = np.empty((k + (tail > 0), m))
+    shape = (m, k, group_size)
+    out[:k] = np.einsum("mks,mks->km", a[:, :full].reshape(shape), b[:, :full].reshape(shape))
+    if tail:
+        shape = (m, 1, tail)
+        out[k:] = np.einsum("mks,mks->km", a[:, full:].reshape(shape), b[:, full:].reshape(shape))
     return out
 
 
 def _slope_sums(values: np.ndarray, spec: QuantSpec, step: float | np.ndarray,
                 deltas: np.ndarray, dither: np.ndarray | None,
-                sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                group_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-group cross <dq_k, delta_k> and energy |delta_k|^2, each (n_groups, m)."""
     if dither is None:
         base = quantize_array(values, spec, step=step)[None, :]
@@ -115,7 +115,7 @@ def _slope_sums(values: np.ndarray, spec: QuantSpec, step: float | np.ndarray,
         base = quantize_array(values[None, :] + dither, spec, step=step) - dither
         shifted = quantize_array(values[None, :] + deltas + dither, spec, step=step) - dither
     dq = shifted - base
-    return _group_sums(dq, deltas, sizes), _group_sums(deltas, deltas, sizes)
+    return _group_sums(dq, deltas, group_size), _group_sums(deltas, deltas, group_size)
 
 
 def probe_slope_samples(w_group: np.ndarray, spec: QuantSpec, step: float,
@@ -131,7 +131,7 @@ def probe_slope_samples(w_group: np.ndarray, spec: QuantSpec, step: float,
     """
     deltas = rng.normal(0.0, sigma, size=(m, w_group.size))
     dither = None if dither is None else np.atleast_2d(dither)
-    cross, energy = _slope_sums(w_group, spec, step, deltas, dither, np.array([w_group.size]))
+    cross, energy = _slope_sums(w_group, spec, step, deltas, dither, w_group.size)
     return cross[0], energy[0]
 
 
@@ -142,29 +142,22 @@ def _update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobian, cf
 
     The block comes from the (seed_tag, "probe", draw_key) stream; group g
     takes its columns. The per-group estimate is the mean of the per-probe
-    slope fits, or the least-squares fit over all probes; empty groups keep
-    their gain.
+    slope fits, or the least-squares fit over all probes.
     """
-    sizes = group_sizes(weights.group_bounds)
-    if jac.gains.size != sizes.size:
+    if jac.gains.size != weights.n_groups:
         raise ValueError("gain count does not match group count")
-    filled = sizes > 0
-    if not filled.all():
-        warnings.warn(f"empty group {np.flatnonzero(~filled).tolist()} skipped", stacklevel=3)
     deltas = substream(cfg.seed_tag, "probe", draw_key).normal(0.0, cfg.sigma,
                                                                 size=(cfg.num_probes, weights.dim))
-    cross, energy = _slope_sums(weights.values, spec, spec.step_per_weight(weights.group_bounds),
-                                deltas, dither, sizes)
-    cross, energy = cross[filled], energy[filled]
-    estimates = np.zeros(sizes.size)
+    cross, energy = _slope_sums(weights.values, spec, weights.per_weight(spec.step),
+                                deltas, dither, weights.group_size)
     if least_squares:
         denom = energy.sum(axis=1)
         if np.any(denom == 0.0):
             raise ValueError("zero excitation")
-        estimates[filled] = cross.sum(axis=1) / denom
+        estimates = cross.sum(axis=1) / denom
     else:
-        estimates[filled] = np.mean(cross / (energy + jac.reg_eps), axis=1)
-    return jac._ema(estimates, filled)
+        estimates = np.mean(cross / (energy + jac.reg_eps), axis=1)
+    return jac._ema(estimates)
 
 
 def probe_update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobian,
@@ -198,10 +191,13 @@ def dither_update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobi
     return _update(weights, spec, jac, cfg, draw_key, least_squares=False, dither=dither)
 
 
-def apply_gains(jac: SurrogateJacobian, v: np.ndarray,
-                group_bounds: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Scale an upstream gradient (or each row of a (b, d) block) by its group's gain."""
+def apply_gains(jac: SurrogateJacobian, v: np.ndarray, layout: GroupedWeights) -> np.ndarray:
+    """Scale an upstream gradient (or each row of a (b, d) block) by its group's gain.
+
+    ``layout`` is any weight vector with the gradient's group layout; its
+    values are not read.
+    """
     v = np.asarray(v, dtype=float)
-    if len(group_bounds) != jac.gains.size or (group_bounds and group_bounds[-1][1] != v.shape[-1]):
-        raise ValueError("gradient length does not match group bounds")
-    return per_weight(jac.gains, group_bounds) * v
+    if layout.n_groups != jac.gains.size or layout.dim != v.shape[-1]:
+        raise ValueError("gradient length does not match the group layout")
+    return layout.per_weight(jac.gains) * v

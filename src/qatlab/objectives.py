@@ -260,15 +260,15 @@ def make_saturating_task(d: int = 256, group_size: int = 32, frac_beyond_clip: f
     """
     if not 0.0 <= frac_beyond_clip <= 1.0:
         raise ValueError("frac_beyond_clip must lie in [0, 1]")
-    spec = QuantSpec.w2(step=1.0, group_size=group_size)
+    spec = QuantSpec.w2(step=1.0)
     clip = float(spec.clip_level())
     rng = substream(seed, "objective")
-    bounds = GroupedWeights.from_flat(np.zeros(d), group_size).group_bounds
+    weights = GroupedWeights(np.zeros(d), group_size)
 
     base = np.zeros(d)
     w0 = np.zeros(d)
     curvature = np.full(d, interior_curvature)
-    for lo, hi in bounds:
+    for lo, hi in weights.group_bounds:
         size = hi - lo
         n_sat = int(round(frac_beyond_clip * size))
         signs = rng.choice((-1.0, 1.0), size=n_sat)
@@ -281,7 +281,7 @@ def make_saturating_task(d: int = 256, group_size: int = 32, frac_beyond_clip: f
     offsets -= offsets.mean(axis=0)
     targets = base[None, :] + noise * offsets
     obj = Quadratic(curvature=curvature, targets=targets)
-    return obj, GroupedWeights(values=w0, group_bounds=bounds), spec
+    return obj, weights.with_values(w0), spec
 
 
 def make_regression_task(d: int, n_samples: int, seed: int, noise: float = 0.1) -> LinearRegression:

@@ -1,6 +1,9 @@
 """Grouped symmetric uniform quantization with clipping and subtractive dithering.
 
-The hard quantizer maps weights to a finite grid; the dithered variant
+A weight vector of length dim is cut into contiguous groups of
+group_size weights, the last group short when group_size does not
+divide dim (``GroupedWeights``); each group may carry its own step. The
+hard quantizer maps weights to a finite grid; the dithered variant
 adds uniform noise before quantizing and subtracts it after, which makes
 the *expected* map smooth. The smoothed map's derivative is the
 sensitivity that the learned backward gains target: close to one in bin
@@ -19,7 +22,6 @@ Modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,8 +38,6 @@ __all__ = [
     "mean_field",
     "mean_field_sensitivity",
     "calibrate_step",
-    "group_sizes",
-    "per_weight",
     "dither_block",
 ]
 
@@ -50,16 +50,16 @@ _MC_BLOCK_ELEMS = 32_768  # a chunk is sampled in row blocks of this size, in ca
 
 @dataclass(frozen=True)
 class QuantSpec:
-    """Quantizer grid: step size, clip level, mode and group size.
+    """Quantizer grid: step size, clip level and mode.
 
     ``step`` is either one scalar or one value per group (an array of
-    length n_groups). ``clip_codes`` is the largest magnitude code c.
+    length n_groups of the weights it quantizes). ``clip_codes`` is the
+    largest magnitude code c.
     """
 
     step: float | np.ndarray
     clip_codes: int = 1
     mode: str = "generic"
-    group_size: int = 128
     mid_rise: bool = False
     bits: int | None = None
 
@@ -77,8 +77,6 @@ class QuantSpec:
             object.__setattr__(self, "step", step)
         if self.clip_codes < 1:
             raise ValueError("clip_codes must be >= 1")
-        if self.group_size < 1:
-            raise ValueError("group_size must be >= 1")
         if self.mode in ("w1_58", "w2", "w1") and self.clip_codes != 1:
             raise ValueError(f"mode {self.mode!r} requires clip_codes = 1")
         if self.mid_rise and self.mode not in ("generic", "w2"):
@@ -87,29 +85,27 @@ class QuantSpec:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def generic(cls, bits: int, step: float = 1.0, group_size: int = 128,
-                mid_rise: bool = False) -> "QuantSpec":
+    def generic(cls, bits: int, step: float = 1.0, mid_rise: bool = False) -> "QuantSpec":
         if bits < 2:
             raise ValueError("generic mode needs bits >= 2")
         return cls(step=step, clip_codes=2 ** (bits - 1) - 1, mode="generic",
-                   group_size=group_size, mid_rise=mid_rise, bits=bits)
+                   mid_rise=mid_rise, bits=bits)
 
     @classmethod
-    def w1(cls, step: float = 1.0, group_size: int = 128) -> "QuantSpec":
-        return cls(step=step, clip_codes=1, mode="w1", group_size=group_size, bits=1)
+    def w1(cls, step: float = 1.0) -> "QuantSpec":
+        return cls(step=step, clip_codes=1, mode="w1", bits=1)
 
     @classmethod
-    def ternary(cls, step: float = 1.0, group_size: int = 128) -> "QuantSpec":
-        return cls(step=step, clip_codes=1, mode="w1_58", group_size=group_size, bits=2)
+    def ternary(cls, step: float = 1.0) -> "QuantSpec":
+        return cls(step=step, clip_codes=1, mode="w1_58", bits=2)
 
     @classmethod
-    def w2(cls, step: float = 1.0, group_size: int = 128, mid_rise: bool = False) -> "QuantSpec":
-        return cls(step=step, clip_codes=1, mode="w2", group_size=group_size,
-                   mid_rise=mid_rise, bits=2)
+    def w2(cls, step: float = 1.0, mid_rise: bool = False) -> "QuantSpec":
+        return cls(step=step, clip_codes=1, mode="w2", mid_rise=mid_rise, bits=2)
 
     @classmethod
-    def identity(cls, step: float = 1.0, group_size: int = 128) -> "QuantSpec":
-        return cls(step=step, clip_codes=1, mode="identity", group_size=group_size)
+    def identity(cls, step: float = 1.0) -> "QuantSpec":
+        return cls(step=step, clip_codes=1, mode="identity")
 
     # -- helpers -----------------------------------------------------------
 
@@ -119,10 +115,6 @@ class QuantSpec:
 
     def step_for_group(self, g: int) -> float:
         return float(self.step[g]) if self.per_group else float(self.step)
-
-    def step_per_weight(self, bounds: tuple[tuple[int, int], ...]) -> np.ndarray:
-        """Expand the (possibly per-group) step to one value per weight."""
-        return per_weight(self.step, bounds)
 
     def clip_level(self) -> float | np.ndarray:
         """Magnitude of the largest representable value (mid-tread grids)."""
@@ -134,79 +126,49 @@ class QuantSpec:
 
 @dataclass(frozen=True)
 class GroupedWeights:
-    """Flat weight vector partitioned into contiguous groups."""
+    """Non-empty flat weight vector cut into contiguous groups of ``group_size``.
+
+    Group g holds weights [g * group_size, (g + 1) * group_size); the last
+    group is short when group_size does not divide dim.
+    """
 
     values: np.ndarray
-    group_bounds: tuple[tuple[int, int], ...]
+    group_size: int
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if values.ndim != 1:
-            raise ValueError("weights must be a flat vector")
-        bounds = tuple((int(lo), int(hi)) for lo, hi in self.group_bounds)
-        object.__setattr__(self, "group_bounds", bounds)
-        pos = 0
-        for lo, hi in bounds:
-            if lo != pos or hi < lo:
-                raise ValueError("group bounds must be contiguous, ordered and disjoint")
-            pos = hi
-        if pos != values.size:
-            raise ValueError("group bounds must cover the full weight vector")
-
-    @classmethod
-    def from_flat(cls, values: np.ndarray, group_size: int) -> "GroupedWeights":
-        """Partition into contiguous groups; the final group may be short."""
-        values = np.asarray(values, dtype=float)
-        if group_size < 1:
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("weights must be a non-empty flat vector")
+        if self.group_size < 1:
             raise ValueError("group_size must be >= 1")
-        starts = range(0, values.size, group_size)
-        bounds = tuple(zip(starts, [*starts[1:], values.size])) or ((0, 0),)
-        return cls(values=values, group_bounds=bounds)
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.group_bounds)
 
     @property
     def dim(self) -> int:
         return self.values.size
 
-    def group(self, g: int) -> np.ndarray:
-        lo, hi = self.group_bounds[g]
-        return self.values[lo:hi]
+    @property
+    def n_groups(self) -> int:
+        return -(-self.dim // self.group_size)
 
-    def group_index(self) -> np.ndarray:
-        """Group id per weight (int array of length dim)."""
-        return np.repeat(np.arange(self.n_groups), group_sizes(self.group_bounds))
+    @property
+    def group_bounds(self) -> tuple[tuple[int, int], ...]:
+        """(lo, hi) of each group, for code that walks the groups one at a time."""
+        starts = range(0, self.dim, self.group_size)
+        return tuple(zip(starts, [*starts[1:], self.dim]))
+
+    def per_weight(self, per_group: float | np.ndarray) -> np.ndarray:
+        """Broadcast a scalar or one value per group to one float per weight."""
+        values = np.empty(self.n_groups)
+        values[:] = per_group
+        return np.repeat(values, self.group_size)[:self.dim]
 
     def with_values(self, values: np.ndarray) -> "GroupedWeights":
-        """Same groups, new values; only the values are checked, the bounds already were."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.values.shape:
+        """Same groups, new values of the same length."""
+        new = GroupedWeights(values, self.group_size)
+        if new.dim != self.dim:
             raise ValueError("new values must be a flat vector of the weights' length")
-        new = object.__new__(GroupedWeights)
-        object.__setattr__(new, "values", values)
-        object.__setattr__(new, "group_bounds", self.group_bounds)
         return new
-
-
-# Cached: every gain application and quantization needs it, and a run keeps one layout.
-@lru_cache(maxsize=64)
-def group_sizes(bounds: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Size of each contiguous (lo, hi) group, as a read-only int array."""
-    edges = np.asarray(bounds, dtype=np.intp).reshape(-1, 2)
-    sizes = edges[:, 1] - edges[:, 0]
-    sizes.setflags(write=False)
-    return sizes
-
-
-def per_weight(per_group: float | np.ndarray, bounds: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Broadcast a scalar or one value per group to one float per weight."""
-    sizes = group_sizes(bounds)
-    values = np.empty(sizes.size)
-    values[:] = per_group
-    return np.repeat(values, sizes)
 
 
 @dataclass(frozen=True)
@@ -251,13 +213,13 @@ def quantize_array(x: np.ndarray, spec: QuantSpec, step: float | np.ndarray | No
 
 def quantize(weights: GroupedWeights, spec: QuantSpec) -> np.ndarray:
     """Hard quantization of a grouped weight vector."""
-    return quantize_array(weights.values, spec, step=spec.step_per_weight(weights.group_bounds))
+    return quantize_array(weights.values, spec, step=weights.per_weight(spec.step))
 
 
 def dither_block(weights: GroupedWeights, spec: QuantSpec, seed: int, key: int,
                  rows: tuple[int, ...]) -> np.ndarray:
     """(*rows, dim) uniform dither within half of each weight's group step, one draw."""
-    half = 0.5 * spec.step_per_weight(weights.group_bounds)
+    half = 0.5 * weights.per_weight(spec.step)
     return substream(seed, "dither_block", key).uniform(-half, half, size=(*rows, weights.dim))
 
 
@@ -268,7 +230,7 @@ def draw_dither(weights: GroupedWeights, spec: QuantSpec, seed: int, seed_tag: i
 
 def dither_quantize(weights: GroupedWeights, dither: DitherDraw, spec: QuantSpec) -> np.ndarray:
     """De-dithered proxy: quantize(W + r) - r."""
-    step = spec.step_per_weight(weights.group_bounds)
+    step = weights.per_weight(spec.step)
     if np.any(np.abs(dither.r) > 0.5 * step + 1e-15):
         raise ValueError("invalid dither")
     return quantize_array(weights.values + dither.r, spec, step=step) - dither.r
@@ -288,8 +250,6 @@ def _mc_average(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: 
         raise ValueError("non-finite weight")
     total, total_sq = np.zeros((2, values.size))
     for g, (lo, hi) in enumerate(weights.group_bounds):
-        if hi == lo:
-            continue
         step_g = spec.step_for_group(g)
         rng = substream(seed, "dither", g)
         chunk = max(1, _MC_CHUNK_ELEMS // (hi - lo))
@@ -343,8 +303,6 @@ def mean_field_sensitivity(weights: GroupedWeights, spec: QuantSpec, probe_eps: 
 
 def calibrate_step(weights: GroupedWeights, spec: QuantSpec, floor: float = 1e-12) -> QuantSpec:
     """Per-group step = max-abs(group) / clip_codes, frozen thereafter."""
-    sizes = group_sizes(weights.group_bounds)
-    filled = sizes > 0
-    peaks = np.zeros(sizes.size)
-    peaks[filled] = np.maximum.reduceat(np.abs(weights.values), (np.cumsum(sizes) - sizes)[filled])
+    starts = np.arange(0, weights.dim, weights.group_size)
+    peaks = np.maximum.reduceat(np.abs(weights.values), starts)
     return replace(spec, step=np.maximum(peaks / spec.clip_codes, floor))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .jacobian import ProbeConfig, SurrogateJacobian, apply_gains, dither_update, probe_ls_update, probe_update
 from .objectives import Objective
-from .quant import GroupedWeights, QuantSpec, calibrate_step, dither_quantize, draw_dither, per_weight, quantize
+from .quant import GroupedWeights, QuantSpec, calibrate_step, dither_quantize, draw_dither, quantize
 from .rng import substream
 from .vrgrad import ctrl_update, grad_est, init_vr_state, refresh_anchor
 
@@ -144,9 +144,9 @@ class TrainResult:
 
 
 def _frac_saturated(weights: GroupedWeights, spec: QuantSpec) -> float:
-    if spec.mode == "identity" or weights.dim == 0:
+    if spec.mode == "identity":
         return 0.0
-    clip = per_weight(spec.clip_level(), weights.group_bounds)
+    clip = weights.per_weight(spec.clip_level())
     return float(np.mean(np.abs(weights.values) > clip))
 
 
@@ -265,8 +265,8 @@ def train_base(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: T
 
 def _run_cell(args) -> dict:
     obj, values, spec, cfg, group_size, refresh, jac_mode, use_base = args
-    weights = GroupedWeights.from_flat(values, group_size)
-    cell_spec = replace(spec, group_size=group_size, step=float(np.min(spec.step)))
+    weights = GroupedWeights(values, group_size)
+    cell_spec = replace(spec, step=float(np.min(spec.step)))
     if spec.per_group:
         cell_spec = calibrate_step(weights, cell_spec)
     cell_cfg = replace(cfg, refresh=refresh, jac_mode=jac_mode)
@@ -299,7 +299,7 @@ def run_sweep(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, base_cf
 
     ``final_loss`` is the full-dataset loss at the final quantized point.
     """
-    group_sizes = group_sizes or [spec.group_size]
+    group_sizes = group_sizes or [weights0.group_size]
     refresh_policies = refresh_policies or [base_cfg.refresh]
     jac_modes = jac_modes or [base_cfg.jac_mode]
     if not group_sizes or not refresh_policies or not jac_modes:

@@ -2,23 +2,37 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 PASS/FAIL lines as they complete. The same checks back the CLI's
-``verify-all`` command.
+``verify-all`` command, whose ``report.json`` without its wall times is
+pinned byte-wise by ``golden/verify_all_report.json``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from qatlab.acceptance import TIME_BUDGETS, run_all
 from qatlab.cli import RunManifest, run
 
+REPORT_DIGEST_PATH = Path(__file__).parent / "golden" / "verify_all_report.json"
+WALL_TIME_KEYS = ("elapsed_s", "total_elapsed_s")
+
 
 @pytest.fixture(scope="module")
 def results():
     out = {r.name: r for r in run_all(echo=False)}
     return out
+
+
+def _without_wall_times(value):
+    if isinstance(value, dict):
+        return {k: _without_wall_times(v) for k, v in value.items() if k not in WALL_TIME_KEYS}
+    if isinstance(value, list):
+        return [_without_wall_times(v) for v in value]
+    return value
 
 
 def check(results, name):
@@ -94,3 +108,8 @@ def test_verify_all_end_to_end(results, tmp_path):
     assert report["passed"] is True
     assert {c["name"] for c in report["criteria"]} == {f"A{i}" for i in range(1, 10)}
     assert report["total_elapsed_s"] < 600.0
+    # every other byte is deterministic; a change must be declared like a golden digest
+    stripped = json.dumps(_without_wall_times(report), indent=2, sort_keys=True).encode()
+    got = {"report.json": hashlib.sha256(stripped).hexdigest()}
+    assert got == json.loads(REPORT_DIGEST_PATH.read_text()), (
+        "verify-all report changed; new digest:\n" + json.dumps(got, indent=2))

@@ -164,8 +164,8 @@ def loop_saga_update(table, mean, fresh_rows, batch):
 @given(st.integers(1, 12), st.sampled_from([1, 2, 7, 30]), st.integers(0, 2**16), st.data())
 def test_saga_update_in_place_matches_row_loop(n, d, seed, data):
     obj = make_objective("linear_regression", n, d, seed)
-    weights = GroupedWeights.from_flat(substream(seed, "w").normal(0.0, 1.0, d), group_size=4)
-    spec = QuantSpec.generic(bits=3, step=0.3, group_size=4)
+    weights = GroupedWeights(substream(seed, "w").normal(0.0, 1.0, d), group_size=4)
+    spec = QuantSpec.generic(bits=3, step=0.3)
     jac = SurrogateJacobian.identity(weights.n_groups).with_gains(
         substream(seed, "gains").uniform(0.0, 1.0, weights.n_groups))
     state = init_vr_state("saga", weights, jac, obj, spec)
@@ -189,15 +189,14 @@ def row_form_estimate(weights, jac, state, obj, spec, batch):
     """
     if state.mode == "sarah" and state.control is None:
         return state.reference, 0.0
-    rows = apply_gains(jac, obj.loss_and_grad_batch(quantize(weights, spec), batch)[1],
-                       weights.group_bounds)
+    rows = apply_gains(jac, obj.loss_and_grad_batch(quantize(weights, spec), batch)[1], weights)
     if state.mode == "plain":
         return np.mean(rows, axis=0), np.max(np.abs(rows))
     if state.mode == "saga":
         control = state.saga_table[batch]
     else:
         q_c, gains_c = state.control
-        control = apply_gains(gains_c, obj.loss_and_grad_batch(q_c, batch)[1], weights.group_bounds)
+        control = apply_gains(gains_c, obj.loss_and_grad_batch(q_c, batch)[1], weights)
     scale = max(np.max(np.abs(rows)), np.max(np.abs(control)), np.max(np.abs(state.reference)))
     return np.mean(rows - control, axis=0) + state.reference, scale
 
@@ -207,8 +206,8 @@ def row_form_estimate(weights, jac, state, obj, spec, batch):
        st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**16), st.booleans(), st.data())
 def test_mean_gradient_estimate_matches_row_form(mode, kind, n, d, seed, after_refresh, data):
     obj = make_objective(kind, n, d, seed)
-    weights = GroupedWeights.from_flat(substream(seed, "w").normal(0.0, 1.0, obj.dim), group_size=3)
-    spec = QuantSpec.generic(bits=4, step=0.25, group_size=3)
+    weights = GroupedWeights(substream(seed, "w").normal(0.0, 1.0, obj.dim), group_size=3)
+    spec = QuantSpec.generic(bits=4, step=0.25)
     jac, jac_c = (SurrogateJacobian.identity(weights.n_groups).with_gains(
         substream(seed, label).uniform(0.0, 1.0, weights.n_groups)) for label in ("gains", "ctrl"))
     state = init_vr_state(mode, weights, jac_c, obj, spec)

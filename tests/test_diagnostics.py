@@ -28,13 +28,13 @@ def mixed_weights(seed=0, n_interior=24, n_sat=24, group_size=12, step=1.0):
         rng.uniform(-0.25, 0.25, n_interior) * step,
         rng.choice((-1.0, 1.0), n_sat) * rng.uniform(1.8, 2.6, n_sat) * step,
     ])
-    return GroupedWeights.from_flat(vals, group_size=group_size)
+    return GroupedWeights(vals, group_size=group_size)
 
 
 def test_target_gradient_interior_recovers_upstream():
     spec = QuantSpec.w2(step=1.0)
     rng = substream(1, "v")
-    w = GroupedWeights.from_flat(rng.uniform(-0.3, 0.3, 16), group_size=8)
+    w = GroupedWeights(rng.uniform(-0.3, 0.3, 16), group_size=8)
     v = rng.normal(0, 1, 16)
     g = target_gradient(w, v, spec, MCConfig(n_samples=20_000, seed=2))
     _, sem = mean_field_sensitivity(w, spec, n_samples=20_000, seed=2, return_sem=True)
@@ -43,7 +43,7 @@ def test_target_gradient_interior_recovers_upstream():
 
 def test_target_gradient_saturated_vanishes():
     spec = QuantSpec.w2(step=1.0)
-    w = GroupedWeights.from_flat(np.full(8, 5.0), group_size=8)
+    w = GroupedWeights(np.full(8, 5.0), group_size=8)
     v = np.ones(8)
     g = target_gradient(w, v, spec, MCConfig(n_samples=2000, seed=3))
     assert np.max(np.abs(g)) <= 1e-9
@@ -97,14 +97,14 @@ def test_dominance_when_gains_beat_identity_margin():
         jac = SurrogateJacobian(gains=gains)
         v = rng.normal(0, 1, w.dim)
         rep = bias_report(w, jac, v, spec, MCConfig(n_samples=30_000, seed=13))
-        margin = float(np.max(np.abs(gains[w.group_index()] - rep.j_hat)))
+        margin = float(np.max(np.abs(w.per_weight(gains) - rep.j_hat)))
         if margin <= rep.gamma - 0.05:
             assert rep.bias_jacquant <= rep.bias_ste + 1e-6
 
 
 def test_fd_reference_values_are_zero_or_one_jump():
     spec = QuantSpec.w2(step=1.0)
-    w = GroupedWeights.from_flat(np.array([0.2, 0.48, 5.0, -0.52]), group_size=4)
+    w = GroupedWeights(np.array([0.2, 0.48, 5.0, -0.52]), group_size=4)
     coords, fd = fd_reference(w, spec, eps=0.05)
     assert np.array_equal(coords, np.arange(4))
     assert fd[0] == 0.0           # interior, far from a boundary
@@ -119,7 +119,7 @@ def test_fd_reference_sparsity_matches_boundary_hit_probability():
     rng = substream(15, "w")
     n = 100_000
     vals = rng.uniform(-(c - 1), c - 1, n)
-    w = GroupedWeights.from_flat(vals, group_size=n)
+    w = GroupedWeights(vals, group_size=n)
     eps = 0.1
     _, fd = fd_reference(w, spec, eps=eps)
     frac = float(np.mean(fd != 0.0))
@@ -218,9 +218,8 @@ def test_window_composition_decaying_beats_constant_shift():
 
 def test_grad_norm_trend_decreases_with_horizon():
     obj = make_mlp_task(3, 4, 32, seed=7)
-    w0 = GroupedWeights.from_flat(substream(8, "w0").normal(0, 0.5, obj.dim),
-                                  group_size=obj.dim)
-    spec = QuantSpec.identity(group_size=obj.dim)
+    w0 = GroupedWeights(substream(8, "w0").normal(0, 0.5, obj.dim), group_size=obj.dim)
+    spec = QuantSpec.identity()
     cfg = TrainConfig(stepsize=0.05, batch_size=4, steps=1,
                       refresh=RefreshPolicy("interval", interval=10 ** 9),
                       jac_mode="ste", vr_mode="plain", seed=9)

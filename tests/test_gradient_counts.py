@@ -42,8 +42,8 @@ class CountingRegression(LinearRegression):
 
 def counted_problem(monkeypatch):
     obj = CountingRegression(make_regression_task(8, N, seed=2).data)
-    weights = GroupedWeights.from_flat(np.linspace(-1.0, 1.0, 8), group_size=3)
-    spec = QuantSpec.generic(bits=3, step=0.25, group_size=3)
+    weights = GroupedWeights(np.linspace(-1.0, 1.0, 8), group_size=3)
+    spec = QuantSpec.generic(bits=3, step=0.25)
     calls = []
 
     def counting_quantize(w, s):

@@ -37,7 +37,7 @@ def smoothed_sensitivity(w: np.ndarray, spec: QuantSpec, sigma: float) -> np.nda
 
 def test_identity_quantizer_probe_slope_is_one():
     spec = QuantSpec.identity()
-    w = GroupedWeights.from_flat(np.linspace(-1, 1, 16), group_size=16)
+    w = GroupedWeights(np.linspace(-1, 1, 16), group_size=16)
     jac = SurrogateJacobian.identity(1, ema_rate=1.0)
     out = probe_update(w, spec, jac, ProbeConfig(sigma=0.3, seed_tag=0))
     # slope fit of the identity map: |delta|^2 / (|delta|^2 + eps)
@@ -48,7 +48,7 @@ def test_identity_quantizer_probe_slope_is_one():
 
 def test_small_probe_inside_bin_gives_zero_slope():
     spec = QuantSpec.w2(step=1.0)
-    w = GroupedWeights.from_flat(np.full(8, 0.1), group_size=8)
+    w = GroupedWeights(np.full(8, 0.1), group_size=8)
     jac = SurrogateJacobian.identity(1, ema_rate=0.9)
     out = probe_update(w, spec, jac, ProbeConfig(sigma=1e-4, seed_tag=1))
     assert out.gains[0] == pytest.approx(0.1)  # EMA pulls 1.0 toward the 0 estimate
@@ -59,7 +59,7 @@ def test_probe_mean_matches_gaussian_smoothed_sensitivity():
     spec = QuantSpec.w2(step=1.0)
     rng = np.random.default_rng(5)
     vals = rng.uniform(-0.5, 0.5, size=128)
-    w = GroupedWeights.from_flat(vals, group_size=128)
+    w = GroupedWeights(vals, group_size=128)
     cross, energy = probe_slope_samples(vals, spec, 1.0, 0.5, 10_000, substream(42, "probe"))
     estimates = cross / (energy + 1e-8)
     expected = float(np.mean(smoothed_sensitivity(vals, spec, 0.5)))
@@ -86,7 +86,7 @@ def test_probe_ls_error_shrinks_with_probe_count():
 def test_dither_update_interior_group_near_one():
     spec = QuantSpec.w2(step=1.0)
     rng = np.random.default_rng(3)
-    w = GroupedWeights.from_flat(rng.uniform(-0.4, 0.4, 64), group_size=64)
+    w = GroupedWeights(rng.uniform(-0.4, 0.4, 64), group_size=64)
     jac = SurrogateJacobian.identity(1, ema_rate=1.0)
     out = dither_update(w, spec, jac, ProbeConfig(sigma=0.25, num_probes=200, seed_tag=2),
                         dither_seed=7)
@@ -95,7 +95,7 @@ def test_dither_update_interior_group_near_one():
 
 def test_dither_update_saturated_group_zero():
     spec = QuantSpec.w2(step=1.0)
-    w = GroupedWeights.from_flat(np.full(32, 4.0), group_size=32)
+    w = GroupedWeights(np.full(32, 4.0), group_size=32)
     jac = SurrogateJacobian.identity(1, ema_rate=1.0)
     out = dither_update(w, spec, jac, ProbeConfig(sigma=0.2, num_probes=8, seed_tag=3),
                         dither_seed=9)
@@ -109,7 +109,7 @@ def test_dither_update_mixed_group_matches_sensitivity_mean():
     rng = np.random.default_rng(19)
     vals = np.concatenate([rng.uniform(-0.3, 0.3, 32),
                            rng.choice((-1.0, 1.0), 32) * rng.uniform(1.8, 2.6, 32)])
-    w = GroupedWeights.from_flat(vals, group_size=64)
+    w = GroupedWeights(vals, group_size=64)
     oracle = mean_field_sensitivity(w, spec, n_samples=20_000, seed=31)
     jac = SurrogateJacobian.identity(1, ema_rate=1.0)
     out = dither_update(w, spec, jac, ProbeConfig(sigma=0.25, num_probes=400, seed_tag=4),
@@ -126,7 +126,7 @@ def test_dither_iteration_reaches_fixed_point_on_frozen_weights():
     sat = rng.choice((-1.0, 1.0), 36) * rng.uniform(1.8, 2.6, 36)
     vals = np.concatenate([rng.uniform(-0.2, 0.2, 24), sat[:24],
                            np.concatenate([rng.uniform(-0.2, 0.2, 12), sat[24:]])])
-    w = GroupedWeights.from_flat(vals, group_size=24)
+    w = GroupedWeights(vals, group_size=24)
     oracle = mean_field_sensitivity(w, spec, n_samples=20_000, seed=5)
     group_means = np.array([np.mean(oracle[lo:hi]) for lo, hi in w.group_bounds])
     jac = SurrogateJacobian.identity(w.n_groups, ema_rate=0.03)
@@ -139,7 +139,7 @@ def test_dither_iteration_reaches_fixed_point_on_frozen_weights():
 def test_gain_bounds_hold_after_updates():
     spec = QuantSpec.w2(step=1.0)
     rng = np.random.default_rng(29)
-    w = GroupedWeights.from_flat(rng.normal(0, 2, 64), group_size=16)
+    w = GroupedWeights(rng.normal(0, 2, 64), group_size=16)
     jac = SurrogateJacobian.identity(w.n_groups, ema_rate=0.9, clip_lo=0.1, clip_hi=0.8)
     for t in range(10):
         jac = probe_update(w, spec, jac, ProbeConfig(sigma=0.5, seed_tag=t), draw_key=t)
@@ -148,30 +148,30 @@ def test_gain_bounds_hold_after_updates():
 
 def test_apply_gains_scales_by_group():
     jac = SurrogateJacobian(gains=np.array([0.5, 1.0]))
-    out = apply_gains(jac, np.array([2.0, 2.0, 3.0, 3.0]), ((0, 2), (2, 4)))
+    out = apply_gains(jac, np.array([2.0, 2.0, 3.0, 3.0]), GroupedWeights(np.zeros(4), 2))
     assert out == pytest.approx([1.0, 1.0, 3.0, 3.0])
 
 
 def test_apply_gains_identity_and_zero():
-    bounds = ((0, 3), (3, 5))
+    layout = GroupedWeights(np.zeros(5), 3)
     v = np.array([1.0, -2.0, 3.0, 4.0, -5.0])
-    assert np.array_equal(apply_gains(SurrogateJacobian(gains=np.ones(2)), v, bounds), v)
-    assert np.all(apply_gains(SurrogateJacobian(gains=np.zeros(2)), v, bounds) == 0.0)
+    assert np.array_equal(apply_gains(SurrogateJacobian(gains=np.ones(2)), v, layout), v)
+    assert np.all(apply_gains(SurrogateJacobian(gains=np.zeros(2)), v, layout) == 0.0)
 
 
 def test_apply_gains_length_mismatch_raises():
     jac = SurrogateJacobian(gains=np.ones(2))
     with pytest.raises(ValueError, match="length"):
-        apply_gains(jac, np.ones(3), ((0, 2), (2, 4)))
+        apply_gains(jac, np.ones(3), GroupedWeights(np.zeros(4), 2))
 
 
 def test_apply_gains_contraction():
     rng = np.random.default_rng(37)
     jac = SurrogateJacobian(gains=rng.uniform(0, 1, 4), clip_hi=1.0)
-    bounds = ((0, 4), (4, 8), (8, 12), (12, 16))
+    layout = GroupedWeights(np.zeros(16), 4)
     for _ in range(20):
         v = rng.normal(size=16)
-        assert np.linalg.norm(apply_gains(jac, v, bounds)) <= 1.0 * np.linalg.norm(v) + 1e-12
+        assert np.linalg.norm(apply_gains(jac, v, layout)) <= 1.0 * np.linalg.norm(v) + 1e-12
 
 
 def test_zero_excitation_raises(monkeypatch):
@@ -181,25 +181,16 @@ def test_zero_excitation_raises(monkeypatch):
 
     monkeypatch.setattr(jacobian_mod, "substream", lambda *a, **k: ZeroRng())
     spec = QuantSpec.w2(step=1.0)
-    w = GroupedWeights.from_flat(np.zeros(4), group_size=4)
+    w = GroupedWeights(np.zeros(4), group_size=4)
     jac = SurrogateJacobian.identity(1)
     with pytest.raises(ValueError, match="zero excitation"):
         probe_ls_update(w, spec, jac, ProbeConfig(sigma=0.5))
 
 
-def test_empty_group_skipped_with_warning():
-    w = GroupedWeights(values=np.array([0.1, 0.2]), group_bounds=((0, 1), (1, 1), (1, 2)))
-    spec = QuantSpec.w2(step=1.0)
-    jac = SurrogateJacobian.identity(3, ema_rate=1.0)
-    with pytest.warns(UserWarning, match="empty group"):
-        out = probe_update(w, spec, jac, ProbeConfig(sigma=0.5, seed_tag=8))
-    assert out.gains[1] == 1.0  # untouched
-
-
 def test_single_probe_ls_equals_probe_update_up_to_regularizer():
     spec = QuantSpec.w2(step=1.0)
     rng = np.random.default_rng(41)
-    w = GroupedWeights.from_flat(rng.uniform(-0.5, 0.5, 32), group_size=32)
+    w = GroupedWeights(rng.uniform(-0.5, 0.5, 32), group_size=32)
     jac = SurrogateJacobian.identity(1, ema_rate=1.0, reg_eps=0.0)
     a = probe_update(w, spec, jac, ProbeConfig(sigma=0.4, num_probes=1, seed_tag=9))
     b = probe_ls_update(w, spec, jac, ProbeConfig(sigma=0.4, num_probes=1, seed_tag=9))

@@ -1,23 +1,24 @@
 """Property tests: group-axis array ops against per-group loop references.
 
 The loop references below restate the per-group definitions one group at
-a time. The array versions must match them bit for bit over random
-contiguous layouts, including empty groups and a short last group. The
-grid rule and the Monte-Carlo oracles are checked the same way against a
-plain restatement that evaluates each chunk in one go with fresh arrays.
-Each gain update or dither draw is one block from one stream, so the
-draws must not depend on the group layout, and the dither stays within
-half of each group's step.
+a time, walking the groups of group_size from the start of the vector.
+The array versions must match them bit for bit over random layouts
+(dim, group_size), including a single short group, groups that divide
+dim exactly and groups of one weight. The grid rule and the Monte-Carlo
+oracles are checked the same way against a plain restatement that
+evaluates each chunk in one go with fresh arrays. Each gain update or
+dither draw is one block from one stream, so the draws must not depend
+on the group layout, and the dither stays within half of each group's
+step.
 """
 
 from __future__ import annotations
 
-import warnings
 from itertools import product
 from unittest.mock import patch
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qatlab import jacobian
@@ -48,13 +49,26 @@ SETTINGS = settings(max_examples=40, deadline=None)
 
 @st.composite
 def layouts(draw) -> GroupedWeights:
-    """Weights on random contiguous bounds; groups may be empty or short."""
-    sizes = draw(st.lists(st.integers(0, 7), min_size=1, max_size=8))
-    edges = np.concatenate(([0], np.cumsum(sizes)))
-    bounds = tuple(zip(edges[:-1].tolist(), edges[1:].tolist()))
+    """Weights of dim in [1, 40] in groups of group_size in [1, 12].
+
+    Each draw first picks a kind, so that besides the general case the
+    examples of a run include dim < group_size (one short group),
+    dim % group_size == 0 (no short group) and group_size 1.
+    """
+    kind = draw(st.sampled_from(["any", "one short group", "no short group", "size one"]))
+    if kind == "size one":
+        group_size, dim = 1, draw(st.integers(1, 40))
+    elif kind == "one short group":
+        group_size = draw(st.integers(2, 12))
+        dim = draw(st.integers(1, group_size - 1))
+    elif kind == "no short group":
+        group_size = draw(st.integers(1, 12))
+        dim = group_size * draw(st.integers(1, 40 // group_size))
+    else:
+        group_size, dim = draw(st.integers(1, 12)), draw(st.integers(1, 40))
     rng = substream(draw(st.integers(0, 2**16)), "layout")
-    values = rng.normal(0.0, draw(st.sampled_from([0.3, 1.0, 3.0])), size=int(edges[-1]))
-    return GroupedWeights(values=values, group_bounds=bounds)
+    values = rng.normal(0.0, draw(st.sampled_from([0.3, 1.0, 3.0])), size=dim)
+    return GroupedWeights(values, group_size)
 
 
 @st.composite
@@ -77,34 +91,39 @@ def assert_same_bits(got: np.ndarray, expected: np.ndarray) -> None:
 
 # -- per-group loop references -------------------------------------------------
 
-def loop_group_index(bounds):
-    idx = np.empty(bounds[-1][1], dtype=int)
-    for g, (lo, hi) in enumerate(bounds):
-        idx[lo:hi] = g
-    return idx
+def loop_bounds(dim, group_size):
+    bounds, lo = [], 0
+    while lo < dim:
+        bounds.append((lo, min(lo + group_size, dim)))
+        lo += group_size
+    return tuple(bounds)
 
 
-def loop_step_per_weight(spec, bounds):
-    out = np.empty(bounds[-1][1])
-    for g, (lo, hi) in enumerate(bounds):
+def loop_step_per_weight(spec, weights):
+    out = np.empty(weights.dim)
+    for g, (lo, hi) in enumerate(loop_bounds(weights.dim, weights.group_size)):
         out[lo:hi] = spec.step_for_group(g)
     return out
 
 
-def loop_apply_gains(gains, v, bounds):
+def loop_apply_gains(gains, v, weights):
     out = np.empty_like(v)
-    for g, (lo, hi) in enumerate(bounds):
+    for g, (lo, hi) in enumerate(loop_bounds(weights.dim, weights.group_size)):
         out[lo:hi] = gains[g] * v[lo:hi]
     return out
 
 
 def loop_calibrate_step(weights, spec, floor=1e-12):
-    steps = np.empty(weights.n_groups)
-    for g in range(weights.n_groups):
-        w_g = weights.group(g)
-        peak = float(np.max(np.abs(w_g))) if w_g.size else 0.0
-        steps[g] = max(peak / spec.clip_codes, floor)
+    bounds = loop_bounds(weights.dim, weights.group_size)
+    steps = np.empty(len(bounds))
+    for g, (lo, hi) in enumerate(bounds):
+        steps[g] = max(float(np.max(np.abs(weights.values[lo:hi]))) / spec.clip_codes, floor)
     return steps
+
+
+def loop_group_sums(a, b, group_size):
+    return np.array([np.einsum("ms,ms->m", a[:, lo:hi], b[:, lo:hi])
+                     for lo, hi in loop_bounds(a.shape[1], group_size)])
 
 
 def plain_quantize(x, spec, step):
@@ -120,9 +139,7 @@ def plain_quantize(x, spec, step):
 def loop_mc(weights, spec, n_samples, seed, sample):
     """Mean and SEM of sample(w, r, step), one whole (n_samples, size) draw per group."""
     total, total_sq = np.zeros(weights.dim), np.zeros(weights.dim)
-    for g, (lo, hi) in enumerate(weights.group_bounds):
-        if hi == lo:
-            continue
+    for g, (lo, hi) in enumerate(loop_bounds(weights.dim, weights.group_size)):
         step = spec.step_for_group(g)
         r = substream(seed, "dither", g).uniform(-0.5 * step, 0.5 * step, size=(n_samples, hi - lo))
         s = sample(weights.values[lo:hi][None, :], r, step)
@@ -162,10 +179,7 @@ def loop_update(weights, spec, jac, cfg, draw_key, least_squares=False,
     shape = (cfg.num_probes, weights.dim)
     probes = substream(cfg.seed_tag, "probe", draw_key).normal(0.0, cfg.sigma, size=shape)
     estimates = np.zeros(weights.n_groups)
-    mask = np.zeros(weights.n_groups, dtype=bool)
-    for g, (lo, hi) in enumerate(weights.group_bounds):
-        if hi == lo:
-            continue
+    for g, (lo, hi) in enumerate(loop_bounds(weights.dim, weights.group_size)):
         step_g = spec.step_for_group(g)
         dither = None
         if fixed_dither is not None:
@@ -182,8 +196,7 @@ def loop_update(weights, spec, jac, cfg, draw_key, least_squares=False,
             estimates[g] = float(cross.sum()) / float(energy.sum())
         else:
             estimates[g] = float(np.mean(cross / (energy + jac.reg_eps)))
-        mask[g] = True
-    return jac._ema(estimates, mask)
+    return jac._ema(estimates)
 
 
 # -- properties ------------------------------------------------------------------
@@ -193,37 +206,49 @@ def loop_update(weights, spec, jac, cfg, draw_key, least_squares=False,
 def test_group_layout_ops_match_loops(data):
     weights = data.draw(layouts())
     spec = data.draw(specs(weights))
-    bounds = weights.group_bounds
     gains = substream(weights.dim, "gains").uniform(0.0, 1.0, weights.n_groups)
     v = substream(weights.dim, "v").normal(0.0, 1.0, weights.dim)
-    assert_same_bits(weights.group_index(), loop_group_index(bounds))
-    assert_same_bits(spec.step_per_weight(bounds), loop_step_per_weight(spec, bounds))
-    assert_same_bits(apply_gains(SurrogateJacobian(gains=gains), v, bounds),
-                     loop_apply_gains(gains, v, bounds))
+    assert weights.group_bounds == loop_bounds(weights.dim, weights.group_size)
+    assert weights.n_groups == len(weights.group_bounds)
+    assert_same_bits(weights.per_weight(spec.step), loop_step_per_weight(spec, weights))
+    assert_same_bits(apply_gains(SurrogateJacobian(gains=gains), v, weights),
+                     loop_apply_gains(gains, v, weights))
     assert_same_bits(calibrate_step(weights, spec).step, loop_calibrate_step(weights, spec))
+
+
+@SETTINGS
+@given(st.integers(1, 40), st.integers(1, 12), st.integers(1, 9), st.integers(0, 2**16))
+@example(dim=5, group_size=8, m=3, seed=0)  # one short group
+@example(dim=24, group_size=8, m=9, seed=1)  # no short group
+@example(dim=7, group_size=1, m=2, seed=2)  # groups of one
+def test_group_sums_match_one_einsum_per_group(dim, group_size, m, seed):
+    a = substream(seed, "a").normal(0.0, 1.0, size=(m, dim))
+    b = substream(seed, "b").normal(0.0, 1.0, size=(m, dim))
+    for x, y in ((a, b), (b, b)):  # the cross and the energy sums of a gain update
+        got = jacobian._group_sums(x, y, group_size)
+        assert_same_bits(got, loop_group_sums(x, y, group_size))
+        assert got.flags.c_contiguous  # the mean over probes rounds by memory order
 
 
 @SETTINGS
 @given(st.data(), st.sampled_from([1, 2, 8, 9]), st.integers(0, 50))
 def test_gain_updates_match_per_group_probe_loop(data, num_probes, draw_key):
-    weights = data.draw(layouts().filter(lambda w: w.dim > 0))
+    weights = data.draw(layouts())
     spec = data.draw(specs(weights))
     cfg = ProbeConfig(sigma=0.3, num_probes=num_probes, seed_tag=draw_key + 1)
     jac = SurrogateJacobian.identity(weights.n_groups, ema_rate=0.7)
     fixed = draw_dither(weights, spec, seed=3, seed_tag=draw_key)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        pairs = [
-            (probe_update(weights, spec, jac, cfg, draw_key=draw_key),
-             loop_update(weights, spec, jac, cfg, draw_key)),
-            (probe_ls_update(weights, spec, jac, cfg, draw_key=draw_key),
-             loop_update(weights, spec, jac, cfg, draw_key, least_squares=True)),
-            (dither_update(weights, spec, jac, cfg, dither_seed=5, draw_key=draw_key),
-             loop_update(weights, spec, jac, cfg, draw_key, dither_seed=5)),
-            (dither_update(weights, spec, jac, cfg, dither_seed=5, draw_key=draw_key,
-                           fixed_dither=fixed),
-             loop_update(weights, spec, jac, cfg, draw_key, fixed_dither=fixed)),
-        ]
+    pairs = [
+        (probe_update(weights, spec, jac, cfg, draw_key=draw_key),
+         loop_update(weights, spec, jac, cfg, draw_key)),
+        (probe_ls_update(weights, spec, jac, cfg, draw_key=draw_key),
+         loop_update(weights, spec, jac, cfg, draw_key, least_squares=True)),
+        (dither_update(weights, spec, jac, cfg, dither_seed=5, draw_key=draw_key),
+         loop_update(weights, spec, jac, cfg, draw_key, dither_seed=5)),
+        (dither_update(weights, spec, jac, cfg, dither_seed=5, draw_key=draw_key,
+                       fixed_dither=fixed),
+         loop_update(weights, spec, jac, cfg, draw_key, fixed_dither=fixed)),
+    ]
     for got, expected in pairs:
         assert_same_bits(got.gains, expected.gains)
 
@@ -233,9 +258,9 @@ def probe_block_of(weights, spec, cfg, draw_key):
     seen = []
     kernel = jacobian._slope_sums
 
-    def spy(values, spec, step, deltas, dither, sizes):
+    def spy(values, spec, step, deltas, dither, group_size):
         seen.append(deltas)
-        return kernel(values, spec, step, deltas, dither, sizes)
+        return kernel(values, spec, step, deltas, dither, group_size)
 
     with patch.object(jacobian, "_slope_sums", spy):
         probe_update(weights, spec, SurrogateJacobian.identity(weights.n_groups), cfg, draw_key)
@@ -250,10 +275,10 @@ def test_draws_do_not_depend_on_group_size(dim, size_a, size_b, seed, num_probes
     cfg = ProbeConfig(sigma=0.3, num_probes=num_probes, seed_tag=seed)
     blocks, units = [], []
     for size in (size_a, size_b):
-        weights = GroupedWeights.from_flat(values, size)
-        spec = QuantSpec.w2(step=0.5, group_size=size)
+        weights = GroupedWeights(values, size)
+        spec = QuantSpec.w2(step=0.5)
         spec = calibrate_step(weights, spec) if calibrated else spec
-        half = 0.5 * spec.step_per_weight(weights.group_bounds)
+        half = 0.5 * weights.per_weight(spec.step)
         blocks.append(probe_block_of(weights, spec, cfg, draw_key=seed % 7))
         units.append(quant.dither_block(weights, spec, seed, seed % 7, (num_probes,)) / half)
     assert_same_bits(blocks[0], blocks[1])
@@ -270,15 +295,15 @@ def test_dither_lies_within_half_of_its_group_step(data, seed, rows):
     spec = calibrate_step(weights, data.draw(specs(weights)))
     r = quant.dither_block(weights, spec, seed, seed % 5, rows)
     assert r.shape == (*rows, weights.dim)
-    for g, (lo, hi) in enumerate(weights.group_bounds):
+    for g, (lo, hi) in enumerate(loop_bounds(weights.dim, weights.group_size)):
         assert np.all(np.abs(r[..., lo:hi]) <= 0.5 * spec.step_for_group(g))
     dither_quantize(weights, draw_dither(weights, spec, seed, seed_tag=seed % 5), spec)
 
 
 def test_training_dither_is_not_the_oracle_stream():
     # the forward dither of step g must not replay the MC oracle's ("dither", g) stream
-    weights = GroupedWeights.from_flat(substream(3, "w").normal(0.0, 1.0, 24), group_size=24)
-    spec = QuantSpec.w2(step=0.5, group_size=24)
+    weights = GroupedWeights(substream(3, "w").normal(0.0, 1.0, 24), group_size=24)
+    spec = QuantSpec.w2(step=0.5)
     for seed, g in product((0, 1, 9), (0, 1, 2, 5)):
         forward = draw_dither(weights, spec, seed, seed_tag=g).r
         oracle = substream(seed, "dither", g).uniform(-0.25, 0.25, size=(1, weights.dim))[0]
@@ -291,8 +316,8 @@ def test_training_dither_is_not_the_oracle_stream():
        st.sampled_from([0.3, 0.9, 1.0]), st.booleans())
 def test_gains_stay_within_clip_range_after_updates(seed, dim, size, lo, hi, kind, rate, identity):
     lo, hi = min(lo, hi), max(lo, hi)
-    weights = GroupedWeights.from_flat(substream(seed, "w").normal(0.0, 2.0, dim), size)
-    spec = QuantSpec.w2(step=1.0, group_size=size)
+    weights = GroupedWeights(substream(seed, "w").normal(0.0, 2.0, dim), size)
+    spec = QuantSpec.w2(step=1.0)
     start = (np.ones(weights.n_groups) if identity
              else substream(seed, "start").uniform(-0.5, 1.5, weights.n_groups))
     jac = SurrogateJacobian(gains=start, ema_rate=rate, clip_lo=lo, clip_hi=hi)
@@ -323,7 +348,7 @@ def test_quantize_array_matches_plain_rule(spec, values):
 @SETTINGS
 @given(st.data(), st.integers(1, 40), st.integers(1, 120))
 def test_mc_oracles_match_whole_chunk_reference(data, block, n_samples):
-    weights = data.draw(layouts().filter(lambda w: w.dim > 0))
+    weights = data.draw(layouts())
     spec = data.draw(specs(weights))
     eps = 0.05
 
@@ -349,10 +374,9 @@ def test_mc_oracles_match_whole_chunk_reference(data, block, n_samples):
 @SETTINGS
 @given(layouts(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 def test_apply_gains_is_linear_in_v(weights, a, b):
-    bounds = weights.group_bounds
     jac = SurrogateJacobian(gains=substream(weights.dim, "gains").uniform(0, 1, weights.n_groups))
     v1 = substream(weights.dim, "v1").normal(0.0, 1.0, weights.dim)
     v2 = substream(weights.dim, "v2").normal(0.0, 1.0, weights.dim)
-    combined = apply_gains(jac, a * v1 + b * v2, bounds)
-    separate = a * apply_gains(jac, v1, bounds) + b * apply_gains(jac, v2, bounds)
+    combined = apply_gains(jac, a * v1 + b * v2, weights)
+    separate = a * apply_gains(jac, v1, weights) + b * apply_gains(jac, v2, weights)
     assert np.allclose(combined, separate, rtol=1e-12, atol=1e-12)

@@ -18,7 +18,7 @@ from qatlab.quant import (
 
 
 def grouped(values, group_size=4):
-    return GroupedWeights.from_flat(np.asarray(values, dtype=float), group_size)
+    return GroupedWeights(np.asarray(values, dtype=float), group_size)
 
 
 def test_w2_midtread_rounds_inside_bin():
@@ -172,7 +172,7 @@ def test_sensitivity_interior_saturated_and_knee():
     assert knee_slope == pytest.approx(0.5, abs=0.01)
     assert abs(j[2] - knee_slope) <= 4.0 * sem[2] + 0.02
     # large-sample MC confirmation of the knee value
-    knee = GroupedWeights.from_flat(np.array([1.0]), group_size=1)
+    knee = GroupedWeights(np.array([1.0]), group_size=1)
     j_mc, sem_mc = mean_field_sensitivity(knee, spec, n_samples=1_000_000, seed=29,
                                           return_sem=True)
     assert abs(j_mc[0] - 0.5) <= 4.0 * sem_mc[0]
@@ -197,23 +197,24 @@ def test_identity_mode_passthrough():
 
 
 def test_grouped_weights_validation():
-    with pytest.raises(ValueError):
-        GroupedWeights(values=np.zeros(4), group_bounds=((0, 2), (3, 4)))  # gap
-    with pytest.raises(ValueError):
-        GroupedWeights(values=np.zeros(4), group_bounds=((0, 2),))  # short cover
-    w = GroupedWeights.from_flat(np.zeros(10), group_size=4)
+    for bad in (np.zeros(0), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="non-empty flat vector"):
+            GroupedWeights(values=bad, group_size=4)
+    with pytest.raises(ValueError, match="group_size"):
+        GroupedWeights(values=np.zeros(4), group_size=0)
+    w = GroupedWeights(np.zeros(10), group_size=4)
     assert w.group_bounds == ((0, 4), (4, 8), (8, 10))
     assert w.n_groups == 3
-    assert np.array_equal(w.group_index(), [0, 0, 0, 0, 1, 1, 1, 1, 2, 2])
+    assert np.array_equal(w.per_weight(np.arange(3)), [0, 0, 0, 0, 1, 1, 1, 1, 2, 2])
 
 
 def test_with_values_checks_only_the_new_values():
-    w = GroupedWeights.from_flat(np.zeros(10), group_size=4)
+    w = GroupedWeights(np.zeros(10), group_size=4)
     for bad in (np.zeros(9), np.zeros(11), np.zeros((2, 5)), np.zeros((10, 1))):
         with pytest.raises(ValueError, match="flat vector"):
             w.with_values(bad)
     moved = w.with_values([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
-    assert moved.group_bounds is w.group_bounds
+    assert moved.group_size == w.group_size
     assert moved.values.dtype == float and np.array_equal(moved.values, np.arange(1.0, 11.0))
 
 
@@ -230,7 +231,7 @@ def test_quant_spec_validation():
 
 def test_calibrate_step_per_group_maxabs():
     spec = QuantSpec.generic(bits=3, step=1.0)  # c = 3
-    w = GroupedWeights.from_flat(np.array([0.3, -6.0, 1.5, 1.5]), group_size=2)
+    w = GroupedWeights(np.array([0.3, -6.0, 1.5, 1.5]), group_size=2)
     cal = calibrate_step(w, spec)
     assert cal.per_group
     assert cal.step == pytest.approx([2.0, 0.5])
@@ -241,7 +242,7 @@ def test_calibrate_step_per_group_maxabs():
 
 def test_per_group_step_dither_bounds():
     spec = QuantSpec.generic(bits=3, step=1.0)
-    w = GroupedWeights.from_flat(np.array([0.3, -6.0, 1.5, 1.5]), group_size=2)
+    w = GroupedWeights(np.array([0.3, -6.0, 1.5, 1.5]), group_size=2)
     cal = calibrate_step(w, spec)
     d = draw_dither(w, cal, seed=1)
     assert np.all(np.abs(d.r[:2]) <= 1.0)

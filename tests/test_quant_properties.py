@@ -25,15 +25,15 @@ def cases(draw) -> tuple[GroupedWeights, QuantSpec]:
     """Weights with a spec of any mode; steps scalar, calibrated or random per group."""
     values = np.array(draw(st.lists(VALUES, min_size=1, max_size=30)))
     size = draw(st.integers(1, 8))
-    weights = GroupedWeights.from_flat(values, size)
+    weights = GroupedWeights(values, size)
     step = draw(st.sampled_from([0.25, 0.3, 0.5, 1.0]))
     mid_rise = draw(st.booleans())
     spec = draw(st.sampled_from([
-        QuantSpec.generic(draw(st.integers(2, 5)), step=step, group_size=size, mid_rise=mid_rise),
-        QuantSpec.w2(step=step, group_size=size, mid_rise=mid_rise),
-        QuantSpec.ternary(step=step, group_size=size),
-        QuantSpec.w1(step=step, group_size=size),
-        QuantSpec.identity(step=step, group_size=size),
+        QuantSpec.generic(draw(st.integers(2, 5)), step=step, mid_rise=mid_rise),
+        QuantSpec.w2(step=step, mid_rise=mid_rise),
+        QuantSpec.ternary(step=step),
+        QuantSpec.w1(step=step),
+        QuantSpec.identity(step=step),
     ]))
     steps = draw(st.sampled_from(["scalar", "calibrated", "random"]))
     if steps == "calibrated":
@@ -42,7 +42,7 @@ def cases(draw) -> tuple[GroupedWeights, QuantSpec]:
         spec = QuantSpec(step=np.array(draw(st.lists(st.sampled_from([0.1, 0.25, 0.7, 2.0]),
                                                      min_size=weights.n_groups,
                                                      max_size=weights.n_groups))),
-                         clip_codes=spec.clip_codes, mode=spec.mode, group_size=size,
+                         clip_codes=spec.clip_codes, mode=spec.mode,
                          mid_rise=spec.mid_rise, bits=spec.bits)
     return weights, spec
 
@@ -65,7 +65,7 @@ def on_grid(q: np.ndarray, x: np.ndarray, spec: QuantSpec, step: np.ndarray) -> 
 @given(cases())
 def test_outputs_lie_on_the_grid(case):
     weights, spec = case
-    step = spec.step_per_weight(weights.group_bounds)
+    step = weights.per_weight(spec.step)
     q = quantize(weights, spec)
     assert np.all(on_grid(q, weights.values, spec, step))
 
@@ -84,7 +84,7 @@ def test_quantize_is_monotone(case, data):
     weights, spec = case
     other = np.array(data.draw(st.lists(VALUES, min_size=weights.dim, max_size=weights.dim)))
     lo, hi = np.minimum(weights.values, other), np.maximum(weights.values, other)
-    step = spec.step_per_weight(weights.group_bounds)
+    step = weights.per_weight(spec.step)
     assert np.all(quantize_array(lo, spec, step=step) <= quantize_array(hi, spec, step=step))
 
 
@@ -93,7 +93,7 @@ def test_quantize_is_monotone(case, data):
 def test_quantize_is_odd(case):
     weights, spec = case
     x = weights.values
-    step = spec.step_per_weight(weights.group_bounds)
+    step = weights.per_weight(spec.step)
     skip = np.zeros(x.size, dtype=bool)
     if spec.mode == "w1":
         skip = x == 0.0

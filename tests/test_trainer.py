@@ -38,8 +38,8 @@ def sgd_reference(obj, w0, eta, steps, seed, batch_size):
 
 def test_reduction_to_plain_sgd_on_passthrough():
     obj = make_regression_task(6, 16, seed=1)
-    w0 = GroupedWeights.from_flat(substream(2, "w0").normal(0, 1, 6), group_size=3)
-    spec = QuantSpec.identity(group_size=3)
+    w0 = GroupedWeights(substream(2, "w0").normal(0, 1, 6), group_size=3)
+    spec = QuantSpec.identity()
     cfg = TrainConfig(stepsize=0.05, batch_size=4, steps=1000,
                       refresh=RefreshPolicy("interval", interval=100),
                       jac_mode="ste", vr_mode="plain", seed=7)
@@ -52,8 +52,8 @@ def test_reduction_to_plain_sgd_on_passthrough():
 
 def test_base_dither_passthrough_reduces_to_sgd():
     obj = make_regression_task(4, 8, seed=3)
-    w0 = GroupedWeights.from_flat(substream(4, "w0").normal(0, 1, 4), group_size=4)
-    spec = QuantSpec.identity(group_size=4)
+    w0 = GroupedWeights(substream(4, "w0").normal(0, 1, 4), group_size=4)
+    spec = QuantSpec.identity()
     cfg = TrainConfig(stepsize=0.1, batch_size=2, steps=200,
                       refresh=RefreshPolicy("interval", interval=50),
                       jac_mode="dither", vr_mode="plain", seed=5)
@@ -78,8 +78,8 @@ def test_deterministic_traces_and_csv_bytes(tmp_path):
 
 def test_refresh_accounting_interval():
     obj = make_regression_task(5, 10, seed=6)
-    w0 = GroupedWeights.from_flat(np.zeros(5), group_size=5)
-    spec = QuantSpec.identity(group_size=5)
+    w0 = GroupedWeights(np.zeros(5), group_size=5)
+    spec = QuantSpec.identity()
     cfg = TrainConfig(stepsize=0.01, batch_size=2, steps=50,
                       refresh=RefreshPolicy("interval", interval=10),
                       jac_mode="probe", vr_mode="svrg", seed=0)
@@ -90,8 +90,8 @@ def test_refresh_accounting_interval():
 
 def test_refresh_probability_one_fires_every_step():
     obj = make_regression_task(4, 8, seed=8)
-    w0 = GroupedWeights.from_flat(np.zeros(4), group_size=4)
-    spec = QuantSpec.identity(group_size=4)
+    w0 = GroupedWeights(np.zeros(4), group_size=4)
+    spec = QuantSpec.identity()
     cfg = TrainConfig(stepsize=0.02, batch_size=2, steps=20,
                       refresh=RefreshPolicy("probability", probability=1.0),
                       jac_mode="ste", vr_mode="svrg", seed=1)
@@ -103,8 +103,8 @@ def test_always_refresh_svrg_yields_full_batch_gradient():
     # With p = 1 the anchor tracks the iterate, so the estimator equals
     # the full-batch modulated gradient at every step.
     obj = make_regression_task(4, 6, seed=9)
-    w0 = GroupedWeights.from_flat(substream(1, "w").normal(0, 1, 4), group_size=4)
-    spec = QuantSpec.identity(group_size=4)
+    w0 = GroupedWeights(substream(1, "w").normal(0, 1, 4), group_size=4)
+    spec = QuantSpec.identity()
     eta = 0.05
     cfg = TrainConfig(stepsize=eta, batch_size=2, steps=30,
                       refresh=RefreshPolicy("probability", probability=1.0),
@@ -138,20 +138,19 @@ def test_sarah_differences_consecutive_points():
     def mean_grad(point, batch):
         return obj.loss_and_grad_batch(point.values, batch)[1].mean(axis=0)
 
-    g = apply_gains(jac, mean_grad(w, np.arange(obj.n)), w.group_bounds)
+    g = apply_gains(jac, mean_grad(w, np.arange(obj.n)), w)
     for step in range(2, 6):
         w_prev, (w, jac, _) = w, res.state_trace[step - 1]
         batch = substream(cfg.seed, "minibatch", step).choice(obj.n, size=4, replace=False)
-        g = apply_gains(jac, mean_grad(w, batch) - mean_grad(w_prev, batch), w.group_bounds) + g
+        g = apply_gains(jac, mean_grad(w, batch) - mean_grad(w_prev, batch), w) + g
         assert norms[step - 1] == pytest.approx(float(np.linalg.norm(g)), rel=1e-12)
 
 
 def test_pl_quadratic_full_batch_contracts_at_theory_rate():
     mu, ls, eta = 0.1, 1.0, 0.5
     obj = make_pl_instance(8, mu, ls, seed=4)
-    w0 = GroupedWeights.from_flat(obj.mean_target() + substream(5, "w").normal(0, 1, 8),
-                                  group_size=8)
-    spec = QuantSpec.identity(group_size=8)
+    w0 = GroupedWeights(obj.mean_target() + substream(5, "w").normal(0, 1, 8), group_size=8)
+    spec = QuantSpec.identity()
     cfg = TrainConfig(stepsize=eta, batch_size=obj.n, steps=120,
                       refresh=RefreshPolicy("interval", interval=1000),
                       jac_mode="ste", vr_mode="plain", seed=3)
@@ -170,8 +169,8 @@ def test_pl_quadratic_full_batch_contracts_at_theory_rate():
 
 def test_divergence_guard_raises():
     obj = make_pl_instance(4, 1.0, 1.0, seed=6)
-    w0 = GroupedWeights.from_flat(obj.mean_target() + 1.0, group_size=4)
-    spec = QuantSpec.identity(group_size=4)
+    w0 = GroupedWeights(obj.mean_target() + 1.0, group_size=4)
+    spec = QuantSpec.identity()
     cfg = TrainConfig(stepsize=50.0, batch_size=1, steps=500,
                       refresh=RefreshPolicy("interval", interval=100),
                       jac_mode="ste", vr_mode="plain", seed=0)
@@ -188,8 +187,8 @@ def test_gain_damping_on_fully_saturated_group():
     base = np.concatenate([np.full(gs, 3.0), rng.uniform(-0.3, 0.3, gs)])
     targets = base[None, :] + 0.0
     obj = Quadratic(curvature=np.ones(d), targets=targets)
-    w0 = GroupedWeights.from_flat(base + rng.uniform(-0.05, 0.05, d), group_size=gs)
-    spec = QuantSpec.w2(step=1.0, group_size=gs)
+    w0 = GroupedWeights(base + rng.uniform(-0.05, 0.05, d), group_size=gs)
+    spec = QuantSpec.w2(step=1.0)
     cfg = TrainConfig(stepsize=0.02, batch_size=1, steps=200,
                       refresh=RefreshPolicy("interval", interval=20),
                       jac_mode="probe", vr_mode="plain", probe_sigma=0.25,
@@ -238,11 +237,11 @@ def test_sweep_grid_runs_all_cells_and_records_errors():
     assert all(rec["seed"] == 3 for rec in table)
     # divergent cell: pass-through quantizer lets the iterates blow up
     div_obj = make_pl_instance(8, 1.0, 1.0, seed=5)
-    div_w0 = GroupedWeights.from_flat(div_obj.mean_target() + 1.0, group_size=8)
+    div_w0 = GroupedWeights(div_obj.mean_target() + 1.0, group_size=8)
     bad = TrainConfig(stepsize=50.0, batch_size=1, steps=100,
                       refresh=RefreshPolicy("interval", interval=5),
                       jac_mode="ste", vr_mode="plain", seed=3)
-    table = run_sweep(div_obj, div_w0, QuantSpec.identity(group_size=8), bad, group_sizes=[8])
+    table = run_sweep(div_obj, div_w0, QuantSpec.identity(), bad, group_sizes=[8])
     assert table[0]["error"] != ""
     assert np.isnan(table[0]["final_loss"])
 
@@ -286,11 +285,11 @@ def test_config_validation():
 def test_loss_guard_reported_before_non_finite_weights(runner):
     # the second step's loss is inf and its update overflows the weights too
     obj = make_regression_task(4, 6, seed=3)
-    w0 = GroupedWeights.from_flat(np.full(4, 0.5), group_size=4)
+    w0 = GroupedWeights(np.full(4, 0.5), group_size=4)
     cfg = TrainConfig(stepsize=1e200, batch_size=2, steps=5,
                       refresh=RefreshPolicy("interval", interval=100),
                       jac_mode="ste", vr_mode="plain", seed=0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
-        runner(obj, w0, QuantSpec.identity(group_size=4), cfg)
+        runner(obj, w0, QuantSpec.identity(), cfg)
     assert "exceeded divergence guard at step 2" in str(err.value)
     assert [r.step for r in err.value.trace] == [1, 2]

@@ -23,8 +23,8 @@ from qatlab.vrgrad import (
 
 def setup(n=8, d=6, seed=0, gains=None):
     obj = make_regression_task(d, n, seed=seed)
-    weights = GroupedWeights.from_flat(np.linspace(-1.0, 1.0, d), group_size=3)
-    spec = QuantSpec.generic(bits=4, step=0.25, group_size=3)
+    weights = GroupedWeights(np.linspace(-1.0, 1.0, d), group_size=3)
+    spec = QuantSpec.generic(bits=4, step=0.25)
     jac = SurrogateJacobian.identity(weights.n_groups)
     if gains is not None:
         jac = jac.with_gains(gains)
