@@ -3,7 +3,6 @@
 from .quant import (
     QuantSpec,
     GroupedWeights,
-    DitherDraw,
     quantize,
     dither_quantize,
     draw_dither,
@@ -12,7 +11,6 @@ from .quant import (
     calibrate_step,
 )
 from .jacobian import (
-    SurrogateJacobian,
     ProbeConfig,
     probe_update,
     probe_ls_update,

@@ -21,7 +21,7 @@ from .diagnostics import (
     tracking_harness,
     window_composition_harness,
 )
-from .jacobian import ProbeConfig, SurrogateJacobian, dither_update
+from .jacobian import ProbeConfig, dither_update
 from .objectives import batch_grad, make_regression_task, make_saturating_task
 from .quant import GroupedWeights, QuantSpec, mean_field, mean_field_sensitivity, quantize, quantize_array
 from .rng import substream
@@ -115,19 +115,19 @@ def a3_dither_fixed_point() -> tuple[bool, dict]:
     weights = GroupedWeights(np.concatenate(groups), group_size=d_g)
     oracle = mean_field_sensitivity(weights, spec, probe_eps=0.1, n_samples=50_000, seed=29)
     target = np.array([np.mean(oracle[lo:hi]) for lo, hi in weights.group_bounds])
-    jac = SurrogateJacobian.identity(weights.n_groups, ema_rate=0.05)
-    cfg = ProbeConfig(sigma=0.25, num_probes=16, seed_tag=31)
+    gains = np.ones(weights.n_groups)
+    cfg = ProbeConfig(sigma=0.25, num_probes=16, seed_tag=31, ema_rate=0.05)
     first_reach = None
     max_updates = 2000
     for t in range(max_updates):
-        jac = dither_update(weights, spec, jac, cfg, dither_seed=37, draw_key=t)
-        if first_reach is None and np.all(np.abs(jac.gains - target) <= 0.05):
+        gains = dither_update(weights, spec, gains, cfg, dither_seed=37, draw_key=t)
+        if first_reach is None and np.all(np.abs(gains - target) <= 0.05):
             first_reach = t + 1
-    final_err = np.abs(jac.gains - target)
+    final_err = np.abs(gains - target)
     passed = bool(np.all(final_err <= 0.05)) and first_reach is not None
     return passed, {"max_final_error": float(np.max(final_err)), "tolerance": 0.05,
                     "first_reach_update": first_reach, "max_updates": max_updates,
-                    "targets": target.tolist(), "gains": jac.gains.tolist()}
+                    "targets": target.tolist(), "gains": gains.tolist()}
 
 
 def a4_vr_variance() -> tuple[bool, dict]:
@@ -135,15 +135,15 @@ def a4_vr_variance() -> tuple[bool, dict]:
     obj = make_regression_task(16, 64, seed=41)
     weights = GroupedWeights(substream(43, "w0").normal(0, 1, 16), group_size=8)
     spec = QuantSpec.generic(bits=4, step=0.25)
-    jac = SurrogateJacobian.identity(weights.n_groups)
-    state_svrg = init_vr_state("svrg", weights, jac, obj, spec)
-    state_plain = init_vr_state("plain", weights, jac, obj, spec)
+    gains = np.ones(weights.n_groups)
+    state_svrg = init_vr_state("svrg", weights, gains, obj, spec)
+    state_plain = init_vr_state("plain", weights, gains, obj, spec)
     direction = substream(47, "dir").normal(0, 1, 16)
     direction *= 0.1 * np.linalg.norm(weights.values) / np.linalg.norm(direction)
     moved = weights.with_values(weights.values + direction)
-    v_svrg = estimator_variance(state_svrg, moved, jac, obj, spec, batch_size=4,
+    v_svrg = estimator_variance(state_svrg, moved, gains, obj, spec, batch_size=4,
                                 trials=1000, seed=53)
-    v_plain = estimator_variance(state_plain, moved, jac, obj, spec, batch_size=4,
+    v_plain = estimator_variance(state_plain, moved, gains, obj, spec, batch_size=4,
                                  trials=1000, seed=53)
     variance_ok = v_svrg <= 0.5 * v_plain and v_plain > 0
 
@@ -153,18 +153,18 @@ def a4_vr_variance() -> tuple[bool, dict]:
     small = make_regression_task(5, 6, seed=59)
     w_small = GroupedWeights(np.linspace(-1, 1, 5), group_size=5)
     spec_small = QuantSpec.generic(bits=4, step=0.25)
-    jac_small = SurrogateJacobian.identity(1).with_gains(np.array([0.7]))
+    gains_small = np.array([0.7])
     worst = 0.0
     for mode in ("svrg", "saga"):
-        state = init_vr_state(mode, w_small, jac_small, small, spec_small)
+        state = init_vr_state(mode, w_small, gains_small, small, spec_small)
         moved_small = w_small.with_values(w_small.values + 0.15)
-        _, _, target = surrogate_batch(moved_small, jac_small, small, spec_small,
+        _, _, target = surrogate_batch(moved_small, gains_small, small, spec_small,
                                        np.arange(6))
         for bs in (1, 2):
             acc = np.zeros(5)
             batches = list(combinations(range(6), bs))
             for b in batches:
-                acc += grad_est(moved_small, jac_small, state, small, spec_small,
+                acc += grad_est(moved_small, gains_small, state, small, spec_small,
                                 np.array(b))
             worst = max(worst, float(np.max(np.abs(acc / len(batches) - target))))
     unbiased_ok = worst <= 1e-12

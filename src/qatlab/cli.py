@@ -104,7 +104,7 @@ def _cmd_train(manifest: RunManifest) -> int:
         write_metrics_csv(result.metrics, os.path.join(out, "metrics.csv"))
         summary["final_loss"] = setup.objective.full_loss(quantize(result.weights, setup.spec))
         summary["steps_run"] = len(result.metrics)
-        summary["final_gains"] = result.gains.gains.tolist()
+        summary["final_gains"] = result.gains.tolist()
     except DivergenceError as exc:
         write_metrics_csv(exc.trace, os.path.join(out, "metrics.csv"))
         summary["error"] = str(exc)
@@ -118,6 +118,8 @@ def _cmd_train(manifest: RunManifest) -> int:
 
 
 def _cmd_sweep(manifest: RunManifest) -> int:
+    if manifest.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {manifest.jobs}")
     setup = _load_setup(manifest)
     out = manifest.output_dir
     os.makedirs(out, exist_ok=True)

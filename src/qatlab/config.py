@@ -30,7 +30,8 @@ Schema (defaults in parentheses):
     refresh: {kind: interval|probability, interval (100), probability (0.01)}
     jac_mode: ste | probe | probe_ls | dither  (probe)
     vr_mode: plain | svrg | saga | sarah  (svrg)
-    ema_rate (0.9), probe_sigma (null -> step/2), num_probes (1)
+    ema_rate (0.9): the gain EMA rate, in (0, 1]
+    probe_sigma (null -> step/2), num_probes (1)
   sweep:                                    [optional; sweep command only]
     group_sizes ([group_size]), refresh_intervals ([refresh interval]),
     jac_modes ([jac_mode])

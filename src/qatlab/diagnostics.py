@@ -14,12 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .jacobian import ProbeConfig, SurrogateJacobian, apply_gains, probe_slope_samples, probe_update
+from .jacobian import ProbeConfig, apply_gains, probe_slope_samples, probe_update
 from .objectives import Objective, Quadratic, make_pl_instance
 from .quant import GroupedWeights, QuantSpec, mean_field_sensitivity, quantize_array
 from .rng import substream
 from .trainer import RefreshPolicy, TrainConfig, train_vr
-from .vrgrad import surrogate_batch
 
 __all__ = [
     "MCConfig",
@@ -52,8 +51,9 @@ class DiagnosticsReport:
     ``gamma`` is the straight-through mismatch max_i |1 - J_i|;
     ``epsilon_sup`` is the current gain mismatch times the upstream
     gradient norm (the quantity whose running sup bounds the residual in
-    the convergence statements). FD-mismatch variances are filled in by
-    :func:`fd_mismatch_variance` runs and default to nan here.
+    the convergence statements). FD-mismatch variances are not part of
+    this report: :func:`fd_mismatch_variance` measures them over a run's
+    state trace.
     """
 
     j_hat: np.ndarray
@@ -66,8 +66,6 @@ class DiagnosticsReport:
     jacquant_bound_holds: bool
     ste_bound_holds: bool
     epsilon_sup: float
-    fd_mismatch_var_jacquant: float = float("nan")
-    fd_mismatch_var_ste: float = float("nan")
 
 
 def target_gradient(weights: GroupedWeights, v_bar: np.ndarray, spec: QuantSpec,
@@ -78,7 +76,7 @@ def target_gradient(weights: GroupedWeights, v_bar: np.ndarray, spec: QuantSpec,
     return j_hat * np.asarray(v_bar, dtype=float)
 
 
-def bias_report(weights: GroupedWeights, jac: SurrogateJacobian, v_bar: np.ndarray,
+def bias_report(weights: GroupedWeights, gains: np.ndarray, v_bar: np.ndarray,
                 spec: QuantSpec, mc: MCConfig = MCConfig()) -> DiagnosticsReport:
     """Compare both backward rules against the smoothed target gradient."""
     v_bar = np.asarray(v_bar, dtype=float)
@@ -86,12 +84,12 @@ def bias_report(weights: GroupedWeights, jac: SurrogateJacobian, v_bar: np.ndarr
                                           n_samples=mc.n_samples, seed=mc.seed,
                                           return_sem=True)
     g_target = j_hat * v_bar
-    g_learned = apply_gains(jac, v_bar, weights)
+    g_learned = apply_gains(gains, v_bar, weights)
     v_norm = float(np.linalg.norm(v_bar))
     gamma = float(np.max(np.abs(1.0 - j_hat)))
     bias_jq = float(np.linalg.norm(g_learned - g_target))
     bias_ste = float(np.linalg.norm(v_bar - g_target))
-    bound_jq = float(np.max(np.abs(weights.per_weight(jac.gains) - j_hat))) * v_norm
+    bound_jq = float(np.max(np.abs(weights.per_weight(gains) - j_hat))) * v_norm
     bound_ste = gamma * v_norm
     slack = 1e-9 * max(v_norm, 1.0)
     return DiagnosticsReport(
@@ -128,7 +126,7 @@ def fd_reference(weights: GroupedWeights, spec: QuantSpec, eps: float | None = N
     return coords, (hi - lo) / (2.0 * eps_c)
 
 
-def fd_mismatch_variance(trace: list[tuple[GroupedWeights, SurrogateJacobian, np.ndarray]],
+def fd_mismatch_variance(trace: list[tuple[GroupedWeights, np.ndarray, np.ndarray]],
                          spec: QuantSpec, eps: float | None = None,
                          coords: np.ndarray | None = None) -> tuple[float, float]:
     """Variance of the coordinate-wise mismatch against the FD reference gradient.
@@ -141,12 +139,11 @@ def fd_mismatch_variance(trace: list[tuple[GroupedWeights, SurrogateJacobian, np
         raise ValueError("empty trace")
     mism_jq: list[np.ndarray] = []
     mism_ste: list[np.ndarray] = []
-    for weights, jac, v_bar in trace:
+    for weights, gains, v_bar in trace:
         idx, fd = fd_reference(weights, spec, eps=eps, coords=coords)
         v = np.asarray(v_bar, dtype=float)[idx]
-        gains = weights.per_weight(jac.gains)[idx]
         ref = fd * v
-        mism_jq.append(gains * v - ref)
+        mism_jq.append(weights.per_weight(gains)[idx] * v - ref)
         mism_ste.append(v - ref)
     return float(np.var(np.concatenate(mism_jq))), float(np.var(np.concatenate(mism_ste)))
 
@@ -238,7 +235,7 @@ def tracking_harness(spec: QuantSpec, group_dim: int, drift_per_step: np.ndarray
     rng = substream(seed, "layout")
     start = rng.uniform(-1.3, 0.9, group_dim) * step * spec.clip_codes
     weights = GroupedWeights(start, group_size=group_dim)
-    jac = SurrogateJacobian.identity(1)
+    gain = np.ones(1)
     errors = np.empty(steps)
     gains = np.empty(steps)
     oracle_trace = np.empty(steps)
@@ -246,14 +243,14 @@ def tracking_harness(spec: QuantSpec, group_dim: int, drift_per_step: np.ndarray
     for t in range(steps):
         offset += float(drift[t]) * step
         weights = weights.with_values(start + offset)
-        jac = replace(jac, ema_rate=float(betas[t]))
-        jac = probe_update(weights, spec, jac,
-                           ProbeConfig(sigma=sigma, num_probes=num_probes, seed_tag=seed),
-                           draw_key=t)
+        gain = probe_update(weights, spec, gain,
+                            ProbeConfig(sigma=sigma, num_probes=num_probes, seed_tag=seed,
+                                        ema_rate=float(betas[t])),
+                            draw_key=t)
         oracle = mean_field_sensitivity(weights, spec, probe_eps=step / 10.0,
                                         n_samples=oracle_samples, seed=seed + 7)
         oracle_trace[t] = float(np.mean(oracle))
-        gains[t] = float(jac.gains[0])
+        gains[t] = float(gain[0])
         errors[t] = abs(gains[t] - oracle_trace[t])
     tail = max(1, steps // 10)
     return TrackingResult(errors=errors, gains=gains, oracle=oracle_trace,

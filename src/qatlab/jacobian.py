@@ -1,23 +1,23 @@
 """Learned surrogate Jacobian: one backward gain per quantization group.
 
-The gain vector replaces the identity that a straight-through backward
-pass would use. Gains are estimated from the quantizer's measured
-response to random perturbations (probe slope fit, probe least squares,
-or a dithered common-random-number slope fit), clipped, and smoothed by
-an EMA. The straight-through rule is the special case of all-ones gains.
+The gains are one float per group, a (n_groups,) array that replaces the
+identity a straight-through backward pass would use. They are estimated
+from the quantizer's measured response to random perturbations (probe
+slope fit, probe least squares, or a dithered common-random-number slope
+fit), clipped to [0, 1], and smoothed by an EMA. The straight-through
+rule is the special case of all-ones gains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import DitherDraw, GroupedWeights, QuantSpec, dither_block, quantize_array
+from .quant import GroupedWeights, QuantSpec, dither_block, quantize_array
 from .rng import substream
 
 __all__ = [
-    "SurrogateJacobian",
     "ProbeConfig",
     "probe_update",
     "probe_ls_update",
@@ -26,62 +26,32 @@ __all__ = [
     "probe_slope_samples",
 ]
 
-
-@dataclass(frozen=True)
-class SurrogateJacobian:
-    """Per-group scalar gains with EMA smoothing state."""
-
-    gains: np.ndarray
-    ema_rate: float = 0.9
-    clip_lo: float = 0.0
-    clip_hi: float = 1.0
-    reg_eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        gains = np.asarray(self.gains, dtype=float)
-        object.__setattr__(self, "gains", gains)
-        if not np.all(np.isfinite(gains)):
-            raise ValueError("gains must be finite")
-        if not 0.0 < self.ema_rate <= 1.0:
-            raise ValueError("ema_rate must lie in (0, 1]")
-        if self.clip_lo > self.clip_hi:
-            raise ValueError("clip_lo must not exceed clip_hi")
-
-    @classmethod
-    def identity(cls, n_groups: int, ema_rate: float = 0.9, clip_lo: float = 0.0,
-                 clip_hi: float = 1.0, reg_eps: float = 1e-8) -> "SurrogateJacobian":
-        """All-ones gains: the straight-through starting point."""
-        return cls(gains=np.ones(n_groups), ema_rate=ema_rate, clip_lo=clip_lo,
-                   clip_hi=clip_hi, reg_eps=reg_eps)
-
-    def with_gains(self, gains: np.ndarray) -> "SurrogateJacobian":
-        return replace(self, gains=np.asarray(gains, dtype=float))
-
-    def _ema(self, estimates: np.ndarray) -> "SurrogateJacobian":
-        clipped = np.clip(estimates, self.clip_lo, self.clip_hi)
-        # clipped again: a start outside [clip_lo, clip_hi] (identity gains) must not leak through
-        return self.with_gains(np.clip((1.0 - self.ema_rate) * self.gains + self.ema_rate * clipped,
-                                       self.clip_lo, self.clip_hi))
+_REG_EPS = 1e-8  # regulariser of the per-probe slope fit's denominator
 
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Gaussian probe settings: scale (weight units), count, stream id."""
+    """Gain-update settings: probe scale (weight units), count, stream id, EMA rate."""
 
     sigma: float
     num_probes: int = 1
     seed_tag: int = 0
+    ema_rate: float = 0.9
 
     def __post_init__(self) -> None:
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if self.num_probes < 1:
             raise ValueError("num_probes must be >= 1")
+        if not 0.0 < self.ema_rate <= 1.0:
+            raise ValueError("ema_rate must lie in (0, 1]")
 
     @classmethod
-    def for_spec(cls, spec: QuantSpec, num_probes: int = 1, seed_tag: int = 0) -> "ProbeConfig":
+    def for_spec(cls, spec: QuantSpec, num_probes: int = 1, seed_tag: int = 0,
+                 ema_rate: float = 0.9) -> "ProbeConfig":
         """Default probe scale: half the quantizer step."""
-        return cls(sigma=0.5 * float(np.min(spec.step)), num_probes=num_probes, seed_tag=seed_tag)
+        return cls(sigma=0.5 * float(np.min(spec.step)), num_probes=num_probes,
+                   seed_tag=seed_tag, ema_rate=ema_rate)
 
 
 def _group_sums(a: np.ndarray, b: np.ndarray, group_size: int) -> np.ndarray:
@@ -135,17 +105,22 @@ def probe_slope_samples(w_group: np.ndarray, spec: QuantSpec, step: float,
     return cross[0], energy[0]
 
 
-def _update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobian, cfg: ProbeConfig,
+def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: ProbeConfig,
             draw_key: int, least_squares: bool,
-            dither: np.ndarray | None = None) -> SurrogateJacobian:
+            dither: np.ndarray | None = None) -> np.ndarray:
     """One gain update of every group from one (num_probes, dim) probe block.
 
     The block comes from the (seed_tag, "probe", draw_key) stream; group g
     takes its columns. The per-group estimate is the mean of the per-probe
-    slope fits, or the least-squares fit over all probes.
+    slope fits, or the least-squares fit over all probes. Estimates are
+    clipped to [0, 1] and mixed into ``gains`` at ``cfg.ema_rate``; the
+    result is clipped again, so a start outside [0, 1] cannot leak through.
     """
-    if jac.gains.size != weights.n_groups:
+    gains = np.asarray(gains, dtype=float)
+    if gains.size != weights.n_groups:
         raise ValueError("gain count does not match group count")
+    if not np.all(np.isfinite(gains)):
+        raise ValueError("gains must be finite")
     deltas = substream(cfg.seed_tag, "probe", draw_key).normal(0.0, cfg.sigma,
                                                                 size=(cfg.num_probes, weights.dim))
     cross, energy = _slope_sums(weights.values, spec, weights.per_weight(spec.step),
@@ -156,48 +131,49 @@ def _update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobian, cf
             raise ValueError("zero excitation")
         estimates = cross.sum(axis=1) / denom
     else:
-        estimates = np.mean(cross / (energy + jac.reg_eps), axis=1)
-    return jac._ema(estimates)
+        estimates = np.mean(cross / (energy + _REG_EPS), axis=1)
+    rate = cfg.ema_rate
+    return np.clip((1.0 - rate) * gains + rate * np.clip(estimates, 0.0, 1.0), 0.0, 1.0)
 
 
-def probe_update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobian,
-                 cfg: ProbeConfig, draw_key: int = 0) -> SurrogateJacobian:
+def probe_update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray,
+                 cfg: ProbeConfig, draw_key: int = 0) -> np.ndarray:
     """One-step slope fit per group: <dq, delta> / (|delta|^2 + eps), then clip + EMA.
 
     With num_probes > 1 the raw estimates are averaged before clipping.
     """
-    return _update(weights, spec, jac, cfg, draw_key, least_squares=False)
+    return _update(weights, spec, gains, cfg, draw_key, least_squares=False)
 
 
-def probe_ls_update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobian,
-                    cfg: ProbeConfig, draw_key: int = 0) -> SurrogateJacobian:
+def probe_ls_update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray,
+                    cfg: ProbeConfig, draw_key: int = 0) -> np.ndarray:
     """Scalar least-squares over the probe batch: sum<dq,delta> / sum|delta|^2."""
-    return _update(weights, spec, jac, cfg, draw_key, least_squares=True)
+    return _update(weights, spec, gains, cfg, draw_key, least_squares=True)
 
 
-def dither_update(weights: GroupedWeights, spec: QuantSpec, jac: SurrogateJacobian,
+def dither_update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray,
                   cfg: ProbeConfig, dither_seed: int, draw_key: int = 0,
-                  fixed_dither: DitherDraw | None = None) -> SurrogateJacobian:
+                  fixed_dither: np.ndarray | None = None) -> np.ndarray:
     """Slope fit on the de-dithered proxy, common dither across both evaluations.
 
     Each probe draws its own dither row from one (num_probes, dim) block of
     the (dither_seed, "dither_block", draw_key) stream, shared by that
     probe's base and perturbed evaluation.
-    ``fixed_dither`` reuses an externally drawn dither (e.g. the forward
-    dither of a training step) for every probe instead.
+    ``fixed_dither`` reuses an externally drawn (dim,) dither (e.g. the
+    forward dither of a training step) for every probe instead.
     """
-    dither = (fixed_dither.r[None, :] if fixed_dither is not None
+    dither = (fixed_dither[None, :] if fixed_dither is not None
               else dither_block(weights, spec, dither_seed, draw_key, (cfg.num_probes,)))
-    return _update(weights, spec, jac, cfg, draw_key, least_squares=False, dither=dither)
+    return _update(weights, spec, gains, cfg, draw_key, least_squares=False, dither=dither)
 
 
-def apply_gains(jac: SurrogateJacobian, v: np.ndarray, layout: GroupedWeights) -> np.ndarray:
+def apply_gains(gains: np.ndarray, v: np.ndarray, layout: GroupedWeights) -> np.ndarray:
     """Scale an upstream gradient (or each row of a (b, d) block) by its group's gain.
 
     ``layout`` is any weight vector with the gradient's group layout; its
     values are not read.
     """
     v = np.asarray(v, dtype=float)
-    if layout.n_groups != jac.gains.size or layout.dim != v.shape[-1]:
+    if layout.n_groups != np.size(gains) or layout.dim != v.shape[-1]:
         raise ValueError("gradient length does not match the group layout")
-    return layout.per_weight(jac.gains) * v
+    return layout.per_weight(gains) * v

@@ -30,7 +30,6 @@ from .rng import substream
 __all__ = [
     "QuantSpec",
     "GroupedWeights",
-    "DitherDraw",
     "quantize",
     "quantize_array",
     "dither_quantize",
@@ -171,17 +170,6 @@ class GroupedWeights:
         return new
 
 
-@dataclass(frozen=True)
-class DitherDraw:
-    """One realized dither vector, entries in [-step/2, +step/2] per weight."""
-
-    r: np.ndarray
-    seed_tag: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
-
-
 def quantize_array(x: np.ndarray, spec: QuantSpec, step: float | np.ndarray | None = None) -> np.ndarray:
     """Quantize a raw array; ``step`` broadcasts against ``x`` (scalar by default)."""
     x = np.asarray(x, dtype=float)
@@ -223,17 +211,18 @@ def dither_block(weights: GroupedWeights, spec: QuantSpec, seed: int, key: int,
     return substream(seed, "dither_block", key).uniform(-half, half, size=(*rows, weights.dim))
 
 
-def draw_dither(weights: GroupedWeights, spec: QuantSpec, seed: int, seed_tag: int = 0) -> DitherDraw:
-    """Draw one uniform dither vector from the ("dither_block", seed_tag) stream."""
-    return DitherDraw(r=dither_block(weights, spec, seed, seed_tag, ()), seed_tag=seed_tag)
+def draw_dither(weights: GroupedWeights, spec: QuantSpec, seed: int, seed_tag: int = 0) -> np.ndarray:
+    """One (dim,) uniform dither r, |r| <= step/2, from the ("dither_block", seed_tag) stream."""
+    return dither_block(weights, spec, seed, seed_tag, ())
 
 
-def dither_quantize(weights: GroupedWeights, dither: DitherDraw, spec: QuantSpec) -> np.ndarray:
-    """De-dithered proxy: quantize(W + r) - r."""
+def dither_quantize(weights: GroupedWeights, r: np.ndarray, spec: QuantSpec) -> np.ndarray:
+    """De-dithered proxy: quantize(W + r) - r for a (dim,) dither r."""
+    r = np.asarray(r, dtype=float)
     step = weights.per_weight(spec.step)
-    if np.any(np.abs(dither.r) > 0.5 * step + 1e-15):
+    if np.any(np.abs(r) > 0.5 * step + 1e-15):
         raise ValueError("invalid dither")
-    return quantize_array(weights.values + dither.r, spec, step=step) - dither.r
+    return quantize_array(weights.values + r, spec, step=step) - r
 
 
 def _mc_average(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: int,

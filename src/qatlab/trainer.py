@@ -21,8 +21,8 @@ from itertools import product
 
 import numpy as np
 
-from .jacobian import ProbeConfig, SurrogateJacobian, apply_gains, dither_update, probe_ls_update, probe_update
-from .objectives import Objective
+from .jacobian import ProbeConfig, apply_gains, dither_update, probe_ls_update, probe_update
+from .objectives import Objective, batch_grad
 from .quant import GroupedWeights, QuantSpec, calibrate_step, dither_quantize, draw_dither, quantize
 from .rng import substream
 from .vrgrad import ctrl_update, grad_est, init_vr_state, refresh_anchor
@@ -81,8 +81,6 @@ class TrainConfig:
     ema_rate: float = 0.9
     probe_sigma: float | None = None
     num_probes: int = 1
-    gain_clip_lo: float = 0.0
-    gain_clip_hi: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -102,8 +100,9 @@ class TrainConfig:
     def probe_config(self, spec: QuantSpec) -> ProbeConfig:
         if self.probe_sigma is not None:
             return ProbeConfig(sigma=self.probe_sigma, num_probes=self.num_probes,
-                               seed_tag=self.seed)
-        return ProbeConfig.for_spec(spec, num_probes=self.num_probes, seed_tag=self.seed)
+                               seed_tag=self.seed, ema_rate=self.ema_rate)
+        return ProbeConfig.for_spec(spec, num_probes=self.num_probes, seed_tag=self.seed,
+                                    ema_rate=self.ema_rate)
 
 
 @dataclass(frozen=True)
@@ -131,16 +130,16 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainResult:
-    """Final weights and gains plus the per-step metrics trace.
+    """Final weights and (n_groups,) gains plus the per-step metrics trace.
 
     ``state_trace`` holds (weights, gains, mean upstream gradient) triples
     for each step when the run was asked to capture them.
     """
 
     weights: GroupedWeights
-    gains: SurrogateJacobian
+    gains: np.ndarray
     metrics: list[MetricsRecord]
-    state_trace: list[tuple[GroupedWeights, SurrogateJacobian, np.ndarray]] | None = None
+    state_trace: list[tuple[GroupedWeights, np.ndarray, np.ndarray]] | None = None
 
 
 def _frac_saturated(weights: GroupedWeights, spec: QuantSpec) -> float:
@@ -156,16 +155,16 @@ def _sample_batch(n: int, batch_size: int, seed: int, step: int) -> np.ndarray:
 
 
 def _record(step: int, loss: float, v_bar: np.ndarray, g: np.ndarray,
-            jac: SurrogateJacobian, weights: GroupedWeights, spec: QuantSpec,
+            gains: np.ndarray, weights: GroupedWeights, spec: QuantSpec,
             refreshed: bool) -> MetricsRecord:
     return MetricsRecord(
         step=step,
         loss=loss,
         grad_norm=float(np.linalg.norm(v_bar)),
         surrogate_grad_norm=float(np.linalg.norm(g)),
-        mean_gain=float(np.mean(jac.gains)),
-        min_gain=float(np.min(jac.gains)),
-        max_gain=float(np.max(jac.gains)),
+        mean_gain=float(np.mean(gains)),
+        min_gain=float(np.min(gains)),
+        max_gain=float(np.max(gains)),
         frac_saturated=_frac_saturated(weights, spec),
         refresh=refreshed,
     )
@@ -177,33 +176,30 @@ def _guard(loss: float, initial_loss: float, step: int, trace: list[MetricsRecor
         raise DivergenceError(f"loss {loss:.3e} exceeded divergence guard at step {step}", trace)
 
 
-def _update_gains(jac: SurrogateJacobian, weights: GroupedWeights, spec: QuantSpec,
+def _update_gains(gains: np.ndarray, weights: GroupedWeights, spec: QuantSpec,
                   cfg: TrainConfig, probe_cfg: ProbeConfig, step: int,
-                  fixed_dither=None) -> SurrogateJacobian:
+                  fixed_dither: np.ndarray | None = None) -> np.ndarray:
     if cfg.jac_mode == "ste":
-        return jac
+        return gains
     if cfg.jac_mode == "probe":
-        return probe_update(weights, spec, jac, probe_cfg, draw_key=step)
+        return probe_update(weights, spec, gains, probe_cfg, draw_key=step)
     if cfg.jac_mode == "probe_ls":
-        return probe_ls_update(weights, spec, jac, probe_cfg, draw_key=step)
-    return dither_update(weights, spec, jac, probe_cfg, dither_seed=cfg.seed,
+        return probe_ls_update(weights, spec, gains, probe_cfg, draw_key=step)
+    return dither_update(weights, spec, gains, probe_cfg, dither_seed=cfg.seed,
                          draw_key=step, fixed_dither=fixed_dither)
 
 
 def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
-           initial_gains: SurrogateJacobian | None, capture_trace: bool,
-           base: bool) -> TrainResult:
+           capture_trace: bool, base: bool) -> TrainResult:
     probe_cfg = cfg.probe_config(spec)
-    jac = initial_gains if initial_gains is not None else SurrogateJacobian.identity(
-        weights0.n_groups, ema_rate=cfg.ema_rate, clip_lo=cfg.gain_clip_lo,
-        clip_hi=cfg.gain_clip_hi)
+    gains = np.ones(weights0.n_groups)  # the straight-through starting point
     dithered = base and cfg.jac_mode == "dither"
     scheduled = not base or cfg.jac_mode in ("probe", "probe_ls")
     weights = weights0
     q = None if dithered else quantize(weights, spec)  # the hard forward is carried to the next step
-    state = init_vr_state("plain" if base else cfg.vr_mode, weights, jac, obj, spec, q=q)
+    state = init_vr_state("plain" if base else cfg.vr_mode, weights, gains, obj, spec, q=q)
     trace: list[MetricsRecord] = []
-    states: list[tuple[GroupedWeights, SurrogateJacobian, np.ndarray]] | None = (
+    states: list[tuple[GroupedWeights, np.ndarray, np.ndarray]] | None = (
         [] if capture_trace else None)
     initial_loss = None
     for step in range(1, cfg.steps + 1):
@@ -212,47 +208,45 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
         if dithered:
             dither = draw_dither(weights, spec, cfg.seed, seed_tag=step)
             q = dither_quantize(weights, dither, spec)
-        losses, grads = obj.loss_and_grad_batch(q, batch)
-        loss, v_bar = float(np.mean(losses)), np.mean(grads, axis=0)
-        g = grad_est(weights, jac, state, obj, spec, batch, v_bar=v_bar)
+        loss, v_bar = batch_grad(obj, q, batch)
+        g = grad_est(weights, gains, state, obj, spec, batch, v_bar=v_bar)
         if states is not None:
-            states.append((weights, jac, v_bar))
+            states.append((weights, gains, v_bar))
         new_weights = weights.with_values(weights.values - cfg.stepsize * g)
         if initial_loss is None:
             initial_loss = loss
         if not np.all(np.isfinite(new_weights.values)):
-            trace.append(_record(step, loss, v_bar, g, jac, weights, spec, False))
+            trace.append(_record(step, loss, v_bar, g, gains, weights, spec, False))
             _guard(loss, initial_loss, step, trace)
             raise DivergenceError(f"latent weights became non-finite at step {step}", trace)
         q_step = q
         q = None if dithered else quantize(new_weights, spec)
         # SARAH differences the next step against this step's point; SAGA's table moves on
         point, q_point = (weights, q_step) if state.mode == "sarah" else (new_weights, q)
-        state = ctrl_update(state, point, batch, obj, spec, jac=jac, grad=g, q=q_point)
+        state = ctrl_update(state, point, batch, obj, spec, gains=gains, grad=g, q=q_point)
         refreshed = dithered or (scheduled and cfg.refresh.fires(step, cfg.seed))
         if refreshed:
-            jac = _update_gains(jac, new_weights, spec, cfg, probe_cfg, step, fixed_dither=dither)
-            state = refresh_anchor(state, new_weights, jac, obj, spec, q=q)
-        trace.append(_record(step, loss, v_bar, g, jac, weights, spec, refreshed))
+            gains = _update_gains(gains, new_weights, spec, cfg, probe_cfg, step,
+                                  fixed_dither=dither)
+            state = refresh_anchor(state, new_weights, gains, obj, spec, q=q)
+        trace.append(_record(step, loss, v_bar, g, gains, weights, spec, refreshed))
         _guard(loss, initial_loss, step, trace)
         weights = new_weights
-    return TrainResult(weights=weights, gains=jac, metrics=trace, state_trace=states)
+    return TrainResult(weights=weights, gains=gains, metrics=trace, state_trace=states)
 
 
 def train_vr(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
-             initial_gains: SurrogateJacobian | None = None,
              capture_trace: bool = False) -> TrainResult:
     """Variance-reduced loop with anchored refreshes.
 
-    Gains start at identity (the straight-through point) unless given.
-    Refresh events update the gains, synchronize the anchor to the new
-    point, and recompute the reference gradient.
+    Gains start at one (the straight-through point). Refresh events update
+    the gains, synchronize the anchor to the new point, and recompute the
+    reference gradient.
     """
-    return _train(obj, weights0, spec, cfg, initial_gains, capture_trace, base=False)
+    return _train(obj, weights0, spec, cfg, capture_trace, base=False)
 
 
 def train_base(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
-               initial_gains: SurrogateJacobian | None = None,
                capture_trace: bool = False) -> TrainResult:
     """Plain minibatch loop; no control variates (vr_mode is ignored).
 
@@ -260,15 +254,13 @@ def train_base(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: T
     draws a fresh dither each step, runs the forward on the de-dithered
     proxy, and updates the gains every step reusing the forward dither.
     """
-    return _train(obj, weights0, spec, cfg, initial_gains, capture_trace, base=True)
+    return _train(obj, weights0, spec, cfg, capture_trace, base=True)
 
 
 def _run_cell(args) -> dict:
     obj, values, spec, cfg, group_size, refresh, jac_mode, use_base = args
     weights = GroupedWeights(values, group_size)
-    cell_spec = replace(spec, step=float(np.min(spec.step)))
-    if spec.per_group:
-        cell_spec = calibrate_step(weights, cell_spec)
+    cell_spec = calibrate_step(weights, spec) if spec.per_group else spec
     cell_cfg = replace(cfg, refresh=refresh, jac_mode=jac_mode)
     result = {
         "group_size": group_size,
@@ -298,7 +290,10 @@ def run_sweep(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, base_cf
     """One full run per grid cell; shared seed; errors recorded, sweep continues.
 
     ``final_loss`` is the full-dataset loss at the final quantized point.
+    ``jobs`` caps the worker processes; no more start than there are cells.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     group_sizes = group_sizes or [weights0.group_size]
     refresh_policies = refresh_policies or [base_cfg.refresh]
     jac_modes = jac_modes or [base_cfg.jac_mode]
@@ -306,10 +301,11 @@ def run_sweep(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, base_cf
         raise ValueError("empty sweep grid")
     cells = [(obj, weights0.values, spec, base_cfg, gs, rp, jm, use_base)
              for gs, rp, jm in product(group_sizes, refresh_policies, jac_modes)]
-    if jobs > 1:
+    workers = min(jobs, len(cells))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_cell, cells))
     return [_run_cell(cell) for cell in cells]
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobian import SurrogateJacobian, apply_gains
-from .objectives import Objective
+from .jacobian import apply_gains
+from .objectives import Objective, batch_grad
 from .quant import GroupedWeights, QuantSpec, quantize
 from .rng import substream
 
@@ -40,20 +40,18 @@ __all__ = [
 _MODES = ("plain", "svrg", "saga", "sarah")
 
 
-def surrogate_per_sample(weights: GroupedWeights, jac: SurrogateJacobian, obj: Objective,
+def surrogate_per_sample(weights: GroupedWeights, gains: np.ndarray, obj: Objective,
                          spec: QuantSpec, i: int, q: np.ndarray | None = None) -> np.ndarray:
     """F_i(W) = gains * grad of sample i at the quantized point."""
-    return surrogate_batch(weights, jac, obj, spec, [i], q=q)[2]
+    return surrogate_batch(weights, gains, obj, spec, [i], q=q)[2]
 
 
-def surrogate_batch(weights: GroupedWeights, jac: SurrogateJacobian, obj: Objective,
+def surrogate_batch(weights: GroupedWeights, gains: np.ndarray, obj: Objective,
                     spec: QuantSpec, batch: np.ndarray, q: np.ndarray | None = None,
                     ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean loss, mean raw gradient and mean modulated gradient over a batch."""
-    q = quantize(weights, spec) if q is None else q
-    losses, grads = obj.loss_and_grad_batch(q, batch)
-    v_bar = np.mean(grads, axis=0)
-    return float(np.mean(losses)), v_bar, apply_gains(jac, v_bar, weights)
+    loss, v_bar = batch_grad(obj, quantize(weights, spec) if q is None else q, batch)
+    return loss, v_bar, apply_gains(gains, v_bar, weights)
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ class VRState:
     """
 
     mode: str
-    control: tuple[np.ndarray, SurrogateJacobian] | None = None
+    control: tuple[np.ndarray, np.ndarray] | None = None
     reference: np.ndarray | None = None
     saga_table: np.ndarray | None = None
 
@@ -86,13 +84,13 @@ class VRState:
             raise ValueError("reference gradient must be finite")
 
 
-def ref_grad(anchor_weights: GroupedWeights, anchor_gains: SurrogateJacobian, obj: Objective,
+def ref_grad(anchor_weights: GroupedWeights, anchor_gains: np.ndarray, obj: Objective,
              spec: QuantSpec, q: np.ndarray | None = None) -> np.ndarray:
     """Reference gradient: mean modulated gradient at the anchor over the full data."""
     return surrogate_batch(anchor_weights, anchor_gains, obj, spec, np.arange(obj.n), q=q)[2]
 
 
-def init_vr_state(mode: str, weights: GroupedWeights, jac: SurrogateJacobian, obj: Objective,
+def init_vr_state(mode: str, weights: GroupedWeights, gains: np.ndarray, obj: Objective,
                   spec: QuantSpec, q: np.ndarray | None = None) -> VRState:
     """Anchor at the given point; SAGA's table starts from the modulated gradients there.
 
@@ -102,13 +100,13 @@ def init_vr_state(mode: str, weights: GroupedWeights, jac: SurrogateJacobian, ob
         return VRState(mode)  # plain holds nothing; VRState rejects an unknown mode
     q = quantize(weights, spec) if q is None else q
     if mode == "saga":
-        table = apply_gains(jac, obj.loss_and_grad_batch(q, np.arange(obj.n))[1], weights)
+        table = apply_gains(gains, obj.loss_and_grad_batch(q, np.arange(obj.n))[1], weights)
         return VRState(mode, reference=table.mean(axis=0), saga_table=table)
-    return VRState(mode, control=(q, jac) if mode == "svrg" else None,
-                   reference=ref_grad(weights, jac, obj, spec, q=q))
+    return VRState(mode, control=(q, gains) if mode == "svrg" else None,
+                   reference=ref_grad(weights, gains, obj, spec, q=q))
 
 
-def grad_est(weights: GroupedWeights, jac: SurrogateJacobian, state: VRState, obj: Objective,
+def grad_est(weights: GroupedWeights, gains: np.ndarray, state: VRState, obj: Objective,
              spec: QuantSpec, batch: np.ndarray, v_bar: np.ndarray | None = None) -> np.ndarray:
     """Control-variate gradient estimate for one minibatch.
 
@@ -119,21 +117,20 @@ def grad_est(weights: GroupedWeights, jac: SurrogateJacobian, state: VRState, ob
         return state.reference.copy()  # right after a refresh
     batch = np.asarray(batch, dtype=int)
     if v_bar is None:
-        v_bar = np.mean(obj.loss_and_grad_batch(quantize(weights, spec), batch)[1], axis=0)
-    g = apply_gains(jac, v_bar, weights)
+        v_bar = batch_grad(obj, quantize(weights, spec), batch)[1]
+    g = apply_gains(gains, v_bar, weights)
     if state.mode == "plain":
         return g
     if state.mode == "saga":
         control = np.mean(state.saga_table[batch], axis=0)
     else:
         q_c, gains_c = state.control
-        u_bar = np.mean(obj.loss_and_grad_batch(q_c, batch)[1], axis=0)
-        control = apply_gains(gains_c, u_bar, weights)
+        control = apply_gains(gains_c, batch_grad(obj, q_c, batch)[1], weights)
     return g - control + state.reference
 
 
 def ctrl_update(state: VRState, weights: GroupedWeights, batch: np.ndarray, obj: Objective,
-                spec: QuantSpec, jac: SurrogateJacobian | None = None,
+                spec: QuantSpec, gains: np.ndarray | None = None,
                 grad: np.ndarray | None = None, q: np.ndarray | None = None) -> VRState:
     """Refresh the estimator memory after a step; ``q`` is the quantized ``weights`` if known.
 
@@ -147,18 +144,18 @@ def ctrl_update(state: VRState, weights: GroupedWeights, batch: np.ndarray, obj:
     """
     if state.mode in ("plain", "svrg"):
         return state
-    if jac is None:
+    if gains is None:
         raise ValueError(f"{state.mode.upper()} update needs the current gains")
     q = quantize(weights, spec) if q is None else q
     if state.mode == "sarah":
         if grad is None:
             raise ValueError("SARAH update needs the current gradient estimate")
-        return VRState("sarah", control=(q, jac), reference=np.asarray(grad, dtype=float))
+        return VRState("sarah", control=(q, gains), reference=np.asarray(grad, dtype=float))
     # The table is refreshed at the updated point, at b more gradient rows per step than
     # textbook SAGA, which stores the rows the step computed at its own point: that
     # variant raised vr-saga-mlp's final loss by about 22 % (geometric mean, seeds 0-5).
     batch = np.asarray(batch, dtype=int)
-    fresh = apply_gains(jac, obj.loss_and_grad_batch(q, batch)[1], weights)
+    fresh = apply_gains(gains, obj.loss_and_grad_batch(q, batch)[1], weights)
     # a repeated index meets the row its first occurrence wrote, which is its own fresh row
     first = np.zeros(batch.size, dtype=bool)
     first[np.unique(batch, return_index=True)[1]] = True
@@ -170,7 +167,7 @@ def ctrl_update(state: VRState, weights: GroupedWeights, batch: np.ndarray, obj:
     return state
 
 
-def refresh_anchor(state: VRState, weights: GroupedWeights, jac: SurrogateJacobian,
+def refresh_anchor(state: VRState, weights: GroupedWeights, gains: np.ndarray,
                    obj: Objective, spec: QuantSpec, q: np.ndarray | None = None) -> VRState:
     """Synchronize the anchor to the given point: SVRG and SARAH start afresh there.
 
@@ -179,10 +176,10 @@ def refresh_anchor(state: VRState, weights: GroupedWeights, jac: SurrogateJacobi
     """
     if state.mode in ("plain", "saga"):
         return state
-    return init_vr_state(state.mode, weights, jac, obj, spec, q=q)
+    return init_vr_state(state.mode, weights, gains, obj, spec, q=q)
 
 
-def estimator_variance(state: VRState, weights: GroupedWeights, jac: SurrogateJacobian,
+def estimator_variance(state: VRState, weights: GroupedWeights, gains: np.ndarray,
                        obj: Objective, spec: QuantSpec, batch_size: int, trials: int,
                        seed: int = 0) -> float:
     """Mean squared deviation of the estimator from the full-batch modulated gradient.
@@ -192,12 +189,12 @@ def estimator_variance(state: VRState, weights: GroupedWeights, jac: SurrogateJa
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    _, _, g_full = surrogate_batch(weights, jac, obj, spec, np.arange(obj.n))
+    _, _, g_full = surrogate_batch(weights, gains, obj, spec, np.arange(obj.n))
     total = 0.0
     for t in range(trials):
         rng = substream(seed, "minibatch", t)
         batch = rng.choice(obj.n, size=batch_size, replace=False)
-        g = grad_est(weights, jac, state, obj, spec, batch)
+        g = grad_est(weights, gains, state, obj, spec, batch)
         diff = g - g_full
         total += float(diff @ diff)
     return total / trials

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qatlab.jacobian import SurrogateJacobian, apply_gains
+from qatlab.jacobian import apply_gains
 from qatlab.objectives import (
     Dataset,
     LinearRegression,
@@ -166,30 +166,29 @@ def test_saga_update_in_place_matches_row_loop(n, d, seed, data):
     obj = make_objective("linear_regression", n, d, seed)
     weights = GroupedWeights(substream(seed, "w").normal(0.0, 1.0, d), group_size=4)
     spec = QuantSpec.generic(bits=3, step=0.3)
-    jac = SurrogateJacobian.identity(weights.n_groups).with_gains(
-        substream(seed, "gains").uniform(0.0, 1.0, weights.n_groups))
-    state = init_vr_state("saga", weights, jac, obj, spec)
+    gains = substream(seed, "gains").uniform(0.0, 1.0, weights.n_groups)
+    state = init_vr_state("saga", weights, gains, obj, spec)
     # drift the table away from one point so every row differs from the fresh ones
     state = ctrl_update(state, weights.with_values(weights.values * 0.7), np.arange(n), obj, spec,
-                        jac=jac.with_gains(np.ones(weights.n_groups)))
+                        gains=np.ones(weights.n_groups))
     batch = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n)))
     moved = weights.with_values(weights.values + 0.4)
-    fresh = [surrogate_per_sample(moved, jac, obj, spec, int(i)) for i in batch]
+    fresh = [surrogate_per_sample(moved, gains, obj, spec, int(i)) for i in batch]
     table, mean = loop_saga_update(state.saga_table, state.reference, fresh, batch)
     table_id, mean_id = id(state.saga_table), id(state.reference)
-    after = ctrl_update(state, moved, batch, obj, spec, jac=jac)
+    after = ctrl_update(state, moved, batch, obj, spec, gains=gains)
     assert after is state and id(after.saga_table) == table_id and id(after.reference) == mean_id
     assert same_bits(after.saga_table, table) and same_bits(after.reference, mean)
 
 
-def row_form_estimate(weights, jac, state, obj, spec, batch):
+def row_form_estimate(weights, gains, state, obj, spec, batch):
     """mean_i(apply_gains(B, v_i) - h_i) + r, with h_i the control row of sample i.
 
     Also returns the largest magnitude among the terms, the scale of any cancellation.
     """
     if state.mode == "sarah" and state.control is None:
         return state.reference, 0.0
-    rows = apply_gains(jac, obj.loss_and_grad_batch(quantize(weights, spec), batch)[1], weights)
+    rows = apply_gains(gains, obj.loss_and_grad_batch(quantize(weights, spec), batch)[1], weights)
     if state.mode == "plain":
         return np.mean(rows, axis=0), np.max(np.abs(rows))
     if state.mode == "saga":
@@ -208,19 +207,19 @@ def test_mean_gradient_estimate_matches_row_form(mode, kind, n, d, seed, after_r
     obj = make_objective(kind, n, d, seed)
     weights = GroupedWeights(substream(seed, "w").normal(0.0, 1.0, obj.dim), group_size=3)
     spec = QuantSpec.generic(bits=4, step=0.25)
-    jac, jac_c = (SurrogateJacobian.identity(weights.n_groups).with_gains(
-        substream(seed, label).uniform(0.0, 1.0, weights.n_groups)) for label in ("gains", "ctrl"))
-    state = init_vr_state(mode, weights, jac_c, obj, spec)
+    gains, gains_c = (substream(seed, label).uniform(0.0, 1.0, weights.n_groups)
+                      for label in ("gains", "ctrl"))
+    state = init_vr_state(mode, weights, gains_c, obj, spec)
     if mode == "saga":  # drift the table: some rows at another point and other gains
         drift = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
         state = ctrl_update(state, weights.with_values(weights.values * 0.6), drift, obj, spec,
-                            jac=jac)
+                            gains=gains)
     if mode == "sarah" and not after_refresh:
         estimate = substream(seed, "estimate").normal(0.0, 1.0, obj.dim)
-        state = ctrl_update(state, weights, [0], obj, spec, jac=jac_c, grad=estimate)
+        state = ctrl_update(state, weights, [0], obj, spec, gains=gains_c, grad=estimate)
     moved = weights.with_values(weights.values + substream(seed, "move").normal(0.0, 0.3, obj.dim))
     batch = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
-    got = grad_est(moved, jac, state, obj, spec, batch)
-    expected, scale = row_form_estimate(moved, jac, state, obj, spec, batch)
+    got = grad_est(moved, gains, state, obj, spec, batch)
+    expected, scale = row_form_estimate(moved, gains, state, obj, spec, batch)
     # a coordinate that cancels to near zero is compared against what cancelled
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)

@@ -180,6 +180,46 @@ def test_cli_sweep(tmp_path):
     assert summary["cells"] == 4 and summary["cells_with_errors"] == 0
 
 
+def test_cli_sweep_jobs_open_at_most_one_worker_per_cell(tmp_path, monkeypatch, capsys):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, runs the cells in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    payload = {
+        "objective": {"kind": "saturating", "dim": 32, "n_samples": 8},
+        "quant": {"group_size": 16},
+        "train": {"steps": 3, "loop": "base"},
+        "sweep": {"group_sizes": [8, 16], "jac_modes": ["ste"]},
+    }
+    two = write_config(tmp_path, payload, "two.json")
+    payload["sweep"]["group_sizes"] = [16]
+    one = write_config(tmp_path, payload, "one.json")
+    assert main(["sweep", "--config", two, "--out", str(tmp_path / "a"), "--jobs", "64"]) == 0
+    assert sizes == [2]
+    assert main(["sweep", "--config", one, "--out", str(tmp_path / "b"), "--jobs", "64"]) == 0
+    assert sizes == [2]  # one cell runs in this process, with no pool
+    for jobs in ("0", "-3"):
+        assert main(["sweep", "--config", two, "--out", str(tmp_path / "c"), "--jobs", jobs]) == 2
+        assert f"config error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert sizes == [2] and not (tmp_path / "c").exists()
+
+
 def test_cli_diagnose_probe_rate(tmp_path):
     out = tmp_path / "diag"
     status = run(RunManifest("diagnose", output_dir=str(out), harness="probe-rate"))

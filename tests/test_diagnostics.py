@@ -15,7 +15,6 @@ from qatlab.diagnostics import (
     tracking_harness,
     window_composition_harness,
 )
-from qatlab.jacobian import SurrogateJacobian
 from qatlab.objectives import make_mlp_task
 from qatlab.quant import GroupedWeights, QuantSpec, mean_field_sensitivity
 from qatlab.rng import substream
@@ -66,9 +65,8 @@ def test_bias_report_oracle_gains_have_near_zero_bias():
     group_means = np.array([np.mean(oracle[lo:hi]) for lo, hi in w.group_bounds])
     # groups here are purely interior or purely saturated, so the group
     # gain reproduces the per-coordinate sensitivity almost exactly
-    jac = SurrogateJacobian(gains=group_means)
     v = substream(8, "v").normal(0, 1, w.dim)
-    rep = bias_report(w, jac, v, spec, MCConfig(n_samples=30_000, seed=7))
+    rep = bias_report(w, group_means, v, spec, MCConfig(n_samples=30_000, seed=7))
     assert rep.bias_jacquant <= 0.05 * np.linalg.norm(v)
     assert rep.bias_jacquant < rep.bias_ste
     assert rep.jacquant_bound_holds and rep.ste_bound_holds
@@ -77,9 +75,8 @@ def test_bias_report_oracle_gains_have_near_zero_bias():
 def test_bias_report_identity_gains_match_ste_exactly():
     spec = QuantSpec.w2(step=1.0)
     w = mixed_weights(seed=9)
-    jac = SurrogateJacobian.identity(w.n_groups)
     v = substream(10, "v").normal(0, 1, w.dim)
-    rep = bias_report(w, jac, v, spec, MCConfig(n_samples=5000, seed=1))
+    rep = bias_report(w, np.ones(w.n_groups), v, spec, MCConfig(n_samples=5000, seed=1))
     assert rep.bias_jacquant == rep.bias_ste
     assert rep.epsilon_sup == pytest.approx(rep.gamma * np.linalg.norm(v))
 
@@ -94,9 +91,8 @@ def test_dominance_when_gains_beat_identity_margin():
     rng = substream(14, "b")
     for _ in range(5):
         gains = np.clip(group_means + rng.uniform(-0.2, 0.2, w.n_groups), 0, 1)
-        jac = SurrogateJacobian(gains=gains)
         v = rng.normal(0, 1, w.dim)
-        rep = bias_report(w, jac, v, spec, MCConfig(n_samples=30_000, seed=13))
+        rep = bias_report(w, gains, v, spec, MCConfig(n_samples=30_000, seed=13))
         margin = float(np.max(np.abs(w.per_weight(gains) - rep.j_hat)))
         if margin <= rep.gamma - 0.05:
             assert rep.bias_jacquant <= rep.bias_ste + 1e-6
@@ -131,8 +127,7 @@ def test_fd_reference_sparsity_matches_boundary_hit_probability():
 def test_fd_mismatch_variance_zero_upstream_gradient():
     spec = QuantSpec.w2(step=1.0)
     w = mixed_weights(seed=16)
-    jac = SurrogateJacobian.identity(w.n_groups)
-    var_jq, var_ste = fd_mismatch_variance([(w, jac, np.zeros(w.dim))], spec)
+    var_jq, var_ste = fd_mismatch_variance([(w, np.ones(w.n_groups), np.zeros(w.dim))], spec)
     assert var_jq == 0.0 and var_ste == 0.0
 
 
@@ -141,9 +136,9 @@ def test_fd_mismatch_variance_oracle_gains_dominate_ste():
     w = mixed_weights(seed=17)
     oracle = mean_field_sensitivity(w, spec, n_samples=20_000, seed=18)
     group_means = np.array([np.mean(oracle[lo:hi]) for lo, hi in w.group_bounds])
-    jac = SurrogateJacobian(gains=np.clip(group_means, 0, 1))
+    gains = np.clip(group_means, 0, 1)
     rng = substream(19, "v")
-    trace = [(w, jac, rng.normal(0, 1, w.dim)) for _ in range(10)]
+    trace = [(w, gains, rng.normal(0, 1, w.dim)) for _ in range(10)]
     var_jq, var_ste = fd_mismatch_variance(trace, spec)
     assert var_jq <= var_ste
 

@@ -21,7 +21,6 @@ import pytest
 
 import qatlab.trainer
 import qatlab.vrgrad
-from qatlab.jacobian import SurrogateJacobian
 from qatlab.objectives import LinearRegression, make_regression_task
 from qatlab.quant import GroupedWeights, QuantSpec, quantize
 from qatlab.trainer import RefreshPolicy, TrainConfig, train_base, train_vr
@@ -64,11 +63,11 @@ def config(mode: str, jac_mode: str = "probe") -> TrainConfig:
 @pytest.mark.parametrize("mode", ROWS)
 def test_rows_at_init_and_per_refresh(mode, monkeypatch):
     obj, weights, spec, _ = counted_problem(monkeypatch)
-    jac = SurrogateJacobian.identity(weights.n_groups)
-    state = init_vr_state(mode, weights, jac, obj, spec)
+    gains = np.ones(weights.n_groups)
+    state = init_vr_state(mode, weights, gains, obj, spec)
     assert obj.rows == ROWS[mode][2]
     obj.rows = 0
-    refresh_anchor(state, weights, jac, obj, spec)
+    refresh_anchor(state, weights, gains, obj, spec)
     assert obj.rows == ROWS[mode][1]
 
 

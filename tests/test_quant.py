@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qatlab.quant import (
-    DitherDraw,
     GroupedWeights,
     QuantSpec,
     calibrate_step,
@@ -108,30 +107,31 @@ def test_quantize_deterministic_bit_identical():
 def test_dither_zero_reduces_to_quantize():
     spec = QuantSpec.w2(step=1.0)
     w = grouped([0.2, -0.8, 1.4])
-    d = DitherDraw(r=np.zeros(3))
-    assert np.array_equal(dither_quantize(w, d, spec), quantize(w, spec))
+    assert np.array_equal(dither_quantize(w, np.zeros(3), spec), quantize(w, spec))
 
 
 def test_dither_deep_saturation_returns_clip_minus_dither():
     spec = QuantSpec.w2(step=1.0)
     w = grouped([10.0, 10.0, 10.0])
     for seed in range(3):
-        d = draw_dither(w, spec, seed=seed)
-        assert dither_quantize(w, d, spec) == pytest.approx(1.0 - d.r)
+        r = draw_dither(w, spec, seed=seed)
+        assert r.shape == (3,)
+        assert dither_quantize(w, r, spec) == pytest.approx(1.0 - r)
 
 
 def test_dither_out_of_range_rejected():
     spec = QuantSpec.w2(step=1.0)
     w = grouped([0.2, 0.3])
     with pytest.raises(ValueError, match="invalid dither"):
-        dither_quantize(w, DitherDraw(r=np.array([0.0, 0.9])), spec)
+        dither_quantize(w, np.array([0.0, 0.9]), spec)
 
 
 def test_dither_draw_stays_in_half_step_interval():
     spec = QuantSpec.generic(bits=3, step=0.25)
     w = grouped(np.zeros(100), group_size=32)
-    d = draw_dither(w, spec, seed=5)
-    assert np.all(np.abs(d.r) <= 0.125)
+    r = draw_dither(w, spec, seed=5)
+    assert r.shape == (100,)
+    assert np.all(np.abs(r) <= 0.125)
 
 
 def test_dither_interior_unbiasedness_within_mc_tolerance():
@@ -244,8 +244,8 @@ def test_per_group_step_dither_bounds():
     spec = QuantSpec.generic(bits=3, step=1.0)
     w = GroupedWeights(np.array([0.3, -6.0, 1.5, 1.5]), group_size=2)
     cal = calibrate_step(w, spec)
-    d = draw_dither(w, cal, seed=1)
-    assert np.all(np.abs(d.r[:2]) <= 1.0)
-    assert np.all(np.abs(d.r[2:]) <= 0.25)
-    out = dither_quantize(w, d, cal)
+    r = draw_dither(w, cal, seed=1)
+    assert np.all(np.abs(r[:2]) <= 1.0)
+    assert np.all(np.abs(r[2:]) <= 0.25)
+    out = dither_quantize(w, r, cal)
     assert out.shape == (4,)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qatlab.config import parse_config_dict
-from qatlab.jacobian import SurrogateJacobian, apply_gains
+from qatlab.jacobian import apply_gains
 from qatlab.objectives import Quadratic, make_pl_instance, make_regression_task, make_saturating_task
 from qatlab.quant import GroupedWeights, QuantSpec, quantize
 from qatlab.rng import substream
@@ -111,10 +111,9 @@ def test_always_refresh_svrg_yields_full_batch_gradient():
                       jac_mode="ste", vr_mode="svrg", seed=2)
     result = train_vr(obj, w0, spec, cfg)
     final, trace = result.weights, result.metrics
-    jac = SurrogateJacobian.identity(1)
     w = w0
     for rec in trace:
-        _, _, g_full = surrogate_batch(w, jac, obj, spec, np.arange(obj.n))
+        _, _, g_full = surrogate_batch(w, np.ones(1), obj, spec, np.arange(obj.n))
         assert rec.surrogate_grad_norm == pytest.approx(float(np.linalg.norm(g_full)), rel=1e-12)
         w = w.with_values(w.values - eta * g_full)
     np.testing.assert_allclose(final.values, w.values, rtol=1e-12)
@@ -133,16 +132,16 @@ def test_sarah_differences_consecutive_points():
     res = train_vr(obj, setup.weights, setup.spec, cfg, capture_trace=True)
     norms = [rec.surrogate_grad_norm for rec in res.metrics]
     assert all(a != b for a, b in zip(norms, norms[1:]))
-    w, jac, _ = res.state_trace[0]
+    w, gains, _ = res.state_trace[0]
 
     def mean_grad(point, batch):
         return obj.loss_and_grad_batch(point.values, batch)[1].mean(axis=0)
 
-    g = apply_gains(jac, mean_grad(w, np.arange(obj.n)), w)
+    g = apply_gains(gains, mean_grad(w, np.arange(obj.n)), w)
     for step in range(2, 6):
-        w_prev, (w, jac, _) = w, res.state_trace[step - 1]
+        w_prev, (w, gains, _) = w, res.state_trace[step - 1]
         batch = substream(cfg.seed, "minibatch", step).choice(obj.n, size=4, replace=False)
-        g = apply_gains(jac, mean_grad(w, batch) - mean_grad(w_prev, batch), w) + g
+        g = apply_gains(gains, mean_grad(w, batch) - mean_grad(w_prev, batch), w) + g
         assert norms[step - 1] == pytest.approx(float(np.linalg.norm(g)), rel=1e-12)
 
 
@@ -268,6 +267,8 @@ def test_sweep_parallel_jobs_matches_serial():
     parallel = run_sweep(obj, w0, spec, cfg, group_sizes=[8, 16],
                          jac_modes=["ste", "probe"], jobs=2)
     assert serial == parallel
+    with pytest.raises(ValueError, match="jobs"):
+        run_sweep(obj, w0, spec, cfg, jobs=0)
 
 
 def test_config_validation():
