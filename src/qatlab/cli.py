@@ -1,14 +1,19 @@
 """Batch entry point: train runs, harness diagnostics, sweeps, verify-all.
 
-Commands:
-  train       one training run from a config; writes metrics.csv + summary.json
-  diagnose    one named harness; writes table.csv + verdict.json
-  sweep       grid over group size / refresh interval / backward mode;
+Commands, each with only the flags it reads:
+  train --config C [--out D] [--seed S]
+              one training run from a config; writes metrics.csv + summary.json
+  sweep --config C [--out D] [--seed S] [--jobs N]
+              grid over group size / refresh interval / backward mode;
               writes sweep.csv + summary.json
-  verify-all  every acceptance criterion; writes report.json
+  diagnose HARNESS [--out D]
+              one named harness; writes table.csv + verdict.json
+  verify-all [--out D]
+              every acceptance criterion; writes report.json
 
 Every output file is written to a temp file and renamed, so files are
-complete or absent. Exit status is 0 only when nothing hard-failed.
+complete or absent. Exit status is 0 only when nothing hard-failed; a bad
+flag, config field or missing file exits 2 without a traceback.
 """
 
 from __future__ import annotations
@@ -20,17 +25,16 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .acceptance import run_all
-from .config import ConfigError, RunSetup, parse_config
+from .config import ConfigError, parse_config
 from .quant import quantize
 from .trainer import (DivergenceError, RefreshPolicy, atomic_write_text, run_sweep, train_base,
                       train_vr, write_metrics_csv)
 
-__all__ = ["RunManifest", "run", "main", "DIAGNOSE_NAMES"]
+__all__ = ["main", "DIAGNOSE_NAMES"]
 
 DIAGNOSE_NAMES = {
     "probe-rate": "A2",
@@ -41,16 +45,6 @@ DIAGNOSE_NAMES = {
     "tracking": "A7",
     "windows": "A8",
 }
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_path: str | None = None
-    output_dir: str = "out"
-    seed_override: int | None = None
-    jobs: int = 1
-    harness: str | None = None
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -76,15 +70,9 @@ def _rows_to_csv(path: str, header: list[str], rows: list[list]) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
-def _load_setup(manifest: RunManifest) -> RunSetup:
-    if not manifest.config_path:
-        raise ConfigError("this command needs --config")
-    return parse_config(manifest.config_path, seed_override=manifest.seed_override)
-
-
-def _cmd_train(manifest: RunManifest) -> int:
-    setup = _load_setup(manifest)
-    out = manifest.output_dir
+def _cmd_train(args: argparse.Namespace) -> int:
+    setup = parse_config(args.config, seed_override=args.seed)
+    out = args.out
     os.makedirs(out, exist_ok=True)
     summary = {
         "command": "train",
@@ -117,22 +105,22 @@ def _cmd_train(manifest: RunManifest) -> int:
     return status
 
 
-def _cmd_sweep(manifest: RunManifest) -> int:
-    if manifest.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {manifest.jobs}")
-    setup = _load_setup(manifest)
-    out = manifest.output_dir
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    setup = parse_config(args.config, seed_override=args.seed)
+    out = args.out
     os.makedirs(out, exist_ok=True)
     sweep = setup.sweep or {}
-    policies = [RefreshPolicy("interval", interval=k)
-                for k in sweep.get("refresh_intervals", [100])]
+    intervals = sweep.get("refresh_intervals")  # none: every cell runs train.refresh
+    policies = [RefreshPolicy("interval", interval=k) for k in intervals] if intervals else None
     start = time.perf_counter()
     table = run_sweep(setup.objective, setup.weights, setup.spec, setup.train,
                       group_sizes=sweep.get("group_sizes"),
                       refresh_policies=policies,
                       jac_modes=sweep.get("jac_modes"),
                       use_base=setup.loop == "base",
-                      jobs=manifest.jobs)
+                      jobs=args.jobs)
     header = ["group_size", "refresh_kind", "refresh_value", "jac_mode", "seed",
               "final_loss", "steps_run", "error"]
     _rows_to_csv(os.path.join(out, "sweep.csv"), header,
@@ -182,13 +170,8 @@ def _diagnose_table(name: str, details: dict) -> tuple[list[str], list[list]]:
                                                  details["window_gaps_constant"]))]
 
 
-def _cmd_diagnose(manifest: RunManifest) -> int:
-    name = manifest.harness or ""
-    if name not in DIAGNOSE_NAMES:
-        print(f"unknown harness {name!r}; choose from {sorted(DIAGNOSE_NAMES)}",
-              file=sys.stderr)
-        return 2
-    out = manifest.output_dir
+def _cmd_diagnose(args: argparse.Namespace) -> int:
+    name, out = args.harness, args.out
     os.makedirs(out, exist_ok=True)
     result = run_all([DIAGNOSE_NAMES[name]])[0]
     header, rows = _diagnose_table(name, result.details)
@@ -205,8 +188,8 @@ def _cmd_diagnose(manifest: RunManifest) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_verify_all(manifest: RunManifest) -> int:
-    out = manifest.output_dir
+def _cmd_verify_all(args: argparse.Namespace) -> int:
+    out = args.out
     os.makedirs(out, exist_ok=True)
     results = run_all(echo=True)
     total = sum(r.elapsed_s for r in results)
@@ -228,44 +211,30 @@ def _cmd_verify_all(manifest: RunManifest) -> int:
     return 0 if report["passed"] else 1
 
 
-def run(manifest: RunManifest) -> int:
-    """Dispatch a manifest; returns the process exit status."""
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(prog="qatlab",
+                                     description="quantization-aware training lab")
+    sub = parser.add_subparsers(dest="command", required=True)
+    train, sweep = sub.add_parser("train"), sub.add_parser("sweep")
+    for p in (train, sweep):
+        p.add_argument("--config", required=True, help="JSON config path")
+        p.add_argument("--seed", type=int, default=None, help="master seed override")
+    sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
+    diagnose = sub.add_parser("diagnose")
+    diagnose.add_argument("harness", choices=sorted(DIAGNOSE_NAMES))
+    for p, handler in ((train, _cmd_train), (sweep, _cmd_sweep), (diagnose, _cmd_diagnose),
+                       (sub.add_parser("verify-all"), _cmd_verify_all)):
+        p.add_argument("--out", default="out", help="output directory")
+        p.set_defaults(handler=handler)
+    args = parser.parse_args(argv)
     try:
-        if manifest.command == "train":
-            return _cmd_train(manifest)
-        if manifest.command == "sweep":
-            return _cmd_sweep(manifest)
-        if manifest.command == "diagnose":
-            return _cmd_diagnose(manifest)
-        if manifest.command == "verify-all":
-            return _cmd_verify_all(manifest)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"unknown command {manifest.command!r}", file=sys.stderr)
-    return 2
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="qatlab",
-                                     description="quantization-aware training lab")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "sweep", "diagnose", "verify-all"):
-        p = sub.add_parser(name)
-        if name == "diagnose":
-            p.add_argument("harness", choices=sorted(DIAGNOSE_NAMES))
-        p.add_argument("--config", default=None, help="JSON config path")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
-    args = parser.parse_args(argv)
-    manifest = RunManifest(command=args.command, config_path=args.config,
-                           output_dir=args.out, seed_override=args.seed,
-                           jobs=args.jobs, harness=getattr(args, "harness", None))
-    return run(manifest)
 
 
 if __name__ == "__main__":

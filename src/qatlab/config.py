@@ -1,46 +1,58 @@
 """Strict JSON config schema for runs and sweeps.
 
 One nested key-value document describes a run: objective, quantizer,
-training loop, optional sweep grid, master seed. Unknown keys are
-errors; every omitted key takes a documented default; the parsed config
-echoes back with all defaults filled so a summary alone reproduces the
-run. Defaults follow the package-wide conventions: EMA rate 0.9,
-refresh interval 100, group size 128.
+training loop, optional sweep grid, master seed. The defaults tables below
+are the schema: unknown keys are errors, every omitted key takes its
+default, and a given value must have its default's type (a number is
+finite, an integer is also a number, true/false is never a number). Ranges
+are checked by the objects each section builds, and every rejection names
+its dotted field. The parsed config echoes back with all defaults filled
+so a summary alone reproduces the run. Defaults follow the package-wide
+conventions: EMA rate 0.9, refresh interval 100, group size 128.
 
-Schema (defaults in parentheses):
+Schema (type, default in parentheses):
 
   seed: int (0)
   objective:
     kind: quadratic | pl | saturating | linear_regression |
           logistic_regression | mlp | csv  (quadratic)
-    dim (64), n_samples (64), seed (master), noise (0.1),
-    mu (0.1), l_smooth (1.0), target_spread (0.5)      [quadratic, pl]
+    dim: int (64), n_samples: int (64), seed: int (null -> master),
+    noise: number (0.1)                    [saturating, linear_regression, mlp]
+    mu (0.1), l_smooth (1.0), target_spread (0.5): numbers        [pl]
     frac_beyond_clip (0.8), interior_curvature (4.0),
-    saturated_curvature (1.0)                          [saturating]
-    hidden_width (8)                                   [mlp]
-    path (required)                                    [csv]
-    w0_scale (1.0)
+    saturated_curvature (1.0): numbers                            [saturating]
+    hidden_width: int (8)                                         [mlp]
+    path: str (null; required)                                    [csv]
+    w0_scale: number (1.0)
   quant:
     mode: w2 | w1 | w1_58 | generic | identity  (w2)
-    step (1.0), bits (null), group_size (128), mid_rise (false),
-    calibrate (false)
+    step: number (1.0), group_size: int (128), mid_rise: bool (false),
+    calibrate: bool (false)
+    bits: int (null): generic mode only, where it is required
   train:
     loop: vr | base (vr)
-    stepsize (0.05), batch_size (8), steps (200)
-    refresh: {kind: interval|probability, interval (100), probability (0.01)}
+    stepsize: number (0.05), batch_size: int (8), steps: int (200)
+    refresh: {kind: interval | probability (interval), interval: int (100),
+              probability: number (0.01)}
     jac_mode: ste | probe | probe_ls | dither  (probe)
     vr_mode: plain | svrg | saga | sarah  (svrg)
-    ema_rate (0.9): the gain EMA rate, in (0, 1]
-    probe_sigma (null -> step/2), num_probes (1)
+    ema_rate: number (0.9): the gain EMA rate, in (0, 1]
+    probe_sigma: number (null -> step/2), num_probes: int (1)
   sweep:                                    [optional; sweep command only]
-    group_sizes ([group_size]), refresh_intervals ([refresh interval]),
-    jac_modes ([jac_mode])
+    group_sizes: ints ([group_size]), jac_modes: strs ([jac_mode]),
+    refresh_intervals: ints ([refresh interval]; null -> train.refresh,
+                       the default when train.refresh.kind is probability)
+
+A saturating objective brings its own w2 grid: its echo sets quant.mode,
+quant.step and quant.bits to that grid's.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,25 +129,54 @@ _TRAIN_DEFAULTS = {
     "probe_sigma": None,
     "num_probes": 1,
 }
+_DEFAULTS = {"seed": 0, "objective": _OBJECTIVE_DEFAULTS, "quant": _QUANT_DEFAULTS,
+             "train": _TRAIN_DEFAULTS}
+# The type of each key whose default may be null; [t] is a non-empty list of t.
+_NULLABLE = {"objective.seed": int, "objective.path": str, "quant.bits": int,
+             "train.probe_sigma": float, "sweep.refresh_intervals": [int]}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+
 _KINDS = ("quadratic", "pl", "saturating", "linear_regression",
           "logistic_regression", "mlp", "csv")
+_QUANT_MODES = {
+    "w2": lambda q: QuantSpec.w2(step=q["step"], mid_rise=q["mid_rise"]),
+    "w1": lambda q: QuantSpec.w1(step=q["step"]),
+    "w1_58": lambda q: QuantSpec.ternary(step=q["step"]),
+    "generic": lambda q: QuantSpec.generic(q["bits"], step=q["step"], mid_rise=q["mid_rise"]),
+    "identity": lambda q: QuantSpec.identity(step=q["step"]),
+}
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and bool(value) and all(_has_type(v, kind[0]) for v in value)
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if kind is float:  # JSON's NaN and Infinity are no setting's value
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind)
 
 
 def _merge(section: str, given: dict, defaults: dict) -> dict:
+    """Fill one section's defaults; reject unknown keys and values unlike their default."""
     if not isinstance(given, dict):
-        raise ConfigError(f"section {section!r} must be a mapping")
-    merged = {}
-    for key, value in given.items():
+        raise ConfigError(f"{section} must be a mapping")
+    for key in given:
         if key not in defaults:
-            raise ConfigError(f"unknown key {section + '.' + key!r}")
-        if isinstance(defaults[key], dict):
-            continue  # handled by a nested merge
-        merged[key] = value
+            raise ConfigError(f"unknown key {f'{section}.{key}' if section else key!r}")
+    merged = {}
     for key, default in defaults.items():
+        field = f"{section}.{key}" if section else key
+        value = given.get(key, default)
         if isinstance(default, dict):
-            merged[key] = _merge(f"{section}.{key}", given.get(key, {}), default)
-        elif key not in merged:
-            merged[key] = default
+            merged[key] = _merge(field, value, default)
+            continue
+        kind = _NULLABLE.get(field, [type(default[0])] if isinstance(default, list) else type(default))
+        if not (_has_type(value, kind) or (value is None and field in _NULLABLE)):
+            name = (f"a non-empty list, each {_TYPE_NAMES[kind[0]]}" if isinstance(kind, list)
+                    else _TYPE_NAMES[kind])
+            raise ConfigError(f"{field} must be {name}{' or null' if field in _NULLABLE else ''}")
+        merged[key] = value
     return merged
 
 
@@ -144,68 +185,56 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _build_quant(cfg: dict, weights: GroupedWeights) -> QuantSpec:
-    mode = cfg["mode"]
-    _require(isinstance(cfg["step"], (int, float)) and cfg["step"] > 0,
-             "quant.step must be a positive number")
+@contextmanager
+def _fields(*sections: str):
+    """Name the field of a constructor's ValueError: "step must be ..." -> "quant.step must be ...".
+
+    Constructors start their messages with the setting at fault, which is
+    its config key; it is looked up in ``sections`` in order.
+    """
     try:
-        if mode == "generic":
-            _require(cfg["bits"] is not None, "quant.bits required for generic mode")
-            spec = QuantSpec.generic(int(cfg["bits"]), step=float(cfg["step"]),
-                                     mid_rise=bool(cfg["mid_rise"]))
-        elif mode == "w1":
-            spec = QuantSpec.w1(step=float(cfg["step"]))
-        elif mode == "w1_58":
-            spec = QuantSpec.ternary(step=float(cfg["step"]))
-        elif mode == "w2":
-            spec = QuantSpec.w2(step=float(cfg["step"]), mid_rise=bool(cfg["mid_rise"]))
-        elif mode == "identity":
-            spec = QuantSpec.identity(step=float(cfg["step"]))
-        else:
-            raise ConfigError(f"quant.mode {mode!r} not one of w2|w1|w1_58|generic|identity")
+        yield
+    except ConfigError:
+        raise
     except ValueError as exc:
-        raise ConfigError(f"quant: {exc}") from exc
-    if cfg["calibrate"]:
-        spec = calibrate_step(weights, spec)
-    return spec
+        key = str(exc).split(" ", 1)[0]
+        section = next((s for s in sections if key in _DEFAULTS[s]), sections[0])
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
-def _build_objective(cfg: dict, quant_cfg: dict, master_seed: int,
+def _build_objective(cfg: dict, group_size: int, master_seed: int,
                      ) -> tuple[Objective, GroupedWeights, QuantSpec | None]:
     kind = cfg["kind"]
     _require(kind in _KINDS, f"objective.kind {kind!r} not one of {'|'.join(_KINDS)}")
-    _require(cfg["seed"] is None or (isinstance(cfg["seed"], int) and cfg["seed"] >= 0),
+    _require(cfg["seed"] is None or cfg["seed"] >= 0,
              "objective.seed must be a non-negative integer or null")
     seed = master_seed if cfg["seed"] is None else cfg["seed"]
     dim = cfg["dim"]
     n = cfg["n_samples"]
-    _require(isinstance(dim, int) and dim >= 1, "objective.dim must be a positive integer")
-    _require(isinstance(n, int) and n >= 1, "objective.n_samples must be a positive integer")
+    _require(dim >= 1, "objective.dim must be a positive integer")
+    _require(n >= 1, "objective.n_samples must be a positive integer")
+    _require(cfg["w0_scale"] >= 0, "objective.w0_scale must be >= 0")
 
     if kind == "saturating":
-        obj, weights, spec = make_saturating_task(
-            d=dim, group_size=quant_cfg["group_size"],
-            frac_beyond_clip=float(cfg["frac_beyond_clip"]), n_samples=n,
-            noise=float(cfg["noise"]), seed=seed,
-            interior_curvature=float(cfg["interior_curvature"]),
-            saturated_curvature=float(cfg["saturated_curvature"]))
-        return obj, weights, spec
+        return make_saturating_task(
+            d=dim, group_size=group_size, frac_beyond_clip=cfg["frac_beyond_clip"],
+            n_samples=n, noise=cfg["noise"], seed=seed,
+            interior_curvature=cfg["interior_curvature"],
+            saturated_curvature=cfg["saturated_curvature"])
 
     if kind == "quadratic":
         rng = substream(seed, "objective")
         targets = rng.normal(0.0, 1.0, size=(n, dim))
         obj: Objective = Quadratic(curvature=np.ones(dim), targets=targets)
     elif kind == "pl":
-        _require(0 < cfg["mu"] <= cfg["l_smooth"], "objective: invalid spectrum bounds")
-        obj = make_pl_instance(dim, float(cfg["mu"]), float(cfg["l_smooth"]), seed,
-                               n_samples=n, target_spread=float(cfg["target_spread"]))
+        obj = make_pl_instance(dim, cfg["mu"], cfg["l_smooth"], seed,
+                               n_samples=n, target_spread=cfg["target_spread"])
     elif kind == "linear_regression":
-        obj = make_regression_task(dim, n, seed, noise=float(cfg["noise"]))
+        obj = make_regression_task(dim, n, seed, noise=cfg["noise"])
     elif kind == "logistic_regression":
         obj = make_classification_task(dim, n, seed)
     elif kind == "mlp":
-        obj = make_mlp_task(dim, int(cfg["hidden_width"]), n, seed,
-                            noise=float(cfg["noise"]))
+        obj = make_mlp_task(dim, cfg["hidden_width"], n, seed, noise=cfg["noise"])
     else:  # csv
         _require(cfg["path"] is not None, "objective.path required for csv kind")
         try:
@@ -213,95 +242,65 @@ def _build_objective(cfg: dict, quant_cfg: dict, master_seed: int,
         except ValueError as exc:
             raise ConfigError(f"objective.path: {exc}") from exc
 
-    w0 = substream(seed, "init").normal(0.0, float(cfg["w0_scale"]), size=obj.dim)
-    weights = GroupedWeights(w0, group_size=quant_cfg["group_size"])
-    return obj, weights, None
+    w0 = substream(seed, "init").normal(0.0, cfg["w0_scale"], size=obj.dim)
+    return obj, GroupedWeights(w0, group_size=group_size), None
+
+
+def _check_sweep(sweep: dict, weights: GroupedWeights, train: TrainConfig) -> None:
+    """Build every grid value as its cell will, so that a bad one fails at parse time."""
+    axes = {"group_sizes": lambda size: GroupedWeights(weights.values, size),
+            "refresh_intervals": lambda k: RefreshPolicy("interval", interval=k),
+            "jac_modes": lambda mode: replace(train, jac_mode=mode)}
+    for key, build in axes.items():
+        try:
+            for value in sweep[key] or ():  # null refresh_intervals: train.refresh itself
+                build(value)
+        except ValueError as exc:
+            raise ConfigError(f"sweep.{key}: {exc}") from exc
 
 
 def parse_config_dict(raw: dict, seed_override: int | None = None) -> RunSetup:
     """Validate a config mapping and materialize the run objects."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    for key in raw:
-        if key not in ("seed", "objective", "quant", "train", "sweep"):
-            raise ConfigError(f"unknown key {key!r}")
-    seed = raw.get("seed", 0) if seed_override is None else int(seed_override)
-    _require(isinstance(seed, int) and seed >= 0, "seed must be a non-negative integer")
+    cfg = _merge("", {k: v for k, v in raw.items() if k != "sweep"}, _DEFAULTS)
+    if seed_override is not None:
+        cfg["seed"] = seed_override
+    seed = cfg["seed"]
+    _require(seed >= 0, "seed must be a non-negative integer")
 
-    obj_cfg = _merge("objective", raw.get("objective", {}), _OBJECTIVE_DEFAULTS)
-    quant_cfg = _merge("quant", raw.get("quant", {}), _QUANT_DEFAULTS)
-    train_cfg = _merge("train", raw.get("train", {}), _TRAIN_DEFAULTS)
-    gs = quant_cfg["group_size"]
-    _require(isinstance(gs, int) and gs >= 1, "quant.group_size must be a positive integer")
-    sigma, num_probes = train_cfg["probe_sigma"], train_cfg["num_probes"]
-    _require(sigma is None or (isinstance(sigma, (int, float)) and sigma > 0),
-             "train.probe_sigma must be a positive number or null")
-    _require(isinstance(num_probes, int) and num_probes >= 1, "train.num_probes must be >= 1")
+    quant = cfg["quant"]
+    _require((quant["bits"] is None) == (quant["mode"] != "generic"),
+             "quant.bits must be set for generic mode and null for every other mode")
+    with _fields("objective", "quant"):  # the objective lays its weights out in quant's groups
+        objective, weights, spec = _build_objective(cfg["objective"], quant["group_size"], seed)
+    if spec is None:
+        _require(quant["mode"] in _QUANT_MODES,
+                 f"quant.mode {quant['mode']!r} not one of {'|'.join(_QUANT_MODES)}")
+        with _fields("quant"):
+            spec = _QUANT_MODES[quant["mode"]](quant)
+        if quant["calibrate"]:
+            spec = calibrate_step(weights, spec)
+    else:  # the task's own grid
+        quant.update(mode=spec.mode, step=float(np.min(spec.step)), bits=None)
 
-    objective, weights, task_spec = _build_objective(obj_cfg, quant_cfg, seed)
-    if task_spec is not None:
-        spec = task_spec
-        quant_cfg = dict(quant_cfg)
-        quant_cfg.update(mode=spec.mode, step=float(np.min(spec.step)))
-    else:
-        spec = _build_quant(quant_cfg, weights)
-
-    refresh_cfg = train_cfg["refresh"]
-    _require(refresh_cfg["kind"] in ("interval", "probability"),
-             "train.refresh.kind must be interval or probability")
-    if refresh_cfg["kind"] == "probability":
-        p = refresh_cfg["probability"]
-        _require(isinstance(p, (int, float)) and 0.0 < p <= 1.0,
-                 "refresh probability out of (0,1]")
-        refresh = RefreshPolicy("probability", probability=float(p))
-    else:
-        k = refresh_cfg["interval"]
-        _require(isinstance(k, int) and k >= 1, "train.refresh.interval must be >= 1")
-        refresh = RefreshPolicy("interval", interval=k)
-
-    loop = train_cfg["loop"]
-    _require(loop in ("vr", "base"), "train.loop must be vr or base")
-    try:
-        train = TrainConfig(
-            stepsize=float(train_cfg["stepsize"]),
-            batch_size=int(train_cfg["batch_size"]),
-            steps=int(train_cfg["steps"]),
-            refresh=refresh,
-            jac_mode=str(train_cfg["jac_mode"]),
-            vr_mode=str(train_cfg["vr_mode"]),
-            ema_rate=float(train_cfg["ema_rate"]),
-            probe_sigma=None if sigma is None else float(sigma),
-            num_probes=num_probes,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"train: {exc}") from exc
+    train_cfg = cfg["train"]
+    _require(train_cfg["loop"] in ("vr", "base"), "train.loop must be vr or base")
+    with _fields("train"):
+        train = TrainConfig(**{k: v for k, v in train_cfg.items() if k not in ("loop", "refresh")},
+                            refresh=RefreshPolicy(**train_cfg["refresh"]), seed=seed)
 
     sweep = None
     if "sweep" in raw:
-        sweep_defaults = {
-            "group_sizes": [quant_cfg["group_size"]],
-            "refresh_intervals": [refresh.interval if refresh.kind == "interval" else 100],
+        refresh = train.refresh
+        sweep = cfg["sweep"] = _merge("sweep", raw["sweep"], {
+            "group_sizes": [quant["group_size"]],
+            "refresh_intervals": [refresh.interval] if refresh.kind == "interval" else None,
             "jac_modes": [train.jac_mode],
-        }
-        sweep = _merge("sweep", raw["sweep"], sweep_defaults)
-        for key in ("group_sizes", "refresh_intervals"):
-            _require(isinstance(sweep[key], list) and sweep[key]
-                     and all(isinstance(v, int) and v >= 1 for v in sweep[key]),
-                     f"sweep.{key} must be a non-empty list of positive integers")
-        _require(isinstance(sweep["jac_modes"], list) and sweep["jac_modes"],
-                 "sweep.jac_modes must be a non-empty list")
-
-    echo = {
-        "seed": seed,
-        "objective": obj_cfg,
-        "quant": quant_cfg,
-        "train": train_cfg,
-    }
-    if sweep is not None:
-        echo["sweep"] = sweep
-    return RunSetup(config=echo, objective=objective, weights=weights, spec=spec,
-                    train=train, loop=loop, sweep=sweep, seed=seed)
+        })
+        _check_sweep(sweep, weights, train)
+    return RunSetup(config=cfg, objective=objective, weights=weights, spec=spec,
+                    train=train, loop=train_cfg["loop"], sweep=sweep, seed=seed)
 
 
 def parse_config(path: str, seed_override: int | None = None) -> RunSetup:

@@ -230,9 +230,9 @@ def make_pl_instance(d: int, mu: float, l_smooth: float, seed: int,
     noise without moving the full-batch optimum.
     """
     if not 0 < mu <= l_smooth:
-        raise ValueError("invalid spectrum bounds")
+        raise ValueError("mu must satisfy 0 < mu <= l_smooth: invalid spectrum bounds")
     if d == 1 and mu != l_smooth:
-        raise ValueError("invalid spectrum bounds: d=1 admits a single eigenvalue")
+        raise ValueError("mu must equal l_smooth when d=1: invalid spectrum bounds")
     spectrum = np.linspace(mu, l_smooth, d)
     rng = substream(seed, "objective")
     base = rng.uniform(-1.0, 1.0, size=d)
@@ -267,7 +267,7 @@ def make_saturating_task(d: int = 256, group_size: int = 32, frac_beyond_clip: f
 
     base = np.zeros(d)
     w0 = np.zeros(d)
-    curvature = np.full(d, interior_curvature)
+    curvature = np.full(d, interior_curvature, dtype=float)
     for lo, hi in weights.group_bounds:
         size = hi - lo
         n_sat = int(round(frac_beyond_clip * size))

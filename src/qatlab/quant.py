@@ -86,7 +86,7 @@ class QuantSpec:
     @classmethod
     def generic(cls, bits: int, step: float = 1.0, mid_rise: bool = False) -> "QuantSpec":
         if bits < 2:
-            raise ValueError("generic mode needs bits >= 2")
+            raise ValueError("bits must be >= 2 for generic mode")
         return cls(step=step, clip_codes=2 ** (bits - 1) - 1, mode="generic",
                    mid_rise=mid_rise, bits=bits)
 

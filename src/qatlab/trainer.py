@@ -16,7 +16,7 @@ import csv
 import io
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 
 import numpy as np
@@ -41,10 +41,8 @@ __all__ = [
 ]
 
 _JAC_MODES = ("ste", "probe", "probe_ls", "dither")
+_VR_MODES = ("plain", "svrg", "saga", "sarah")
 _DIVERGENCE_FACTOR = 1e6
-
-METRICS_HEADER = ("step", "loss", "grad_norm", "surrogate_grad_norm", "mean_gain",
-                  "min_gain", "max_gain", "frac_saturated", "refresh")
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ class RefreshPolicy:
 
     def __post_init__(self) -> None:
         if self.kind not in ("probability", "interval"):
-            raise ValueError(f"unknown refresh kind {self.kind!r}")
+            raise ValueError(f"refresh kind {self.kind!r} not one of interval|probability")
         if self.kind == "probability" and not 0.0 < self.probability <= 1.0:
             raise ValueError("refresh probability out of (0,1]")
         if self.kind == "interval" and self.interval < 1:
@@ -91,11 +89,15 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.jac_mode not in _JAC_MODES:
-            raise ValueError(f"unknown jac_mode {self.jac_mode!r}")
-        if self.vr_mode not in ("plain", "svrg", "saga", "sarah"):
-            raise ValueError(f"unknown vr_mode {self.vr_mode!r}")
+            raise ValueError(f"jac_mode {self.jac_mode!r} not one of {'|'.join(_JAC_MODES)}")
+        if self.vr_mode not in _VR_MODES:
+            raise ValueError(f"vr_mode {self.vr_mode!r} not one of {'|'.join(_VR_MODES)}")
         if not 0.0 < self.ema_rate <= 1.0:
             raise ValueError("ema_rate must lie in (0, 1]")
+        if self.probe_sigma is not None and not self.probe_sigma > 0:
+            raise ValueError("probe_sigma must be positive or null")
+        if self.num_probes < 1:
+            raise ValueError("num_probes must be >= 1")
 
     def probe_config(self, spec: QuantSpec) -> ProbeConfig:
         if self.probe_sigma is not None:
@@ -118,6 +120,9 @@ class MetricsRecord:
     max_gain: float
     frac_saturated: float
     refresh: bool
+
+
+METRICS_HEADER = tuple(f.name for f in fields(MetricsRecord))
 
 
 class DivergenceError(RuntimeError):
@@ -330,10 +335,7 @@ def write_metrics_csv(trace: list[MetricsRecord], path: str) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(METRICS_HEADER)
-    for rec in trace:
-        writer.writerow([
-            rec.step, repr(rec.loss), repr(rec.grad_norm), repr(rec.surrogate_grad_norm),
-            repr(rec.mean_gain), repr(rec.min_gain), repr(rec.max_gain),
-            repr(rec.frac_saturated), int(rec.refresh),
-        ])
+    for rec in trace:  # floats as repr, the refresh flag as 0/1
+        writer.writerow([int(v) if isinstance(v, bool) else repr(v)
+                         for v in (getattr(rec, name) for name in METRICS_HEADER)])
     atomic_write_text(path, buf.getvalue())

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from qatlab.acceptance import TIME_BUDGETS, run_all
-from qatlab.cli import RunManifest, run
+from qatlab.cli import main
 
 REPORT_DIGEST_PATH = Path(__file__).parent / "golden" / "verify_all_report.json"
 WALL_TIME_KEYS = ("elapsed_s", "total_elapsed_s")
@@ -102,7 +102,7 @@ def test_verify_all_end_to_end(results, tmp_path):
                 ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8"))
     print(f"verify-all core criteria total: {total:.1f}s (< 600s)")
     assert total < 600.0
-    status = run(RunManifest("verify-all", output_dir=str(tmp_path)))
+    status = main(["verify-all", "--out", str(tmp_path)])
     assert status == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["passed"] is True

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from qatlab.cli import DIAGNOSE_NAMES, RunManifest, main, run
+from qatlab.cli import DIAGNOSE_NAMES, main
 from qatlab.config import ConfigError, parse_config, parse_config_dict, serialize_config
 from qatlab.objectives import Quadratic
+from qatlab.quant import QuantSpec
 from qatlab.rng import substream
 
 
@@ -54,29 +56,56 @@ def test_parse_error_reports_line(tmp_path):
 
 def test_round_trip_is_idempotent_over_random_configs(tmp_path):
     rng = substream(123, "cfg")
+
+    def pick(options):
+        return options[int(rng.integers(0, len(options)))]
+
     kinds = ["quadratic", "pl", "saturating", "linear_regression",
              "logistic_regression", "mlp"]
-    for trial in range(50):
+    jac_modes = ["ste", "probe", "probe_ls", "dither"]
+    for trial in range(60):
+        mode = pick(["w2", "w1", "w1_58", "generic", "identity"])
         payload = {
             "seed": int(rng.integers(0, 1000)),
             "objective": {
-                "kind": kinds[int(rng.integers(0, len(kinds)))],
+                "kind": pick(kinds),
                 "dim": int(rng.integers(4, 40)),
                 "n_samples": int(rng.integers(2, 32)),
             },
-            "quant": {"group_size": int(rng.integers(1, 16))},
+            "quant": {"mode": mode, "group_size": int(rng.integers(1, 16)),
+                      "step": float(rng.uniform(0.1, 2.0)),
+                      "mid_rise": pick([True, False]), "calibrate": pick([True, False])},
             "train": {
                 "stepsize": float(rng.uniform(0.01, 0.5)),
                 "steps": int(rng.integers(1, 30)),
-                "jac_mode": ["ste", "probe", "probe_ls", "dither"][int(rng.integers(0, 4))],
-                "vr_mode": ["plain", "svrg", "saga", "sarah"][int(rng.integers(0, 4))],
+                "jac_mode": pick(jac_modes),
+                "vr_mode": pick(["plain", "svrg", "saga", "sarah"]),
+                "refresh": pick([{"kind": "interval", "interval": int(rng.integers(1, 50))},
+                                 {"kind": "probability",
+                                  "probability": float(rng.uniform(0.01, 1.0))}]),
+                "probe_sigma": pick([None, float(rng.uniform(0.05, 1.0))]),
+                "num_probes": int(rng.integers(1, 9)),
+                "ema_rate": float(rng.uniform(0.05, 1.0)),
             },
         }
+        if mode == "generic":
+            payload["quant"]["bits"] = int(rng.integers(2, 9))
+        if pick([True, False]):
+            sweep = {"group_sizes": [int(k) for k in rng.integers(1, 16, size=2)],
+                     "refresh_intervals": [int(k) for k in rng.integers(1, 50, size=2)],
+                     "jac_modes": [pick(jac_modes), pick(jac_modes)]}
+            payload["sweep"] = {k: v for k, v in sweep.items() if pick([True, False])}
         first = parse_config_dict(payload)
-        echoed = json.loads(serialize_config(first))
-        second = parse_config_dict(echoed)
+        echo = serialize_config(first)
+        second = parse_config_dict(json.loads(echo))
+        assert serialize_config(second) == echo
         assert first.config == second.config
-        assert serialize_config(first) == serialize_config(second)
+        assert np.array_equal(first.weights.values, second.weights.values)
+        assert first.weights.group_size == second.weights.group_size
+        for field in dataclasses.fields(QuantSpec):
+            assert np.array_equal(getattr(first.spec, field.name), getattr(second.spec, field.name))
+        assert first.train == second.train and first.loop == second.loop
+        assert first.sweep == second.sweep
 
 
 def test_seed_override(tmp_path):
@@ -102,7 +131,7 @@ def test_cli_train_writes_metrics_and_summary(tmp_path):
         "train": {"steps": 30, "loop": "base", "refresh": {"interval": 10}},
     })
     out = tmp_path / "run"
-    status = run(RunManifest(command="train", config_path=cfg, output_dir=str(out)))
+    status = main(["train", "--config", cfg, "--out", str(out)])
     assert status == 0
     with open(out / "metrics.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -124,8 +153,8 @@ def test_cli_same_seed_byte_identical_metrics(tmp_path):
         "train": {"steps": 25, "refresh": {"interval": 5}},
     })
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert run(RunManifest("train", cfg, str(out1))) == 0
-    assert run(RunManifest("train", cfg, str(out2))) == 0
+    assert main(["train", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["train", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
 
@@ -138,7 +167,7 @@ def test_cli_train_divergence_reports_error(tmp_path):
                   "vr_mode": "plain"},
     })
     out = tmp_path / "div"
-    status = run(RunManifest("train", cfg, str(out)))
+    status = main(["train", "--config", cfg, "--out", str(out)])
     assert status == 1
     summary = json.loads((out / "summary.json").read_text())
     assert "divergence" in summary["error"]
@@ -171,13 +200,44 @@ def test_cli_sweep(tmp_path):
         "sweep": {"group_sizes": [8, 16], "jac_modes": ["ste", "probe"]},
     })
     out = tmp_path / "sweep"
-    status = run(RunManifest("sweep", cfg, str(out)))
+    status = main(["sweep", "--config", cfg, "--out", str(out)])
     assert status == 0
     with open(out / "sweep.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 5  # header + 2x2 grid
     summary = json.loads((out / "summary.json").read_text())
     assert summary["cells"] == 4 and summary["cells_with_errors"] == 0
+
+
+def test_cli_sweep_runs_the_configured_refresh_policy(tmp_path):
+    # without sweep.refresh_intervals every cell runs train.refresh, and the echo says so
+    payload = {
+        "objective": {"kind": "saturating", "dim": 32, "n_samples": 8},
+        "quant": {"group_size": 16},
+        "train": {"steps": 3, "loop": "base",
+                  "refresh": {"kind": "probability", "probability": 0.5}},
+        "sweep": {"jac_modes": ["ste", "probe"]},
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["refresh_kind"], r["refresh_value"]) for r in rows] == [("probability", "0.5")] * 2
+    echo = json.loads((out / "summary.json").read_text())["config"]
+    assert echo["sweep"]["refresh_intervals"] is None
+    again = tmp_path / "again"
+    assert main(["sweep", "--config", write_config(tmp_path, echo, "echo.json"),
+                 "--out", str(again)]) == 0
+    assert (again / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+    # with no sweep section the one cell runs the configured interval too
+    payload["train"]["refresh"] = {"interval": 7}
+    del payload["sweep"]
+    cfg = write_config(tmp_path, payload, "plain.json")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+    with open(tmp_path / "plain" / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["refresh_kind"], r["refresh_value"]) for r in rows] == [("interval", "7")]
 
 
 def test_cli_sweep_jobs_open_at_most_one_worker_per_cell(tmp_path, monkeypatch, capsys):
@@ -222,7 +282,7 @@ def test_cli_sweep_jobs_open_at_most_one_worker_per_cell(tmp_path, monkeypatch, 
 
 def test_cli_diagnose_probe_rate(tmp_path):
     out = tmp_path / "diag"
-    status = run(RunManifest("diagnose", output_dir=str(out), harness="probe-rate"))
+    status = main(["diagnose", "probe-rate", "--out", str(out)])
     assert status == 0
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["passed"] is True
@@ -234,16 +294,32 @@ def test_cli_diagnose_probe_rate(tmp_path):
 
 
 def test_cli_unknown_harness_exit_code(tmp_path):
-    status = run(RunManifest("diagnose", output_dir=str(tmp_path), harness="nope"))
-    assert status == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["diagnose", "nope", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_cli_missing_config_is_usage_error(tmp_path):
-    status = run(RunManifest("train", config_path=None, output_dir=str(tmp_path)))
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    status = main(["train", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
     assert status == 2
-    status = run(RunManifest("train", config_path=str(tmp_path / "absent.json"),
-                             output_dir=str(tmp_path)))
-    assert status == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "x.json", "--jobs", "2"],
+    ["verify-all", "--config", "x.json"],
+    ["verify-all", "--jobs", "-4", "--seed", "3", "--config", "nope.json"],
+    ["diagnose", "probe-rate", "--seed", "1"],
+])
+def test_cli_flag_of_another_command_is_usage_error(tmp_path, capsys, argv):
+    # each command takes only the flags it reads; argparse rejects the rest before any work
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_calibrated_per_group_steps_train_end_to_end(tmp_path):
@@ -259,7 +335,7 @@ def test_calibrated_per_group_steps_train_end_to_end(tmp_path):
     assert setup.spec.per_group
     assert len(np.asarray(setup.spec.step)) == 3
     out = tmp_path / "cal"
-    assert run(RunManifest("train", cfg, str(out))) == 0
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["steps_run"] == 20
     assert len(summary["final_gains"]) == 3
@@ -303,6 +379,21 @@ BAD_CONFIGS = [
     ("seed", {"seed": -1}),
     ("quant.group_size", {"quant": {"group_size": 0}}),
     ("objective.path", {"objective": {"kind": "csv", "path": "nan.csv"}}),
+    ("objective.noise", {"objective": {"kind": "linear_regression", "noise": "abc"}}),
+    ("objective.hidden_width", {"objective": {"kind": "mlp", "hidden_width": 0}}),
+    ("objective.w0_scale", {"objective": {"w0_scale": -1}}),
+    ("objective.frac_beyond_clip", {"objective": {"kind": "saturating", "frac_beyond_clip": 2}}),
+    ("objective.mu", {"objective": {"kind": "pl", "dim": 1}}),
+    ("train.batch_size", {"train": {"batch_size": 2.7}}),
+    ("train.stepsize", {"train": {"stepsize": "0.1"}}),
+    ("train.stepsize", {"train": {"stepsize": float("inf")}}),
+    ("objective.noise", {"objective": {"kind": "linear_regression", "noise": float("nan")}}),
+    ("train.steps", {"train": {"steps": True}}),
+    ("train.refresh", {"train": {"refresh": {"kind": "probability", "probability": 0}}}),
+    ("sweep.jac_modes", {"sweep": {"jac_modes": ["bogus"]}}),
+    ("sweep.group_sizes", {"sweep": {"group_sizes": []}}),
+    ("quant.bits", {"quant": {"mode": "w2", "bits": 7}}),
+    ("quant.bits", {"quant": {"mode": "generic"}}),
 ]
 
 
@@ -313,7 +404,10 @@ def test_bad_config_fails_at_parse_time(tmp_path, monkeypatch, capsys, field, pa
     config = {"seed": 0, "objective": {"kind": "quadratic", "dim": 8, "n_samples": 4},
               "quant": {}, "train": {"steps": 2}}
     for section, values in payload.items():
-        config[section] = {**config[section], **values} if isinstance(values, dict) else values
+        config[section] = ({**config.get(section, {}), **values} if isinstance(values, dict)
+                           else values)
     path = write_config(tmp_path, config)
-    assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {field}")
+    for command in ("train", "sweep"):
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}")
+    assert not (tmp_path / "out").exists()
