@@ -26,8 +26,8 @@ Schema (type, default in parentheses):
     w0_scale: number (1.0)
   quant:
     mode: w2 | w1 | w1_58 | generic | identity  (w2)
-    step: number (1.0), group_size: int (128), mid_rise: bool (false),
-    calibrate: bool (false)
+    step: number (1.0), group_size: int (128), calibrate: bool (false)
+    mid_rise: bool (false): true only for generic and w2 grids
     bits: int (null): generic mode only, where it is required
   train:
     loop: vr | base (vr)
@@ -43,8 +43,9 @@ Schema (type, default in parentheses):
     refresh_intervals: ints ([refresh interval]; null -> train.refresh,
                        the default when train.refresh.kind is probability)
 
-A saturating objective brings its own w2 grid: its echo sets quant.mode,
-quant.step and quant.bits to that grid's.
+A saturating objective brings its own grid (w2, step 1.0, mid-tread, not
+calibrated): quant.mode, quant.step, quant.mid_rise and quant.calibrate
+may be omitted or restate that grid, and any other value is an error.
 """
 
 from __future__ import annotations
@@ -139,10 +140,10 @@ _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false
 _KINDS = ("quadratic", "pl", "saturating", "linear_regression",
           "logistic_regression", "mlp", "csv")
 _QUANT_MODES = {
-    "w2": lambda q: QuantSpec.w2(step=q["step"], mid_rise=q["mid_rise"]),
+    "w2": lambda q: QuantSpec.w2(step=q["step"]),
     "w1": lambda q: QuantSpec.w1(step=q["step"]),
     "w1_58": lambda q: QuantSpec.ternary(step=q["step"]),
-    "generic": lambda q: QuantSpec.generic(q["bits"], step=q["step"], mid_rise=q["mid_rise"]),
+    "generic": lambda q: QuantSpec.generic(q["bits"], step=q["step"]),
     "identity": lambda q: QuantSpec.identity(step=q["step"]),
 }
 
@@ -277,12 +278,17 @@ def parse_config_dict(raw: dict, seed_override: int | None = None) -> RunSetup:
     if spec is None:
         _require(quant["mode"] in _QUANT_MODES,
                  f"quant.mode {quant['mode']!r} not one of {'|'.join(_QUANT_MODES)}")
-        with _fields("quant"):
-            spec = _QUANT_MODES[quant["mode"]](quant)
+        with _fields("quant"):  # QuantSpec rejects mid_rise on every grid but generic and w2
+            spec = replace(_QUANT_MODES[quant["mode"]](quant), mid_rise=quant["mid_rise"])
         if quant["calibrate"]:
             spec = calibrate_step(weights, spec)
-    else:  # the task's own grid
-        quant.update(mode=spec.mode, step=float(np.min(spec.step)), bits=None)
+    else:  # the task's own grid: the quant section may only restate it
+        for key, value in {"mode": spec.mode, "step": spec.step, "mid_rise": spec.mid_rise,
+                           "calibrate": False}.items():
+            _require(quant[key] == value,
+                     f"quant.{key} must be {json.dumps(value)} or omitted for a "
+                     f"{cfg['objective']['kind']} objective, which brings its own grid; "
+                     f"got {json.dumps(quant[key])}")
 
     train_cfg = cfg["train"]
     _require(train_cfg["loop"] in ("vr", "base"), "train.loop must be vr or base")

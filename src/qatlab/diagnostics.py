@@ -48,16 +48,16 @@ class MCConfig:
 class DiagnosticsReport:
     """Bias of both backward rules against the smoothed target gradient.
 
-    ``gamma`` is the straight-through mismatch max_i |1 - J_i|;
-    ``epsilon_sup`` is the current gain mismatch times the upstream
-    gradient norm (the quantity whose running sup bounds the residual in
-    the convergence statements). FD-mismatch variances are not part of
-    this report: :func:`fd_mismatch_variance` measures them over a run's
-    state trace.
+    ``j_hat`` is the oracle sensitivity per weight, without its standard
+    error (no verdict reads one). ``gamma`` is the straight-through
+    mismatch max_i |1 - J_i|; ``epsilon_sup`` is the current gain mismatch
+    times the upstream gradient norm (the quantity whose running sup
+    bounds the residual in the convergence statements). FD-mismatch
+    variances are not part of this report: :func:`fd_mismatch_variance`
+    measures them over a run's state trace.
     """
 
     j_hat: np.ndarray
-    j_sem: np.ndarray
     gamma: float
     bias_jacquant: float
     bias_ste: float
@@ -80,9 +80,8 @@ def bias_report(weights: GroupedWeights, gains: np.ndarray, v_bar: np.ndarray,
                 spec: QuantSpec, mc: MCConfig = MCConfig()) -> DiagnosticsReport:
     """Compare both backward rules against the smoothed target gradient."""
     v_bar = np.asarray(v_bar, dtype=float)
-    j_hat, j_sem = mean_field_sensitivity(weights, spec, probe_eps=mc.probe_eps,
-                                          n_samples=mc.n_samples, seed=mc.seed,
-                                          return_sem=True)
+    j_hat = mean_field_sensitivity(weights, spec, probe_eps=mc.probe_eps,
+                                   n_samples=mc.n_samples, seed=mc.seed)
     g_target = j_hat * v_bar
     g_learned = apply_gains(gains, v_bar, weights)
     v_norm = float(np.linalg.norm(v_bar))
@@ -94,7 +93,6 @@ def bias_report(weights: GroupedWeights, gains: np.ndarray, v_bar: np.ndarray,
     slack = 1e-9 * max(v_norm, 1.0)
     return DiagnosticsReport(
         j_hat=j_hat,
-        j_sem=j_sem,
         gamma=gamma,
         bias_jacquant=bias_jq,
         bias_ste=bias_ste,
@@ -211,6 +209,13 @@ def probe_rate_harness(spec: QuantSpec, group_dim: int, sigma: float,
 
 @dataclass(frozen=True)
 class TrackingResult:
+    """Gain trace of :func:`tracking_harness` and its error in the terminal window.
+
+    ``gains`` holds every step; ``oracle`` and ``errors`` hold only the
+    last ``max(1, steps // 10)`` steps, the window ``terminal_error``
+    averages, because the oracle is evaluated only there.
+    """
+
     errors: np.ndarray
     gains: np.ndarray
     oracle: np.ndarray
@@ -227,8 +232,12 @@ def tracking_harness(spec: QuantSpec, group_dim: int, drift_per_step: np.ndarray
     saturated and drifts upward, so the target sensitivity keeps falling
     for the whole run. Per-step drift and EMA rate may be schedules.
     The terminal error is the mean tracking error over the last tenth of
-    the run.
+    the run; the oracle sensitivity is evaluated in that window only
+    (each evaluation depends on its own step's weights alone, so the
+    window's values are those of an every-step oracle).
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     step = float(spec.step)
     drift = np.broadcast_to(np.asarray(drift_per_step, dtype=float), (steps,))
     betas = np.broadcast_to(np.asarray(ema_rates, dtype=float), (steps,))
@@ -236,9 +245,10 @@ def tracking_harness(spec: QuantSpec, group_dim: int, drift_per_step: np.ndarray
     start = rng.uniform(-1.3, 0.9, group_dim) * step * spec.clip_codes
     weights = GroupedWeights(start, group_size=group_dim)
     gain = np.ones(1)
-    errors = np.empty(steps)
     gains = np.empty(steps)
-    oracle_trace = np.empty(steps)
+    tail = max(1, steps // 10)
+    window = steps - tail  # the first step of the terminal window
+    oracle_trace = np.empty(tail)
     offset = 0.0
     for t in range(steps):
         offset += float(drift[t]) * step
@@ -247,14 +257,14 @@ def tracking_harness(spec: QuantSpec, group_dim: int, drift_per_step: np.ndarray
                             ProbeConfig(sigma=sigma, num_probes=num_probes, seed_tag=seed,
                                         ema_rate=float(betas[t])),
                             draw_key=t)
-        oracle = mean_field_sensitivity(weights, spec, probe_eps=step / 10.0,
-                                        n_samples=oracle_samples, seed=seed + 7)
-        oracle_trace[t] = float(np.mean(oracle))
         gains[t] = float(gain[0])
-        errors[t] = abs(gains[t] - oracle_trace[t])
-    tail = max(1, steps // 10)
+        if t >= window:
+            oracle = mean_field_sensitivity(weights, spec, probe_eps=step / 10.0,
+                                            n_samples=oracle_samples, seed=seed + 7)
+            oracle_trace[t - window] = float(np.mean(oracle))
+    errors = np.abs(gains[window:] - oracle_trace)
     return TrackingResult(errors=errors, gains=gains, oracle=oracle_trace,
-                          terminal_error=float(np.mean(errors[-tail:])))
+                          terminal_error=float(np.mean(errors)))
 
 
 @dataclass(frozen=True)

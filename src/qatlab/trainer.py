@@ -147,11 +147,9 @@ class TrainResult:
     state_trace: list[tuple[GroupedWeights, np.ndarray, np.ndarray]] | None = None
 
 
-def _frac_saturated(weights: GroupedWeights, spec: QuantSpec) -> float:
-    if spec.mode == "identity":
-        return 0.0
-    clip = weights.per_weight(spec.clip_level())
-    return float(np.mean(np.abs(weights.values) > clip))
+def _gain_stats(gains: np.ndarray) -> tuple[float, float, float]:
+    """Mean, min and max gain: recomputed only when the gains change."""
+    return float(np.mean(gains)), float(np.min(gains)), float(np.max(gains))
 
 
 def _sample_batch(n: int, batch_size: int, seed: int, step: int) -> np.ndarray:
@@ -160,17 +158,18 @@ def _sample_batch(n: int, batch_size: int, seed: int, step: int) -> np.ndarray:
 
 
 def _record(step: int, loss: float, v_bar: np.ndarray, g: np.ndarray,
-            gains: np.ndarray, weights: GroupedWeights, spec: QuantSpec,
-            refreshed: bool) -> MetricsRecord:
+            gain_stats: tuple[float, float, float], weights: GroupedWeights,
+            clip: np.ndarray | None, refreshed: bool) -> MetricsRecord:
+    mean_gain, min_gain, max_gain = gain_stats
     return MetricsRecord(
         step=step,
         loss=loss,
         grad_norm=float(np.linalg.norm(v_bar)),
         surrogate_grad_norm=float(np.linalg.norm(g)),
-        mean_gain=float(np.mean(gains)),
-        min_gain=float(np.min(gains)),
-        max_gain=float(np.max(gains)),
-        frac_saturated=_frac_saturated(weights, spec),
+        mean_gain=mean_gain,
+        min_gain=min_gain,
+        max_gain=max_gain,
+        frac_saturated=0.0 if clip is None else float(np.mean(np.abs(weights.values) > clip)),
         refresh=refreshed,
     )
 
@@ -198,6 +197,9 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
            capture_trace: bool, base: bool) -> TrainResult:
     probe_cfg = cfg.probe_config(spec)
     gains = np.ones(weights0.n_groups)  # the straight-through starting point
+    gain_stats = _gain_stats(gains)
+    # each weight's clip level is fixed for the run; the identity grid never clips
+    clip = None if spec.mode == "identity" else weights0.per_weight(spec.clip_level())
     dithered = base and cfg.jac_mode == "dither"
     scheduled = not base or cfg.jac_mode in ("probe", "probe_ls")
     weights = weights0
@@ -221,7 +223,7 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
         if initial_loss is None:
             initial_loss = loss
         if not np.all(np.isfinite(new_weights.values)):
-            trace.append(_record(step, loss, v_bar, g, gains, weights, spec, False))
+            trace.append(_record(step, loss, v_bar, g, gain_stats, weights, clip, False))
             _guard(loss, initial_loss, step, trace)
             raise DivergenceError(f"latent weights became non-finite at step {step}", trace)
         q_step = q
@@ -233,8 +235,9 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
         if refreshed:
             gains = _update_gains(gains, new_weights, spec, cfg, probe_cfg, step,
                                   fixed_dither=dither)
+            gain_stats = _gain_stats(gains)
             state = refresh_anchor(state, new_weights, gains, obj, spec, q=q)
-        trace.append(_record(step, loss, v_bar, g, gains, weights, spec, refreshed))
+        trace.append(_record(step, loss, v_bar, g, gain_stats, weights, clip, refreshed))
         _guard(loss, initial_loss, step, trace)
         weights = new_weights
     return TrainResult(weights=weights, gains=gains, metrics=trace, state_trace=states)

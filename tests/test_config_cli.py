@@ -90,6 +90,10 @@ def test_round_trip_is_idempotent_over_random_configs(tmp_path):
         }
         if mode == "generic":
             payload["quant"]["bits"] = int(rng.integers(2, 9))
+        if mode not in ("generic", "w2"):  # mid-rise is defined for these grids only
+            payload["quant"]["mid_rise"] = False
+        if payload["objective"]["kind"] == "saturating":  # the task brings its own grid
+            payload["quant"] = {"group_size": payload["quant"]["group_size"]}
         if pick([True, False]):
             sweep = {"group_sizes": [int(k) for k in rng.integers(1, 16, size=2)],
                      "refresh_intervals": [int(k) for k in rng.integers(1, 50, size=2)],
@@ -121,6 +125,19 @@ def test_config_echo_reproduces_weights(tmp_path):
     b = parse_config_dict(json.loads(serialize_config(a)))
     assert np.array_equal(a.weights.values, b.weights.values)
     assert np.array_equal(a.objective.targets, b.objective.targets)
+
+
+@pytest.mark.parametrize("key,value", [("mode", "w1"), ("mode", "generic"), ("step", 2.0),
+                                       ("mid_rise", True), ("calibrate", True)])
+def test_saturating_objective_takes_only_its_own_grid(key, value):
+    objective = {"kind": "saturating", "dim": 16, "n_samples": 4}
+    quant = {key: value, **({"bits": 3} if value == "generic" else {})}
+    with pytest.raises(ConfigError, match=rf"^quant\.{key} must be"):
+        parse_config_dict({"objective": objective, "quant": quant})
+    own = {"mode": "w2", "step": 1, "mid_rise": False, "calibrate": False, "bits": None}
+    setup = parse_config_dict({"objective": objective, "quant": own})
+    assert setup.spec == QuantSpec.w2(step=1.0)
+    assert parse_config_dict(json.loads(serialize_config(setup))).config == setup.config
 
 
 def test_cli_train_writes_metrics_and_summary(tmp_path):
@@ -394,6 +411,12 @@ BAD_CONFIGS = [
     ("sweep.group_sizes", {"sweep": {"group_sizes": []}}),
     ("quant.bits", {"quant": {"mode": "w2", "bits": 7}}),
     ("quant.bits", {"quant": {"mode": "generic"}}),
+    ("quant.mid_rise", {"quant": {"mode": "w1", "mid_rise": True}}),
+    ("quant.mid_rise", {"quant": {"mode": "w1_58", "mid_rise": True}}),
+    ("quant.mid_rise", {"quant": {"mode": "identity", "mid_rise": True}}),
+    ("quant.mode", {"objective": {"kind": "saturating"},
+                    "quant": {"mode": "bogus", "step": -1, "calibrate": True}}),
+    ("quant.calibrate", {"objective": {"kind": "saturating"}, "quant": {"calibrate": True}}),
 ]
 
 

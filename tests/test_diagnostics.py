@@ -15,6 +15,7 @@ from qatlab.diagnostics import (
     tracking_harness,
     window_composition_harness,
 )
+from qatlab.jacobian import ProbeConfig, probe_update
 from qatlab.objectives import make_mlp_task
 from qatlab.quant import GroupedWeights, QuantSpec, mean_field_sensitivity
 from qatlab.rng import substream
@@ -174,8 +175,71 @@ def test_tracking_static_and_drift_ordering():
                             steps=360, sigma=0.25, num_probes=16, seed=2,
                             oracle_samples=1500)
     assert slow.terminal_error < fast.terminal_error
-    # slow drift settles to a plateau below the starting error
-    assert slow.terminal_error < slow.errors[0]
+    # slow drift settles to a plateau below the straight-through gain of one's error
+    assert slow.terminal_error < np.mean(np.abs(1.0 - slow.oracle))
+
+
+TRACKING = dict(group_dim=48, ema_rates=0.1, sigma=0.25, num_probes=16, seed=2)
+
+
+@pytest.mark.parametrize("steps", [1, 9, 10, 25, 120])
+def test_tracking_calls_the_oracle_only_in_the_terminal_window(monkeypatch, steps):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return mean_field_sensitivity(*args, **kwargs)
+
+    monkeypatch.setattr("qatlab.diagnostics.mean_field_sensitivity", counted)
+    res = tracking_harness(QuantSpec.w2(step=1.0), drift_per_step=0.01, steps=steps,
+                           oracle_samples=50, **TRACKING)
+    tail = max(1, steps // 10)
+    assert len(calls) == tail
+    assert res.gains.shape == (steps,)
+    assert res.oracle.shape == res.errors.shape == (tail,)
+
+
+def test_tracking_rejects_an_empty_run():
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        tracking_harness(QuantSpec.w2(step=1.0), drift_per_step=0.0, steps=0, **TRACKING)
+
+
+def every_step_tracking(spec, group_dim, drift_per_step, ema_rates, steps, sigma,
+                        num_probes, seed, oracle_samples):
+    """Reference loop: the oracle at every step, the error averaged over the last tenth."""
+    step = float(spec.step)
+    start = substream(seed, "layout").uniform(-1.3, 0.9, group_dim) * step * spec.clip_codes
+    weights = GroupedWeights(start, group_size=group_dim)
+    gain = np.ones(1)
+    gains, oracle, errors = np.empty(steps), np.empty(steps), np.empty(steps)
+    offset = 0.0
+    for t in range(steps):
+        offset += drift_per_step * step
+        weights = weights.with_values(start + offset)
+        gain = probe_update(weights, spec, gain,
+                            ProbeConfig(sigma=sigma, num_probes=num_probes, seed_tag=seed,
+                                        ema_rate=ema_rates),
+                            draw_key=t)
+        oracle[t] = float(np.mean(mean_field_sensitivity(
+            weights, spec, probe_eps=step / 10.0, n_samples=oracle_samples, seed=seed + 7)))
+        gains[t] = float(gain[0])
+        errors[t] = abs(gains[t] - oracle[t])
+    tail = max(1, steps // 10)
+    return gains, oracle[-tail:], errors[-tail:], float(np.mean(errors[-tail:]))
+
+
+@pytest.mark.parametrize("drift,steps", [(0.0, 120), (1.6 / 60, 60), (1.6 / 360, 360)],
+                         ids=["static", "fast", "slow"])
+def test_tracking_matches_an_every_step_oracle_bit_for_bit(drift, steps):
+    spec = QuantSpec.w2(step=1.0)
+    res = tracking_harness(spec, drift_per_step=drift, steps=steps, oracle_samples=300,
+                           **TRACKING)
+    gains, oracle, errors, terminal = every_step_tracking(
+        spec, drift_per_step=drift, steps=steps, oracle_samples=300, **TRACKING)
+    assert res.gains.tobytes() == gains.tobytes()
+    assert res.oracle.tobytes() == oracle.tobytes()
+    assert res.errors.tobytes() == errors.tobytes()
+    assert np.float64(res.terminal_error).tobytes() == np.float64(terminal).tobytes()
 
 
 def test_tracking_no_smoothing_matches_single_probe_noise():

@@ -157,6 +157,16 @@ def test_mean_field_zero_by_symmetry():
     assert abs(mean[0]) <= 4.0 * sem[0] + 1e-12
 
 
+@pytest.mark.parametrize("estimator", [mean_field, mean_field_sensitivity])
+def test_mc_mean_bits_do_not_depend_on_return_sem(estimator):
+    spec = QuantSpec.generic(bits=3, step=np.array([0.5, 0.8, 1.1]))
+    w = grouped(np.random.default_rng(5).uniform(-3, 3, size=10), group_size=4)
+    mean = estimator(w, spec, n_samples=3000, seed=7)
+    mean_sem, sem = estimator(w, spec, n_samples=3000, seed=7, return_sem=True)
+    assert mean.tobytes() == mean_sem.tobytes()
+    assert sem.shape == mean.shape and np.any(sem > 0)
+
+
 def test_sensitivity_interior_saturated_and_knee():
     spec = QuantSpec.w2(step=1.0)
     w = grouped([0.2, 5.0, 1.0])  # interior, deep saturation, clipping knee
