@@ -23,7 +23,8 @@ Schema (type, default in parentheses):
     saturated_curvature (1.0): numbers                            [saturating]
     hidden_width: int (8)                                         [mlp]
     path: str (null; required)                                    [csv]
-    w0_scale: number (1.0)
+    w0_scale: number (1.0): initial weights' standard deviation; a saturating
+                            task brings its own weights, so only 1.0 there
   quant:
     mode: w2 | w1 | w1_58 | generic | identity  (w2)
     step: number (1.0), group_size: int (128), calibrate: bool (false)
@@ -217,6 +218,9 @@ def _build_objective(cfg: dict, group_size: int, master_seed: int,
     _require(cfg["w0_scale"] >= 0, "objective.w0_scale must be >= 0")
 
     if kind == "saturating":
+        _require(cfg["w0_scale"] == 1.0,
+                 "objective.w0_scale must be 1.0 or omitted for a saturating objective, which "
+                 f"brings its own initial weights; got {json.dumps(cfg['w0_scale'])}")
         return make_saturating_task(
             d=dim, group_size=group_size, frac_beyond_clip=cfg["frac_beyond_clip"],
             n_samples=n, noise=cfg["noise"], seed=seed,
@@ -244,6 +248,8 @@ def _build_objective(cfg: dict, group_size: int, master_seed: int,
             raise ConfigError(f"objective.path: {exc}") from exc
 
     w0 = substream(seed, "init").normal(0.0, cfg["w0_scale"], size=obj.dim)
+    _require(np.all(np.isfinite(w0)),
+             f"objective.w0_scale {cfg['w0_scale']!r} gives non-finite initial weights")
     return obj, GroupedWeights(w0, group_size=group_size), None
 
 

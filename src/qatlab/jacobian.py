@@ -123,7 +123,7 @@ def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: Pr
         raise ValueError("gains must be finite")
     deltas = substream(cfg.seed_tag, "probe", draw_key).normal(0.0, cfg.sigma,
                                                                 size=(cfg.num_probes, weights.dim))
-    cross, energy = _slope_sums(weights.values, spec, weights.per_weight(spec.step),
+    cross, energy = _slope_sums(weights.values, spec, weights.broadcast(spec.step),
                                 deltas, dither, weights.group_size)
     if least_squares:
         denom = energy.sum(axis=1)
@@ -167,13 +167,15 @@ def dither_update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray,
     return _update(weights, spec, gains, cfg, draw_key, least_squares=False, dither=dither)
 
 
-def apply_gains(gains: np.ndarray, v: np.ndarray, layout: GroupedWeights) -> np.ndarray:
+def apply_gains(gains: np.ndarray, v: np.ndarray, layout: GroupedWeights,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Scale an upstream gradient (or each row of a (b, d) block) by its group's gain.
 
     ``layout`` is any weight vector with the gradient's group layout; its
-    values are not read.
+    values are not read. With ``out`` (``v`` itself, say) the product is
+    written there and ``out`` is returned, with the same bits.
     """
     v = np.asarray(v, dtype=float)
     if layout.n_groups != np.size(gains) or layout.dim != v.shape[-1]:
         raise ValueError("gradient length does not match the group layout")
-    return layout.per_weight(gains) * v
+    return np.multiply(layout.per_weight(gains), v, out=out)

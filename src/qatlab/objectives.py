@@ -56,7 +56,12 @@ class Dataset:
 
 
 class Objective:
-    """Interface: per-sample losses and exact gradients; a kind implements only ``_rows``."""
+    """Interface: per-sample losses and exact gradients; a kind implements ``_rows``, ``full_loss``.
+
+    ``loss_and_grad_batch`` returns fresh arrays the caller owns: they alias
+    neither the objective's data nor an earlier result, so a caller may scale
+    or overwrite the rows in place. No ``full_loss`` builds gradient rows.
+    """
 
     dim: int
 
@@ -81,7 +86,8 @@ class Objective:
         return float(losses[0]), grads[0]
 
     def full_loss(self, q: np.ndarray) -> float:
-        return float(np.mean(self.loss_and_grad_batch(q, np.arange(self.n))[0]))
+        """Mean loss over all samples at q."""
+        raise NotImplementedError
 
 
 class Quadratic(Objective):
@@ -103,7 +109,8 @@ class Quadratic(Objective):
         return self.targets.shape[0]
 
     def _rows(self, q: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r = q - self.targets[idx]
+        r = self.targets[idx]  # a gathered copy, turned into q - t_i in place
+        np.subtract(q, r, out=r)
         if self.curvature.ndim == 1:
             ar = self.curvature * r
         else:
@@ -164,12 +171,21 @@ class LogisticRegression(Objective):
     def n(self) -> int:
         return self.data.n
 
+    def _forward(self, q: np.ndarray, x: np.ndarray,
+                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Losses and margins -y x . q of the rows x with labels y."""
+        margin = -y * np.vecdot(x, q)
+        return np.logaddexp(0.0, margin), margin
+
     def _rows(self, q: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = self.data.inputs[idx]
         y = self.data.targets[idx]
-        margin = -y * np.vecdot(x, q)
+        losses, margin = self._forward(q, x, y)
         sigma = 1.0 / (1.0 + np.exp(-margin))
-        return np.logaddexp(0.0, margin), (-y * sigma)[:, None] * x
+        return losses, (-y * sigma)[:, None] * x
+
+    def full_loss(self, q: np.ndarray) -> float:
+        return float(np.mean(self._forward(q, self.data.inputs, self.data.targets)[0]))
 
 
 class TwoLayerMLP(Objective):
@@ -199,14 +215,30 @@ class TwoLayerMLP(Objective):
         b2 = float(q[-1])
         return w1, b1, w2, b2
 
-    def _rows(self, q: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _forward(self, q: np.ndarray, x: np.ndarray,
+                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden activations (b, h) and output residuals (b,) of the rows x with targets y."""
         w1, b1, w2, b2 = self.unpack(q)
-        x = self.data.inputs[idx]
         a = np.tanh(np.matmul(w1, x[:, :, None])[:, :, 0] + b1)
-        df = np.vecdot(w2, a) + b2 - self.data.targets[idx]
-        dz = (df[:, None] * w2) * (1.0 - a * a)
-        outer = (dz[:, :, None] * x[:, None, :]).reshape(idx.size, -1)
-        return 0.5 * df * df, np.concatenate([outer, dz, df[:, None] * a, df[:, None]], axis=1)
+        return a, np.vecdot(w2, a) + b2 - y
+
+    def _rows(self, q: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h, p, b = self.hidden, self.in_dim, idx.size
+        x = self.data.inputs[idx]
+        a, df = self._forward(q, x, self.data.targets[idx])
+        w2 = self.unpack(q)[2]
+        grads = np.empty((b, self.dim))  # each part is written into its slice, in weight order
+        dz = grads[:, h * p: h * p + h]
+        np.multiply(df[:, None] * w2, 1.0 - a * a, out=dz)
+        outer = grads[:, :h * p].reshape(b, h, p, copy=False)  # a view: raises if it cannot be one
+        np.multiply(dz[:, :, None], x[:, None, :], out=outer)
+        np.multiply(df[:, None], a, out=grads[:, h * p + h: -1])
+        grads[:, -1] = df
+        return 0.5 * df * df, grads
+
+    def full_loss(self, q: np.ndarray) -> float:
+        df = self._forward(q, self.data.inputs, self.data.targets)[1]
+        return float(np.mean(0.5 * df * df))
 
 
 def per_sample_grad(obj: Objective, q: np.ndarray, i: int) -> tuple[float, np.ndarray]:
@@ -218,6 +250,11 @@ def batch_grad(obj: Objective, q: np.ndarray, batch: np.ndarray) -> tuple[float,
     """Arithmetic mean of per-sample losses and gradients, in the given order."""
     losses, grads = obj.loss_and_grad_batch(q, batch)
     return float(np.mean(losses)), np.mean(grads, axis=0)
+
+
+def _check_noise(noise: float) -> None:
+    if not noise >= 0:  # a standard deviation
+        raise ValueError("noise must be >= 0")
 
 
 def make_pl_instance(d: int, mu: float, l_smooth: float, seed: int,
@@ -260,6 +297,7 @@ def make_saturating_task(d: int = 256, group_size: int = 32, frac_beyond_clip: f
     """
     if not 0.0 <= frac_beyond_clip <= 1.0:
         raise ValueError("frac_beyond_clip must lie in [0, 1]")
+    _check_noise(noise)
     spec = QuantSpec.w2(step=1.0)
     clip = float(spec.clip_level())
     rng = substream(seed, "objective")
@@ -286,6 +324,7 @@ def make_saturating_task(d: int = 256, group_size: int = 32, frac_beyond_clip: f
 
 def make_regression_task(d: int, n_samples: int, seed: int, noise: float = 0.1) -> LinearRegression:
     """Seeded synthetic linear-regression dataset."""
+    _check_noise(noise)
     rng = substream(seed, "objective")
     inputs = rng.normal(0.0, 1.0, size=(n_samples, d))
     truth = rng.uniform(-1.0, 1.0, size=d)
@@ -307,6 +346,7 @@ def make_classification_task(d: int, n_samples: int, seed: int,
 def make_mlp_task(in_dim: int, hidden_width: int, n_samples: int, seed: int,
                   noise: float = 0.1) -> TwoLayerMLP:
     """Seeded teacher-student task for the tanh MLP."""
+    _check_noise(noise)
     rng = substream(seed, "objective")
     inputs = rng.normal(0.0, 1.0, size=(n_samples, in_dim))
     teacher = TwoLayerMLP(Dataset(inputs=inputs, targets=np.zeros(n_samples)), hidden_width)

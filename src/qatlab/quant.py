@@ -162,6 +162,10 @@ class GroupedWeights:
         values[:] = per_group
         return np.repeat(values, self.group_size)[:self.dim]
 
+    def broadcast(self, per_group: float | np.ndarray) -> float | np.ndarray:
+        """An operand that broadcasts over the values: a scalar as is, else ``per_weight``."""
+        return per_group if np.isscalar(per_group) else self.per_weight(per_group)
+
     def with_values(self, values: np.ndarray) -> "GroupedWeights":
         """Same groups, new values of the same length."""
         new = GroupedWeights(values, self.group_size)
@@ -201,13 +205,13 @@ def quantize_array(x: np.ndarray, spec: QuantSpec, step: float | np.ndarray | No
 
 def quantize(weights: GroupedWeights, spec: QuantSpec) -> np.ndarray:
     """Hard quantization of a grouped weight vector."""
-    return quantize_array(weights.values, spec, step=weights.per_weight(spec.step))
+    return quantize_array(weights.values, spec, step=weights.broadcast(spec.step))
 
 
 def dither_block(weights: GroupedWeights, spec: QuantSpec, seed: int, key: int,
                  rows: tuple[int, ...]) -> np.ndarray:
     """(*rows, dim) uniform dither within half of each weight's group step, one draw."""
-    half = 0.5 * weights.per_weight(spec.step)
+    half = 0.5 * weights.broadcast(spec.step)
     u = substream(seed, "dither_block", key).random((*rows, weights.dim))
     # Generator.uniform(-half, half)'s own formula, without its slow array-bounds path
     return -half + (half - -half) * u
@@ -221,7 +225,7 @@ def draw_dither(weights: GroupedWeights, spec: QuantSpec, seed: int, seed_tag: i
 def dither_quantize(weights: GroupedWeights, r: np.ndarray, spec: QuantSpec) -> np.ndarray:
     """De-dithered proxy: quantize(W + r) - r for a (dim,) dither r."""
     r = np.asarray(r, dtype=float)
-    step = weights.per_weight(spec.step)
+    step = weights.broadcast(spec.step)
     if np.any(np.abs(r) > 0.5 * step + 1e-15):
         raise ValueError("invalid dither")
     return quantize_array(weights.values + r, spec, step=step) - r

@@ -159,7 +159,7 @@ def _sample_batch(n: int, batch_size: int, seed: int, step: int) -> np.ndarray:
 
 def _record(step: int, loss: float, v_bar: np.ndarray, g: np.ndarray,
             gain_stats: tuple[float, float, float], weights: GroupedWeights,
-            clip: np.ndarray | None, refreshed: bool) -> MetricsRecord:
+            clip: float | np.ndarray | None, refreshed: bool) -> MetricsRecord:
     mean_gain, min_gain, max_gain = gain_stats
     return MetricsRecord(
         step=step,
@@ -199,7 +199,7 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
     gains = np.ones(weights0.n_groups)  # the straight-through starting point
     gain_stats = _gain_stats(gains)
     # each weight's clip level is fixed for the run; the identity grid never clips
-    clip = None if spec.mode == "identity" else weights0.per_weight(spec.clip_level())
+    clip = None if spec.mode == "identity" else weights0.broadcast(spec.clip_level())
     dithered = base and cfg.jac_mode == "dither"
     scheduled = not base or cfg.jac_mode in ("probe", "probe_ls")
     weights = weights0

@@ -6,10 +6,14 @@ The references below restate each kind's one-sample loss and gradient
 batch, duplicates included, so a row never depends on its batch-mates.
 The in-place SAGA update is checked the same way against the row-by-row
 table update, and the estimator's one formula on mean gradients against
-the mean of its per-sample control-variate rows.
+the mean of its per-sample control-variate rows. The rows are fresh
+arrays the caller owns, and the SAGA table and ``full_loss`` allocate no
+(n, d) block beyond the one table.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from qatlab.objectives import (
     Quadratic,
     TwoLayerMLP,
     batch_grad,
+    make_mlp_task,
     per_sample_grad,
 )
 from qatlab.quant import GroupedWeights, QuantSpec, quantize
@@ -103,8 +108,8 @@ def same_bits(got, expected) -> bool:
 
 
 @st.composite
-def problems(draw):
-    kind = draw(st.sampled_from(KINDS))
+def problems(draw, kinds=KINDS):
+    kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(1, 12))
     d = draw(st.integers(1, 12 if kind == "mlp" else 40))
     obj = make_objective(kind, n, d, draw(st.integers(0, 2**16)))
@@ -136,6 +141,82 @@ def test_batch_rows_match_per_sample_loop(problem):
 def test_full_loss_matches_loop_reference(problem):
     obj, q, _ = problem
     assert same_bits(obj.full_loss(q), loop_full_loss(obj, q))
+
+
+@SETTINGS
+@given(problems(kinds=("logistic_regression", "mlp")))
+def test_full_loss_is_the_mean_of_the_batch_losses(problem):
+    obj, q, _ = problem
+    losses = obj.loss_and_grad_batch(q, np.arange(obj.n))[0]
+    assert same_bits(obj.full_loss(q), float(np.mean(losses)))
+
+
+def concatenated_mlp_rows(obj, q, idx):
+    """The MLP rows as one outer-product block concatenated with the other parts."""
+    w1, b1, w2, b2 = obj.unpack(q)
+    x = obj.data.inputs[idx]
+    a = np.tanh(np.matmul(w1, x[:, :, None])[:, :, 0] + b1)
+    df = np.vecdot(w2, a) + b2 - obj.data.targets[idx]
+    dz = (df[:, None] * w2) * (1.0 - a * a)
+    outer = (dz[:, :, None] * x[:, None, :]).reshape(idx.size, -1)
+    return 0.5 * df * df, np.concatenate([outer, dz, df[:, None] * a, df[:, None]], axis=1)
+
+
+@SETTINGS
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 12), st.integers(0, 2**16), st.data())
+def test_mlp_rows_match_the_concatenated_block(in_dim, width, n, seed, data):
+    rng = substream(seed, "mlp-rows")
+    obj = TwoLayerMLP(Dataset(rng.normal(0.0, 1.0, (n, in_dim)), rng.normal(0.0, 1.0, n)), width)
+    q = rng.normal(0.0, 1.0, obj.dim)
+    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    losses, grads = obj.loss_and_grad_batch(q, idx)
+    expected_losses, expected_grads = concatenated_mlp_rows(obj, q, idx)
+    assert same_bits(losses, expected_losses) and same_bits(grads, expected_grads)
+
+
+def held_arrays(obj) -> list[np.ndarray]:
+    """The arrays an objective holds: its own attributes and its dataset's."""
+    held = [a for a in vars(obj).values() if isinstance(a, np.ndarray)]
+    return held + ([obj.data.inputs, obj.data.targets] if hasattr(obj, "data") else [])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_returned_rows_are_the_callers_own(kind):
+    obj = make_objective(kind, 6, 5, seed=3)
+    q = substream(3, "q").normal(0.0, 1.0, obj.dim)
+    held = [a.copy() for a in held_arrays(obj)]
+    for idx in (np.arange(obj.n), np.array([4, 1, 4])):
+        losses, grads = obj.loss_and_grad_batch(q, idx)
+        expected = losses.copy(), grads.copy()
+        losses[:] = np.nan
+        grads[:] = np.nan
+        again = obj.loss_and_grad_batch(q, idx)
+        assert same_bits(again[0], expected[0]) and same_bits(again[1], expected[1])
+    assert all(same_bits(a, b) for a, b in zip(held_arrays(obj), held, strict=True))
+
+
+def traced_peak(call) -> int:
+    """Bytes allocated at the peak of ``call()`` over what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_row_blocks_are_written_once():
+    # the benchmark's MLP shape (d = 4225, n = 256): one (n, d) block is 8.65 MB
+    obj = make_mlp_task(64, 64, 256, seed=0)
+    block = obj.n * obj.dim * 8
+    weights = GroupedWeights(np.linspace(-1.0, 1.0, obj.dim), group_size=128)
+    spec = QuantSpec.generic(bits=4, step=0.25)
+    q, gains = quantize(weights, spec), np.full(weights.n_groups, 0.5)
+    # SAGA's table is the rows, scaled where they were written
+    saga_peak = traced_peak(lambda: init_vr_state("saga", weights, gains, obj, spec, q=q))
+    assert saga_peak <= 1.25 * block
+    assert traced_peak(lambda: obj.full_loss(q)) <= 0.1 * block  # no gradient rows at all
 
 
 @pytest.mark.parametrize("kind", KINDS)

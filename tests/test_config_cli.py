@@ -417,6 +417,11 @@ BAD_CONFIGS = [
     ("quant.mode", {"objective": {"kind": "saturating"},
                     "quant": {"mode": "bogus", "step": -1, "calibrate": True}}),
     ("quant.calibrate", {"objective": {"kind": "saturating"}, "quant": {"calibrate": True}}),
+    ("objective.w0_scale", {"objective": {"w0_scale": 1e308}}),  # overflows to inf
+    ("objective.w0_scale", {"objective": {"kind": "saturating", "w0_scale": 5.0}}),
+    ("objective.noise", {"objective": {"kind": "saturating", "noise": -1.0}}),
+    ("objective.noise", {"objective": {"kind": "linear_regression", "noise": -0.1}}),
+    ("objective.noise", {"objective": {"kind": "mlp", "noise": -0.1}}),
 ]
 
 

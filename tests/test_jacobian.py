@@ -176,6 +176,21 @@ def test_apply_gains_length_mismatch_raises():
         apply_gains(np.ones(3), np.ones(4), GroupedWeights(np.zeros(4), 2))
 
 
+def test_apply_gains_out_writes_in_place_with_the_same_bits():
+    rng = np.random.default_rng(41)
+    layout = GroupedWeights(np.zeros(11), 4)
+    gains = rng.uniform(0, 1, 3)
+    for shape in ((11,), (5, 11)):
+        v = rng.normal(size=shape)
+        expected = apply_gains(gains, v, layout)
+        assert apply_gains(gains, v, layout, out=v) is v
+        assert v.tobytes() == expected.tobytes()
+    for v, wrong in ((np.ones(12), GroupedWeights(np.zeros(12), 3)), (np.ones((2, 10)), layout)):
+        with pytest.raises(ValueError, match="length"):
+            apply_gains(gains, v, wrong, out=v)
+        assert np.all(v == 1.0)
+
+
 def test_apply_gains_contraction():
     rng = np.random.default_rng(37)
     gains = rng.uniform(0, 1, 4)
