@@ -4,11 +4,12 @@ One nested key-value document describes a run: objective, quantizer,
 training loop, optional sweep grid, master seed. The defaults tables below
 are the schema: unknown keys are errors, every omitted key takes its
 default, and a given value must have its default's type (a number is
-finite, an integer is also a number, true/false is never a number). Ranges
-are checked by the objects each section builds, and every rejection names
-its dotted field. The parsed config echoes back with all defaults filled
-so a summary alone reproduces the run. Defaults follow the package-wide
-conventions: EMA rate 0.9, refresh interval 100, group size 128.
+finite, an integer is also a number, every integer lies in int64, and
+true/false is never a number). Ranges are checked by the objects each
+section builds, and every rejection names its dotted field. The parsed
+config echoes back with all defaults filled so a summary alone reproduces
+the run. Defaults follow the package-wide conventions: EMA rate 0.9,
+refresh interval 100, group size 128.
 
 Schema (type, default in parentheses):
 
@@ -29,7 +30,7 @@ Schema (type, default in parentheses):
     mode: w2 | w1 | w1_58 | generic | identity  (w2)
     step: number (1.0), group_size: int (128), calibrate: bool (false)
     mid_rise: bool (false): true only for generic and w2 grids
-    bits: int (null): generic mode only, where it is required
+    bits: int (null): generic mode only, where it is required; 2 to 53
   train:
     loop: vr | base (vr)
     stepsize: number (0.05), batch_size: int (8), steps: int (200)
@@ -136,6 +137,7 @@ _DEFAULTS = {"seed": 0, "objective": _OBJECTIVE_DEFAULTS, "quant": _QUANT_DEFAUL
 # The type of each key whose default may be null; [t] is a non-empty list of t.
 _NULLABLE = {"objective.seed": int, "objective.path": str, "quant.bits": int,
              "train.probe_sigma": float, "sweep.refresh_intervals": [int]}
+_INT64 = range(-2**63, 2**63)  # numpy's default integer: a larger one overflows on use
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 _KINDS = ("quadratic", "pl", "saturating", "linear_regression",
@@ -173,6 +175,9 @@ def _merge(section: str, given: dict, defaults: dict) -> dict:
         if isinstance(default, dict):
             merged[key] = _merge(field, value, default)
             continue
+        items = value if isinstance(value, list) else [value]
+        if any(type(v) is int and v not in _INT64 for v in items):
+            raise ConfigError(f"{field} must lie in int64, [-2**63, 2**63 - 1], like every integer")
         kind = _NULLABLE.get(field, [type(default[0])] if isinstance(default, list) else type(default))
         if not (_has_type(value, kind) or (value is None and field in _NULLABLE)):
             name = (f"a non-empty list, each {_TYPE_NAMES[kind[0]]}" if isinstance(kind, list)
@@ -322,6 +327,8 @@ def parse_config(path: str, seed_override: int | None = None) -> RunSetup:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"parse error in {path} at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise ConfigError(f"parse error in {path}: {exc}") from exc
     return parse_config_dict(raw, seed_override=seed_override)
 
 

@@ -42,9 +42,12 @@ __all__ = [
 
 _MODES = ("generic", "w2", "w1_58", "w1", "identity")
 
-# Cap per mean-field chunk, keeps the MC accumulators at ~16 MB.
+# Mean-field chunk size: each chunk's column sum is added to the total, so
+# it fixes only the summation order (which the A3 golden pins), not memory.
 _MC_CHUNK_ELEMS = 2_000_000
-_MC_BLOCK_ELEMS = 32_768  # a chunk is sampled in row blocks of this size, in cache
+# A chunk is drawn, sampled and summed in row blocks of this size; memory is
+# bounded by one block, whose temporaries stay under the 128 KiB mmap threshold.
+_MC_BLOCK_ELEMS = 12_288
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,8 @@ class QuantSpec:
     def generic(cls, bits: int, step: float = 1.0, mid_rise: bool = False) -> "QuantSpec":
         if bits < 2:
             raise ValueError("bits must be >= 2 for generic mode")
+        if bits > 53:  # checked before 2 ** (bits - 1): the clip level stays an exact float
+            raise ValueError("bits must be <= 53 for generic mode, for an exact clip level")
         return cls(step=step, clip_codes=2 ** (bits - 1) - 1, mode="generic",
                    mid_rise=mid_rise, bits=bits)
 
@@ -235,8 +240,12 @@ def _mc_average(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: 
                 sample, return_sem: bool) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Per-coordinate mean (and SEM) of ``sample(w, r, step)`` over dither draws r.
 
-    The per-group chunk schedule fixes both the summation order and the memory
-    peak; ``sample`` is elementwise, so row blocks of a chunk give the same values.
+    The per-group chunk schedule fixes only the summation order. Memory is
+    bounded by one row block: each block's dither is drawn into one reused
+    buffer, sampled, and summed with the chunk's running column sum carried
+    into its first row. numpy sums a (rows, width >= 2) block over axis 0
+    row by row, so this repeats the whole chunk's sum bit for bit; a single
+    column is summed pairwise, so a width-1 group takes its chunk in one block.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -246,18 +255,29 @@ def _mc_average(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: 
     total, total_sq = np.zeros((2, values.size))
     for g, (lo, hi) in enumerate(weights.group_bounds):
         step_g = spec.step_for_group(g)
+        low, high = -0.5 * step_g, 0.5 * step_g
         rng = substream(seed, "dither", g)
         chunk = max(1, _MC_CHUNK_ELEMS // (hi - lo))
-        block = max(1, _MC_BLOCK_ELEMS // (hi - lo))
+        block = chunk if hi - lo == 1 else max(1, _MC_BLOCK_ELEMS // (hi - lo))
+        buf = np.empty((min(block, n_samples), hi - lo))
         for done in range(0, n_samples, chunk):
             k = min(chunk, n_samples - done)
-            r = rng.uniform(-0.5 * step_g, 0.5 * step_g, size=(k, hi - lo))
-            s = np.empty_like(r)
+            # running column sums of s and s**2; a +0.0 start changes no bit of the total
+            sums = np.zeros((2, hi - lo))
             for a in range(0, k, block):
-                s[a:a + block] = sample(values[None, lo:hi], r[a:a + block], step_g)
-            total[lo:hi] += s.sum(axis=0)
-            if return_sem:
-                total_sq[lo:hi] += np.square(s, out=s).sum(axis=0)
+                r = buf[:min(block, k - a)]
+                rng.random(out=r)
+                r *= high - low  # Generator.uniform(low, high)'s bits: low + (high - low) * u
+                r += low
+                s = sample(values[None, lo:hi], r, step_g)
+                if return_sem:
+                    sq = np.square(s)
+                    sq[0] += sums[1]
+                    sums[1] = sq.sum(axis=0)
+                s[0] += sums[0]
+                sums[0] = s.sum(axis=0)
+            total[lo:hi] += sums[0]
+            total_sq[lo:hi] += sums[1]
     mean = total / n_samples
     if not return_sem:
         return mean

@@ -1,9 +1,9 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-PASS/FAIL lines as they complete. The same checks back the CLI's
-``verify-all`` command, whose ``report.json`` without its wall times is
-pinned byte-wise by ``golden/verify_all_report.json``.
+PASS/FAIL lines as they complete. The module runs the CLI's ``verify-all``
+once and reads every criterion from its ``report.json``, which without its
+wall times is pinned byte-wise by ``golden/verify_all_report.json``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from qatlab.acceptance import TIME_BUDGETS, run_all
+from qatlab.acceptance import TIME_BUDGETS, CriterionResult
 from qatlab.cli import main
 
 REPORT_DIGEST_PATH = Path(__file__).parent / "golden" / "verify_all_report.json"
@@ -22,9 +22,16 @@ WALL_TIME_KEYS = ("elapsed_s", "total_elapsed_s")
 
 
 @pytest.fixture(scope="module")
-def results():
-    out = {r.name: r for r in run_all(echo=False)}
-    return out
+def verify_all(tmp_path_factory):
+    """One ``verify-all`` run for the module: its exit status and its report.json."""
+    out = tmp_path_factory.mktemp("verify-all")
+    status = main(["verify-all", "--out", str(out)])
+    return status, json.loads((out / "report.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def results(verify_all):
+    return {c["name"]: CriterionResult(**c) for c in verify_all[1]["criteria"]}
 
 
 def _without_wall_times(value):
@@ -95,16 +102,15 @@ def test_a9_reduction_and_determinism(results):
     assert r.details["byte_identical_metrics"]
 
 
-def test_verify_all_end_to_end(results, tmp_path):
+def test_verify_all_end_to_end(results, verify_all):
     # A1-A8 together stay within the ten-minute budget, and the CLI
     # aggregates them into a report with a matching exit status.
     total = sum(results[name].elapsed_s for name in
                 ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8"))
     print(f"verify-all core criteria total: {total:.1f}s (< 600s)")
     assert total < 600.0
-    status = main(["verify-all", "--out", str(tmp_path)])
+    status, report = verify_all
     assert status == 0
-    report = json.loads((tmp_path / "report.json").read_text())
     assert report["passed"] is True
     assert {c["name"] for c in report["criteria"]} == {f"A{i}" for i in range(1, 10)}
     assert report["total_elapsed_s"] < 600.0

@@ -252,7 +252,8 @@ def test_saga_update_in_place_matches_row_loop(n, d, seed, data):
     # drift the table away from one point so every row differs from the fresh ones
     state = ctrl_update(state, weights.with_values(weights.values * 0.7), np.arange(n), obj, spec,
                         gains=np.ones(weights.n_groups))
-    batch = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n)))
+    batch = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                        unique=True)))
     moved = weights.with_values(weights.values + 0.4)
     fresh = [surrogate_per_sample(moved, gains, obj, spec, int(i)) for i in batch]
     table, mean = loop_saga_update(state.saga_table, state.reference, fresh, batch)
@@ -292,7 +293,8 @@ def test_mean_gradient_estimate_matches_row_form(mode, kind, n, d, seed, after_r
                       for label in ("gains", "ctrl"))
     state = init_vr_state(mode, weights, gains_c, obj, spec)
     if mode == "saga":  # drift the table: some rows at another point and other gains
-        drift = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+        drift = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                            unique=True)))
         state = ctrl_update(state, weights.with_values(weights.values * 0.6), drift, obj, spec,
                             gains=gains)
     if mode == "sarah" and not after_refresh:

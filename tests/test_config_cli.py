@@ -54,6 +54,13 @@ def test_parse_error_reports_line(tmp_path):
         parse_config(str(path))
 
 
+def test_integer_beyond_the_digit_limit_is_a_parse_error(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"seed": 1' + "0" * 5000 + "}")
+    with pytest.raises(ConfigError, match="parse error"):
+        parse_config(str(path))
+
+
 def test_round_trip_is_idempotent_over_random_configs(tmp_path):
     rng = substream(123, "cfg")
 
@@ -422,6 +429,10 @@ BAD_CONFIGS = [
     ("objective.noise", {"objective": {"kind": "saturating", "noise": -1.0}}),
     ("objective.noise", {"objective": {"kind": "linear_regression", "noise": -0.1}}),
     ("objective.noise", {"objective": {"kind": "mlp", "noise": -0.1}}),
+    # an integer outside int64 overflows numpy; bits above 53 make an inexact clip level
+    ("quant.group_size", {"quant": {"group_size": 10**30}}),
+    ("quant.bits", {"quant": {"mode": "generic", "bits": 1025}}),
+    ("quant.bits", {"quant": {"mode": "generic", "bits": 10**30}}),
 ]
 
 

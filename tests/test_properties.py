@@ -135,15 +135,21 @@ def plain_quantize(x, spec, step):
     return np.clip(np.sign(codes) * np.floor(np.abs(codes) + 0.5), -c, c) * step
 
 
-def loop_mc(weights, spec, n_samples, seed, sample):
-    """Mean and SEM of sample(w, r, step), one whole (n_samples, size) draw per group."""
+def loop_mc(weights, spec, n_samples, seed, sample, chunk_elems):
+    """Mean and SEM of sample(w, r, step), one whole draw and sum per chunk of each group.
+
+    A chunk holds max(1, chunk_elems // size) samples, the last one short.
+    """
     total, total_sq = np.zeros(weights.dim), np.zeros(weights.dim)
     for g, (lo, hi) in enumerate(loop_bounds(weights.dim, weights.group_size)):
         step = spec.step_for_group(g)
-        r = substream(seed, "dither", g).uniform(-0.5 * step, 0.5 * step, size=(n_samples, hi - lo))
-        s = sample(weights.values[lo:hi][None, :], r, step)
-        total[lo:hi] += s.sum(axis=0)
-        total_sq[lo:hi] += (s * s).sum(axis=0)
+        rng = substream(seed, "dither", g)
+        rows = max(1, chunk_elems // (hi - lo))
+        for done in range(0, n_samples, rows):
+            r = rng.uniform(-0.5 * step, 0.5 * step, size=(min(rows, n_samples - done), hi - lo))
+            s = sample(weights.values[lo:hi][None, :], r, step)
+            total[lo:hi] += s.sum(axis=0)
+            total_sq[lo:hi] += (s * s).sum(axis=0)
     mean = total / n_samples
     return mean, np.sqrt(np.maximum(total_sq / n_samples - mean * mean, 0.0) / n_samples)
 
@@ -349,8 +355,8 @@ def test_quantize_array_matches_plain_rule(spec, values):
 
 
 @SETTINGS
-@given(st.data(), st.integers(1, 40), st.integers(1, 120))
-def test_mc_oracles_match_whole_chunk_reference(data, block, n_samples):
+@given(st.data(), st.integers(1, 40), st.integers(1, 64), st.integers(1, 120))
+def test_mc_oracles_match_whole_chunk_reference(data, block, chunk, n_samples):
     weights = data.draw(layouts())
     spec = data.draw(specs(weights))
     eps = 0.05
@@ -362,13 +368,16 @@ def test_mc_oracles_match_whole_chunk_reference(data, block, n_samples):
         return (plain_quantize(w + eps + r, spec, step)
                 - plain_quantize(w - eps + r, spec, step)) / (2.0 * eps)
 
-    # Row blocks of `block` elements: many blocks per chunk, most with a short last one.
-    with patch.object(quant, "_MC_BLOCK_ELEMS", block):
+    # Row blocks of `block` elements within chunks of `chunk` elements: several chunks,
+    # most with a short last block and many with a short last chunk; a width-1 group
+    # sums each chunk whole.
+    with (patch.object(quant, "_MC_BLOCK_ELEMS", block),
+          patch.object(quant, "_MC_CHUNK_ELEMS", chunk)):
         got = [mean_field(weights, spec, n_samples, seed=4, return_sem=True),
                mean_field_sensitivity(weights, spec, probe_eps=eps, n_samples=n_samples,
                                       seed=4, return_sem=True)]
-    expected = [loop_mc(weights, spec, n_samples, 4, dedithered),
-                loop_mc(weights, spec, n_samples, 4, slope)]
+    expected = [loop_mc(weights, spec, n_samples, 4, dedithered, chunk),
+                loop_mc(weights, spec, n_samples, 4, slope, chunk)]
     for (mean, sem), (mean_ref, sem_ref) in zip(got, expected):
         assert_same_bits(mean, mean_ref)
         assert_same_bits(sem, sem_ref)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,21 @@ def test_mc_mean_bits_do_not_depend_on_return_sem(estimator):
     mean_sem, sem = estimator(w, spec, n_samples=3000, seed=7, return_sem=True)
     assert mean.tobytes() == mean_sem.tobytes()
     assert sem.shape == mean.shape and np.any(sem > 0)
+
+
+def test_mc_oracles_hold_one_row_block():
+    # A3's oracle size, 50 000 samples of 3 groups of 48: whole chunks held 33.6 MiB at peak
+    spec = QuantSpec.w2(step=1.0)
+    w = grouped(np.random.default_rng(23).uniform(-2.6, 2.6, size=144), group_size=48)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mean_field_sensitivity(w, spec, probe_eps=0.1, n_samples=50_000, seed=29)
+        mean_field(w, spec, n_samples=50_000, seed=17, return_sem=True)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_sensitivity_interior_saturated_and_knee():

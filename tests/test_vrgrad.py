@@ -109,6 +109,16 @@ def test_svrg_ctrl_update_is_identity():
     assert after is state
 
 
+def test_saga_update_rejects_a_repeated_index():
+    obj, weights, spec, gains = setup(n=6)
+    state = init_vr_state("saga", weights, gains, obj, spec)
+    table, mean = state.saga_table.copy(), state.reference.copy()
+    with pytest.raises(ValueError, match="distinct batch indices"):
+        ctrl_update(state, weights.with_values(weights.values + 0.3), np.array([2, 4, 2]),
+                    obj, spec, gains=gains)
+    assert np.array_equal(state.saga_table, table) and np.array_equal(state.reference, mean)
+
+
 def test_missing_saga_table_rejected():
     with pytest.raises(ValueError, match="table"):
         VRState(mode="saga", reference=np.zeros(6))
