@@ -29,7 +29,7 @@ from .objectives import (
     make_pl_instance,
     make_saturating_task,
 )
-from .vrgrad import VRState, init_vr_state, ref_grad, grad_est, ctrl_update, refresh_anchor, estimator_variance
+from .vrgrad import VRState, init_vr_state, grad_est, ctrl_update, refresh_anchor, estimator_variance
 from .trainer import TrainConfig, MetricsRecord, RefreshPolicy, DivergenceError, TrainResult, train_vr, train_base, run_sweep
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import (
-    MCConfig,
     bias_report,
     fd_mismatch_variance,
     pl_contraction_harness,
@@ -135,15 +134,16 @@ def a4_vr_variance() -> tuple[bool, dict]:
     obj = make_regression_task(16, 64, seed=41)
     weights = GroupedWeights(substream(43, "w0").normal(0, 1, 16), group_size=8)
     spec = QuantSpec.generic(bits=4, step=0.25)
-    gains = np.ones(weights.n_groups)
-    state_svrg = init_vr_state("svrg", weights, gains, obj, spec)
-    state_plain = init_vr_state("plain", weights, gains, obj, spec)
+    scale = weights.per_weight(np.ones(weights.n_groups))
+    q = quantize(weights, spec)
+    state_svrg = init_vr_state("svrg", q, scale, obj)
+    state_plain = init_vr_state("plain", q, scale, obj)
     direction = substream(47, "dir").normal(0, 1, 16)
     direction *= 0.1 * np.linalg.norm(weights.values) / np.linalg.norm(direction)
-    moved = weights.with_values(weights.values + direction)
-    v_svrg = estimator_variance(state_svrg, moved, gains, obj, spec, batch_size=4,
+    q_moved = quantize(weights.with_values(weights.values + direction), spec)
+    v_svrg = estimator_variance(state_svrg, q_moved, scale, obj, batch_size=4,
                                 trials=1000, seed=53)
-    v_plain = estimator_variance(state_plain, moved, gains, obj, spec, batch_size=4,
+    v_plain = estimator_variance(state_plain, q_moved, scale, obj, batch_size=4,
                                  trials=1000, seed=53)
     variance_ok = v_svrg <= 0.5 * v_plain and v_plain > 0
 
@@ -153,19 +153,19 @@ def a4_vr_variance() -> tuple[bool, dict]:
     small = make_regression_task(5, 6, seed=59)
     w_small = GroupedWeights(np.linspace(-1, 1, 5), group_size=5)
     spec_small = QuantSpec.generic(bits=4, step=0.25)
-    gains_small = np.array([0.7])
+    scale_small = w_small.per_weight(np.array([0.7]))
+    q_small = quantize(w_small, spec_small)
+    q_moved_small = quantize(w_small.with_values(w_small.values + 0.15), spec_small)
+    _, _, target = surrogate_batch(q_moved_small, scale_small, small, np.arange(6))
     worst = 0.0
     for mode in ("svrg", "saga"):
-        state = init_vr_state(mode, w_small, gains_small, small, spec_small)
-        moved_small = w_small.with_values(w_small.values + 0.15)
-        _, _, target = surrogate_batch(moved_small, gains_small, small, spec_small,
-                                       np.arange(6))
+        state = init_vr_state(mode, q_small, scale_small, small)
         for bs in (1, 2):
             acc = np.zeros(5)
-            batches = list(combinations(range(6), bs))
+            batches = [np.array(b) for b in combinations(range(6), bs)]
             for b in batches:
-                acc += grad_est(moved_small, gains_small, state, small, spec_small,
-                                np.array(b))
+                acc += grad_est(batch_grad(small, q_moved_small, b)[1], scale_small, state,
+                                small, b)
             worst = max(worst, float(np.max(np.abs(acc / len(batches) - target))))
     unbiased_ok = worst <= 1e-12
     passed = variance_ok and unbiased_ok
@@ -210,8 +210,7 @@ def a6_dominance() -> tuple[bool, dict]:
         window = {m: float(np.mean([r.loss for r in runs[m].metrics[-50:]])) for m in runs}
         res = runs["probe"]
         _, v_bar = batch_grad(obj, quantize(res.weights, spec), np.arange(obj.n))
-        rep = bias_report(res.weights, res.gains, v_bar, spec,
-                          MCConfig(n_samples=20_000, seed=seed))
+        rep = bias_report(res.weights, res.gains, v_bar, spec, n_samples=20_000, seed=seed)
         var_jq, _ = fd_mismatch_variance(res.state_trace[-100:], spec)
         _, var_ste = fd_mismatch_variance(runs["ste"].state_trace[-100:], spec)
         wins["loss"] += window["probe"] <= window["ste"]

@@ -13,7 +13,7 @@ Commands, each with only the flags it reads:
 
 Every output file is written to a temp file and renamed, so files are
 complete or absent. Exit status is 0 only when nothing hard-failed; a bad
-flag, config field or missing file exits 2 without a traceback.
+flag, config field or path exits 2 without a traceback.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a config path that is absent or a directory, an --out that is a file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -249,7 +249,7 @@ def _build_objective(cfg: dict, group_size: int, master_seed: int,
         _require(cfg["path"] is not None, "objective.path required for csv kind")
         try:
             obj = LinearRegression(load_csv_dataset(cfg["path"]))
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:  # absent, a directory, unreadable or not numeric
             raise ConfigError(f"objective.path: {exc}") from exc
 
     w0 = substream(seed, "init").normal(0.0, cfg["w0_scale"], size=obj.dim)

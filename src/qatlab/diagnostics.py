@@ -10,20 +10,18 @@ objects; the CLI serializes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .jacobian import ProbeConfig, apply_gains, probe_slope_samples, probe_update
-from .objectives import Objective, Quadratic, make_pl_instance
+from .objectives import Quadratic, make_pl_instance
 from .quant import GroupedWeights, QuantSpec, mean_field_sensitivity, quantize_array
 from .rng import substream
 from .trainer import RefreshPolicy, TrainConfig, train_vr
 
 __all__ = [
-    "MCConfig",
     "DiagnosticsReport",
-    "target_gradient",
     "bias_report",
     "fd_reference",
     "fd_mismatch_variance",
@@ -31,17 +29,7 @@ __all__ = [
     "tracking_harness",
     "pl_contraction_harness",
     "window_composition_harness",
-    "grad_norm_trend",
 ]
-
-
-@dataclass(frozen=True)
-class MCConfig:
-    """Monte-Carlo settings for the sensitivity oracle."""
-
-    n_samples: int = 4000
-    seed: int = 0
-    probe_eps: float | None = None
 
 
 @dataclass(frozen=True)
@@ -68,20 +56,14 @@ class DiagnosticsReport:
     epsilon_sup: float
 
 
-def target_gradient(weights: GroupedWeights, v_bar: np.ndarray, spec: QuantSpec,
-                    mc: MCConfig = MCConfig()) -> np.ndarray:
-    """Smoothed-sensitivity target: per-coordinate J_i * v_i."""
-    j_hat = mean_field_sensitivity(weights, spec, probe_eps=mc.probe_eps,
-                                   n_samples=mc.n_samples, seed=mc.seed)
-    return j_hat * np.asarray(v_bar, dtype=float)
-
-
 def bias_report(weights: GroupedWeights, gains: np.ndarray, v_bar: np.ndarray,
-                spec: QuantSpec, mc: MCConfig = MCConfig()) -> DiagnosticsReport:
-    """Compare both backward rules against the smoothed target gradient."""
+                spec: QuantSpec, n_samples: int = 4000, seed: int = 0) -> DiagnosticsReport:
+    """Compare both backward rules against the smoothed target gradient J_i * v_i.
+
+    The sensitivity oracle J averages ``n_samples`` dither draws of ``seed``.
+    """
     v_bar = np.asarray(v_bar, dtype=float)
-    j_hat = mean_field_sensitivity(weights, spec, probe_eps=mc.probe_eps,
-                                   n_samples=mc.n_samples, seed=mc.seed)
+    j_hat = mean_field_sensitivity(weights, spec, n_samples=n_samples, seed=seed)
     g_target = j_hat * v_bar
     g_learned = apply_gains(gains, v_bar, weights)
     v_norm = float(np.linalg.norm(v_bar))
@@ -345,20 +327,3 @@ def window_composition_harness(deltas: np.ndarray, steps_per_window: int, dim: i
         weights = train_vr(obj_k, weights, spec, cfg).weights
         gaps[k] = obj_k.full_loss(weights.values) - obj_k.optimal_loss()
     return WindowCompositionResult(window_gaps=gaps, final_gap=float(gaps[-1]))
-
-
-def grad_norm_trend(obj: Objective, weights0: GroupedWeights, spec: QuantSpec,
-                    cfg: TrainConfig, horizons: list[int]) -> dict[int, float]:
-    """Minimum upstream-gradient norm over the first T steps, per horizon.
-
-    One run at the longest horizon; prefix minima are reported so the
-    decay of the best-seen gradient norm can be checked as T grows. The
-    longest horizon's value is the measured residual floor.
-    """
-    horizons = sorted(set(int(h) for h in horizons))
-    if not horizons:
-        raise ValueError("need at least one horizon")
-    run_cfg = replace(cfg, steps=horizons[-1])
-    trace = train_vr(obj, weights0, spec, run_cfg).metrics
-    norms = np.array([rec.grad_norm for rec in trace])
-    return {h: float(np.min(norms[:h])) for h in horizons}

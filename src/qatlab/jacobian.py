@@ -167,15 +167,13 @@ def dither_update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray,
     return _update(weights, spec, gains, cfg, draw_key, least_squares=False, dither=dither)
 
 
-def apply_gains(gains: np.ndarray, v: np.ndarray, layout: GroupedWeights,
-                out: np.ndarray | None = None) -> np.ndarray:
+def apply_gains(gains: np.ndarray, v: np.ndarray, layout: GroupedWeights) -> np.ndarray:
     """Scale an upstream gradient (or each row of a (b, d) block) by its group's gain.
 
     ``layout`` is any weight vector with the gradient's group layout; its
-    values are not read. With ``out`` (``v`` itself, say) the product is
-    written there and ``out`` is returned, with the same bits.
+    values are not read.
     """
     v = np.asarray(v, dtype=float)
     if layout.n_groups != np.size(gains) or layout.dim != v.shape[-1]:
         raise ValueError("gradient length does not match the group layout")
-    return np.multiply(layout.per_weight(gains), v, out=out)
+    return layout.per_weight(gains) * v

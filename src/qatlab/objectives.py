@@ -81,10 +81,6 @@ class Objective:
             raise IndexError("sample index out of range")
         return self._rows(np.asarray(q, dtype=float), idx)
 
-    def loss_and_grad(self, q: np.ndarray, i: int) -> tuple[float, np.ndarray]:
-        losses, grads = self.loss_and_grad_batch(q, [i])
-        return float(losses[0]), grads[0]
-
     def full_loss(self, q: np.ndarray) -> float:
         """Mean loss over all samples at q."""
         raise NotImplementedError
@@ -243,7 +239,8 @@ class TwoLayerMLP(Objective):
 
 def per_sample_grad(obj: Objective, q: np.ndarray, i: int) -> tuple[float, np.ndarray]:
     """Loss and exact gradient of sample i at the quantized point q."""
-    return obj.loss_and_grad(q, i)
+    losses, grads = obj.loss_and_grad_batch(q, [i])
+    return float(losses[0]), grads[0]
 
 
 def batch_grad(obj: Objective, q: np.ndarray, batch: np.ndarray) -> tuple[float, np.ndarray]:

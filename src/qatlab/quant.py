@@ -63,7 +63,6 @@ class QuantSpec:
     clip_codes: int = 1
     mode: str = "generic"
     mid_rise: bool = False
-    bits: int | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -93,19 +92,19 @@ class QuantSpec:
         if bits > 53:  # checked before 2 ** (bits - 1): the clip level stays an exact float
             raise ValueError("bits must be <= 53 for generic mode, for an exact clip level")
         return cls(step=step, clip_codes=2 ** (bits - 1) - 1, mode="generic",
-                   mid_rise=mid_rise, bits=bits)
+                   mid_rise=mid_rise)
 
     @classmethod
     def w1(cls, step: float = 1.0) -> "QuantSpec":
-        return cls(step=step, clip_codes=1, mode="w1", bits=1)
+        return cls(step=step, clip_codes=1, mode="w1")
 
     @classmethod
     def ternary(cls, step: float = 1.0) -> "QuantSpec":
-        return cls(step=step, clip_codes=1, mode="w1_58", bits=2)
+        return cls(step=step, clip_codes=1, mode="w1_58")
 
     @classmethod
     def w2(cls, step: float = 1.0, mid_rise: bool = False) -> "QuantSpec":
-        return cls(step=step, clip_codes=1, mode="w2", mid_rise=mid_rise, bits=2)
+        return cls(step=step, clip_codes=1, mode="w2", mid_rise=mid_rise)
 
     @classmethod
     def identity(cls, step: float = 1.0) -> "QuantSpec":

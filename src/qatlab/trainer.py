@@ -21,6 +21,7 @@ from itertools import product
 
 import numpy as np
 
+# apply_gains is unused here; perfbench's tracer test reads qatlab.trainer.apply_gains
 from .jacobian import ProbeConfig, apply_gains, dither_update, probe_ls_update, probe_update
 from .objectives import Objective, batch_grad
 from .quant import GroupedWeights, QuantSpec, calibrate_step, dither_quantize, draw_dither, quantize
@@ -197,14 +198,14 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
            capture_trace: bool, base: bool) -> TrainResult:
     probe_cfg = cfg.probe_config(spec)
     gains = np.ones(weights0.n_groups)  # the straight-through starting point
-    gain_stats = _gain_stats(gains)
+    gain_stats, scale = _gain_stats(gains), weights0.per_weight(gains)
     # each weight's clip level is fixed for the run; the identity grid never clips
     clip = None if spec.mode == "identity" else weights0.broadcast(spec.clip_level())
     dithered = base and cfg.jac_mode == "dither"
     scheduled = not base or cfg.jac_mode in ("probe", "probe_ls")
     weights = weights0
     q = None if dithered else quantize(weights, spec)  # the hard forward is carried to the next step
-    state = init_vr_state("plain" if base else cfg.vr_mode, weights, gains, obj, spec, q=q)
+    state = init_vr_state("plain" if base else cfg.vr_mode, q, scale, obj)
     trace: list[MetricsRecord] = []
     states: list[tuple[GroupedWeights, np.ndarray, np.ndarray]] | None = (
         [] if capture_trace else None)
@@ -216,7 +217,7 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
             dither = draw_dither(weights, spec, cfg.seed, seed_tag=step)
             q = dither_quantize(weights, dither, spec)
         loss, v_bar = batch_grad(obj, q, batch)
-        g = grad_est(weights, gains, state, obj, spec, batch, v_bar=v_bar)
+        g = grad_est(v_bar, scale, state, obj, batch)
         if states is not None:
             states.append((weights, gains, v_bar))
         new_weights = weights.with_values(weights.values - cfg.stepsize * g)
@@ -226,17 +227,17 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
             trace.append(_record(step, loss, v_bar, g, gain_stats, weights, clip, False))
             _guard(loss, initial_loss, step, trace)
             raise DivergenceError(f"latent weights became non-finite at step {step}", trace)
-        q_step = q
-        q = None if dithered else quantize(new_weights, spec)
+        q_next = None if dithered else quantize(new_weights, spec)
         # SARAH differences the next step against this step's point; SAGA's table moves on
-        point, q_point = (weights, q_step) if state.mode == "sarah" else (new_weights, q)
-        state = ctrl_update(state, point, batch, obj, spec, gains=gains, grad=g, q=q_point)
+        state = ctrl_update(state, q if state.mode == "sarah" else q_next, scale, batch, obj,
+                            grad=g)
+        q = q_next
         refreshed = dithered or (scheduled and cfg.refresh.fires(step, cfg.seed))
         if refreshed:
             gains = _update_gains(gains, new_weights, spec, cfg, probe_cfg, step,
                                   fixed_dither=dither)
-            gain_stats = _gain_stats(gains)
-            state = refresh_anchor(state, new_weights, gains, obj, spec, q=q)
+            gain_stats, scale = _gain_stats(gains), new_weights.per_weight(gains)
+            state = refresh_anchor(state, q, scale, obj)
         trace.append(_record(step, loss, v_bar, g, gain_stats, weights, clip, refreshed))
         _guard(loss, initial_loss, step, trace)
         weights = new_weights
@@ -305,8 +306,6 @@ def run_sweep(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, base_cf
     group_sizes = group_sizes or [weights0.group_size]
     refresh_policies = refresh_policies or [base_cfg.refresh]
     jac_modes = jac_modes or [base_cfg.jac_mode]
-    if not group_sizes or not refresh_policies or not jac_modes:
-        raise ValueError("empty sweep grid")
     cells = [(obj, weights0.values, spec, base_cfg, gs, rp, jm, use_base)
              for gs, rp, jm in product(group_sizes, refresh_policies, jac_modes)]
     workers = min(jobs, len(cells))

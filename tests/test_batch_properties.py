@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qatlab.jacobian import apply_gains
 from qatlab.objectives import (
     Dataset,
     LinearRegression,
@@ -212,9 +211,9 @@ def test_row_blocks_are_written_once():
     block = obj.n * obj.dim * 8
     weights = GroupedWeights(np.linspace(-1.0, 1.0, obj.dim), group_size=128)
     spec = QuantSpec.generic(bits=4, step=0.25)
-    q, gains = quantize(weights, spec), np.full(weights.n_groups, 0.5)
+    q, scale = quantize(weights, spec), np.full(weights.dim, 0.5)
     # SAGA's table is the rows, scaled where they were written
-    saga_peak = traced_peak(lambda: init_vr_state("saga", weights, gains, obj, spec, q=q))
+    saga_peak = traced_peak(lambda: init_vr_state("saga", q, scale, obj))
     assert saga_peak <= 1.25 * block
     assert traced_peak(lambda: obj.full_loss(q)) <= 0.1 * block  # no gradient rows at all
 
@@ -247,62 +246,70 @@ def test_saga_update_in_place_matches_row_loop(n, d, seed, data):
     obj = make_objective("linear_regression", n, d, seed)
     weights = GroupedWeights(substream(seed, "w").normal(0.0, 1.0, d), group_size=4)
     spec = QuantSpec.generic(bits=3, step=0.3)
-    gains = substream(seed, "gains").uniform(0.0, 1.0, weights.n_groups)
-    state = init_vr_state("saga", weights, gains, obj, spec)
+    scale = weights.per_weight(substream(seed, "gains").uniform(0.0, 1.0, weights.n_groups))
+    state = init_vr_state("saga", quantize(weights, spec), scale, obj)
     # drift the table away from one point so every row differs from the fresh ones
-    state = ctrl_update(state, weights.with_values(weights.values * 0.7), np.arange(n), obj, spec,
-                        gains=np.ones(weights.n_groups))
+    state = ctrl_update(state, quantize(weights.with_values(weights.values * 0.7), spec),
+                        np.ones(d), np.arange(n), obj)
     batch = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
                                         unique=True)))
-    moved = weights.with_values(weights.values + 0.4)
-    fresh = [surrogate_per_sample(moved, gains, obj, spec, int(i)) for i in batch]
+    moved = quantize(weights.with_values(weights.values + 0.4), spec)
+    fresh = [surrogate_per_sample(moved, scale, obj, int(i)) for i in batch]
     table, mean = loop_saga_update(state.saga_table, state.reference, fresh, batch)
     table_id, mean_id = id(state.saga_table), id(state.reference)
-    after = ctrl_update(state, moved, batch, obj, spec, gains=gains)
+    after = ctrl_update(state, moved, scale, batch, obj)
     assert after is state and id(after.saga_table) == table_id and id(after.reference) == mean_id
     assert same_bits(after.saga_table, table) and same_bits(after.reference, mean)
 
 
-def row_form_estimate(weights, gains, state, obj, spec, batch):
-    """mean_i(apply_gains(B, v_i) - h_i) + r, with h_i the control row of sample i.
+def row_form_estimate(q, scale, state, obj, batch):
+    """mean_i(scale * v_i - h_i) + r, with h_i the control row of sample i.
 
-    Also returns the largest magnitude among the terms, the scale of any cancellation.
+    Also returns the largest magnitude among the terms, the size of any cancellation.
     """
     if state.mode == "sarah" and state.control is None:
         return state.reference, 0.0
-    rows = apply_gains(gains, obj.loss_and_grad_batch(quantize(weights, spec), batch)[1], weights)
+    rows = scale * obj.loss_and_grad_batch(q, batch)[1]
     if state.mode == "plain":
         return np.mean(rows, axis=0), np.max(np.abs(rows))
     if state.mode == "saga":
         control = state.saga_table[batch]
     else:
-        q_c, gains_c = state.control
-        control = apply_gains(gains_c, obj.loss_and_grad_batch(q_c, batch)[1], weights)
-    scale = max(np.max(np.abs(rows)), np.max(np.abs(control)), np.max(np.abs(state.reference)))
-    return np.mean(rows - control, axis=0) + state.reference, scale
+        q_c, scale_c = state.control
+        control = scale_c * obj.loss_and_grad_batch(q_c, batch)[1]
+    size = max(np.max(np.abs(rows)), np.max(np.abs(control)), np.max(np.abs(state.reference)))
+    return np.mean(rows - control, axis=0) + state.reference, size
 
 
 @SETTINGS
 @given(st.sampled_from(("plain", "svrg", "saga", "sarah")), st.sampled_from(KINDS),
-       st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**16), st.booleans(), st.data())
-def test_mean_gradient_estimate_matches_row_form(mode, kind, n, d, seed, after_refresh, data):
+       st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**16), st.booleans(),
+       st.booleans(), st.data())
+def test_mean_gradient_estimate_matches_row_form(mode, kind, n, d, seed, after_refresh,
+                                                 per_weight, data):
     obj = make_objective(kind, n, d, seed)
     weights = GroupedWeights(substream(seed, "w").normal(0.0, 1.0, obj.dim), group_size=3)
     spec = QuantSpec.generic(bits=4, step=0.25)
-    gains, gains_c = (substream(seed, label).uniform(0.0, 1.0, weights.n_groups)
-                      for label in ("gains", "ctrl"))
-    state = init_vr_state(mode, weights, gains_c, obj, spec)
-    if mode == "saga":  # drift the table: some rows at another point and other gains
+    # one gain per group of 3 weights, or any diagonal: the estimators read only the diagonal
+    size = obj.dim if per_weight else weights.n_groups
+    scale, scale_c = (substream(seed, label).uniform(0.0, 1.0, size) for label in ("gains", "ctrl"))
+    if not per_weight:
+        scale, scale_c = weights.per_weight(scale), weights.per_weight(scale_c)
+    q = quantize(weights, spec)
+    state = init_vr_state(mode, q, scale_c, obj)
+    if mode == "saga":  # drift the table: some rows at another point and another scale
         drift = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
                                             unique=True)))
-        state = ctrl_update(state, weights.with_values(weights.values * 0.6), drift, obj, spec,
-                            gains=gains)
+        state = ctrl_update(state, quantize(weights.with_values(weights.values * 0.6), spec),
+                            scale, drift, obj)
     if mode == "sarah" and not after_refresh:
         estimate = substream(seed, "estimate").normal(0.0, 1.0, obj.dim)
-        state = ctrl_update(state, weights, [0], obj, spec, gains=gains_c, grad=estimate)
-    moved = weights.with_values(weights.values + substream(seed, "move").normal(0.0, 0.3, obj.dim))
+        state = ctrl_update(state, q, scale_c, [0], obj, grad=estimate)
+    moved = quantize(weights.with_values(weights.values
+                                         + substream(seed, "move").normal(0.0, 0.3, obj.dim)),
+                     spec)
     batch = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
-    got = grad_est(moved, gains, state, obj, spec, batch)
-    expected, scale = row_form_estimate(moved, gains, state, obj, spec, batch)
+    got = grad_est(batch_grad(obj, moved, batch)[1], scale, state, obj, batch)
+    expected, size = row_form_estimate(moved, scale, state, obj, batch)
     # a coordinate that cancels to near zero is compared against what cancelled
-    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * size)

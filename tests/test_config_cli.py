@@ -331,6 +331,20 @@ def test_cli_missing_config_is_usage_error(tmp_path):
     assert status == 2
 
 
+def test_cli_path_errors_exit_2_without_traceback(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"objective": {"kind": "quadratic", "dim": 8, "n_samples": 4},
+                                  "train": {"steps": 2}})
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for command in ("train", "sweep"):
+        for argv in (["--config", str(tmp_path), "--out", str(tmp_path / "out")],  # a directory
+                     ["--config", cfg, "--out", str(taken)]):  # an existing file
+            assert main([command, *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists() and taken.read_text() == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--config", "x.json", "--jobs", "2"],
     ["verify-all", "--config", "x.json"],
@@ -403,6 +417,8 @@ BAD_CONFIGS = [
     ("seed", {"seed": -1}),
     ("quant.group_size", {"quant": {"group_size": 0}}),
     ("objective.path", {"objective": {"kind": "csv", "path": "nan.csv"}}),
+    ("objective.path", {"objective": {"kind": "csv", "path": "absent.csv"}}),
+    ("objective.path", {"objective": {"kind": "csv", "path": "."}}),  # a directory
     ("objective.noise", {"objective": {"kind": "linear_regression", "noise": "abc"}}),
     ("objective.hidden_width", {"objective": {"kind": "mlp", "hidden_width": 0}}),
     ("objective.w0_scale", {"objective": {"w0_scale": -1}}),

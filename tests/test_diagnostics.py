@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from qatlab.diagnostics import (
-    MCConfig,
     bias_report,
     fd_mismatch_variance,
     fd_reference,
-    grad_norm_trend,
     pl_contraction_harness,
     probe_rate_harness,
-    target_gradient,
     tracking_harness,
     window_composition_harness,
 )
@@ -19,7 +16,7 @@ from qatlab.jacobian import ProbeConfig, probe_update
 from qatlab.objectives import make_mlp_task
 from qatlab.quant import GroupedWeights, QuantSpec, mean_field_sensitivity
 from qatlab.rng import substream
-from qatlab.trainer import RefreshPolicy, TrainConfig
+from qatlab.trainer import RefreshPolicy, TrainConfig, train_vr
 
 
 def mixed_weights(seed=0, n_interior=24, n_sat=24, group_size=12, step=1.0):
@@ -36,7 +33,7 @@ def test_target_gradient_interior_recovers_upstream():
     rng = substream(1, "v")
     w = GroupedWeights(rng.uniform(-0.3, 0.3, 16), group_size=8)
     v = rng.normal(0, 1, 16)
-    g = target_gradient(w, v, spec, MCConfig(n_samples=20_000, seed=2))
+    g = mean_field_sensitivity(w, spec, n_samples=20_000, seed=2) * v
     _, sem = mean_field_sensitivity(w, spec, n_samples=20_000, seed=2, return_sem=True)
     assert np.all(np.abs(g - v) <= (4.0 * sem + 1e-9) * np.maximum(np.abs(v), 1e-9))
 
@@ -45,7 +42,7 @@ def test_target_gradient_saturated_vanishes():
     spec = QuantSpec.w2(step=1.0)
     w = GroupedWeights(np.full(8, 5.0), group_size=8)
     v = np.ones(8)
-    g = target_gradient(w, v, spec, MCConfig(n_samples=2000, seed=3))
+    g = mean_field_sensitivity(w, spec, n_samples=2000, seed=3) * v
     assert np.max(np.abs(g)) <= 1e-9
 
 
@@ -53,7 +50,7 @@ def test_target_gradient_mixed_matches_fresh_seed_recomputation():
     spec = QuantSpec.w2(step=1.0)
     w = mixed_weights(seed=4)
     v = substream(5, "v").normal(0, 1, w.dim)
-    g1 = target_gradient(w, v, spec, MCConfig(n_samples=30_000, seed=11))
+    g1 = mean_field_sensitivity(w, spec, n_samples=30_000, seed=11) * v
     j2, sem2 = mean_field_sensitivity(w, spec, n_samples=30_000, seed=99, return_sem=True)
     tol = 4.0 * sem2 * np.abs(v) + 1e-9
     assert np.all(np.abs(g1 - j2 * v) <= tol + 4.0 * sem2 * np.abs(v))
@@ -67,7 +64,7 @@ def test_bias_report_oracle_gains_have_near_zero_bias():
     # groups here are purely interior or purely saturated, so the group
     # gain reproduces the per-coordinate sensitivity almost exactly
     v = substream(8, "v").normal(0, 1, w.dim)
-    rep = bias_report(w, group_means, v, spec, MCConfig(n_samples=30_000, seed=7))
+    rep = bias_report(w, group_means, v, spec, n_samples=30_000, seed=7)
     assert rep.bias_jacquant <= 0.05 * np.linalg.norm(v)
     assert rep.bias_jacquant < rep.bias_ste
     assert rep.jacquant_bound_holds and rep.ste_bound_holds
@@ -77,7 +74,7 @@ def test_bias_report_identity_gains_match_ste_exactly():
     spec = QuantSpec.w2(step=1.0)
     w = mixed_weights(seed=9)
     v = substream(10, "v").normal(0, 1, w.dim)
-    rep = bias_report(w, np.ones(w.n_groups), v, spec, MCConfig(n_samples=5000, seed=1))
+    rep = bias_report(w, np.ones(w.n_groups), v, spec, n_samples=5000, seed=1)
     assert rep.bias_jacquant == rep.bias_ste
     assert rep.epsilon_sup == pytest.approx(rep.gamma * np.linalg.norm(v))
 
@@ -93,7 +90,7 @@ def test_dominance_when_gains_beat_identity_margin():
     for _ in range(5):
         gains = np.clip(group_means + rng.uniform(-0.2, 0.2, w.n_groups), 0, 1)
         v = rng.normal(0, 1, w.dim)
-        rep = bias_report(w, gains, v, spec, MCConfig(n_samples=30_000, seed=13))
+        rep = bias_report(w, gains, v, spec, n_samples=30_000, seed=13)
         margin = float(np.max(np.abs(w.per_weight(gains) - rep.j_hat)))
         if margin <= rep.gamma - 0.05:
             assert rep.bias_jacquant <= rep.bias_ste + 1e-6
@@ -279,9 +276,11 @@ def test_grad_norm_trend_decreases_with_horizon():
     obj = make_mlp_task(3, 4, 32, seed=7)
     w0 = GroupedWeights(substream(8, "w0").normal(0, 0.5, obj.dim), group_size=obj.dim)
     spec = QuantSpec.identity()
-    cfg = TrainConfig(stepsize=0.05, batch_size=4, steps=1,
+    cfg = TrainConfig(stepsize=0.05, batch_size=4, steps=200,
                       refresh=RefreshPolicy("interval", interval=10 ** 9),
                       jac_mode="ste", vr_mode="plain", seed=9)
-    trend = grad_norm_trend(obj, w0, spec, cfg, horizons=[50, 200])
+    # the best upstream-gradient norm seen within the first T steps, per horizon T
+    norms = np.array([rec.grad_norm for rec in train_vr(obj, w0, spec, cfg).metrics])
+    trend = {h: float(np.min(norms[:h])) for h in (50, 200)}
     assert trend[200] < trend[50]
     assert trend[200] > 0.0  # residual floor reported, not assumed zero

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 import qatlab.trainer
-import qatlab.vrgrad
 from qatlab.objectives import LinearRegression, make_regression_task
 from qatlab.quant import GroupedWeights, QuantSpec, quantize
 from qatlab.trainer import RefreshPolicy, TrainConfig, train_base, train_vr
@@ -50,7 +49,6 @@ def counted_problem(monkeypatch):
         return quantize(w, s)
 
     monkeypatch.setattr(qatlab.trainer, "quantize", counting_quantize)
-    monkeypatch.setattr(qatlab.vrgrad, "quantize", counting_quantize)
     return obj, weights, spec, calls
 
 
@@ -63,11 +61,11 @@ def config(mode: str, jac_mode: str = "probe") -> TrainConfig:
 @pytest.mark.parametrize("mode", ROWS)
 def test_rows_at_init_and_per_refresh(mode, monkeypatch):
     obj, weights, spec, _ = counted_problem(monkeypatch)
-    gains = np.ones(weights.n_groups)
-    state = init_vr_state(mode, weights, gains, obj, spec)
+    q, scale = quantize(weights, spec), np.ones(weights.dim)
+    state = init_vr_state(mode, q, scale, obj)
     assert obj.rows == ROWS[mode][2]
     obj.rows = 0
-    refresh_anchor(state, weights, gains, obj, spec)
+    refresh_anchor(state, q, scale, obj)
     assert obj.rows == ROWS[mode][1]
 
 

@@ -29,7 +29,8 @@ def central_fd(obj, q, i, eps=1e-6):
         lo = q.copy()
         hi[k] += eps
         lo[k] -= eps
-        grad[k] = (obj.loss_and_grad(hi, i)[0] - obj.loss_and_grad(lo, i)[0]) / (2 * eps)
+        grad[k] = (obj.loss_and_grad_batch(hi, [i])[0][0]
+                   - obj.loss_and_grad_batch(lo, [i])[0][0]) / (2 * eps)
     return grad
 
 

@@ -43,7 +43,7 @@ def cases(draw) -> tuple[GroupedWeights, QuantSpec]:
                                                      min_size=weights.n_groups,
                                                      max_size=weights.n_groups))),
                          clip_codes=spec.clip_codes, mode=spec.mode,
-                         mid_rise=spec.mid_rise, bits=spec.bits)
+                         mid_rise=spec.mid_rise)
     return weights, spec
 
 

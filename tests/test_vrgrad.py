@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qatlab.objectives import make_regression_task
+from qatlab.objectives import batch_grad, make_regression_task
 from qatlab.quant import GroupedWeights, QuantSpec, quantize
 from qatlab.vrgrad import (
     VRState,
@@ -13,7 +13,6 @@ from qatlab.vrgrad import (
     estimator_variance,
     grad_est,
     init_vr_state,
-    ref_grad,
     refresh_anchor,
     surrogate_batch,
     surrogate_per_sample,
@@ -28,37 +27,52 @@ def setup(n=8, d=6, seed=0, gains=None):
     return obj, weights, spec, gains
 
 
-def full_surrogate(obj, weights, spec, gains):
-    _, _, g = surrogate_batch(weights, gains, obj, spec, np.arange(obj.n))
+def at(weights, spec, gains):
+    """The quantized point and per-weight scale that the estimators take."""
+    return quantize(weights, spec), weights.per_weight(gains)
+
+
+def full_surrogate(obj, q, scale):
+    _, _, g = surrogate_batch(q, scale, obj, np.arange(obj.n))
     return g
+
+
+def estimate(obj, q, scale, state, batch):
+    """grad_est with the batch's mean raw gradient at q."""
+    batch = np.asarray(batch)
+    return grad_est(batch_grad(obj, q, batch)[1], scale, state, obj, batch)
 
 
 def test_ref_grad_single_sample_and_identity_gains():
     obj, weights, spec, gains = setup(n=1)
-    g = ref_grad(weights, gains, obj, spec)
-    assert np.array_equal(g, surrogate_per_sample(weights, gains, obj, spec, 0))
+    q, scale = at(weights, spec, gains)
+    g = init_vr_state("svrg", q, scale, obj).reference
+    assert np.array_equal(g, surrogate_per_sample(q, scale, obj, 0))
 
 
 def test_ref_grad_matches_direct_summation():
     obj, weights, spec, gains = setup(n=8, gains=[0.5, 1.0])
-    g = ref_grad(weights, gains, obj, spec)
+    q, scale = at(weights, spec, gains)
+    g = init_vr_state("svrg", q, scale, obj).reference
     total = np.zeros(weights.dim)
     for i in range(obj.n):
-        total = total + surrogate_per_sample(weights, gains, obj, spec, i)
+        total = total + surrogate_per_sample(q, scale, obj, i)
     np.testing.assert_allclose(g, total / obj.n, rtol=1e-13)
 
 
 def test_plain_full_batch_is_full_surrogate_gradient():
     obj, weights, spec, gains = setup(gains=[0.7, 0.9])
-    state = init_vr_state("plain", weights, gains, obj, spec)
-    g = grad_est(weights, gains, state, obj, spec, np.arange(obj.n))
-    np.testing.assert_allclose(g, full_surrogate(obj, weights, spec, gains), rtol=1e-14)
+    q, scale = at(weights, spec, gains)
+    state = init_vr_state("plain", q, scale, obj)
+    g = estimate(obj, q, scale, state, np.arange(obj.n))
+    np.testing.assert_allclose(g, full_surrogate(obj, q, scale), rtol=1e-14)
 
 
 def test_svrg_at_anchor_returns_reference_bit_exactly():
     obj, weights, spec, gains = setup()
-    state = init_vr_state("svrg", weights, gains, obj, spec)
-    g = grad_est(weights, gains, state, obj, spec, np.array([2, 5, 1]))
+    q, scale = at(weights, spec, gains)
+    state = init_vr_state("svrg", q, scale, obj)
+    g = estimate(obj, q, scale, state, np.array([2, 5, 1]))
     assert np.array_equal(g, state.reference)
 
 
@@ -68,54 +82,59 @@ def test_exhaustive_minibatch_unbiasedness(mode, n, batch):
     # Enumerate every equiprobable minibatch; the average estimate must
     # equal the full-batch modulated gradient to 1e-12.
     obj, weights, spec, gains = setup(n=n, gains=[0.6, 1.0])
-    state = init_vr_state(mode, weights, gains, obj, spec)
+    q, scale = at(weights, spec, gains)
+    state = init_vr_state(mode, q, scale, obj)
     # displace both the point and (for saga) the table to break symmetry
-    moved = weights.with_values(weights.values + 0.2)
+    moved = quantize(weights.with_values(weights.values + 0.2), spec)
     if mode == "saga":
-        state = ctrl_update(state, weights.with_values(weights.values - 0.1),
-                            np.array([0, 1]), obj, spec, gains=gains)
+        state = ctrl_update(state, quantize(weights.with_values(weights.values - 0.1), spec),
+                            scale, np.array([0, 1]), obj)
     batches = list(combinations(range(n), batch))
     acc = np.zeros(weights.dim)
     for b in batches:
-        acc = acc + grad_est(moved, gains, state, obj, spec, np.array(b))
+        acc = acc + estimate(obj, moved, scale, state, b)
     mean_est = acc / len(batches)
-    target = full_surrogate(obj, moved, spec, gains)
+    target = full_surrogate(obj, moved, scale)
     assert np.max(np.abs(mean_est - target)) <= 1e-12
 
 
 def test_saga_running_mean_invariant_after_updates():
     obj, weights, spec, gains = setup(n=8)
-    state = init_vr_state("saga", weights, gains, obj, spec)
+    q, scale = at(weights, spec, gains)
+    state = init_vr_state("saga", q, scale, obj)
     rng = np.random.default_rng(4)
     for t in range(10):
-        point = weights.with_values(weights.values + rng.normal(0, 0.3, weights.dim))
-        state = ctrl_update(state, point, rng.choice(8, size=3, replace=False), obj, spec, gains=gains)
+        point = quantize(weights.with_values(weights.values + rng.normal(0, 0.3, weights.dim)), spec)
+        state = ctrl_update(state, point, scale, rng.choice(8, size=3, replace=False), obj)
         assert np.max(np.abs(state.reference - state.saga_table.mean(axis=0))) <= 1e-10
 
 
 def test_saga_full_update_sets_mean_to_fresh_gradients():
     obj, weights, spec, gains = setup(n=6)
-    state = init_vr_state("saga", weights, gains, obj, spec)
-    point = weights.with_values(weights.values * 0.5)
-    state = ctrl_update(state, point, np.arange(6), obj, spec, gains=gains)
-    np.testing.assert_allclose(state.reference, full_surrogate(obj, point, spec, gains), atol=1e-12)
+    q, scale = at(weights, spec, gains)
+    state = init_vr_state("saga", q, scale, obj)
+    point = quantize(weights.with_values(weights.values * 0.5), spec)
+    state = ctrl_update(state, point, scale, np.arange(6), obj)
+    np.testing.assert_allclose(state.reference, full_surrogate(obj, point, scale), atol=1e-12)
 
 
 def test_svrg_ctrl_update_is_identity():
     obj, weights, spec, gains = setup()
-    state = init_vr_state("svrg", weights, gains, obj, spec)
-    after = ctrl_update(state, weights.with_values(weights.values + 1.0),
-                        np.array([0]), obj, spec, gains=gains)
+    q, scale = at(weights, spec, gains)
+    state = init_vr_state("svrg", q, scale, obj)
+    after = ctrl_update(state, quantize(weights.with_values(weights.values + 1.0), spec),
+                        scale, np.array([0]), obj)
     assert after is state
 
 
 def test_saga_update_rejects_a_repeated_index():
     obj, weights, spec, gains = setup(n=6)
-    state = init_vr_state("saga", weights, gains, obj, spec)
+    q, scale = at(weights, spec, gains)
+    state = init_vr_state("saga", q, scale, obj)
     table, mean = state.saga_table.copy(), state.reference.copy()
     with pytest.raises(ValueError, match="distinct batch indices"):
-        ctrl_update(state, weights.with_values(weights.values + 0.3), np.array([2, 4, 2]),
-                    obj, spec, gains=gains)
+        ctrl_update(state, quantize(weights.with_values(weights.values + 0.3), spec), scale,
+                    np.array([2, 4, 2]), obj)
     assert np.array_equal(state.saga_table, table) and np.array_equal(state.reference, mean)
 
 
@@ -126,93 +145,100 @@ def test_missing_saga_table_rejected():
 
 def test_sarah_refresh_then_recursive_difference():
     obj, weights, spec, gains = setup(n=6)
-    state = init_vr_state("sarah", weights, gains, obj, spec)
+    q, scale = at(weights, spec, gains)
+    state = init_vr_state("sarah", q, scale, obj)
     # right after (implicit) refresh: estimate equals the anchor gradient
-    g0 = grad_est(weights, gains, state, obj, spec, np.array([1, 3]))
+    g0 = estimate(obj, q, scale, state, np.array([1, 3]))
     assert np.array_equal(g0, state.reference)
-    state = ctrl_update(state, weights, np.array([1, 3]), obj, spec, gains=gains, grad=g0)
-    moved = weights.with_values(weights.values + 0.4)
+    state = ctrl_update(state, q, scale, np.array([1, 3]), obj, grad=g0)
+    moved = quantize(weights.with_values(weights.values + 0.4), spec)
     batch = np.array([0, 2])
-    g1 = grad_est(moved, gains, state, obj, spec, batch)
+    g1 = estimate(obj, moved, scale, state, batch)
     expected = np.zeros(weights.dim)
     for i in batch:
-        expected = expected + (surrogate_per_sample(moved, gains, obj, spec, int(i))
-                               - surrogate_per_sample(weights, gains, obj, spec, int(i)))
+        expected = expected + (surrogate_per_sample(moved, scale, obj, int(i))
+                               - surrogate_per_sample(q, scale, obj, int(i)))
     expected = expected / batch.size + g0
     np.testing.assert_allclose(g1, expected, rtol=1e-13)
     # refresh clears the recursive memory
-    state = refresh_anchor(state, moved, gains, obj, spec)
+    state = refresh_anchor(state, moved, scale, obj)
     assert state.control is None
-    g2 = grad_est(moved, gains, state, obj, spec, np.array([4]))
+    g2 = estimate(obj, moved, scale, state, np.array([4]))
     assert np.array_equal(g2, state.reference)
 
 
 def test_refresh_anchor_idempotent_and_matches_recomputation():
     obj, weights, spec, gains = setup()
-    state = init_vr_state("svrg", weights, gains, obj, spec)
-    moved = weights.with_values(weights.values - 0.3)
-    once = refresh_anchor(state, moved, gains, obj, spec)
-    twice = refresh_anchor(once, moved, gains, obj, spec)
+    q, scale = at(weights, spec, gains)
+    state = init_vr_state("svrg", q, scale, obj)
+    moved = quantize(weights.with_values(weights.values - 0.3), spec)
+    once = refresh_anchor(state, moved, scale, obj)
+    twice = refresh_anchor(once, moved, scale, obj)
     assert np.array_equal(once.reference, twice.reference)
-    np.testing.assert_allclose(once.reference, full_surrogate(obj, moved, spec, gains), rtol=1e-14)
-    g = grad_est(moved, gains, once, obj, spec, np.array([0, 1]))
+    np.testing.assert_allclose(once.reference, full_surrogate(obj, moved, scale), rtol=1e-14)
+    g = estimate(obj, moved, scale, once, np.array([0, 1]))
     assert np.array_equal(g, once.reference)
 
 
 def test_estimator_variance_full_batch_is_zero():
     obj, weights, spec, gains = setup(n=6)
-    state = init_vr_state("plain", weights, gains, obj, spec)
+    q, scale = at(weights, spec, gains)
+    state = init_vr_state("plain", q, scale, obj)
     # full batch in permuted order: only accumulation round-off remains
-    v = estimator_variance(state, weights, gains, obj, spec, batch_size=6, trials=5)
+    v = estimator_variance(state, q, scale, obj, batch_size=6, trials=5)
     assert v <= 1e-28
 
 
 def test_estimator_variance_svrg_zero_at_anchor():
     obj, weights, spec, gains = setup(n=8)
-    state = init_vr_state("svrg", weights, gains, obj, spec)
-    v = estimator_variance(state, weights, gains, obj, spec, batch_size=2, trials=10)
+    q, scale = at(weights, spec, gains)
+    state = init_vr_state("svrg", q, scale, obj)
+    v = estimator_variance(state, q, scale, obj, batch_size=2, trials=10)
     assert v <= 1e-24
 
 
 def test_svrg_variance_below_plain_near_anchor():
     obj, weights, spec, gains = setup(n=32, d=8)
-    state_svrg = init_vr_state("svrg", weights, gains, obj, spec)
-    state_plain = init_vr_state("plain", weights, gains, obj, spec)
-    moved = weights.with_values(weights.values * (1.0 + 0.05))
-    v_svrg = estimator_variance(state_svrg, moved, gains, obj, spec, batch_size=4, trials=200)
-    v_plain = estimator_variance(state_plain, moved, gains, obj, spec, batch_size=4, trials=200)
+    q, scale = at(weights, spec, gains)
+    state_svrg = init_vr_state("svrg", q, scale, obj)
+    state_plain = init_vr_state("plain", q, scale, obj)
+    moved = quantize(weights.with_values(weights.values * (1.0 + 0.05)), spec)
+    v_svrg = estimator_variance(state_svrg, moved, scale, obj, batch_size=4, trials=200)
+    v_plain = estimator_variance(state_plain, moved, scale, obj, batch_size=4, trials=200)
     assert v_svrg <= v_plain
 
 
 def test_hand_built_svrg_state_matches_init():
     obj, weights, spec, gains = setup(gains=[0.6, 1.1])
-    made = init_vr_state("svrg", weights, gains, obj, spec)
-    hand = VRState(mode="svrg", control=(quantize(weights, spec), gains),
-                   reference=ref_grad(weights, gains, obj, spec))
-    moved = weights.with_values(weights.values + 0.35)
+    q, scale = at(weights, spec, gains)
+    made = init_vr_state("svrg", q, scale, obj)
+    hand = VRState(mode="svrg", control=(q, scale), reference=full_surrogate(obj, q, scale))
+    moved = quantize(weights.with_values(weights.values + 0.35), spec)
     batch = np.array([0, 3, 5])
-    g = grad_est(moved, gains, hand, obj, spec, batch)
+    g = estimate(obj, moved, scale, hand, batch)
     assert np.all(np.isfinite(g))
-    assert np.array_equal(g, grad_est(moved, gains, made, obj, spec, batch))
+    assert np.array_equal(g, estimate(obj, moved, scale, made, batch))
 
 
 def test_hand_built_sarah_state_matches_ctrl_update():
     obj, weights, spec, gains = setup(n=6, gains=[0.9, 0.7])
-    state = init_vr_state("sarah", weights, gains, obj, spec)
+    q, scale = at(weights, spec, gains)
+    state = init_vr_state("sarah", q, scale, obj)
     g0 = state.reference
-    made = ctrl_update(state, weights, np.array([1, 3]), obj, spec, gains=gains, grad=g0)
-    hand = VRState(mode="sarah", control=(quantize(weights, spec), gains), reference=g0)
-    moved = weights.with_values(weights.values + 0.4)
+    made = ctrl_update(state, q, scale, np.array([1, 3]), obj, grad=g0)
+    hand = VRState(mode="sarah", control=(quantize(weights, spec), weights.per_weight(gains)),
+                   reference=g0)
+    moved = quantize(weights.with_values(weights.values + 0.4), spec)
     batch = np.array([0, 2, 5])
-    assert np.array_equal(grad_est(moved, gains, hand, obj, spec, batch),
-                          grad_est(moved, gains, made, obj, spec, batch))
+    assert np.array_equal(estimate(obj, moved, scale, hand, batch),
+                          estimate(obj, moved, scale, made, batch))
 
 
 @pytest.mark.parametrize("mode", ["svrg", "sarah"])
 def test_state_without_anchor_gradient_rejected(mode):
     _, weights, spec, gains = setup()
     with pytest.raises(ValueError, match="reference gradient"):
-        VRState(mode=mode, control=(quantize(weights, spec), gains))
+        VRState(mode=mode, control=at(weights, spec, gains))
     if mode == "svrg":  # SARAH has no control point right after a refresh, SVRG always has one
         with pytest.raises(ValueError, match="anchor point"):
             VRState(mode=mode, reference=np.zeros(weights.dim))
