@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import GroupedWeights, QuantSpec, dither_block, quantize_array
+from .quant import GroupedWeights, QuantSpec, block_rows, next_dither, quantize_array
 from .rng import substream
 
 __all__ = [
@@ -74,17 +74,25 @@ def _group_sums(a: np.ndarray, b: np.ndarray, group_size: int) -> np.ndarray:
     return out
 
 
-def _slope_sums(values: np.ndarray, spec: QuantSpec, step: float | np.ndarray,
-                deltas: np.ndarray, dither: np.ndarray | None,
-                group_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group cross <dq_k, delta_k> and energy |delta_k|^2, each (n_groups, m)."""
+def _response(x: np.ndarray, spec: QuantSpec, step: float | np.ndarray,
+              dither: np.ndarray | None) -> np.ndarray:
+    """Quantizer response at x: quantize(x), or the de-dithered quantize(x + r) - r."""
     if dither is None:
-        base = quantize_array(values, spec, step=step)[None, :]
-        shifted = quantize_array(values[None, :] + deltas, spec, step=step)
-    else:
-        base = quantize_array(values[None, :] + dither, spec, step=step) - dither
-        shifted = quantize_array(values[None, :] + deltas + dither, spec, step=step) - dither
-    dq = shifted - base
+        return quantize_array(x, spec, step=step)
+    out = quantize_array(x + dither, spec, step=step)
+    out -= dither
+    return out
+
+
+def _slope_sums(values: np.ndarray, spec: QuantSpec, step: float | np.ndarray,
+                deltas: np.ndarray, dither: np.ndarray | None, group_size: int,
+                base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group cross <dq_k, delta_k> and energy |delta_k|^2, each (n_groups, m).
+
+    ``base`` is the unperturbed response, ``_response(values, ..., dither)``.
+    """
+    dq = _response(values + deltas, spec, step, dither)
+    dq -= base
     return _group_sums(dq, deltas, group_size), _group_sums(deltas, deltas, group_size)
 
 
@@ -101,30 +109,46 @@ def probe_slope_samples(w_group: np.ndarray, spec: QuantSpec, step: float,
     """
     deltas = rng.normal(0.0, sigma, size=(m, w_group.size))
     dither = None if dither is None else np.atleast_2d(dither)
-    cross, energy = _slope_sums(w_group, spec, step, deltas, dither, w_group.size)
+    base = _response(w_group, spec, step, dither)
+    cross, energy = _slope_sums(w_group, spec, step, deltas, dither, w_group.size, base)
     return cross[0], energy[0]
 
 
 def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: ProbeConfig,
-            draw_key: int, least_squares: bool,
-            dither: np.ndarray | None = None) -> np.ndarray:
+            draw_key: int, least_squares: bool, dither: np.ndarray | None = None,
+            dither_rng: np.random.Generator | None = None) -> np.ndarray:
     """One gain update of every group from one (num_probes, dim) probe block.
 
     The block comes from the (seed_tag, "probe", draw_key) stream; group g
-    takes its columns. The per-group estimate is the mean of the per-probe
-    slope fits, or the least-squares fit over all probes. Estimates are
-    clipped to [0, 1] and mixed into ``gains`` at ``cfg.ema_rate``; the
-    result is clipped again, so a start outside [0, 1] cannot leak through.
+    takes its columns. It is drawn and used in blocks of probe rows
+    (``block_rows``), by consecutive draws of that stream, so an update holds
+    one block at a time. ``dither`` is one (dim,) dither shared by every
+    probe; with ``dither_rng`` each probe draws its own dither row from it,
+    block by block (``next_dither``). The per-group estimate is the mean of
+    the per-probe slope fits, or the least-squares fit over all probes.
+    Estimates are clipped to [0, 1] and mixed into ``gains`` at
+    ``cfg.ema_rate``; the result is clipped again, so a start outside
+    [0, 1] cannot leak through.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.size != weights.n_groups:
         raise ValueError("gain count does not match group count")
     if not np.all(np.isfinite(gains)):
         raise ValueError("gains must be finite")
-    deltas = substream(cfg.seed_tag, "probe", draw_key).normal(0.0, cfg.sigma,
-                                                                size=(cfg.num_probes, weights.dim))
-    cross, energy = _slope_sums(weights.values, spec, weights.broadcast(spec.step),
-                                deltas, dither, weights.group_size)
+    values, m = weights.values, cfg.num_probes
+    step = weights.broadcast(spec.step)
+    probes = substream(cfg.seed_tag, "probe", draw_key)
+    base = None if dither_rng is not None else _response(values, spec, step, dither)
+    cross, energy = np.empty((2, weights.n_groups, m))  # C-ordered: each row sums alike
+    rows = block_rows(weights.dim)
+    for a in range(0, m, rows):
+        deltas = probes.normal(0.0, cfg.sigma, size=(min(rows, m - a), weights.dim))
+        block = slice(a, a + deltas.shape[0])
+        if dither_rng is not None:
+            dither = next_dither(weights, spec, dither_rng, deltas.shape[:1])
+            base = _response(values, spec, step, dither)
+        cross[:, block], energy[:, block] = _slope_sums(values, spec, step, deltas, dither,
+                                                        weights.group_size, base)
     if least_squares:
         denom = energy.sum(axis=1)
         if np.any(denom == 0.0):
@@ -162,9 +186,11 @@ def dither_update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray,
     ``fixed_dither`` reuses an externally drawn (dim,) dither (e.g. the
     forward dither of a training step) for every probe instead.
     """
-    dither = (fixed_dither[None, :] if fixed_dither is not None
-              else dither_block(weights, spec, dither_seed, draw_key, (cfg.num_probes,)))
-    return _update(weights, spec, gains, cfg, draw_key, least_squares=False, dither=dither)
+    if fixed_dither is not None:
+        return _update(weights, spec, gains, cfg, draw_key, least_squares=False,
+                       dither=fixed_dither)
+    return _update(weights, spec, gains, cfg, draw_key, least_squares=False,
+                   dither_rng=substream(dither_seed, "dither_block", draw_key))
 
 
 def apply_gains(gains: np.ndarray, v: np.ndarray, layout: GroupedWeights) -> np.ndarray:

@@ -3,7 +3,9 @@
 Each objective exposes exact analytic gradients of the per-sample loss
 with respect to the (quantized) weight vector, one row per batch sample.
 Rows use ``np.vecdot`` and stacked ``np.matmul`` (not ``X @ q`` or ``einsum``),
-so a row's bits never depend on its batch-mates. No autodiff framework;
+so a row's bits never depend on its batch-mates. A pass over the samples
+(``batch_grad``, ``Quadratic.full_loss``) holds one block of rows at a time,
+with the bits of the whole-data computation. No autodiff framework;
 finite differences in the tests check every kind.
 """
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import GroupedWeights, QuantSpec
+from .quant import GroupedWeights, QuantSpec, block_rows
 from .rng import substream
 
 __all__ = [
@@ -119,9 +121,16 @@ class Quadratic(Objective):
         return x @ self.curvature.T
 
     def full_loss(self, q: np.ndarray) -> float:
-        # whole-data einsum and matmul: they round unlike the rows, and reported losses keep their bits
-        r = q[None, :] - self.targets
-        return 0.5 * float(np.mean(np.einsum("ij,ij->i", r, self._apply_a(r))))
+        # the whole-data einsum and matmul, block by block: they round unlike the rows,
+        # and reported losses keep their bits. BLAS rounds a dense product by its
+        # shape, so a dense curvature takes one block.
+        n, d = self.targets.shape
+        rows = n if self.curvature.ndim == 2 else block_rows(d)
+        losses = np.empty(n)
+        for a in range(0, n, rows):
+            r = q[None, :] - self.targets[a:a + rows]
+            np.einsum("ij,ij->i", r, self._apply_a(r), out=losses[a:a + rows])
+        return 0.5 * float(np.mean(losses))
 
     def mean_target(self) -> np.ndarray:
         return self.targets.mean(axis=0)
@@ -244,9 +253,25 @@ def per_sample_grad(obj: Objective, q: np.ndarray, i: int) -> tuple[float, np.nd
 
 
 def batch_grad(obj: Objective, q: np.ndarray, batch: np.ndarray) -> tuple[float, np.ndarray]:
-    """Arithmetic mean of per-sample losses and gradients, in the given order."""
-    losses, grads = obj.loss_and_grad_batch(q, batch)
-    return float(np.mean(losses)), np.mean(grads, axis=0)
+    """Arithmetic mean of per-sample losses and gradients, in the given order.
+
+    The rows are taken in blocks, each block's column sum carried into the
+    next block's first row. numpy sums a (rows, width >= 2) block over axis
+    0 row by row, so this is ``np.mean(grads, axis=0)`` bit for bit; a single
+    column is summed pairwise, so a one-weight objective takes one block.
+    """
+    batch = np.asarray(batch, dtype=int)
+    if batch.size == 0:
+        raise ValueError("empty batch")
+    rows = batch.size if obj.dim == 1 else block_rows(obj.dim)
+    losses = np.empty(batch.size)
+    total = None
+    for a in range(0, batch.size, rows):
+        losses[a:a + rows], grads = obj.loss_and_grad_batch(q, batch[a:a + rows])
+        if total is not None:
+            grads[0] += total
+        total = grads.sum(axis=0)
+    return float(np.mean(losses)), total / batch.size
 
 
 def _check_noise(noise: float) -> None:
@@ -273,9 +298,10 @@ def make_pl_instance(d: int, mu: float, l_smooth: float, seed: int,
     if n_samples == 1:
         targets = base[None, :]
     else:
-        offsets = rng.normal(0.0, 1.0, size=(n_samples, d))
-        offsets -= offsets.mean(axis=0)
-        targets = base[None, :] + target_spread * offsets
+        targets = rng.normal(0.0, 1.0, size=(n_samples, d))  # offsets, made targets in place
+        targets -= targets.mean(axis=0)
+        targets *= target_spread
+        targets += base
     return Quadratic(curvature=spectrum, targets=targets)
 
 
@@ -312,9 +338,10 @@ def make_saturating_task(d: int = 256, group_size: int = 32, frac_beyond_clip: f
         w0[lo + n_sat:hi] = rng.uniform(-0.2, 0.2, size=size - n_sat) * clip
         curvature[lo:lo + n_sat] = saturated_curvature
 
-    offsets = rng.normal(0.0, 1.0, size=(n_samples, d))
-    offsets -= offsets.mean(axis=0)
-    targets = base[None, :] + noise * offsets
+    targets = rng.normal(0.0, 1.0, size=(n_samples, d))  # offsets, made targets in place
+    targets -= targets.mean(axis=0)
+    targets *= noise
+    targets += base
     obj = Quadratic(curvature=curvature, targets=targets)
     return obj, weights.with_values(w0), spec
 

@@ -38,6 +38,8 @@ __all__ = [
     "mean_field_sensitivity",
     "calibrate_step",
     "dither_block",
+    "next_dither",
+    "block_rows",
 ]
 
 _MODES = ("generic", "w2", "w1_58", "w1", "identity")
@@ -45,9 +47,15 @@ _MODES = ("generic", "w2", "w1_58", "w1", "identity")
 # Mean-field chunk size: each chunk's column sum is added to the total, so
 # it fixes only the summation order (which the A3 golden pins), not memory.
 _MC_CHUNK_ELEMS = 2_000_000
-# A chunk is drawn, sampled and summed in row blocks of this size; memory is
-# bounded by one block, whose temporaries stay under the 128 KiB mmap threshold.
-_MC_BLOCK_ELEMS = 12_288
+# Every pass over samples or probes (a Monte-Carlo chunk, a full-data gradient
+# or loss, a gain update's probes) holds one (rows, width) block of at most this
+# many float64 elements at a time.
+_BLOCK_ELEMS = 16_384
+
+
+def block_rows(width: int) -> int:
+    """Rows of one block of a (rows, width) pass: as many as fit, at least one."""
+    return max(1, _BLOCK_ELEMS // width)
 
 
 @dataclass(frozen=True)
@@ -181,7 +189,7 @@ class GroupedWeights:
 def quantize_array(x: np.ndarray, spec: QuantSpec, step: float | np.ndarray | None = None) -> np.ndarray:
     """Quantize a raw array; ``step`` broadcasts against ``x`` (scalar by default)."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite weight")
     if spec.mode == "identity":
         return x.copy()
@@ -193,8 +201,11 @@ def quantize_array(x: np.ndarray, spec: QuantSpec, step: float | np.ndarray | No
         return np.where(x >= 0, 1.0, -1.0) * step
     c = spec.clip_codes
     codes = np.asarray(x / step)  # the one fresh array, rounded in place (0-d for a scalar x)
+    # clipped with the minimum and maximum ufuncs: np.clip's bits at a lower call cost
     if spec.mid_rise:
-        np.clip(np.floor(codes, out=codes), -c - 1, c, out=codes)
+        np.floor(codes, out=codes)
+        np.minimum(codes, c, out=codes)
+        np.maximum(codes, -c - 1, out=codes)
         codes += 0.5
     else:  # sign * floor(|x| + 0.5): halves away from zero, where np.round goes to even
         sign = np.sign(codes)
@@ -202,7 +213,8 @@ def quantize_array(x: np.ndarray, spec: QuantSpec, step: float | np.ndarray | No
         codes += 0.5
         np.floor(codes, out=codes)
         codes *= sign
-        np.clip(codes, -c, c, out=codes)
+        np.minimum(codes, c, out=codes)
+        np.maximum(codes, -c, out=codes)
     codes *= step
     return codes[()]
 
@@ -215,8 +227,18 @@ def quantize(weights: GroupedWeights, spec: QuantSpec) -> np.ndarray:
 def dither_block(weights: GroupedWeights, spec: QuantSpec, seed: int, key: int,
                  rows: tuple[int, ...]) -> np.ndarray:
     """(*rows, dim) uniform dither within half of each weight's group step, one draw."""
+    return next_dither(weights, spec, substream(seed, "dither_block", key), rows)
+
+
+def next_dither(weights: GroupedWeights, spec: QuantSpec, rng: np.random.Generator,
+                rows: tuple[int, ...]) -> np.ndarray:
+    """The next (*rows, dim) dither of ``rng``, as ``dither_block`` draws it.
+
+    Consecutive calls continue the stream: draws of k and then m - k rows
+    give the bits of one m-row draw.
+    """
     half = 0.5 * weights.broadcast(spec.step)
-    u = substream(seed, "dither_block", key).random((*rows, weights.dim))
+    u = rng.random((*rows, weights.dim))
     # Generator.uniform(-half, half)'s own formula, without its slow array-bounds path
     return -half + (half - -half) * u
 
@@ -257,7 +279,7 @@ def _mc_average(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: 
         low, high = -0.5 * step_g, 0.5 * step_g
         rng = substream(seed, "dither", g)
         chunk = max(1, _MC_CHUNK_ELEMS // (hi - lo))
-        block = chunk if hi - lo == 1 else max(1, _MC_BLOCK_ELEMS // (hi - lo))
+        block = chunk if hi - lo == 1 else block_rows(hi - lo)
         buf = np.empty((min(block, n_samples), hi - lo))
         for done in range(0, n_samples, chunk):
             k = min(chunk, n_samples - done)

@@ -228,16 +228,19 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
             _guard(loss, initial_loss, step, trace)
             raise DivergenceError(f"latent weights became non-finite at step {step}", trace)
         q_next = None if dithered else quantize(new_weights, spec)
-        # SARAH differences the next step against this step's point; SAGA's table moves on
-        state = ctrl_update(state, q if state.mode == "sarah" else q_next, scale, batch, obj,
-                            grad=g)
+        last = step == cfg.steps  # no step reads the estimator's memory after the last one
+        if not last:
+            # SARAH differences the next step against this step's point; SAGA's table moves on
+            state = ctrl_update(state, q if state.mode == "sarah" else q_next, scale, batch, obj,
+                                grad=g)
         q = q_next
         refreshed = dithered or (scheduled and cfg.refresh.fires(step, cfg.seed))
-        if refreshed:
+        if refreshed:  # the last gains still run: the final record and gains show them
             gains = _update_gains(gains, new_weights, spec, cfg, probe_cfg, step,
                                   fixed_dither=dither)
             gain_stats, scale = _gain_stats(gains), new_weights.per_weight(gains)
-            state = refresh_anchor(state, q, scale, obj)
+            if not last:
+                state = refresh_anchor(state, q, scale, obj)
         trace.append(_record(step, loss, v_bar, g, gain_stats, weights, clip, refreshed))
         _guard(loss, initial_loss, step, trace)
         weights = new_weights

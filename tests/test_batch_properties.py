@@ -8,18 +8,24 @@ The in-place SAGA update is checked the same way against the row-by-row
 table update, and the estimator's one formula on mean gradients against
 the mean of its per-sample control-variate rows. The rows are fresh
 arrays the caller owns, and the SAGA table and ``full_loss`` allocate no
-(n, d) block beyond the one table.
+(n, d) block beyond the one table. With the block size cut to a few
+elements, ``batch_grad`` and ``full_loss`` in row blocks must match their
+one-block references bit for bit, and a full-data pass of the benchmark's
+SVRG problem must hold one block at a time.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qatlab import quant
+from qatlab.jacobian import ProbeConfig, probe_update
 from qatlab.objectives import (
     Dataset,
     LinearRegression,
@@ -28,6 +34,7 @@ from qatlab.objectives import (
     TwoLayerMLP,
     batch_grad,
     make_mlp_task,
+    make_pl_instance,
     per_sample_grad,
 )
 from qatlab.quant import GroupedWeights, QuantSpec, quantize
@@ -107,9 +114,9 @@ def same_bits(got, expected) -> bool:
 
 
 @st.composite
-def problems(draw, kinds=KINDS):
+def problems(draw, kinds=KINDS, max_n=12):
     kind = draw(st.sampled_from(kinds))
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_n))
     d = draw(st.integers(1, 12 if kind == "mlp" else 40))
     obj = make_objective(kind, n, d, draw(st.integers(0, 2**16)))
     scale = draw(st.sampled_from([0.1, 1.0, 4.0]))
@@ -148,6 +155,39 @@ def test_full_loss_is_the_mean_of_the_batch_losses(problem):
     obj, q, _ = problem
     losses = obj.loss_and_grad_batch(q, np.arange(obj.n))[0]
     assert same_bits(obj.full_loss(q), float(np.mean(losses)))
+
+
+def one_block_batch_grad(obj, q, batch):
+    """``batch_grad`` with every row in one block: numpy's mean of the whole (b, d) block."""
+    losses, grads = obj.loss_and_grad_batch(q, batch)
+    return float(np.mean(losses)), np.mean(grads, axis=0)
+
+
+@SETTINGS
+@given(problems(max_n=30), st.integers(1, 40))
+@example(problem=(make_objective("quadratic", 9, 1, 0), np.array([0.3]), np.arange(9)), block=2)
+@example(problem=(make_objective("quadratic_dense", 5, 4, 1), np.linspace(-1.3, 2.1, 4),
+                  np.array([4, 0, 3, 3, 1])), block=4)  # BLAS rounds this loss by block shape
+def test_row_blocks_match_one_block(problem, block):
+    # blocks of `block` elements: one row each for dim >= block, most with a short last block
+    obj, q, batch = problem
+    with patch.object(quant, "_BLOCK_ELEMS", block):
+        loss, grad = batch_grad(obj, q, batch)
+        full = obj.full_loss(q)
+    expected_loss, expected_grad = one_block_batch_grad(obj, q, batch)
+    assert same_bits(loss, expected_loss) and same_bits(grad, expected_grad)
+    assert same_bits(full, loop_full_loss(obj, q))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_grad_checks_every_block(kind):
+    obj = make_objective(kind, 5, 3, seed=0)
+    q = np.zeros(obj.dim)
+    with patch.object(quant, "_BLOCK_ELEMS", 1):  # one row per block: the bad index comes last
+        with pytest.raises(IndexError, match="out of range"):
+            batch_grad(obj, q, [0, 1, 2, 5])
+        with pytest.raises(ValueError, match="empty"):
+            batch_grad(obj, q, [])
 
 
 def concatenated_mlp_rows(obj, q, idx):
@@ -216,6 +256,23 @@ def test_row_blocks_are_written_once():
     saga_peak = traced_peak(lambda: init_vr_state("saga", q, scale, obj))
     assert saga_peak <= 1.25 * block
     assert traced_peak(lambda: obj.full_loss(q)) <= 0.1 * block  # no gradient rows at all
+
+
+def test_full_data_passes_hold_one_row_block():
+    # the benchmark's SVRG problem (pl, n = 64, d = 4096): one (n, d) block is 2 MiB
+    obj = make_pl_instance(4096, 0.1, 1.0, seed=0, n_samples=64, target_spread=0.5)
+    block = obj.targets.nbytes
+    weights = GroupedWeights(np.linspace(-1.0, 1.0, obj.dim), group_size=32)
+    q, scale = quantize(weights, QuantSpec.w2(step=0.5)), np.full(weights.dim, 0.5)
+    assert traced_peak(lambda: init_vr_state("svrg", q, scale, obj)) < 2**20
+    assert traced_peak(lambda: obj.full_loss(q)) < 2**20
+    # an 8-probe gain update: one (8, d) block is 256 KiB, and each takes several temporaries
+    cfg = ProbeConfig(sigma=0.25, num_probes=8)
+    assert traced_peak(lambda: probe_update(weights, QuantSpec.w2(step=0.5),
+                                            np.ones(weights.n_groups), cfg)) < 0.75 * 2**20
+    # the targets are built in place: the one (n, d) block and little more
+    assert traced_peak(lambda: make_pl_instance(4096, 0.1, 1.0, seed=0, n_samples=64,
+                                                target_spread=0.5)) < block + 2**18
 
 
 @pytest.mark.parametrize("kind", KINDS)

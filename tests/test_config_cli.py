@@ -1,12 +1,22 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import os
+import re
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qatlab import config as config_module
+from qatlab import trainer
 from qatlab.cli import DIAGNOSE_NAMES, main
 from qatlab.config import ConfigError, parse_config, parse_config_dict, serialize_config
 from qatlab.objectives import Quadratic
@@ -410,49 +420,66 @@ def test_main_argv_round_trip(tmp_path):
                                       "probe-rate", "tracking", "vr-variance", "windows"]
 
 
+def bad(field, payload, case=""):
+    """One bad config: the field its error must name, the payload, and a stable unique id.
+
+    The id is the field followed by ``case``; the rows written before ids
+    were explicit keep the names pytest gave them (the field, numbered when
+    it repeats), so no test was renamed.
+    """
+    return pytest.param(field, payload, id=field + case)
+
+
 BAD_CONFIGS = [
-    ("quant.step", {"quant": {"step": "1"}}),
-    ("train.probe_sigma", {"train": {"probe_sigma": -1}}),
-    ("train.num_probes", {"train": {"num_probes": 0}}),
-    ("seed", {"seed": -1}),
-    ("quant.group_size", {"quant": {"group_size": 0}}),
-    ("objective.path", {"objective": {"kind": "csv", "path": "nan.csv"}}),
-    ("objective.path", {"objective": {"kind": "csv", "path": "absent.csv"}}),
-    ("objective.path", {"objective": {"kind": "csv", "path": "."}}),  # a directory
-    ("objective.noise", {"objective": {"kind": "linear_regression", "noise": "abc"}}),
-    ("objective.hidden_width", {"objective": {"kind": "mlp", "hidden_width": 0}}),
-    ("objective.w0_scale", {"objective": {"w0_scale": -1}}),
-    ("objective.frac_beyond_clip", {"objective": {"kind": "saturating", "frac_beyond_clip": 2}}),
-    ("objective.mu", {"objective": {"kind": "pl", "dim": 1}}),
-    ("train.batch_size", {"train": {"batch_size": 2.7}}),
-    ("train.stepsize", {"train": {"stepsize": "0.1"}}),
-    ("train.stepsize", {"train": {"stepsize": float("inf")}}),
-    ("objective.noise", {"objective": {"kind": "linear_regression", "noise": float("nan")}}),
-    ("train.steps", {"train": {"steps": True}}),
-    ("train.refresh", {"train": {"refresh": {"kind": "probability", "probability": 0}}}),
-    ("sweep.jac_modes", {"sweep": {"jac_modes": ["bogus"]}}),
-    ("sweep.group_sizes", {"sweep": {"group_sizes": []}}),
-    ("quant.bits", {"quant": {"mode": "w2", "bits": 7}}),
-    ("quant.bits", {"quant": {"mode": "generic"}}),
-    ("quant.mid_rise", {"quant": {"mode": "w1", "mid_rise": True}}),
-    ("quant.mid_rise", {"quant": {"mode": "w1_58", "mid_rise": True}}),
-    ("quant.mid_rise", {"quant": {"mode": "identity", "mid_rise": True}}),
-    ("quant.mode", {"objective": {"kind": "saturating"},
-                    "quant": {"mode": "bogus", "step": -1, "calibrate": True}}),
-    ("quant.calibrate", {"objective": {"kind": "saturating"}, "quant": {"calibrate": True}}),
-    ("objective.w0_scale", {"objective": {"w0_scale": 1e308}}),  # overflows to inf
-    ("objective.w0_scale", {"objective": {"kind": "saturating", "w0_scale": 5.0}}),
-    ("objective.noise", {"objective": {"kind": "saturating", "noise": -1.0}}),
-    ("objective.noise", {"objective": {"kind": "linear_regression", "noise": -0.1}}),
-    ("objective.noise", {"objective": {"kind": "mlp", "noise": -0.1}}),
+    bad("quant.step", {"quant": {"step": "1"}}),
+    bad("train.probe_sigma", {"train": {"probe_sigma": -1}}),
+    bad("train.num_probes", {"train": {"num_probes": 0}}),
+    bad("seed", {"seed": -1}),
+    bad("quant.group_size", {"quant": {"group_size": 0}}, "0"),
+    bad("objective.path", {"objective": {"kind": "csv", "path": "nan.csv"}}, "0"),
+    bad("objective.path", {"objective": {"kind": "csv", "path": "absent.csv"}}, "1"),
+    bad("objective.path", {"objective": {"kind": "csv", "path": "."}}, "2"),  # a directory
+    bad("objective.noise", {"objective": {"kind": "linear_regression", "noise": "abc"}}, "0"),
+    bad("objective.hidden_width", {"objective": {"kind": "mlp", "hidden_width": 0}}),
+    bad("objective.w0_scale", {"objective": {"w0_scale": -1}}, "0"),
+    bad("objective.frac_beyond_clip", {"objective": {"kind": "saturating", "frac_beyond_clip": 2}}),
+    bad("objective.mu", {"objective": {"kind": "pl", "dim": 1}}),
+    bad("train.batch_size", {"train": {"batch_size": 2.7}}),
+    bad("train.stepsize", {"train": {"stepsize": "0.1"}}, "0"),
+    bad("train.stepsize", {"train": {"stepsize": float("inf")}}, "1"),
+    bad("objective.noise", {"objective": {"kind": "linear_regression", "noise": float("nan")}},
+        "1"),
+    bad("train.steps", {"train": {"steps": True}}),
+    bad("train.refresh", {"train": {"refresh": {"kind": "probability", "probability": 0}}}),
+    bad("sweep.jac_modes", {"sweep": {"jac_modes": ["bogus"]}}),
+    bad("sweep.group_sizes", {"sweep": {"group_sizes": []}}),
+    bad("quant.bits", {"quant": {"mode": "w2", "bits": 7}}, "0"),
+    bad("quant.bits", {"quant": {"mode": "generic"}}, "1"),
+    bad("quant.mid_rise", {"quant": {"mode": "w1", "mid_rise": True}}, "0"),
+    bad("quant.mid_rise", {"quant": {"mode": "w1_58", "mid_rise": True}}, "1"),
+    bad("quant.mid_rise", {"quant": {"mode": "identity", "mid_rise": True}}, "2"),
+    bad("quant.mode", {"objective": {"kind": "saturating"},
+                       "quant": {"mode": "bogus", "step": -1, "calibrate": True}}),
+    bad("quant.calibrate", {"objective": {"kind": "saturating"}, "quant": {"calibrate": True}}),
+    bad("objective.w0_scale", {"objective": {"w0_scale": 1e308}}, "1"),  # overflows to inf
+    bad("objective.w0_scale", {"objective": {"kind": "saturating", "w0_scale": 5.0}}, "2"),
+    bad("objective.noise", {"objective": {"kind": "saturating", "noise": -1.0}}, "2"),
+    bad("objective.noise", {"objective": {"kind": "linear_regression", "noise": -0.1}}, "3"),
+    bad("objective.noise", {"objective": {"kind": "mlp", "noise": -0.1}}, "4"),
     # an integer outside int64 overflows numpy; bits above 53 make an inexact clip level
-    ("quant.group_size", {"quant": {"group_size": 10**30}}),
-    ("quant.bits", {"quant": {"mode": "generic", "bits": 1025}}),
-    ("quant.bits", {"quant": {"mode": "generic", "bits": 10**30}}),
+    bad("quant.group_size", {"quant": {"group_size": 10**30}}, "1"),
+    bad("quant.bits", {"quant": {"mode": "generic", "bits": 1025}}, "2"),
+    bad("quant.bits", {"quant": {"mode": "generic", "bits": 10**30}}, "3"),
 ]
 
 
-@pytest.mark.parametrize("field,payload", BAD_CONFIGS, ids=[f for f, _ in BAD_CONFIGS])
+def test_bad_config_ids_are_unique_and_name_their_field():
+    ids = [row.id for row in BAD_CONFIGS]
+    assert len(set(ids)) == len(ids)
+    assert all(row.id.startswith(row.values[0]) for row in BAD_CONFIGS)
+
+
+@pytest.mark.parametrize("field,payload", BAD_CONFIGS)
 def test_bad_config_fails_at_parse_time(tmp_path, monkeypatch, capsys, field, payload):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "nan.csv").write_text("x,y\n1.0,2.0\nnan,3.0\n")
@@ -466,3 +493,108 @@ def test_bad_config_fails_at_parse_time(tmp_path, monkeypatch, capsys, field, pa
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}")
     assert not (tmp_path / "out").exists()
+
+
+# -- schema-driven fuzz: no config value gives a traceback ---------------------------
+
+def schema_fields(defaults: dict, prefix: str = ""):
+    """(dotted field, default) of every leaf of a defaults table."""
+    for key, default in defaults.items():
+        if isinstance(default, dict):
+            yield from schema_fields(default, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", default
+
+
+FIELDS = dict(schema_fields(config_module._DEFAULTS))
+# what an error may name: a field, a nested section such as train.refresh, or the sweep grid
+NAMES = {*FIELDS, *(f.rsplit(".", 1)[0] for f in FIELDS if f.count(".") > 1),
+         "sweep.group_sizes"}
+# Each type's edge set; objective sizes and run lengths stay small, so each run is quick.
+EDGES = {int: (0, -1, 1, 2, 3, 10**30), float: (0.0, -1.0, 1e-300, 1e300, 0.5, 2.0),
+         bool: (False, True)}
+SMALL = {"objective.dim": (1, 2, 5), "objective.n_samples": (1, 2, 5), "train.steps": (1, 3)}
+CHOICES = {
+    "objective.kind": config_module._KINDS + ("bogus",),
+    "objective.path": ("data.csv", "absent.csv", "."),  # under the run's directory
+    "quant.mode": tuple(config_module._QUANT_MODES) + ("bogus",),
+    "train.loop": ("vr", "base", "bogus"),
+    "train.jac_mode": trainer._JAC_MODES + ("bogus",),
+    "train.vr_mode": trainer._VR_MODES + ("bogus",),
+    "train.refresh.kind": ("interval", "probability", "bogus"),
+}
+SUMMARY_KEYS = {"command", "config", "seed", "error", "final_loss", "steps_run", "wall_time_s",
+                "outputs"}
+
+
+def edge_values(field: str, default) -> tuple:
+    values = SMALL.get(field) or CHOICES.get(field)
+    if values is None:
+        values = EDGES[config_module._NULLABLE.get(field, type(default))]
+    return values + ((None,) if field in config_module._NULLABLE else ())
+
+
+@st.composite
+def fuzz_configs(draw) -> dict:
+    """A config whose objective kind, sizes and about one field in eight come from the edge sets."""
+    cfg: dict = {}
+    for field, default in FIELDS.items():
+        if field in SMALL or field == "objective.kind" or draw(st.integers(0, 7)) == 0:
+            *sections, key = field.split(".")
+            node = cfg
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[key] = draw(st.sampled_from(edge_values(field, default)))
+    if draw(st.booleans()):  # a two-cell sweep grid
+        cfg["sweep"] = {"group_sizes": [draw(st.sampled_from(EDGES[int])) for _ in range(2)]}
+    return cfg
+
+
+def run_cli(command: str, cfg: dict, root: str) -> tuple[int, str, str]:
+    if cfg.get("objective", {}).get("path") is not None:
+        cfg["objective"]["path"] = os.path.join(root, cfg["objective"]["path"])
+    path = os.path.join(root, "config.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh)
+    out = os.path.join(root, command)
+    err = io.StringIO()
+    # The CLI prints a warning and goes on, where the tests' filter would raise it. Only
+    # numpy's floating-point warnings on extreme values (overflow to inf, inf - inf) may
+    # appear.
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        status = main([command, "--config", path, "--out", out])
+    for w in caught:
+        assert w.category is RuntimeWarning and re.match(
+            r"(overflow|invalid value) encountered", str(w.message)), w
+    return status, err.getvalue(), out
+
+
+@settings(max_examples=80, deadline=None)
+@given(fuzz_configs())
+def test_no_config_value_gives_a_traceback(cfg):
+    # main never raises; exit 2 names a schema field, exit 0 or 1 leaves complete outputs
+    with tempfile.TemporaryDirectory() as root:
+        with open(os.path.join(root, "data.csv"), "w", encoding="utf-8") as fh:
+            fh.write("x1,x2,y\n1.0,2.0,0.5\n-1.0,0.5,1.5\n0.25,-2.0,-1.0\n")
+        command = "sweep" if "sweep" in cfg else "train"
+        status, err, out = run_cli(command, cfg, root)
+        assert status in (0, 1, 2)
+        if status == 2:
+            named = re.match(r"config error: ([a-z0-9_.]+)", err)
+            assert named and named.group(1).rstrip(".:") in NAMES, err
+            return
+        with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+            summary = json.load(fh)
+        if command == "sweep":
+            assert summary["cells"] == 2 and summary["cells_with_errors"] == len(summary["errors"])
+            with open(os.path.join(out, "sweep.csv"), newline="", encoding="utf-8") as fh:
+                assert len(list(csv.reader(fh))) == 3
+            assert status == (1 if summary["errors"] else 0)
+            return
+        assert SUMMARY_KEYS <= summary.keys()
+        assert (status == 1) == isinstance(summary["error"], str)
+        assert ("final_gains" in summary) == (status == 0)
+        with open(os.path.join(out, "metrics.csv"), newline="", encoding="utf-8") as fh:
+            assert len(list(csv.reader(fh))) == summary["steps_run"] + 1

@@ -9,7 +9,8 @@ oracles are checked the same way against a plain restatement that
 evaluates each chunk in one go with fresh arrays. Each gain update or
 dither draw is one block from one stream, so the draws must not depend
 on the group layout, and the dither stays within half of each group's
-step.
+step. A gain update drawn and used in blocks of probe rows must match the
+one-block loop reference bit for bit.
 """
 
 from __future__ import annotations
@@ -259,18 +260,42 @@ def test_gain_updates_match_per_group_probe_loop(data, num_probes, draw_key):
         assert_same_bits(got, expected)
 
 
+@SETTINGS
+@given(st.data(), st.integers(1, 40), st.sampled_from([1, 2, 3, 7, 9]), st.integers(0, 50))
+def test_gain_updates_in_probe_blocks_match_one_block(data, block, num_probes, draw_key):
+    # blocks of `block` elements: block // dim probe rows each (one when dim >= block),
+    # most with a short last block
+    weights = data.draw(layouts())
+    spec = data.draw(specs(weights))
+    cfg = ProbeConfig(sigma=0.3, num_probes=num_probes, seed_tag=draw_key + 1, ema_rate=0.7)
+    gains = np.ones(weights.n_groups)
+    fixed = draw_dither(weights, spec, seed=3, seed_tag=draw_key)
+    with patch.object(quant, "_BLOCK_ELEMS", block):
+        got = [probe_update(weights, spec, gains, cfg, draw_key=draw_key),
+               probe_ls_update(weights, spec, gains, cfg, draw_key=draw_key),
+               dither_update(weights, spec, gains, cfg, dither_seed=5, draw_key=draw_key),
+               dither_update(weights, spec, gains, cfg, dither_seed=5, draw_key=draw_key,
+                             fixed_dither=fixed)]
+    expected = [loop_update(weights, spec, gains, cfg, draw_key),
+                loop_update(weights, spec, gains, cfg, draw_key, least_squares=True),
+                loop_update(weights, spec, gains, cfg, draw_key, dither_seed=5),
+                loop_update(weights, spec, gains, cfg, draw_key, fixed_dither=fixed)]
+    for a, b in zip(got, expected, strict=True):
+        assert_same_bits(a, b)
+
+
 def probe_block_of(weights, spec, cfg, draw_key):
     """The (m, d) probe block one probe_update hands to the slope kernel."""
     seen = []
     kernel = jacobian._slope_sums
 
-    def spy(values, spec, step, deltas, dither, group_size):
+    def spy(values, spec, step, deltas, *rest):
         seen.append(deltas)
-        return kernel(values, spec, step, deltas, dither, group_size)
+        return kernel(values, spec, step, deltas, *rest)
 
     with patch.object(jacobian, "_slope_sums", spy):
         probe_update(weights, spec, np.ones(weights.n_groups), cfg, draw_key)
-    return seen[0]
+    return np.concatenate(seen)
 
 
 @SETTINGS
@@ -371,7 +396,7 @@ def test_mc_oracles_match_whole_chunk_reference(data, block, chunk, n_samples):
     # Row blocks of `block` elements within chunks of `chunk` elements: several chunks,
     # most with a short last block and many with a short last chunk; a width-1 group
     # sums each chunk whole.
-    with (patch.object(quant, "_MC_BLOCK_ELEMS", block),
+    with (patch.object(quant, "_BLOCK_ELEMS", block),
           patch.object(quant, "_MC_CHUNK_ELEMS", chunk)):
         got = [mean_field(weights, spec, n_samples, seed=4, return_sem=True),
                mean_field_sensitivity(weights, spec, probe_eps=eps, n_samples=n_samples,
