@@ -113,19 +113,23 @@ def fd_mismatch_variance(trace: list[tuple[GroupedWeights, np.ndarray, np.ndarra
 
     The mismatch is rule_i - fd_i * v_i for the learned rule (gains * v)
     and the straight-through rule (v), pooled over sampled coordinates
-    and trace steps.
+    and trace steps. Both rules' mismatches are written into one
+    preallocated (2, steps, coords) array, so each variance reads one
+    contiguous block.
     """
     if not trace:
         raise ValueError("empty trace")
-    mism_jq: list[np.ndarray] = []
-    mism_ste: list[np.ndarray] = []
-    for weights, gains, v_bar in trace:
+    mism = None
+    for t, (weights, gains, v_bar) in enumerate(trace):
         idx, fd = fd_reference(weights, spec, eps=eps, coords=coords)
         v = np.asarray(v_bar, dtype=float)[idx]
         ref = fd * v
-        mism_jq.append(weights.per_weight(gains)[idx] * v - ref)
-        mism_ste.append(v - ref)
-    return float(np.var(np.concatenate(mism_jq))), float(np.var(np.concatenate(mism_ste)))
+        if mism is None:
+            mism = np.empty((2, len(trace), idx.size))
+        np.subtract(weights.per_weight(gains)[idx] * v, ref, out=mism[0, t])
+        np.subtract(v, ref, out=mism[1, t])
+    jq, ste = mism.reshape(2, -1)
+    return float(np.var(jq)), float(np.var(ste))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import tempfile
+from collections import deque
 from dataclasses import dataclass, fields, replace
 from itertools import product
 
@@ -138,8 +140,9 @@ class DivergenceError(RuntimeError):
 class TrainResult:
     """Final weights and (n_groups,) gains plus the per-step metrics trace.
 
-    ``state_trace`` holds (weights, gains, mean upstream gradient) triples
-    for each step when the run was asked to capture them.
+    ``state_trace`` holds the (weights, gains, mean upstream gradient)
+    triples of the last ``keep_states`` steps, oldest first, or None when
+    the run kept none.
     """
 
     weights: GroupedWeights
@@ -181,6 +184,14 @@ def _guard(loss: float, initial_loss: float, step: int, trace: list[MetricsRecor
         raise DivergenceError(f"loss {loss:.3e} exceeded divergence guard at step {step}", trace)
 
 
+def _guard_norms(trace: list[MetricsRecord]) -> None:
+    rec = trace[-1]
+    for name in ("grad_norm", "surrogate_grad_norm"):
+        value = getattr(rec, name)
+        if not math.isfinite(value):
+            raise DivergenceError(f"{name} became non-finite ({value}) at step {rec.step}", trace)
+
+
 def _update_gains(gains: np.ndarray, weights: GroupedWeights, spec: QuantSpec,
                   cfg: TrainConfig, probe_cfg: ProbeConfig, step: int,
                   fixed_dither: np.ndarray | None = None) -> np.ndarray:
@@ -194,8 +205,12 @@ def _update_gains(gains: np.ndarray, weights: GroupedWeights, spec: QuantSpec,
                          draw_key=step, fixed_dither=fixed_dither)
 
 
+# the guards report a non-finite value by name and step; numpy's warnings would only repeat it
+@np.errstate(all="ignore")
 def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
-           capture_trace: bool, base: bool) -> TrainResult:
+           keep_states: int, base: bool) -> TrainResult:
+    if isinstance(keep_states, bool) or keep_states < 0:
+        raise ValueError(f"keep_states must be a count >= 0, got {keep_states!r}")
     probe_cfg = cfg.probe_config(spec)
     gains = np.ones(weights0.n_groups)  # the straight-through starting point
     gain_stats, scale = _gain_stats(gains), weights0.per_weight(gains)
@@ -207,8 +222,8 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
     q = None if dithered else quantize(weights, spec)  # the hard forward is carried to the next step
     state = init_vr_state("plain" if base else cfg.vr_mode, q, scale, obj)
     trace: list[MetricsRecord] = []
-    states: list[tuple[GroupedWeights, np.ndarray, np.ndarray]] | None = (
-        [] if capture_trace else None)
+    # only the trailing window a reader asks for stays alive
+    states = deque(maxlen=keep_states) if keep_states else None
     initial_loss = None
     for step in range(1, cfg.steps + 1):
         batch = _sample_batch(obj.n, cfg.batch_size, cfg.seed, step)
@@ -243,30 +258,34 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
                 state = refresh_anchor(state, q, scale, obj)
         trace.append(_record(step, loss, v_bar, g, gain_stats, weights, clip, refreshed))
         _guard(loss, initial_loss, step, trace)
+        _guard_norms(trace)
         weights = new_weights
-    return TrainResult(weights=weights, gains=gains, metrics=trace, state_trace=states)
+    return TrainResult(weights=weights, gains=gains, metrics=trace,
+                       state_trace=None if states is None else list(states))
 
 
 def train_vr(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
-             capture_trace: bool = False) -> TrainResult:
+             keep_states: int = 0) -> TrainResult:
     """Variance-reduced loop with anchored refreshes.
 
     Gains start at one (the straight-through point). Refresh events update
     the gains, synchronize the anchor to the new point, and recompute the
-    reference gradient.
+    reference gradient. ``keep_states`` is how many trailing step states
+    ``state_trace`` holds (0: none); a bool is refused.
     """
-    return _train(obj, weights0, spec, cfg, capture_trace, base=False)
+    return _train(obj, weights0, spec, cfg, keep_states, base=False)
 
 
 def train_base(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
-               capture_trace: bool = False) -> TrainResult:
+               keep_states: int = 0) -> TrainResult:
     """Plain minibatch loop; no control variates (vr_mode is ignored).
 
     Probe modes refresh the gains on the configured schedule. Dither mode
     draws a fresh dither each step, runs the forward on the de-dithered
     proxy, and updates the gains every step reusing the forward dither.
+    ``keep_states`` works as in :func:`train_vr`.
     """
-    return _train(obj, weights0, spec, cfg, capture_trace, base=True)
+    return _train(obj, weights0, spec, cfg, keep_states, base=True)
 
 
 def _run_cell(args) -> dict:

@@ -215,14 +215,34 @@ def test_cli_train_non_finite_weights_end_as_divergence(tmp_path, loop):
         "train": {"loop": loop, "jac_mode": "ste", "stepsize": 1e308, "steps": 20},
     })
     out = tmp_path / "nonfinite"
-    with np.errstate(over="ignore"):
-        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1  # no overflow warning
     summary = json.loads((out / "summary.json").read_text())
     assert "non-finite" in summary["error"]
     with open(out / "metrics.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert summary["steps_run"] == len(rows) - 1 >= 1
     assert all(np.isfinite(float(row[1])) for row in rows[1:])
+
+
+@pytest.mark.parametrize("objective,error", [
+    # the gradient's norm overflows while the loss stays finite
+    ({"kind": "mlp", "dim": 1, "n_samples": 1}, r"grad_norm became non-finite \(inf\) at step 1"),
+    # the anchor and the loss overflow too
+    ({"kind": "linear_regression", "dim": 2, "n_samples": 3},
+     r"loss inf exceeded divergence guard at step 1"),
+], ids=["mlp", "linear_regression"])
+def test_cli_train_extreme_initial_weights_end_as_divergence(tmp_path, objective, error):
+    cfg = write_config(tmp_path, {"objective": {**objective, "w0_scale": 1e300},
+                                  "quant": {"calibrate": True}, "train": {"steps": 1}})
+    out = tmp_path / "extreme"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    summary = json.loads((out / "summary.json").read_text())
+    assert re.fullmatch(error, summary["error"])
+    with open(out / "metrics.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == summary["steps_run"] + 1 == 2
 
 
 def test_cli_sweep(tmp_path):
@@ -597,4 +617,7 @@ def test_no_config_value_gives_a_traceback(cfg):
         assert (status == 1) == isinstance(summary["error"], str)
         assert ("final_gains" in summary) == (status == 0)
         with open(os.path.join(out, "metrics.csv"), newline="", encoding="utf-8") as fh:
-            assert len(list(csv.reader(fh))) == summary["steps_run"] + 1
+            rows = list(csv.reader(fh))
+        assert len(rows) == summary["steps_run"] + 1
+        if status == 0:  # a run that ends ok recorded only finite numbers
+            assert all(np.isfinite(float(value)) for row in rows[1:] for value in row)

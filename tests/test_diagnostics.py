@@ -141,6 +141,32 @@ def test_fd_mismatch_variance_oracle_gains_dominate_ste():
     assert var_jq <= var_ste
 
 
+def fd_mismatch_variance_by_concatenation(trace, spec, eps=None, coords=None):
+    """Reference: per-step mismatch lists, concatenated, then one variance each."""
+    mism_jq, mism_ste = [], []
+    for weights, gains, v_bar in trace:
+        idx, fd = fd_reference(weights, spec, eps=eps, coords=coords)
+        v = np.asarray(v_bar, dtype=float)[idx]
+        ref = fd * v
+        mism_jq.append(weights.per_weight(gains)[idx] * v - ref)
+        mism_ste.append(v - ref)
+    return float(np.var(np.concatenate(mism_jq))), float(np.var(np.concatenate(mism_ste)))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 100])
+@pytest.mark.parametrize("coords,eps", [(None, None), (np.array([3, 0, 17, 3, 40]), None),
+                                        (np.arange(0, 48, 5), 0.05)])
+def test_fd_mismatch_variance_matches_concatenated_lists_bit_for_bit(steps, coords, eps):
+    spec = QuantSpec.w2(step=1.0)
+    rng = substream(20, "trace", steps)
+    w = mixed_weights(seed=21)
+    trace = [(w.with_values(w.values + rng.normal(0, 0.3, w.dim)),
+              rng.uniform(0, 1, w.n_groups), rng.normal(0, 1, w.dim)) for _ in range(steps)]
+    got = fd_mismatch_variance(trace, spec, eps=eps, coords=coords)
+    want = fd_mismatch_variance_by_concatenation(trace, spec, eps=eps, coords=coords)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_probe_rate_identity_quantizer_zero_error():
     res = probe_rate_harness(QuantSpec.identity(), group_dim=8, sigma=0.3,
                              probe_counts=[4, 16, 64], trials=10, seed=0)

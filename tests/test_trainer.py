@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,7 +131,7 @@ def test_sarah_differences_consecutive_points():
                   "steps": 12, "refresh": {"interval": 5}},
     })
     obj, cfg = setup.objective, setup.train
-    res = train_vr(obj, setup.weights, setup.spec, cfg, capture_trace=True)
+    res = train_vr(obj, setup.weights, setup.spec, cfg, keep_states=cfg.steps)
     norms = [rec.surrogate_grad_norm for rec in res.metrics]
     assert all(a != b for a, b in zip(norms, norms[1:]))
     w, gains, _ = res.state_trace[0]
@@ -290,7 +292,58 @@ def test_loss_guard_reported_before_non_finite_weights(runner):
     cfg = TrainConfig(stepsize=1e200, batch_size=2, steps=5,
                       refresh=RefreshPolicy("interval", interval=100),
                       jac_mode="ste", vr_mode="plain", seed=0)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+    with pytest.raises(DivergenceError) as err:  # and no numpy warning, which the tests raise
         runner(obj, w0, QuantSpec.identity(), cfg)
     assert "exceeded divergence guard at step 2" in str(err.value)
     assert [r.step for r in err.value.trace] == [1, 2]
+
+
+def saturating_run(keep_states, steps=400, mode="probe"):
+    # A6's run: d = 256 in groups of 32, 400 steps, probe gains refreshed every 25
+    obj, w0, spec = make_saturating_task(seed=0)
+    cfg = TrainConfig(stepsize=0.12, batch_size=8, steps=steps,
+                      refresh=RefreshPolicy("interval", interval=25), jac_mode=mode,
+                      vr_mode="plain", probe_sigma=0.25, num_probes=8, seed=100)
+    return lambda: train_base(obj, w0, spec, cfg, keep_states=keep_states)
+
+
+@pytest.mark.parametrize("k", [1, 7, 40, 41])
+def test_state_window_is_the_tail_of_a_full_capture(k):
+    full = saturating_run(40, steps=40)()
+    tail = saturating_run(k, steps=40)()
+    assert len(full.state_trace) == 40
+    assert len(tail.state_trace) == min(k, 40)
+    for (w, g, v), (w_full, g_full, v_full) in zip(tail.state_trace,
+                                                    full.state_trace[-k:], strict=True):
+        assert type(w) is type(w_full) and w.group_size == w_full.group_size
+        for a, b in ((w.values, w_full.values), (g, g_full), (v, v_full)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # the window changes nothing else
+    assert tail.metrics == full.metrics
+    assert tail.weights.values.tobytes() == full.weights.values.tobytes()
+
+
+def test_keep_no_states_or_refuse_a_flag():
+    assert saturating_run(0, steps=3)().state_trace is None
+    for bad in (True, False, -1):
+        with pytest.raises(ValueError, match="keep_states"):
+            saturating_run(bad, steps=3)()
+    obj, w0, spec = make_saturating_task(seed=0)
+    cfg = TrainConfig(stepsize=0.1, batch_size=2, steps=1,
+                      refresh=RefreshPolicy("interval", interval=1), jac_mode="ste")
+    with pytest.raises(TypeError):
+        train_vr(obj, w0, spec, cfg, capture_trace=True)
+
+
+def test_a_state_window_holds_less_than_half_a_full_capture():
+    def traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    window, full = traced_peak(saturating_run(100)), traced_peak(saturating_run(400))
+    assert window < 0.5 * full, (window, full)
