@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import GroupedWeights, QuantSpec, block_rows, next_dither, quantize_array
+from .quant import GroupedWeights, QuantSpec, next_dither, quantize_array, row_blocks
 from .rng import substream
 
 __all__ = [
@@ -121,7 +121,7 @@ def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: Pr
 
     The block comes from the (seed_tag, "probe", draw_key) stream; group g
     takes its columns. It is drawn and used in blocks of probe rows
-    (``block_rows``), by consecutive draws of that stream, so an update holds
+    (``row_blocks``), by consecutive draws of that stream, so an update holds
     one block at a time. ``dither`` is one (dim,) dither shared by every
     probe; with ``dither_rng`` each probe draws its own dither row from it,
     block by block (``next_dither``). The per-group estimate is the mean of
@@ -140,15 +140,13 @@ def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: Pr
     probes = substream(cfg.seed_tag, "probe", draw_key)
     base = None if dither_rng is not None else _response(values, spec, step, dither)
     cross, energy = np.empty((2, weights.n_groups, m))  # C-ordered: each row sums alike
-    rows = block_rows(weights.dim)
-    for a in range(0, m, rows):
-        deltas = probes.normal(0.0, cfg.sigma, size=(min(rows, m - a), weights.dim))
-        block = slice(a, a + deltas.shape[0])
+    for rows in row_blocks(m, weights.dim):
+        deltas = probes.normal(0.0, cfg.sigma, size=(rows.stop - rows.start, weights.dim))
         if dither_rng is not None:
             dither = next_dither(weights, spec, dither_rng, deltas.shape[:1])
             base = _response(values, spec, step, dither)
-        cross[:, block], energy[:, block] = _slope_sums(values, spec, step, deltas, dither,
-                                                        weights.group_size, base)
+        cross[:, rows], energy[:, rows] = _slope_sums(values, spec, step, deltas, dither,
+                                                      weights.group_size, base)
     if least_squares:
         denom = energy.sum(axis=1)
         if np.any(denom == 0.0):

@@ -4,8 +4,8 @@ Each objective exposes exact analytic gradients of the per-sample loss
 with respect to the (quantized) weight vector, one row per batch sample.
 Rows use ``np.vecdot`` and stacked ``np.matmul`` (not ``X @ q`` or ``einsum``),
 so a row's bits never depend on its batch-mates. A pass over the samples
-(``batch_grad``, ``Quadratic.full_loss``) holds one block of rows at a time,
-with the bits of the whole-data computation. No autodiff framework;
+(``batch_grad``, ``Quadratic.full_loss``) holds one ``quant.row_blocks`` block
+at a time, with the bits of the whole-data computation. No autodiff framework;
 finite differences in the tests check every kind.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import GroupedWeights, QuantSpec, block_rows
+from .quant import GroupedWeights, QuantSpec, carried_sum, row_blocks
 from .rng import substream
 
 __all__ = [
@@ -121,15 +121,14 @@ class Quadratic(Objective):
         return x @ self.curvature.T
 
     def full_loss(self, q: np.ndarray) -> float:
-        # the whole-data einsum and matmul, block by block: they round unlike the rows,
-        # and reported losses keep their bits. BLAS rounds a dense product by its
-        # shape, so a dense curvature takes one block.
+        # the whole-data einsum and matmul (they round unlike the rows), block by block;
+        # BLAS rounds a dense product by its shape, so a dense curvature takes one block
         n, d = self.targets.shape
-        rows = n if self.curvature.ndim == 2 else block_rows(d)
+        blocks = [slice(0, n)] if self.curvature.ndim == 2 else row_blocks(n, d)
         losses = np.empty(n)
-        for a in range(0, n, rows):
-            r = q[None, :] - self.targets[a:a + rows]
-            np.einsum("ij,ij->i", r, self._apply_a(r), out=losses[a:a + rows])
+        for rows in blocks:
+            r = q[None, :] - self.targets[rows]
+            np.einsum("ij,ij->i", r, self._apply_a(r), out=losses[rows])
         return 0.5 * float(np.mean(losses))
 
     def mean_target(self) -> np.ndarray:
@@ -255,22 +254,16 @@ def per_sample_grad(obj: Objective, q: np.ndarray, i: int) -> tuple[float, np.nd
 def batch_grad(obj: Objective, q: np.ndarray, batch: np.ndarray) -> tuple[float, np.ndarray]:
     """Arithmetic mean of per-sample losses and gradients, in the given order.
 
-    The rows are taken in blocks, each block's column sum carried into the
-    next block's first row. numpy sums a (rows, width >= 2) block over axis
-    0 row by row, so this is ``np.mean(grads, axis=0)`` bit for bit; a single
-    column is summed pairwise, so a one-weight objective takes one block.
+    Row blocks with a carried column sum: ``np.mean(grads, axis=0)`` bit for bit.
     """
     batch = np.asarray(batch, dtype=int)
     if batch.size == 0:
         raise ValueError("empty batch")
-    rows = batch.size if obj.dim == 1 else block_rows(obj.dim)
     losses = np.empty(batch.size)
-    total = None
-    for a in range(0, batch.size, rows):
-        losses[a:a + rows], grads = obj.loss_and_grad_batch(q, batch[a:a + rows])
-        if total is not None:
-            grads[0] += total
-        total = grads.sum(axis=0)
+    total = -0.0
+    for rows in row_blocks(batch.size, obj.dim):
+        losses[rows], grads = obj.loss_and_grad_batch(q, batch[rows])
+        total = carried_sum(grads, total)
     return float(np.mean(losses)), total / batch.size
 
 

@@ -21,6 +21,7 @@ Modes:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,7 +40,8 @@ __all__ = [
     "calibrate_step",
     "dither_block",
     "next_dither",
-    "block_rows",
+    "row_blocks",
+    "carried_sum",
 ]
 
 _MODES = ("generic", "w2", "w1_58", "w1", "identity")
@@ -53,9 +55,24 @@ _MC_CHUNK_ELEMS = 2_000_000
 _BLOCK_ELEMS = 16_384
 
 
-def block_rows(width: int) -> int:
-    """Rows of one block of a (rows, width) pass: as many as fit, at least one."""
-    return max(1, _BLOCK_ELEMS // width)
+def row_blocks(n: int, width: int) -> Iterator[slice]:
+    """Row slices of one pass over n rows: as many as fit, at least one; width 1 takes all n.
+
+    numpy sums a single column pairwise, so only one block keeps its column sum's bits.
+    """
+    rows = max(1, n if width == 1 else _BLOCK_ELEMS // width)
+    for a in range(0, n, rows):
+        yield slice(a, min(a + rows, n))
+
+
+def carried_sum(block: np.ndarray, total: float | np.ndarray) -> np.ndarray:
+    """``total`` plus the block's column sum, with the bits of one whole block.
+
+    numpy sums a (rows, width >= 2) block over axis 0 row by row, so the carry
+    goes into the block's first row, in place. A pass starts it at -0.0: no bit changes.
+    """
+    block[0] += total
+    return block.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -262,11 +279,8 @@ def _mc_average(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: 
     """Per-coordinate mean (and SEM) of ``sample(w, r, step)`` over dither draws r.
 
     The per-group chunk schedule fixes only the summation order. Memory is
-    bounded by one row block: each block's dither is drawn into one reused
-    buffer, sampled, and summed with the chunk's running column sum carried
-    into its first row. numpy sums a (rows, width >= 2) block over axis 0
-    row by row, so this repeats the whole chunk's sum bit for bit; a single
-    column is summed pairwise, so a width-1 group takes its chunk in one block.
+    bounded by one row block: each block's dither is drawn into one buffer the
+    size of the first block, sampled, and added to the chunk's carried column sums.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -279,26 +293,20 @@ def _mc_average(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: 
         low, high = -0.5 * step_g, 0.5 * step_g
         rng = substream(seed, "dither", g)
         chunk = max(1, _MC_CHUNK_ELEMS // (hi - lo))
-        block = chunk if hi - lo == 1 else block_rows(hi - lo)
-        buf = np.empty((min(block, n_samples), hi - lo))
+        buf = np.empty((next(row_blocks(min(chunk, n_samples), hi - lo)).stop, hi - lo))
         for done in range(0, n_samples, chunk):
-            k = min(chunk, n_samples - done)
-            # running column sums of s and s**2; a +0.0 start changes no bit of the total
-            sums = np.zeros((2, hi - lo))
-            for a in range(0, k, block):
-                r = buf[:min(block, k - a)]
+            s_sum = sq_sum = -0.0  # the chunk's carried column sums of s and s**2
+            for rows in row_blocks(min(chunk, n_samples - done), hi - lo):
+                r = buf[:rows.stop - rows.start]
                 rng.random(out=r)
                 r *= high - low  # Generator.uniform(low, high)'s bits: low + (high - low) * u
                 r += low
                 s = sample(values[None, lo:hi], r, step_g)
                 if return_sem:
-                    sq = np.square(s)
-                    sq[0] += sums[1]
-                    sums[1] = sq.sum(axis=0)
-                s[0] += sums[0]
-                sums[0] = s.sum(axis=0)
-            total[lo:hi] += sums[0]
-            total_sq[lo:hi] += sums[1]
+                    sq_sum = carried_sum(np.square(s), sq_sum)
+                s_sum = carried_sum(s, s_sum)
+            total[lo:hi] += s_sum
+            total_sq[lo:hi] += sq_sum
     mean = total / n_samples
     if not return_sem:
         return mean

@@ -18,6 +18,7 @@ import math
 import os
 import tempfile
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from itertools import product
 
@@ -129,7 +130,7 @@ METRICS_HEADER = tuple(f.name for f in fields(MetricsRecord))
 
 
 class DivergenceError(RuntimeError):
-    """Loss exceeded the divergence guard; carries the trace so far."""
+    """A run diverged or met a non-finite quantity; carries the trace so far."""
 
     def __init__(self, message: str, trace: list[MetricsRecord]):
         super().__init__(message)
@@ -161,6 +162,15 @@ def _sample_batch(n: int, batch_size: int, seed: int, step: int) -> np.ndarray:
     return rng.choice(n, size=min(batch_size, n), replace=False)
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm; rescaled by max |x| only when the plain one overflows on finite entries."""
+    norm = float(np.linalg.norm(x))
+    if not math.isfinite(norm) and np.all(np.isfinite(x)):
+        m = float(np.max(np.abs(x)))
+        norm = m * float(np.linalg.norm(x / m))
+    return norm
+
+
 def _record(step: int, loss: float, v_bar: np.ndarray, g: np.ndarray,
             gain_stats: tuple[float, float, float], weights: GroupedWeights,
             clip: float | np.ndarray | None, refreshed: bool) -> MetricsRecord:
@@ -168,8 +178,8 @@ def _record(step: int, loss: float, v_bar: np.ndarray, g: np.ndarray,
     return MetricsRecord(
         step=step,
         loss=loss,
-        grad_norm=float(np.linalg.norm(v_bar)),
-        surrogate_grad_norm=float(np.linalg.norm(g)),
+        grad_norm=_norm(v_bar),
+        surrogate_grad_norm=_norm(g),
         mean_gain=mean_gain,
         min_gain=min_gain,
         max_gain=max_gain,
@@ -190,6 +200,15 @@ def _guard_norms(trace: list[MetricsRecord]) -> None:
         value = getattr(rec, name)
         if not math.isfinite(value):
             raise DivergenceError(f"{name} became non-finite ({value}) at step {rec.step}", trace)
+
+
+@contextmanager
+def _fails_at(what: str, step: int, trace: list[MetricsRecord]):
+    """Turn a numerical ValueError (zero excitation, a non-finite reference) into a divergence."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DivergenceError(f"{what} failed at step {step}: {exc}", trace) from exc
 
 
 def _update_gains(gains: np.ndarray, weights: GroupedWeights, spec: QuantSpec,
@@ -220,8 +239,9 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
     scheduled = not base or cfg.jac_mode in ("probe", "probe_ls")
     weights = weights0
     q = None if dithered else quantize(weights, spec)  # the hard forward is carried to the next step
-    state = init_vr_state("plain" if base else cfg.vr_mode, q, scale, obj)
     trace: list[MetricsRecord] = []
+    with _fails_at("estimator setup", 0, trace):
+        state = init_vr_state("plain" if base else cfg.vr_mode, q, scale, obj)
     # only the trailing window a reader asks for stays alive
     states = deque(maxlen=keep_states) if keep_states else None
     initial_loss = None
@@ -251,11 +271,13 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
         q = q_next
         refreshed = dithered or (scheduled and cfg.refresh.fires(step, cfg.seed))
         if refreshed:  # the last gains still run: the final record and gains show them
-            gains = _update_gains(gains, new_weights, spec, cfg, probe_cfg, step,
-                                  fixed_dither=dither)
+            with _fails_at("gain update", step, trace):
+                gains = _update_gains(gains, new_weights, spec, cfg, probe_cfg, step,
+                                      fixed_dither=dither)
             gain_stats, scale = _gain_stats(gains), new_weights.per_weight(gains)
             if not last:
-                state = refresh_anchor(state, q, scale, obj)
+                with _fails_at("anchor refresh", step, trace):
+                    state = refresh_anchor(state, q, scale, obj)
         trace.append(_record(step, loss, v_bar, g, gain_stats, weights, clip, refreshed))
         _guard(loss, initial_loss, step, trace)
         _guard_norms(trace)

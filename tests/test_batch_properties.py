@@ -166,6 +166,8 @@ def one_block_batch_grad(obj, q, batch):
 @SETTINGS
 @given(problems(max_n=30), st.integers(1, 40))
 @example(problem=(make_objective("quadratic", 9, 1, 0), np.array([0.3]), np.arange(9)), block=2)
+@example(problem=(make_objective("quadratic", 30, 1, 2), np.array([-0.7]), np.arange(30)[::-1]),
+         block=1)  # one weight: the gradient and the loss take all 30 rows in one block
 @example(problem=(make_objective("quadratic_dense", 5, 4, 1), np.linspace(-1.3, 2.1, 4),
                   np.array([4, 0, 3, 3, 1])), block=4)  # BLAS rounds this loss by block shape
 def test_row_blocks_match_one_block(problem, block):

@@ -225,24 +225,55 @@ def test_cli_train_non_finite_weights_end_as_divergence(tmp_path, loop):
 
 
 @pytest.mark.parametrize("objective,error", [
-    # the gradient's norm overflows while the loss stays finite
-    ({"kind": "mlp", "dim": 1, "n_samples": 1}, r"grad_norm became non-finite \(inf\) at step 1"),
-    # the anchor and the loss overflow too
+    # the gradient's norm overflows a plain sum of squares but is finite: it is recorded
+    # rescaled, and the loss stays finite
+    ({"kind": "mlp", "dim": 1, "n_samples": 1}, None),
+    # the anchor and the loss overflow
     ({"kind": "linear_regression", "dim": 2, "n_samples": 3},
      r"loss inf exceeded divergence guard at step 1"),
 ], ids=["mlp", "linear_regression"])
-def test_cli_train_extreme_initial_weights_end_as_divergence(tmp_path, objective, error):
+def test_cli_train_extreme_initial_weights(tmp_path, objective, error):
     cfg = write_config(tmp_path, {"objective": {**objective, "w0_scale": 1e300},
                                   "quant": {"calibrate": True}, "train": {"steps": 1}})
     out = tmp_path / "extreme"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert main(["train", "--config", cfg, "--out", str(out)]) == (0 if error is None else 1)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     summary = json.loads((out / "summary.json").read_text())
-    assert re.fullmatch(error, summary["error"])
     with open(out / "metrics.csv", newline="") as fh:
-        assert len(list(csv.reader(fh))) == summary["steps_run"] + 1 == 2
+        rows = list(csv.reader(fh))
+    assert len(rows) == summary["steps_run"] + 1 == 2
+    if error is not None:
+        assert re.fullmatch(error, summary["error"])
+        return
+    assert summary["error"] is None and summary["final_loss"] == pytest.approx(4.65e-4, rel=1e-3)
+    assert all(np.isfinite(float(value)) for value in rows[1])
+    grad_norm = float(rows[1][rows[0].index("grad_norm")])
+    assert grad_norm == pytest.approx(2.130501014704727e+299, rel=1e-12)
+
+
+@pytest.mark.parametrize("objective,quant,train,error", [
+    ({}, {}, {"jac_mode": "probe_ls", "probe_sigma": 1e-300},
+     "gain update failed at step 1: zero excitation"),
+    ({}, {}, {"jac_mode": "probe", "probe_sigma": 1e308},  # the probes overflow
+     "gain update failed at step 1: non-finite weight"),
+    ({}, {"step": 1e308}, {"vr_mode": "svrg"},
+     "anchor refresh failed at step 1: reference gradient must be finite"),
+    ({"kind": "pl", "l_smooth": 1e308}, {}, {"vr_mode": "svrg"},
+     "estimator setup failed at step 0: reference gradient must be finite"),
+], ids=["probe_ls_zero_excitation", "probe_overflow", "svrg_anchor", "svrg_setup"])
+def test_cli_train_numerical_failures_end_as_divergence(tmp_path, objective, quant, train, error):
+    cfg = write_config(tmp_path, {
+        "objective": {"dim": 40, "n_samples": 5, **objective}, "quant": quant,
+        "train": {"steps": 3, "refresh": {"interval": 1}, **train},
+    })
+    out = tmp_path / "failure"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"] == error
+    with open(out / "metrics.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == summary["steps_run"] + 1
 
 
 def test_cli_sweep(tmp_path):
@@ -531,7 +562,7 @@ FIELDS = dict(schema_fields(config_module._DEFAULTS))
 NAMES = {*FIELDS, *(f.rsplit(".", 1)[0] for f in FIELDS if f.count(".") > 1),
          "sweep.group_sizes"}
 # Each type's edge set; objective sizes and run lengths stay small, so each run is quick.
-EDGES = {int: (0, -1, 1, 2, 3, 10**30), float: (0.0, -1.0, 1e-300, 1e300, 0.5, 2.0),
+EDGES = {int: (0, -1, 1, 2, 3, 10**30), float: (0.0, -1.0, 1e-300, 1e300, 1e308, 0.5, 2.0),
          bool: (False, True)}
 SMALL = {"objective.dim": (1, 2, 5), "objective.n_samples": (1, 2, 5), "train.steps": (1, 3)}
 CHOICES = {

@@ -83,6 +83,12 @@ def specs(draw, weights: GroupedWeights) -> QuantSpec:
     return calibrate_step(weights, spec) if draw(st.booleans()) else spec
 
 
+@st.composite
+def layouts_with_specs(draw) -> tuple[GroupedWeights, QuantSpec]:
+    weights = draw(layouts())
+    return weights, draw(specs(weights))
+
+
 def assert_same_bits(got: np.ndarray, expected: np.ndarray) -> None:
     got, expected = np.asarray(got), np.asarray(expected)
     assert got.shape == expected.shape and got.dtype == expected.dtype
@@ -261,12 +267,14 @@ def test_gain_updates_match_per_group_probe_loop(data, num_probes, draw_key):
 
 
 @SETTINGS
-@given(st.data(), st.integers(1, 40), st.sampled_from([1, 2, 3, 7, 9]), st.integers(0, 50))
-def test_gain_updates_in_probe_blocks_match_one_block(data, block, num_probes, draw_key):
+@given(layouts_with_specs(), st.integers(1, 40), st.sampled_from([1, 2, 3, 7, 9]),
+       st.integers(0, 50))
+@example(layout=(GroupedWeights(np.array([0.4]), 1), QuantSpec.w2(step=0.5)), block=2,
+         num_probes=7, draw_key=3)  # one weight: all 7 probes in one block
+def test_gain_updates_in_probe_blocks_match_one_block(layout, block, num_probes, draw_key):
     # blocks of `block` elements: block // dim probe rows each (one when dim >= block),
     # most with a short last block
-    weights = data.draw(layouts())
-    spec = data.draw(specs(weights))
+    weights, spec = layout
     cfg = ProbeConfig(sigma=0.3, num_probes=num_probes, seed_tag=draw_key + 1, ema_rate=0.7)
     gains = np.ones(weights.n_groups)
     fixed = draw_dither(weights, spec, seed=3, seed_tag=draw_key)

@@ -347,3 +347,15 @@ def test_a_state_window_holds_less_than_half_a_full_capture():
 
     window, full = traced_peak(saturating_run(100)), traced_peak(saturating_run(400))
     assert window < 0.5 * full, (window, full)
+
+
+def test_recorded_norms_rescale_only_on_overflow():
+    from qatlab.trainer import _norm
+
+    with np.errstate(over="ignore"):  # as inside a run
+        # a plain sum of squares overflows on these finite entries; max |x| rescales it
+        assert _norm(np.array([1e155, 1.0])) == 1e155
+        assert _norm(np.array([-1.7e308, 1.7e308])) == np.inf  # the norm itself is out of range
+        assert _norm(np.array([np.inf, 1.0])) == np.inf
+    x = substream(3, "norm").normal(0.0, 1.0, 50)
+    assert _norm(x) == np.linalg.norm(x)  # finite norms keep numpy's bits
