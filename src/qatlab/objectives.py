@@ -272,6 +272,15 @@ def _check_noise(noise: float) -> None:
         raise ValueError("noise must be >= 0")
 
 
+def _scaled(offsets: np.ndarray, scale: float, name: str) -> np.ndarray:
+    """``offsets *= scale``, in place; a ValueError naming the setting ``name`` if it overflows."""
+    with np.errstate(over="ignore"):
+        offsets *= scale
+    if not (np.isfinite(offsets.min()) and np.isfinite(offsets.max())):  # no (n, d) temporary
+        raise ValueError(f"{name} {scale!r} gives non-finite targets")
+    return offsets
+
+
 def make_pl_instance(d: int, mu: float, l_smooth: float, seed: int,
                      n_samples: int = 1, target_spread: float = 0.0) -> Quadratic:
     """Quadratic with spectrum exactly spanning [mu, l_smooth].
@@ -293,7 +302,7 @@ def make_pl_instance(d: int, mu: float, l_smooth: float, seed: int,
     else:
         targets = rng.normal(0.0, 1.0, size=(n_samples, d))  # offsets, made targets in place
         targets -= targets.mean(axis=0)
-        targets *= target_spread
+        _scaled(targets, target_spread, "target_spread")
         targets += base
     return Quadratic(curvature=spectrum, targets=targets)
 
@@ -333,7 +342,7 @@ def make_saturating_task(d: int = 256, group_size: int = 32, frac_beyond_clip: f
 
     targets = rng.normal(0.0, 1.0, size=(n_samples, d))  # offsets, made targets in place
     targets -= targets.mean(axis=0)
-    targets *= noise
+    _scaled(targets, noise, "noise")
     targets += base
     obj = Quadratic(curvature=curvature, targets=targets)
     return obj, weights.with_values(w0), spec
@@ -345,7 +354,7 @@ def make_regression_task(d: int, n_samples: int, seed: int, noise: float = 0.1) 
     rng = substream(seed, "objective")
     inputs = rng.normal(0.0, 1.0, size=(n_samples, d))
     truth = rng.uniform(-1.0, 1.0, size=d)
-    targets = inputs @ truth + noise * rng.normal(0.0, 1.0, size=n_samples)
+    targets = inputs @ truth + _scaled(rng.normal(0.0, 1.0, size=n_samples), noise, "noise")
     return LinearRegression(Dataset(inputs=inputs, targets=targets))
 
 
@@ -369,7 +378,8 @@ def make_mlp_task(in_dim: int, hidden_width: int, n_samples: int, seed: int,
     teacher = TwoLayerMLP(Dataset(inputs=inputs, targets=np.zeros(n_samples)), hidden_width)
     params = rng.normal(0.0, 1.0, size=teacher.dim)
     w1, b1, w2, b2 = teacher.unpack(params)
-    targets = np.tanh(inputs @ w1.T + b1) @ w2 + b2 + noise * rng.normal(0.0, 1.0, size=n_samples)
+    targets = (np.tanh(inputs @ w1.T + b1) @ w2 + b2
+               + _scaled(rng.normal(0.0, 1.0, size=n_samples), noise, "noise"))
     return TwoLayerMLP(Dataset(inputs=inputs, targets=targets), hidden_width)
 
 

@@ -275,20 +275,36 @@ def dither_quantize(weights: GroupedWeights, r: np.ndarray, spec: QuantSpec) -> 
 
 
 def _mc_average(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: int,
-                sample, return_sem: bool) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+                sample, return_sem: bool, frozen=None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Per-coordinate mean (and SEM) of ``sample(w, r, step)`` over dither draws r.
 
     The per-group chunk schedule fixes only the summation order. Memory is
     bounded by one row block: each block's dither is drawn into one buffer the
     size of the first block, sampled, and added to the chunk's carried column sums.
+
+    ``frozen(w, step)``, given every weight and its step, marks the weights
+    whose every sample is +/-0.0. Their sums stay +0.0 unsampled: a group
+    with a live weight still draws whole blocks but samples only the live
+    columns, and a group without one draws nothing from its stream.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     values = weights.values
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite weight")
+    live = (np.ones(values.size, bool) if frozen is None
+            else ~frozen(values, weights.broadcast(spec.step)))
     total, total_sq = np.zeros((2, values.size))
     for g, (lo, hi) in enumerate(weights.group_bounds):
+        cols = None  # the sampled columns of the group's blocks: None for all
+        if not live[lo:hi].all():
+            cols = np.flatnonzero(live[lo:hi])
+            if cols.size == 0:
+                continue
+            if cols.size == 1:  # numpy sums one column pairwise: a frozen partner keeps row order
+                cols = np.append(cols, np.argmin(live[lo:hi]))
+        at = slice(lo, hi) if cols is None else lo + cols
+        w = values[None, at]
         step_g = spec.step_for_group(g)
         low, high = -0.5 * step_g, 0.5 * step_g
         rng = substream(seed, "dither", g)
@@ -299,14 +315,16 @@ def _mc_average(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: 
             for rows in row_blocks(min(chunk, n_samples - done), hi - lo):
                 r = buf[:rows.stop - rows.start]
                 rng.random(out=r)
+                if cols is not None:
+                    r = r.take(cols, axis=1)  # C order, which carried_sum sums row by row
                 r *= high - low  # Generator.uniform(low, high)'s bits: low + (high - low) * u
                 r += low
-                s = sample(values[None, lo:hi], r, step_g)
+                s = sample(w, r, step_g)
                 if return_sem:
                     sq_sum = carried_sum(np.square(s), sq_sum)
                 s_sum = carried_sum(s, s_sum)
-            total[lo:hi] += s_sum
-            total_sq[lo:hi] += sq_sum
+            total[at] += s_sum
+            total_sq[at] += sq_sum
     mean = total / n_samples
     if not return_sem:
         return mean
@@ -334,16 +352,38 @@ def mean_field_sensitivity(weights: GroupedWeights, spec: QuantSpec, probe_eps: 
     Both +/- evaluations share the same dither draws (common random
     numbers), which removes most of the MC variance. The default offset
     is step/100. Values are reported unclamped.
+
+    A weight is frozen, and never sampled, when the quantizer gives the same
+    value at the two ends of every argument its slope sample reads:
+    ``(w - eps) + low`` and ``(w + eps) + ((high - low) + low)``, the dither
+    map at u = 0 and u = 1 in the sample's float order. Rounding and the
+    quantizer are monotone, so each of its samples is +/-0.0 and its mean
+    and SEM are +0.0, the bits a sampled one gets. A group of frozen weights
+    draws nothing from its ``("dither", g)`` stream. A weight whose offset is
+    not positive or whose ends overflow stays live and is sampled as before.
     """
+    def offset(step: float | np.ndarray) -> float | np.ndarray:
+        return (step / 100.0) if probe_eps is None else float(probe_eps)
+
     def slope(w: np.ndarray, r: np.ndarray, step: float) -> np.ndarray:
-        eps = (step / 100.0) if probe_eps is None else float(probe_eps)
+        eps = offset(step)
         if not eps > 0:
             raise ValueError("probe_eps must be positive")
         hi_q = quantize_array(w + eps + r, spec, step=step)
         lo_q = quantize_array(w - eps + r, spec, step=step)
         return (hi_q - lo_q) / (2.0 * eps)
 
-    return _mc_average(weights, spec, n_samples, seed, slope, return_sem)
+    def frozen(w: np.ndarray, step: float | np.ndarray) -> np.ndarray:
+        eps = offset(step)
+        low, high = -0.5 * step, 0.5 * step
+        with np.errstate(over="ignore"):
+            ends = np.stack([(w - eps) + low, (w + eps) + ((high - low) + low)])
+            ok = np.isfinite(ends).all(axis=0) & (eps > 0)
+            ends[:, ~ok] = 0.0
+            q = quantize_array(ends, spec, step=step)
+        return ok & (q[0] == q[1])
+
+    return _mc_average(weights, spec, n_samples, seed, slope, return_sem, frozen)
 
 
 def calibrate_step(weights: GroupedWeights, spec: QuantSpec, floor: float = 1e-12) -> QuantSpec:

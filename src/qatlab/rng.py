@@ -13,7 +13,8 @@ all weights, whatever the group layout. The golden digests pin this layout:
                               dither_update, or the (dim,) forward dither
                               of draw_dither (key = seed_tag)
   ("dither", g)               Monte-Carlo oracles mean_field(_sensitivity),
-                              one stream per group
+                              one stream per group; mean_field_sensitivity
+                              draws it only for a group with a live weight
   ("minibatch", step), ("refresh", step)
 """
 

@@ -521,6 +521,11 @@ BAD_CONFIGS = [
     bad("quant.group_size", {"quant": {"group_size": 10**30}}, "1"),
     bad("quant.bits", {"quant": {"mode": "generic", "bits": 1025}}, "2"),
     bad("quant.bits", {"quant": {"mode": "generic", "bits": 10**30}}, "3"),
+    # a scale whose targets overflow: a config error, not a numpy warning
+    bad("objective.target_spread",
+        {"objective": {"kind": "pl", "dim": 40, "n_samples": 5, "target_spread": 1e308}}, "0"),
+    bad("objective.noise",
+        {"objective": {"kind": "saturating", "dim": 64, "n_samples": 5, "noise": 1e308}}, "5"),
 ]
 
 

@@ -19,6 +19,7 @@ from itertools import product
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -412,6 +413,102 @@ def test_mc_oracles_match_whole_chunk_reference(data, block, chunk, n_samples):
     expected = [loop_mc(weights, spec, n_samples, 4, dedithered, chunk),
                 loop_mc(weights, spec, n_samples, 4, slope, chunk)]
     for (mean, sem), (mean_ref, sem_ref) in zip(got, expected):
+        assert_same_bits(mean, mean_ref)
+        assert_same_bits(sem, sem_ref)
+
+
+def slope_reference(spec, eps):
+    """The slope sample in plain arithmetic; eps None is each group's step / 100."""
+    def slope(w, r, step):
+        e = step / 100.0 if eps is None else eps
+        return (plain_quantize(w + e + r, spec, step)
+                - plain_quantize(w - e + r, spec, step)) / (2.0 * e)
+    return slope
+
+
+def with_drawn_groups(call):
+    """``call()``'s result and the groups g whose ("dither", g) stream it opened, in order."""
+    drawn = []
+
+    def counted(seed, label, *key):
+        if label == "dither":
+            drawn.append(*key)
+        return substream(seed, label, *key)
+
+    with patch.object(quant, "substream", counted):
+        return call(), drawn
+
+
+W1_CALIBRATED = [1.0, -0.9, 0.8, 0.1, 0.2, -0.05, 0.0]
+
+# (values, group_size, spec, probe_eps, groups drawn). A w2 weight of step 0.5 with
+# eps 0.07 is frozen from |w| >= 0.57 on; the w1 ones of step s from |w| > s / 2 + eps.
+# eps 0.07 makes slope samples whose sums round, so a sum in another order shows.
+FROZEN_CASES = [
+    pytest.param([2.0, 0.1, -3.0, 1.5], 4, QuantSpec.w2(step=0.5), 0.07, [0],
+                 id="one-live-weight-padded"),
+    pytest.param([0.1, 0.2, 2.0, -2.0, 0.0, 0.3], 2, QuantSpec.w2(step=0.5), 0.07, [0, 2],
+                 id="group-without-live-weight"),
+    pytest.param([0.1, 5.0, -0.2], 1, QuantSpec.w2(step=0.5), 0.07, [0, 2],
+                 id="saturated-group-of-one"),
+    # w = c * step = 0.9 reads both sides of the last threshold: live, beside a frozen 5.0
+    pytest.param([0.9, 5.0, -0.9, -5.0], 2, QuantSpec.generic(3, step=0.3), None, [0, 1],
+                 id="clip-knee-stays-live"),
+    # codes saturate at x >= 1.5 and x < -1.5; the ends reach 0.32 further
+    pytest.param([3.0, -3.0, 0.2, 2.6, -2.6, 2.7, 1.7, -1.9, 1.6], 3,
+                 QuantSpec.generic(3, step=0.5, mid_rise=True), 0.07, [0, 2],
+                 id="mid-rise-at-saturation"),
+    pytest.param([1.0, -0.7, 0.1, 0.9, -2.0], 2, QuantSpec.w1(step=0.5), 0.07, [1],
+                 id="w1-at-saturation"),
+    # steps 1.0, 0.2 and the 1e-12 floor: the first group is frozen whole
+    pytest.param(W1_CALIBRATED, 3, calibrate_step(GroupedWeights(np.array(W1_CALIBRATED), 3),
+                                                  QuantSpec.w1()), None, [1, 2],
+                 id="calibrated-per-group-steps"),
+]
+
+
+@pytest.mark.parametrize("values,group_size,spec,eps,drawn", FROZEN_CASES)
+def test_frozen_weights_keep_the_whole_chunk_reference_bits(values, group_size, spec, eps, drawn):
+    weights = GroupedWeights(np.array(values), group_size)
+    # blocks of 64 elements in chunks of 256: several chunks of several blocks, and blocks
+    # of 8 rows or more, which numpy would sum pairwise as one column
+    with (patch.object(quant, "_BLOCK_ELEMS", 64),
+          patch.object(quant, "_MC_CHUNK_ELEMS", 256)):
+        (mean, sem), groups = with_drawn_groups(lambda: mean_field_sensitivity(
+            weights, spec, probe_eps=eps, n_samples=600, seed=4, return_sem=True))
+    mean_ref, sem_ref = loop_mc(weights, spec, 600, 4, slope_reference(spec, eps), 256)
+    assert groups == drawn
+    assert_same_bits(mean, mean_ref)
+    assert_same_bits(sem, sem_ref)
+
+
+def test_an_all_frozen_layout_draws_no_dither():
+    weights = GroupedWeights(np.array([3.0, -2.0, 0.8, -5.0, 1.2]), 2)
+    spec = QuantSpec.w2(step=0.5)
+    (mean, sem), groups = with_drawn_groups(lambda: mean_field_sensitivity(
+        weights, spec, probe_eps=0.05, n_samples=30, seed=4, return_sem=True))
+    assert groups == []
+    mean_ref, sem_ref = loop_mc(weights, spec, 30, 4, slope_reference(spec, 0.05),
+                                quant._MC_CHUNK_ELEMS)
+    for got, ref in ((mean, mean_ref), (sem, sem_ref)):
+        assert_same_bits(got, np.zeros(5))
+        assert_same_bits(got, ref)
+
+
+def test_a_weight_whose_dither_ends_overflow_is_sampled():
+    # (w + eps) + step / 2 overflows for w = 1.7e308 and step 2e307 (the low end for -w):
+    # the weight stays live, so a draw that overflows raises as any sampled weight does
+    spec = QuantSpec.w1(step=2e307)
+    for w in (1.7e308, -1.7e308):
+        weights = GroupedWeights(np.array([w]), 1)
+        with np.errstate(over="ignore"):
+            # five draws that stay finite: the reference's bits
+            mean, sem = mean_field_sensitivity(weights, spec, probe_eps=0.05, n_samples=5,
+                                               seed=4, return_sem=True)
+            mean_ref, sem_ref = loop_mc(weights, spec, 5, 4, slope_reference(spec, 0.05),
+                                        quant._MC_CHUNK_ELEMS)
+            with pytest.raises(ValueError, match="non-finite weight"):
+                mean_field_sensitivity(weights, spec, probe_eps=0.05, n_samples=1000, seed=4)
         assert_same_bits(mean, mean_ref)
         assert_same_bits(sem, sem_ref)
 

@@ -205,6 +205,20 @@ def test_sensitivity_interior_saturated_and_knee():
     assert abs(j_mc[0] - 0.5) <= 4.0 * sem_mc[0]
 
 
+def test_sensitivity_errors_keep_their_order():
+    spec = QuantSpec.w2(step=0.5)
+    frozen = grouped([3.0, -2.0, 0.8])  # every slope sample +/-0.0: none is drawn
+    bad = grouped([3.0, np.nan, 0.8])
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        mean_field_sensitivity(bad, spec, probe_eps=0.0, n_samples=0)
+    with pytest.raises(ValueError, match="non-finite weight"):
+        mean_field_sensitivity(bad, spec, probe_eps=0.0, n_samples=10)
+    for eps in (0.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match="probe_eps must be positive"):
+            mean_field_sensitivity(frozen, spec, probe_eps=eps, n_samples=10)
+    assert not np.any(mean_field_sensitivity(frozen, spec, probe_eps=0.05, n_samples=10))
+
+
 def test_sensitivity_range_for_clipped_midtread():
     spec = QuantSpec.generic(bits=3, step=0.5)
     rng = np.random.default_rng(17)
