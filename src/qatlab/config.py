@@ -39,7 +39,7 @@ Schema (type, default in parentheses):
     jac_mode: ste | probe | probe_ls | dither  (probe)
     vr_mode: plain | svrg | saga | sarah  (svrg)
     ema_rate: number (0.9): the gain EMA rate, in (0, 1]
-    probe_sigma: number (null -> step/2), num_probes: int (1)
+    probe_sigma: number (null -> half the smallest group step), num_probes: int (1)
   sweep:                                    [optional; sweep command only]
     group_sizes: ints ([group_size]), jac_modes: strs ([jac_mode]),
     refresh_intervals: ints ([refresh interval]; null -> train.refresh,
@@ -275,9 +275,10 @@ def parse_config_dict(raw: dict, seed_override: int | None = None) -> RunSetup:
     """Validate a config mapping and materialize the run objects."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    cfg = _merge("", {k: v for k, v in raw.items() if k != "sweep"}, _DEFAULTS)
-    if seed_override is not None:
-        cfg["seed"] = seed_override
+    given = {k: v for k, v in raw.items() if k != "sweep"}
+    if seed_override is not None:  # it gets the checks of a seed in the file
+        given["seed"] = seed_override
+    cfg = _merge("", given, _DEFAULTS)
     seed = cfg["seed"]
     _require(seed >= 0, "seed must be a non-negative integer")
 

@@ -282,7 +282,7 @@ def pl_contraction_harness(mu: float, l_smooth: float, eta: float, jac_err: floa
     l_star = obj.optimal_loss()
     for t in range(steps):
         gaps[t] = obj.full_loss(w) - l_star
-        v = obj._apply_a(w - t_bar)
+        v = obj.curvature * (w - t_bar)
         u = substream(seed, "jacnoise", t).uniform(0.0, 1.0, layout.n_groups)
         gains = layout.per_weight(np.clip(1.0 - jac_err * u, 0.0, 1.0))
         w = w - eta * gains * v

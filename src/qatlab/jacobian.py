@@ -49,7 +49,7 @@ class ProbeConfig:
     @classmethod
     def for_spec(cls, spec: QuantSpec, num_probes: int = 1, seed_tag: int = 0,
                  ema_rate: float = 0.9) -> "ProbeConfig":
-        """Default probe scale: half the quantizer step."""
+        """Default probe scale: half the smallest group step."""
         return cls(sigma=0.5 * float(np.min(spec.step)), num_probes=num_probes,
                    seed_tag=seed_tag, ema_rate=ema_rate)
 

@@ -60,16 +60,15 @@ class Dataset:
 class Objective:
     """Interface: per-sample losses and exact gradients; a kind implements ``_rows``, ``full_loss``.
 
+    Attributes: ``n``, the number of samples, and ``dim``, the number of weights.
+
     ``loss_and_grad_batch`` returns fresh arrays the caller owns: they alias
     neither the objective's data nor an earlier result, so a caller may scale
     or overwrite the rows in place. No ``full_loss`` builds gradient rows.
     """
 
     dim: int
-
-    @property
-    def n(self) -> int:
-        raise NotImplementedError
+    n: int
 
     def _rows(self, q: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -89,46 +88,29 @@ class Objective:
 
 
 class Quadratic(Objective):
-    """Per-sample loss 0.5 (q - t_i)' A (q - t_i) with diagonal or dense A."""
+    """Per-sample loss 0.5 (q - t_i)' A (q - t_i) with diagonal A = diag(curvature)."""
 
     def __init__(self, curvature: np.ndarray, targets: np.ndarray):
         curvature = np.asarray(curvature, dtype=float)
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
-        if curvature.ndim not in (1, 2):
-            raise ValueError("curvature must be a diagonal vector or a square matrix")
-        if curvature.shape[0] != targets.shape[1]:
-            raise ValueError("curvature and target dimensions differ")
+        if targets.ndim != 2 or curvature.shape != targets.shape[1:]:
+            raise ValueError("curvature must be a (d,) diagonal of the (n, d) targets")
         self.curvature = curvature
         self.targets = targets
-        self.dim = targets.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.targets.shape[0]
+        self.n, self.dim = targets.shape
 
     def _rows(self, q: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = self.targets[idx]  # a gathered copy, turned into q - t_i in place
         np.subtract(q, r, out=r)
-        if self.curvature.ndim == 1:
-            ar = self.curvature * r
-        else:
-            ar = np.matmul(r[:, None, :], self.curvature.T)[:, 0]
+        ar = self.curvature * r
         return 0.5 * np.vecdot(r, ar), ar
 
-    def _apply_a(self, x: np.ndarray) -> np.ndarray:
-        if self.curvature.ndim == 1:
-            return self.curvature * x
-        return x @ self.curvature.T
-
     def full_loss(self, q: np.ndarray) -> float:
-        # the whole-data einsum and matmul (they round unlike the rows), block by block;
-        # BLAS rounds a dense product by its shape, so a dense curvature takes one block
-        n, d = self.targets.shape
-        blocks = [slice(0, n)] if self.curvature.ndim == 2 else row_blocks(n, d)
-        losses = np.empty(n)
-        for rows in blocks:
+        # the whole-data einsum (it rounds unlike the rows), block by block
+        losses = np.empty(self.n)
+        for rows in row_blocks(self.n, self.dim):
             r = q[None, :] - self.targets[rows]
-            np.einsum("ij,ij->i", r, self._apply_a(r), out=losses[rows])
+            np.einsum("ij,ij->i", r, self.curvature * r, out=losses[rows])
         return 0.5 * float(np.mean(losses))
 
     def mean_target(self) -> np.ndarray:
@@ -144,11 +126,7 @@ class LinearRegression(Objective):
 
     def __init__(self, data: Dataset):
         self.data = data
-        self.dim = data.inputs.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.data.n
+        self.n, self.dim = data.inputs.shape
 
     def _rows(self, q: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = self.data.inputs[idx]
@@ -169,11 +147,7 @@ class LogisticRegression(Objective):
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("logistic labels must be -1 or +1")
         self.data = data
-        self.dim = data.inputs.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.data.n
+        self.n, self.dim = data.inputs.shape
 
     def _forward(self, q: np.ndarray, x: np.ndarray,
                  y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,11 +179,8 @@ class TwoLayerMLP(Objective):
         self.data = data
         self.hidden = hidden_width
         self.in_dim = data.inputs.shape[1]
+        self.n = data.n
         self.dim = hidden_width * (self.in_dim + 2) + 1
-
-    @property
-    def n(self) -> int:
-        return self.data.n
 
     def unpack(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         h, p = self.hidden, self.in_dim

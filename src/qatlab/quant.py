@@ -38,7 +38,6 @@ __all__ = [
     "mean_field",
     "mean_field_sensitivity",
     "calibrate_step",
-    "dither_block",
     "next_dither",
     "row_blocks",
     "carried_sum",
@@ -241,15 +240,9 @@ def quantize(weights: GroupedWeights, spec: QuantSpec) -> np.ndarray:
     return quantize_array(weights.values, spec, step=weights.broadcast(spec.step))
 
 
-def dither_block(weights: GroupedWeights, spec: QuantSpec, seed: int, key: int,
-                 rows: tuple[int, ...]) -> np.ndarray:
-    """(*rows, dim) uniform dither within half of each weight's group step, one draw."""
-    return next_dither(weights, spec, substream(seed, "dither_block", key), rows)
-
-
 def next_dither(weights: GroupedWeights, spec: QuantSpec, rng: np.random.Generator,
                 rows: tuple[int, ...]) -> np.ndarray:
-    """The next (*rows, dim) dither of ``rng``, as ``dither_block`` draws it.
+    """The next (*rows, dim) uniform dither of ``rng``, within half of each weight's group step.
 
     Consecutive calls continue the stream: draws of k and then m - k rows
     give the bits of one m-row draw.
@@ -262,7 +255,7 @@ def next_dither(weights: GroupedWeights, spec: QuantSpec, rng: np.random.Generat
 
 def draw_dither(weights: GroupedWeights, spec: QuantSpec, seed: int, seed_tag: int = 0) -> np.ndarray:
     """One (dim,) uniform dither r, |r| <= step/2, from the ("dither_block", seed_tag) stream."""
-    return dither_block(weights, spec, seed, seed_tag, ())
+    return next_dither(weights, spec, substream(seed, "dither_block", seed_tag), ())
 
 
 def dither_quantize(weights: GroupedWeights, r: np.ndarray, spec: QuantSpec) -> np.ndarray:

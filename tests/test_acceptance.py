@@ -3,19 +3,23 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 PASS/FAIL lines as they complete. The module runs the CLI's ``verify-all``
 once and reads every criterion from its ``report.json``, which without its
-wall times is pinned byte-wise by ``golden/verify_all_report.json``.
+wall times is pinned byte-wise by ``golden/verify_all_report.json``. Every
+``diagnose`` table is checked on those same results, with no criterion run
+a second time.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 from qatlab.acceptance import TIME_BUDGETS, CriterionResult
-from qatlab.cli import main
+from qatlab.cli import DIAGNOSE_NAMES, main
 
 REPORT_DIGEST_PATH = Path(__file__).parent / "golden" / "verify_all_report.json"
 WALL_TIME_KEYS = ("elapsed_s", "total_elapsed_s")
@@ -119,3 +123,32 @@ def test_verify_all_end_to_end(results, verify_all):
     got = {"report.json": hashlib.sha256(stripped).hexdigest()}
     assert got == json.loads(REPORT_DIGEST_PATH.read_text()), (
         "verify-all report changed; new digest:\n" + json.dumps(got, indent=2))
+
+
+# each harness's table.csv header, and its row count from the criterion's details
+DIAGNOSE_TABLES = {
+    "probe-rate": (["probe_count", "mean_error"], lambda d: len(d["probe_counts"])),
+    "dither-fixed-point": (["group", "gain", "target", "abs_error"], lambda d: len(d["gains"])),
+    "vr-variance": (["estimator", "variance"], lambda d: 2),
+    "pl-contraction": (["jac_err", "floor", "worst_ratio"], lambda d: 2),
+    "dominance": (["seed", "loss_probe", "loss_ste", "bias_probe", "bias_ste",
+                   "fd_var_probe", "fd_var_ste"], lambda d: len(d["per_seed"])),
+    "tracking": (["schedule", "terminal_error"], lambda d: 3),
+    "windows": (["window", "gap_decaying", "gap_constant"],
+                lambda d: len(d["window_gaps_decaying"])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGNOSE_NAMES))
+def test_diagnose_writes_its_table_and_verdict(results, tmp_path, name):
+    criterion = DIAGNOSE_NAMES[name]
+    with patch("qatlab.cli.run_all", lambda names: [results[n] for n in names]):
+        assert main(["diagnose", name, "--out", str(tmp_path)]) == 0
+    header, row_count = DIAGNOSE_TABLES[name]
+    with open(tmp_path / "table.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == header and len(rows) == 1 + row_count(results[criterion].details)
+    assert len(rows) > 1
+    assert all(len(row) == len(header) for row in rows)
+    verdict = json.loads((tmp_path / "verdict.json").read_text())
+    assert (verdict["harness"], verdict["criterion"], verdict["passed"]) == (name, criterion, True)

@@ -129,10 +129,27 @@ def test_round_trip_is_idempotent_over_random_configs(tmp_path):
         assert first.sweep == second.sweep
 
 
-def test_seed_override(tmp_path):
+def test_seed_override(tmp_path, capsys):
     path = write_config(tmp_path, {"seed": 5, "objective": {"kind": "quadratic"}})
     assert parse_config(path).seed == 5
     assert parse_config(path, seed_override=9).seed == 9
+    # --seed gets the checks of a seed in the file, so the summary's echo always re-runs
+    small = write_config(tmp_path, {"objective": {"kind": "quadratic", "dim": 4, "n_samples": 4},
+                                    "quant": {"group_size": 2}, "train": {"steps": 5}},
+                         "small.json")
+    for command in ("train", "sweep"):
+        capsys.readouterr()
+        argv = [command, "--config", small, "--out", str(tmp_path / command), "--seed", str(2**63)]
+        assert main(argv) == 2
+        assert "config error: seed must lie in int64" in capsys.readouterr().err
+    out = tmp_path / "largest"
+    assert main(["train", "--config", small, "--out", str(out), "--seed", str(2**63 - 1)]) == 0
+    echo = json.loads((out / "summary.json").read_text())["config"]
+    assert echo["seed"] == 2**63 - 1
+    again = tmp_path / "echo"
+    assert main(["train", "--config", write_config(tmp_path, echo, "echo.json"),
+                 "--out", str(again)]) == 0
+    assert (again / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
 
 
 def test_config_echo_reproduces_weights(tmp_path):

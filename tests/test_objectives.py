@@ -74,6 +74,21 @@ def test_quadratic_minimum_gives_zero_loss_and_gradient():
     assert np.array_equal(grad, np.zeros(2))
 
 
+@pytest.mark.parametrize("curvature", [np.eye(3), np.float64(1.0), np.ones(2), np.ones((3, 1))],
+                         ids=["square", "scalar", "short", "column"])
+def test_quadratic_takes_only_a_diagonal_of_the_targets_dimension(curvature):
+    with pytest.raises(ValueError, match="diagonal"):
+        Quadratic(curvature=curvature, targets=np.zeros((4, 3)))
+
+
+def test_objectives_hold_their_sample_count_and_dimension():
+    data = Dataset(np.zeros((5, 3)), np.ones(5))
+    for obj in (Quadratic(np.ones(3), np.zeros((5, 3))), LinearRegression(data),
+                LogisticRegression(data), TwoLayerMLP(data, hidden_width=2)):
+        assert "n" in vars(obj) and obj.n == 5
+    assert Quadratic(np.ones(3), np.zeros(3)).n == 1  # one target vector is one sample
+
+
 def test_linear_regression_single_sample_example():
     obj = LinearRegression(Dataset(inputs=np.array([[1.0, 0.0]]), targets=np.array([2.0])))
     loss, grad = per_sample_grad(obj, np.zeros(2), 0)
@@ -163,13 +178,13 @@ def test_pl_instance_gradient_descent_contraction_closed_form():
     w = t_star + substream(3, "w0").normal(0, 1, 6)
     expected = w.copy()
     for _ in range(50):
-        w = w - eta * obj._apply_a(w - t_star)
+        w = w - eta * (obj.curvature * (w - t_star))
         expected = t_star + (1 - eta * obj.curvature) * (expected - t_star)
         assert np.all(np.abs(w - expected) <= 1e-12)
     gap0 = obj.full_loss(expected) - obj.optimal_loss()
     w = expected
     for _ in range(20):
-        w_next = w - eta * obj._apply_a(w - t_star)
+        w_next = w - eta * (obj.curvature * (w - t_star))
         gap_next = obj.full_loss(w_next) - obj.optimal_loss()
         gap = obj.full_loss(w) - obj.optimal_loss()
         if gap < 1e-20:

@@ -10,12 +10,16 @@ evaluates each chunk in one go with fresh arrays. Each gain update or
 dither draw is one block from one stream, so the draws must not depend
 on the group layout, and the dither stays within half of each group's
 step. A gain update drawn and used in blocks of probe rows must match the
-one-block loop reference bit for bit.
+one-block loop reference bit for bit. A failing property, run under this
+repo's pytest settings, reports its falsifying example.
 """
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -41,6 +45,7 @@ from qatlab.quant import (
     draw_dither,
     mean_field,
     mean_field_sensitivity,
+    next_dither,
     quantize_array,
 )
 from qatlab.rng import substream
@@ -320,7 +325,8 @@ def test_draws_do_not_depend_on_group_size(dim, size_a, size_b, seed, num_probes
         spec = calibrate_step(weights, spec) if calibrated else spec
         half = 0.5 * weights.per_weight(spec.step)
         blocks.append(probe_block_of(weights, spec, cfg, draw_key=seed % 7))
-        units.append(quant.dither_block(weights, spec, seed, seed % 7, (num_probes,)) / half)
+        units.append(next_dither(weights, spec, substream(seed, "dither_block", seed % 7),
+                                 (num_probes,)) / half)
     assert_same_bits(blocks[0], blocks[1])
     assert units[0].shape == (num_probes, dim)
     # r = -h + 2h * u rounds relative to h, so only a calibrated (per-group) h moves r / h
@@ -333,7 +339,7 @@ def test_draws_do_not_depend_on_group_size(dim, size_a, size_b, seed, num_probes
 def test_dither_lies_within_half_of_its_group_step(data, seed, rows):
     weights = data.draw(layouts())
     spec = calibrate_step(weights, data.draw(specs(weights)))
-    r = quant.dither_block(weights, spec, seed, seed % 5, rows)
+    r = next_dither(weights, spec, substream(seed, "dither_block", seed % 5), rows)
     assert r.shape == (*rows, weights.dim)
     for g, (lo, hi) in enumerate(loop_bounds(weights.dim, weights.group_size)):
         assert np.all(np.abs(r[..., lo:hi]) <= 0.5 * spec.step_for_group(g))
@@ -522,3 +528,25 @@ def test_apply_gains_is_linear_in_v(weights, a, b):
     combined = apply_gains(gains, a * v1 + b * v2, weights)
     separate = a * apply_gains(gains, v1, weights) + b * apply_gains(gains, v2, weights)
     assert np.allclose(combined, separate, rtol=1e-12, atol=1e-12)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+@settings(database=None, derandomize=True)
+@given(st.integers(0, 100))
+def test_fails(x):
+    assert x < 50
+"""
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    # with warnings as errors, a deprecation raised while Hypothesis reports a failure
+    # would abort the session (exit 3) before the example is printed
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(config), "--rootdir",
+                          str(tmp_path), "-p", "no:cacheprovider", "-q", "test_fails.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
