@@ -112,7 +112,7 @@ def a3_dither_fixed_point() -> tuple[bool, dict]:
         ])
         groups.append(seg)
     weights = GroupedWeights(np.concatenate(groups), group_size=d_g)
-    oracle = mean_field_sensitivity(weights, spec, probe_eps=0.1, n_samples=50_000, seed=29)
+    oracle = mean_field_sensitivity(weights, spec, probe_eps=0.1)
     target = np.array([np.mean(oracle[lo:hi]) for lo, hi in weights.group_bounds])
     gains = np.ones(weights.n_groups)
     cfg = ProbeConfig(sigma=0.25, num_probes=16, seed_tag=31, ema_rate=0.05)
@@ -213,8 +213,7 @@ def a6_dominance() -> tuple[bool, dict]:
             fd_var[mode] = var_jq if mode == "probe" else var_ste
             if mode == "probe":
                 _, v_bar = batch_grad(obj, quantize(res.weights, spec), np.arange(obj.n))
-                rep = bias_report(res.weights, res.gains, v_bar, spec, n_samples=20_000,
-                                  seed=seed)
+                rep = bias_report(res.weights, res.gains, v_bar, spec)
             del res
         wins["loss"] += window["probe"] <= window["ste"]
         wins["bias"] += rep.bias_jacquant < rep.bias_ste
@@ -230,8 +229,7 @@ def a6_dominance() -> tuple[bool, dict]:
 def a7_tracking() -> tuple[bool, dict]:
     """Slow drift tracks better than fast drift; static error within 0.05."""
     spec = QuantSpec.w2(step=1.0)
-    common = dict(group_dim=48, ema_rates=0.1, sigma=0.25, num_probes=16, seed=2,
-                  oracle_samples=1500)
+    common = dict(group_dim=48, ema_rates=0.1, sigma=0.25, num_probes=16, seed=2)
     static = tracking_harness(spec, drift_per_step=0.0, steps=120, **common)
     total = 1.6
     fast = tracking_harness(spec, drift_per_step=total / 60, steps=60, **common)

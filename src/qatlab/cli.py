@@ -30,9 +30,8 @@ import numpy as np
 
 from .acceptance import run_all
 from .config import ConfigError, parse_config
-from .quant import quantize
-from .trainer import (DivergenceError, RefreshPolicy, atomic_write_text, run_sweep, train_base,
-                      train_vr, write_metrics_csv)
+from .trainer import (DivergenceError, RefreshPolicy, atomic_write_text, final_loss, run_sweep,
+                      train_base, train_vr, write_metrics_csv)
 
 __all__ = ["main", "DIAGNOSE_NAMES"]
 
@@ -90,7 +89,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     try:
         result = runner(setup.objective, setup.weights, setup.spec, setup.train)
         write_metrics_csv(result.metrics, os.path.join(out, "metrics.csv"))
-        summary["final_loss"] = setup.objective.full_loss(quantize(result.weights, setup.spec))
+        summary["final_loss"] = final_loss(setup.objective, result.weights, setup.spec)
         summary["steps_run"] = len(result.metrics)
         summary["final_gains"] = result.gains.tolist()
     except DivergenceError as exc:

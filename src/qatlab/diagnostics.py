@@ -36,13 +36,12 @@ __all__ = [
 class DiagnosticsReport:
     """Bias of both backward rules against the smoothed target gradient.
 
-    ``j_hat`` is the oracle sensitivity per weight, without its standard
-    error (no verdict reads one). ``gamma`` is the straight-through
-    mismatch max_i |1 - J_i|; ``epsilon_sup`` is the current gain mismatch
-    times the upstream gradient norm (the quantity whose running sup
-    bounds the residual in the convergence statements). FD-mismatch
-    variances are not part of this report: :func:`fd_mismatch_variance`
-    measures them over a run's state trace.
+    ``j_hat`` is the exact oracle sensitivity per weight. ``gamma`` is the
+    straight-through mismatch max_i |1 - J_i|; ``epsilon_sup`` is the
+    current gain mismatch times the upstream gradient norm (the quantity
+    whose running sup bounds the residual in the convergence statements).
+    FD-mismatch variances are not part of this report:
+    :func:`fd_mismatch_variance` measures them over a run's state trace.
     """
 
     j_hat: np.ndarray
@@ -57,13 +56,14 @@ class DiagnosticsReport:
 
 
 def bias_report(weights: GroupedWeights, gains: np.ndarray, v_bar: np.ndarray,
-                spec: QuantSpec, n_samples: int = 4000, seed: int = 0) -> DiagnosticsReport:
+                spec: QuantSpec) -> DiagnosticsReport:
     """Compare both backward rules against the smoothed target gradient J_i * v_i.
 
-    The sensitivity oracle J averages ``n_samples`` dither draws of ``seed``.
+    The sensitivity oracle J is the exact expected slope of
+    :func:`~qatlab.quant.mean_field_sensitivity` at its default offset.
     """
     v_bar = np.asarray(v_bar, dtype=float)
-    j_hat = mean_field_sensitivity(weights, spec, n_samples=n_samples, seed=seed)
+    j_hat = mean_field_sensitivity(weights, spec)
     g_target = j_hat * v_bar
     g_learned = apply_gains(gains, v_bar, weights)
     v_norm = float(np.linalg.norm(v_bar))
@@ -142,8 +142,7 @@ class ProbeRateResult:
 
 def probe_rate_harness(spec: QuantSpec, group_dim: int, sigma: float,
                        probe_counts: list[int], trials: int, seed: int = 0,
-                       interior_halfwidth: float = 2.0,
-                       oracle_samples: int = 100_000) -> ProbeRateResult:
+                       interior_halfwidth: float = 2.0) -> ProbeRateResult:
     """Least-squares probe error versus probe count on a frozen mixed group.
 
     Weights are placed half inside the grid and half deep in saturation.
@@ -154,8 +153,9 @@ def probe_rate_harness(spec: QuantSpec, group_dim: int, sigma: float,
     sit several sigma away from the last grid boundary; callers should
     pass a multi-level grid and sigma >= step/2 so the bias stays below
     the probe noise at the largest probe count. ``interior_halfwidth``
-    is in units of the step. The fitted log-log slope of mean error
-    against probe count is returned.
+    is in units of the step. The target is the group mean of the exact
+    dither-smoothed slope at offset step/10. The fitted log-log slope of
+    mean error against probe count is returned.
     """
     if len(probe_counts) < 3:
         raise ValueError("need at least three probe counts to fit a slope")
@@ -167,11 +167,7 @@ def probe_rate_harness(spec: QuantSpec, group_dim: int, sigma: float,
         rng.choice((-1.0, 1.0), n_sat) * rng.uniform(1.8, 2.6, n_sat) * step * spec.clip_codes,
     ])
     weights = GroupedWeights(vals, group_size=group_dim)
-    # wide FD offset: exact in the linear/flat regions this layout uses,
-    # and 10x less oracle noise than the default offset
-    oracle = mean_field_sensitivity(weights, spec, probe_eps=step / 10.0,
-                                    n_samples=oracle_samples, seed=seed + 1)
-    target = float(np.mean(oracle))
+    target = float(np.mean(mean_field_sensitivity(weights, spec, probe_eps=step / 10.0)))
     counts = np.asarray(probe_counts, dtype=int)
     mean_errors = np.empty(len(counts), dtype=float)
     for k, m in enumerate(counts):
@@ -210,17 +206,17 @@ class TrackingResult:
 
 def tracking_harness(spec: QuantSpec, group_dim: int, drift_per_step: np.ndarray | float,
                      ema_rates: np.ndarray | float, steps: int, sigma: float,
-                     num_probes: int = 8, seed: int = 0,
-                     oracle_samples: int = 2000) -> TrackingResult:
+                     num_probes: int = 8, seed: int = 0) -> TrackingResult:
     """Track the group-mean sensitivity of a drifting weight group.
 
     The group starts spread across the interior with one tail already
     saturated and drifts upward, so the target sensitivity keeps falling
     for the whole run. Per-step drift and EMA rate may be schedules.
     The terminal error is the mean tracking error over the last tenth of
-    the run; the oracle sensitivity is evaluated in that window only
-    (each evaluation depends on its own step's weights alone, so the
-    window's values are those of an every-step oracle).
+    the run, against the group mean of the exact dither-smoothed slope at
+    offset step/10; the oracle is evaluated in that window only (each
+    evaluation depends on its own step's weights alone, so the window's
+    values are those of an every-step oracle).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -245,8 +241,7 @@ def tracking_harness(spec: QuantSpec, group_dim: int, drift_per_step: np.ndarray
                             draw_key=t)
         gains[t] = float(gain[0])
         if t >= window:
-            oracle = mean_field_sensitivity(weights, spec, probe_eps=step / 10.0,
-                                            n_samples=oracle_samples, seed=seed + 7)
+            oracle = mean_field_sensitivity(weights, spec, probe_eps=step / 10.0)
             oracle_trace[t - window] = float(np.mean(oracle))
     errors = np.abs(gains[window:] - oracle_trace)
     return TrackingResult(errors=errors, gains=gains, oracle=oracle_trace,

@@ -6,8 +6,11 @@ divide dim (``GroupedWeights``); each group may carry its own step. The
 hard quantizer maps weights to a finite grid; the dithered variant
 adds uniform noise before quantizing and subtracts it after, which makes
 the *expected* map smooth. The smoothed map's derivative is the
-sensitivity that the learned backward gains target: close to one in bin
-interiors, close to zero under saturation.
+sensitivity that the learned backward gains target. With a dither of one
+step it is a box: (Q(x + step/2) - Q(x - step/2)) / step is one inside the
+clip level and zero beyond it (w1: two within half a step of zero;
+identity: one everywhere), so ``mean_field_sensitivity`` computes it
+without draws.
 
 Modes:
   - "generic":  mid-tread grid {k*step : |k| <= clip_codes} (default),
@@ -267,37 +270,27 @@ def dither_quantize(weights: GroupedWeights, r: np.ndarray, spec: QuantSpec) -> 
     return quantize_array(weights.values + r, spec, step=step) - r
 
 
-def _mc_average(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: int,
-                sample, return_sem: bool, frozen=None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate mean (and SEM) of ``sample(w, r, step)`` over dither draws r.
+def mean_field(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: int,
+               return_sem: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo average of the de-dithered proxy over fresh dither draws.
 
-    The per-group chunk schedule fixes only the summation order. Memory is
-    bounded by one row block: each block's dither is drawn into one buffer the
-    size of the first block, sampled, and added to the chunk's carried column sums.
+    Deterministic for fixed (weights, spec, seed). With ``return_sem`` the
+    per-coordinate standard error of the mean is returned as well, for
+    callers that need an MC tolerance.
 
-    ``frozen(w, step)``, given every weight and its step, marks the weights
-    whose every sample is +/-0.0. Their sums stay +0.0 unsampled: a group
-    with a live weight still draws whole blocks but samples only the live
-    columns, and a group without one draws nothing from its stream.
+    Group g draws from its ("dither", g) stream. The per-group chunk
+    schedule fixes only the summation order. Memory is bounded by one row
+    block: each block's dither is drawn into one buffer the size of the
+    first block, sampled, and added to the chunk's carried column sums.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     values = weights.values
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite weight")
-    live = (np.ones(values.size, bool) if frozen is None
-            else ~frozen(values, weights.broadcast(spec.step)))
     total, total_sq = np.zeros((2, values.size))
     for g, (lo, hi) in enumerate(weights.group_bounds):
-        cols = None  # the sampled columns of the group's blocks: None for all
-        if not live[lo:hi].all():
-            cols = np.flatnonzero(live[lo:hi])
-            if cols.size == 0:
-                continue
-            if cols.size == 1:  # numpy sums one column pairwise: a frozen partner keeps row order
-                cols = np.append(cols, np.argmin(live[lo:hi]))
-        at = slice(lo, hi) if cols is None else lo + cols
-        w = values[None, at]
+        w = values[None, lo:hi]
         step_g = spec.step_for_group(g)
         low, high = -0.5 * step_g, 0.5 * step_g
         rng = substream(seed, "dither", g)
@@ -308,16 +301,14 @@ def _mc_average(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: 
             for rows in row_blocks(min(chunk, n_samples - done), hi - lo):
                 r = buf[:rows.stop - rows.start]
                 rng.random(out=r)
-                if cols is not None:
-                    r = r.take(cols, axis=1)  # C order, which carried_sum sums row by row
                 r *= high - low  # Generator.uniform(low, high)'s bits: low + (high - low) * u
                 r += low
-                s = sample(w, r, step_g)
+                s = quantize_array(w + r, spec, step=step_g) - r
                 if return_sem:
                     sq_sum = carried_sum(np.square(s), sq_sum)
                 s_sum = carried_sum(s, s_sum)
-            total[at] += s_sum
-            total_sq[at] += sq_sum
+            total[lo:hi] += s_sum
+            total_sq[lo:hi] += sq_sum
     mean = total / n_samples
     if not return_sem:
         return mean
@@ -325,58 +316,37 @@ def _mc_average(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: 
     return mean, np.sqrt(var / n_samples)
 
 
-def mean_field(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: int,
-               return_sem: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo average of the de-dithered proxy over fresh dither draws.
+def mean_field_sensitivity(weights: GroupedWeights, spec: QuantSpec,
+                           probe_eps: float | None = None) -> np.ndarray:
+    """Expected central-difference slope of the dithered quantizer, per coordinate; no draws.
 
-    Deterministic for fixed (weights, spec, seed). With ``return_sem`` the
-    per-coordinate standard error of the mean is returned as well, for
-    callers that need an MC tolerance.
+    The slope (Q(w + eps + r) - Q(w - eps + r)) / (2 eps), with r uniform on
+    +/- step/2, has mean h * |[w - eps, w + eps] & (-a, a)| / (2 eps): the
+    dither-smoothed quantizer's derivative is a box of height h on (-a, a),
+    averaged over the window. Generic, w2 and w1_58 grids, mid-tread or
+    mid-rise, have h = 1 and a = clip_level(); w1 has h = 2 and a = step/2;
+    identity is 1 everywhere. The default offset eps is each weight's
+    step/100. A window inside the box gives exactly h, one outside it 0.0.
     """
-    return _mc_average(weights, spec, n_samples, seed,
-                       lambda w, r, step: quantize_array(w + r, spec, step=step) - r, return_sem)
-
-
-def mean_field_sensitivity(weights: GroupedWeights, spec: QuantSpec, probe_eps: float | None = None,
-                           n_samples: int = 2000, seed: int = 0,
-                           return_sem: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Central-difference slope of the dither-averaged quantizer, per coordinate.
-
-    Both +/- evaluations share the same dither draws (common random
-    numbers), which removes most of the MC variance. The default offset
-    is step/100. Values are reported unclamped.
-
-    A weight is frozen, and never sampled, when the quantizer gives the same
-    value at the two ends of every argument its slope sample reads:
-    ``(w - eps) + low`` and ``(w + eps) + ((high - low) + low)``, the dither
-    map at u = 0 and u = 1 in the sample's float order. Rounding and the
-    quantizer are monotone, so each of its samples is +/-0.0 and its mean
-    and SEM are +0.0, the bits a sampled one gets. A group of frozen weights
-    draws nothing from its ``("dither", g)`` stream. A weight whose offset is
-    not positive or whose ends overflow stays live and is sampled as before.
-    """
-    def offset(step: float | np.ndarray) -> float | np.ndarray:
-        return (step / 100.0) if probe_eps is None else float(probe_eps)
-
-    def slope(w: np.ndarray, r: np.ndarray, step: float) -> np.ndarray:
-        eps = offset(step)
-        if not eps > 0:
-            raise ValueError("probe_eps must be positive")
-        hi_q = quantize_array(w + eps + r, spec, step=step)
-        lo_q = quantize_array(w - eps + r, spec, step=step)
-        return (hi_q - lo_q) / (2.0 * eps)
-
-    def frozen(w: np.ndarray, step: float | np.ndarray) -> np.ndarray:
-        eps = offset(step)
-        low, high = -0.5 * step, 0.5 * step
-        with np.errstate(over="ignore"):
-            ends = np.stack([(w - eps) + low, (w + eps) + ((high - low) + low)])
-            ok = np.isfinite(ends).all(axis=0) & (eps > 0)
-            ends[:, ~ok] = 0.0
-            q = quantize_array(ends, spec, step=step)
-        return ok & (q[0] == q[1])
-
-    return _mc_average(weights, spec, n_samples, seed, slope, return_sem, frozen)
+    values = weights.values
+    if not np.all(np.isfinite(values)):
+        raise ValueError("non-finite weight")
+    step = weights.broadcast(spec.step)
+    eps = step / 100.0 if probe_eps is None else float(probe_eps)
+    if not np.all(eps > 0):
+        raise ValueError("probe_eps must be positive")
+    if spec.mode == "identity":
+        return np.ones(values.size)
+    if spec.mode == "w1":
+        height, a = 2.0, 0.5 * step
+    else:
+        height, a = 1.0, weights.broadcast(spec.clip_level())
+    # the window's ends and length may overflow; only a window inside the box reads inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = values - eps, values + eps
+        overlap = np.maximum(np.minimum(hi, a) - np.maximum(lo, -a), 0.0)  # a miss is +0.0
+        share = np.minimum(overlap / (2.0 * eps), 1.0)
+    return height * np.where((lo >= -a) & (hi <= a), 1.0, share)
 
 
 def calibrate_step(weights: GroupedWeights, spec: QuantSpec, floor: float = 1e-12) -> QuantSpec:

@@ -12,30 +12,149 @@ all weights, whatever the group layout. The golden digests pin this layout:
   ("dither_block", draw_key)  (num_probes, dim) per-probe dither of
                               dither_update, or the (dim,) forward dither
                               of draw_dither (key = seed_tag)
-  ("dither", g)               Monte-Carlo oracles mean_field(_sensitivity),
-                              one stream per group; mean_field_sensitivity
-                              draws it only for a group with a live weight
+  ("dither", g)               Monte-Carlo oracle mean_field, one stream
+                              per group
   ("minibatch", step), ("refresh", step)
+
+The (label, *key) stream of a seed is numpy's
+``default_rng(SeedSequence(seed, spawn_key=(crc32(label), *key)))``, bit
+for bit. Its PCG64 seed is derived here with Python integers by
+SeedSequence's own hash, numpy's Python-level path being the slower part
+of making a stream. The entropy words are the seed's little-endian 32-bit
+words, zero-padded to four (a spawn key follows), then crc32(label), then
+each key's words (a key of 0 is one zero word). The first four are hashed
+into a pool of four words, each pool word is mixed into every other one,
+and each further word is mixed into all four. The pool then yields eight
+32-bit words, paired little-endian into PCG64's four uint64 seed words.
+The pool after the (seed, label) words is cached. numpy.random is imported
+with the first stream, not with this module.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import zlib
 
 import numpy as np
 
 __all__ = ["substream"]
 
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
 
-def _label_code(label: str) -> int:
-    return zlib.crc32(label.encode("utf-8"))
+
+def _words(n: int) -> list[int]:
+    """A non-negative integer's little-endian 32-bit words; 0 is one zero word."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK]
+    while n := n >> 32:
+        words.append(n & _MASK)
+    return words
+
+
+def _hashmix(value: int, const: int) -> tuple[int, int]:
+    """SeedSequence's hashmix: the mixed value and the next hash constant."""
+    value ^= const
+    const = const * _MULT_A & _MASK
+    value = value * const & _MASK
+    return value ^ value >> 16, const
+
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK
+    return result ^ result >> 16
+
+
+def _mix_in(pool: list[int], words: list[int], const: int) -> int:
+    """Mix each word into every pool word, in place; returns the hash constant.
+
+    ``_mix(pool[dst], _hashmix(word, const))`` inlined: this runs for every stream.
+    """
+    for word in words:
+        for dst in range(_POOL):
+            value = word ^ const
+            const = const * _MULT_A & _MASK
+            value = value * const & _MASK
+            value ^= value >> 16
+            value = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * value) & _MASK
+            pool[dst] = value ^ value >> 16
+    return const
+
+
+@functools.lru_cache(maxsize=64)
+def _label_pool(seed: int, label: str) -> tuple[tuple[int, ...], int]:
+    """The pool and hash constant after the seed's and the label's entropy words."""
+    words = _words(seed)
+    words += [0] * (_POOL - len(words))  # padded because a spawn key follows
+    const, pool = _INIT_A, []
+    for word in words[:_POOL]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    const = _mix_in(pool, [*words[_POOL:], zlib.crc32(label.encode("utf-8"))], const)
+    return tuple(pool), const
+
+
+@functools.cache
+def _state_consts(n_words: int) -> tuple[tuple[int, ...], ...]:
+    """generate_state's constants of each of its first n_words uint64 words.
+
+    A uint64 is a little-endian pair of 32-bit words; the i-th 32-bit word
+    hashes pool word i % 4 with the i-th (xor, multiplier) hash constants.
+    """
+    consts, const = [], _INIT_B
+    for i in range(2 * n_words):
+        consts += [i % _POOL, const, const := const * _MULT_B & _MASK]
+    return tuple(tuple(consts[k:k + 6]) for k in range(0, len(consts), 6))
+
+
+class _SeedState:
+    """A mixed SeedSequence pool whose ``generate_state`` is SeedSequence's, for PCG64."""
+
+    __slots__ = ("pool",)
+
+    def __init__(self, pool: list[int]) -> None:
+        self.pool = pool
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+            raise ValueError("only uint64 state words are made")
+        pool, state = self.pool, []
+        for i, x_lo, m_lo, j, x_hi, m_hi in _state_consts(n_words):
+            lo = (pool[i] ^ x_lo) * m_lo & _MASK
+            hi = (pool[j] ^ x_hi) * m_hi & _MASK
+            state.append(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32)
+        return np.array(state, dtype=np.uint64)
+
+
+@functools.cache
+def _generator_types() -> tuple[type, type]:
+    # numpy.random is imported on the first stream, not with qatlab
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedState)
+    return Generator, PCG64
 
 
 def substream(seed: int, label: str, *key: int) -> np.random.Generator:
     """Return a generator for the (label, *key) stream of a master seed.
 
     Derivation is counter-based: the stream depends only on the seed,
-    the label and the integer key, never on draw order elsewhere.
+    the label and the integer key, never on draw order elsewhere. A
+    negative seed or key raises ValueError, a non-integer key TypeError.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_label_code(label), *key))
-    return np.random.default_rng(ss)
+    pool, const = _label_pool(int(seed), label)
+    pool = list(pool)
+    _mix_in(pool, [w for k in key for w in _words(operator.index(k))], const)
+    generator, pcg64 = _generator_types()
+    return generator(pcg64(_SeedState(pool)))

@@ -40,6 +40,7 @@ __all__ = [
     "train_vr",
     "train_base",
     "run_sweep",
+    "final_loss",
     "write_metrics_csv",
     "METRICS_HEADER",
 ]
@@ -310,6 +311,12 @@ def train_base(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: T
     return _train(obj, weights0, spec, cfg, keep_states, base=True)
 
 
+@np.errstate(all="ignore")  # as in _train: a code that overflows clips to +/-c by design
+def final_loss(obj: Objective, weights: GroupedWeights, spec: QuantSpec) -> float:
+    """The full-data loss at the quantized weights: the loss a finished run reports."""
+    return obj.full_loss(quantize(weights, spec))
+
+
 def _run_cell(args) -> dict:
     obj, values, spec, cfg, group_size, refresh, jac_mode, use_base = args
     weights = GroupedWeights(values, group_size)
@@ -328,7 +335,7 @@ def _run_cell(args) -> dict:
     try:
         runner = train_base if use_base else train_vr
         res = runner(obj, weights, cell_spec, cell_cfg)
-        result["final_loss"] = obj.full_loss(quantize(res.weights, cell_spec))
+        result["final_loss"] = final_loss(obj, res.weights, cell_spec)
         result["steps_run"] = len(res.metrics)
     except (DivergenceError, ValueError) as exc:
         result["error"] = str(exc)

@@ -293,6 +293,23 @@ def test_cli_train_numerical_failures_end_as_divergence(tmp_path, objective, qua
         assert len(list(csv.reader(fh))) == summary["steps_run"] + 1
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_codes_that_overflow_give_a_finite_final_loss_without_a_warning(tmp_path, command):
+    # w / 1e-320 overflows to +/-inf, which clips to +/-c by design: the final loss too
+    cfg = write_config(tmp_path, {"objective": {"kind": "pl", "dim": 4},
+                                  "quant": {"step": 1e-320}, "train": {"steps": 3}})
+    out = tmp_path / command
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    if command == "train":
+        loss = json.loads((out / "summary.json").read_text())["final_loss"]
+    else:
+        with open(out / "sweep.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["error"] == ""
+        loss = float(row["final_loss"])
+    assert np.isfinite(loss)
+
+
 def test_cli_sweep(tmp_path):
     cfg = write_config(tmp_path, {
         "seed": 2,

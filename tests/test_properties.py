@@ -5,12 +5,13 @@ a time, walking the groups of group_size from the start of the vector.
 The array versions must match them bit for bit over random layouts
 (dim, group_size), including a single short group, groups that divide
 dim exactly and groups of one weight. The grid rule and the Monte-Carlo
-oracles are checked the same way against a plain restatement that
-evaluates each chunk in one go with fresh arrays. Each gain update or
-dither draw is one block from one stream, so the draws must not depend
-on the group layout, and the dither stays within half of each group's
-step. A gain update drawn and used in blocks of probe rows must match the
-one-block loop reference bit for bit. A failing property, run under this
+mean-field map are checked the same way against a plain restatement that
+evaluates each chunk in one go with fresh arrays, and the closed-form
+sensitivity against a midpoint-rule average of its slope samples. Each
+gain update or dither draw is one block from one stream, so the draws
+must not depend on the group layout, and the dither stays within half of
+each group's step. A gain update drawn and used in blocks of probe rows
+must match the one-block loop reference bit for bit. A failing property, run under this
 repo's pytest settings, reports its falsifying example.
 """
 
@@ -396,127 +397,84 @@ def test_quantize_array_matches_plain_rule(spec, values):
 
 @SETTINGS
 @given(st.data(), st.integers(1, 40), st.integers(1, 64), st.integers(1, 120))
-def test_mc_oracles_match_whole_chunk_reference(data, block, chunk, n_samples):
+def test_mean_field_matches_whole_chunk_reference(data, block, chunk, n_samples):
     weights = data.draw(layouts())
     spec = data.draw(specs(weights))
-    eps = 0.05
 
     def dedithered(w, r, step):
         return plain_quantize(w + r, spec, step) - r
-
-    def slope(w, r, step):
-        return (plain_quantize(w + eps + r, spec, step)
-                - plain_quantize(w - eps + r, spec, step)) / (2.0 * eps)
 
     # Row blocks of `block` elements within chunks of `chunk` elements: several chunks,
     # most with a short last block and many with a short last chunk; a width-1 group
     # sums each chunk whole.
     with (patch.object(quant, "_BLOCK_ELEMS", block),
           patch.object(quant, "_MC_CHUNK_ELEMS", chunk)):
-        got = [mean_field(weights, spec, n_samples, seed=4, return_sem=True),
-               mean_field_sensitivity(weights, spec, probe_eps=eps, n_samples=n_samples,
-                                      seed=4, return_sem=True)]
-    expected = [loop_mc(weights, spec, n_samples, 4, dedithered, chunk),
-                loop_mc(weights, spec, n_samples, 4, slope, chunk)]
-    for (mean, sem), (mean_ref, sem_ref) in zip(got, expected):
-        assert_same_bits(mean, mean_ref)
-        assert_same_bits(sem, sem_ref)
-
-
-def slope_reference(spec, eps):
-    """The slope sample in plain arithmetic; eps None is each group's step / 100."""
-    def slope(w, r, step):
-        e = step / 100.0 if eps is None else eps
-        return (plain_quantize(w + e + r, spec, step)
-                - plain_quantize(w - e + r, spec, step)) / (2.0 * e)
-    return slope
-
-
-def with_drawn_groups(call):
-    """``call()``'s result and the groups g whose ("dither", g) stream it opened, in order."""
-    drawn = []
-
-    def counted(seed, label, *key):
-        if label == "dither":
-            drawn.append(*key)
-        return substream(seed, label, *key)
-
-    with patch.object(quant, "substream", counted):
-        return call(), drawn
-
-
-W1_CALIBRATED = [1.0, -0.9, 0.8, 0.1, 0.2, -0.05, 0.0]
-
-# (values, group_size, spec, probe_eps, groups drawn). A w2 weight of step 0.5 with
-# eps 0.07 is frozen from |w| >= 0.57 on; the w1 ones of step s from |w| > s / 2 + eps.
-# eps 0.07 makes slope samples whose sums round, so a sum in another order shows.
-FROZEN_CASES = [
-    pytest.param([2.0, 0.1, -3.0, 1.5], 4, QuantSpec.w2(step=0.5), 0.07, [0],
-                 id="one-live-weight-padded"),
-    pytest.param([0.1, 0.2, 2.0, -2.0, 0.0, 0.3], 2, QuantSpec.w2(step=0.5), 0.07, [0, 2],
-                 id="group-without-live-weight"),
-    pytest.param([0.1, 5.0, -0.2], 1, QuantSpec.w2(step=0.5), 0.07, [0, 2],
-                 id="saturated-group-of-one"),
-    # w = c * step = 0.9 reads both sides of the last threshold: live, beside a frozen 5.0
-    pytest.param([0.9, 5.0, -0.9, -5.0], 2, QuantSpec.generic(3, step=0.3), None, [0, 1],
-                 id="clip-knee-stays-live"),
-    # codes saturate at x >= 1.5 and x < -1.5; the ends reach 0.32 further
-    pytest.param([3.0, -3.0, 0.2, 2.6, -2.6, 2.7, 1.7, -1.9, 1.6], 3,
-                 QuantSpec.generic(3, step=0.5, mid_rise=True), 0.07, [0, 2],
-                 id="mid-rise-at-saturation"),
-    pytest.param([1.0, -0.7, 0.1, 0.9, -2.0], 2, QuantSpec.w1(step=0.5), 0.07, [1],
-                 id="w1-at-saturation"),
-    # steps 1.0, 0.2 and the 1e-12 floor: the first group is frozen whole
-    pytest.param(W1_CALIBRATED, 3, calibrate_step(GroupedWeights(np.array(W1_CALIBRATED), 3),
-                                                  QuantSpec.w1()), None, [1, 2],
-                 id="calibrated-per-group-steps"),
-]
-
-
-@pytest.mark.parametrize("values,group_size,spec,eps,drawn", FROZEN_CASES)
-def test_frozen_weights_keep_the_whole_chunk_reference_bits(values, group_size, spec, eps, drawn):
-    weights = GroupedWeights(np.array(values), group_size)
-    # blocks of 64 elements in chunks of 256: several chunks of several blocks, and blocks
-    # of 8 rows or more, which numpy would sum pairwise as one column
-    with (patch.object(quant, "_BLOCK_ELEMS", 64),
-          patch.object(quant, "_MC_CHUNK_ELEMS", 256)):
-        (mean, sem), groups = with_drawn_groups(lambda: mean_field_sensitivity(
-            weights, spec, probe_eps=eps, n_samples=600, seed=4, return_sem=True))
-    mean_ref, sem_ref = loop_mc(weights, spec, 600, 4, slope_reference(spec, eps), 256)
-    assert groups == drawn
+        mean, sem = mean_field(weights, spec, n_samples, seed=4, return_sem=True)
+    mean_ref, sem_ref = loop_mc(weights, spec, n_samples, 4, dedithered, chunk)
     assert_same_bits(mean, mean_ref)
     assert_same_bits(sem, sem_ref)
 
 
-def test_an_all_frozen_layout_draws_no_dither():
-    weights = GroupedWeights(np.array([3.0, -2.0, 0.8, -5.0, 1.2]), 2)
-    spec = QuantSpec.w2(step=0.5)
-    (mean, sem), groups = with_drawn_groups(lambda: mean_field_sensitivity(
-        weights, spec, probe_eps=0.05, n_samples=30, seed=4, return_sem=True))
-    assert groups == []
-    mean_ref, sem_ref = loop_mc(weights, spec, 30, 4, slope_reference(spec, 0.05),
-                                quant._MC_CHUNK_ELEMS)
-    for got, ref in ((mean, mean_ref), (sem, sem_ref)):
-        assert_same_bits(got, np.zeros(5))
-        assert_same_bits(got, ref)
+# Midpoint grid of the exactness reference. Over r in (-step/2, step/2) the slope
+# sample (Q(w + eps + r) - Q(w - eps + r)) / (2 eps) is a step function of r: each Q
+# term crosses at most one threshold, since thresholds lie a step apart, and a jump
+# is at most h * step / (2 eps). The cell holding a jump misses its exact mean by at
+# most the jump / MIDPOINTS, rounding at the threshold included, so the grid average
+# misses the exact mean by at most h * step / (eps * MIDPOINTS).
+MIDPOINTS = 2**16
 
 
-def test_a_weight_whose_dither_ends_overflow_is_sampled():
-    # (w + eps) + step / 2 overflows for w = 1.7e308 and step 2e307 (the low end for -w):
-    # the weight stays live, so a draw that overflows raises as any sampled weight does
-    spec = QuantSpec.w1(step=2e307)
-    for w in (1.7e308, -1.7e308):
-        weights = GroupedWeights(np.array([w]), 1)
-        with np.errstate(over="ignore"):
-            # five draws that stay finite: the reference's bits
-            mean, sem = mean_field_sensitivity(weights, spec, probe_eps=0.05, n_samples=5,
-                                               seed=4, return_sem=True)
-            mean_ref, sem_ref = loop_mc(weights, spec, 5, 4, slope_reference(spec, 0.05),
-                                        quant._MC_CHUNK_ELEMS)
-            with pytest.raises(ValueError, match="non-finite weight"):
-                mean_field_sensitivity(weights, spec, probe_eps=0.05, n_samples=1000, seed=4)
-        assert_same_bits(mean, mean_ref)
-        assert_same_bits(sem, sem_ref)
+def midpoint_slope(w, spec, step, eps):
+    """The slope sample's mean over the midpoint grid of dither values."""
+    r = ((np.arange(MIDPOINTS) + 0.5) / MIDPOINTS - 0.5) * step
+    q = (lambda x: x) if spec.mode == "identity" else (lambda x: plain_quantize(x, spec, step))
+    return float(np.mean((q(w + eps + r) - q(w - eps + r)) / (2.0 * eps)))
+
+
+def box(spec, step):
+    """(height h, half-width a) of the dither-smoothed slope; identity has no edge."""
+    if spec.mode == "identity":
+        return 1.0, np.inf
+    if spec.mode == "w1":
+        return 2.0, 0.5 * step
+    return 1.0, step * (spec.clip_codes + 0.5 * spec.mid_rise)
+
+
+EXACT_SPECS = [QuantSpec.w2(step=0.5), QuantSpec.w2(step=0.5, mid_rise=True),
+               QuantSpec.generic(3, step=0.3), QuantSpec.generic(3, step=0.3, mid_rise=True),
+               QuantSpec.ternary(step=1.0), QuantSpec.w1(step=0.5), QuantSpec.identity(),
+               QuantSpec.generic(3, step=np.array([0.5, 0.8, 1.1] * 2)),
+               QuantSpec.w1(step=np.array([1.0, 0.2] * 3))]
+
+
+@pytest.mark.parametrize(
+    "spec", EXACT_SPECS, ids=lambda s: s.mode + "-mid-rise" * s.mid_rise + "-per-group" * s.per_group)
+@pytest.mark.parametrize("eps_steps", [None, 0.1, 0.7, 2.5],
+                         ids=["default-eps", "tenth-step", "above-half-step", "wide"])
+def test_sensitivity_is_the_midpoint_mean_of_its_slope_samples(spec, eps_steps):
+    # eps_steps scales the smallest step into one probe_eps; None is step/100 per weight
+    probe_eps = None if eps_steps is None else eps_steps * float(np.min(spec.step))
+    # six groups of three around the box edge a: +/-0, the knee +/-a, windows across it,
+    # one that only touches it, and deep saturation
+    values = []
+    for g in range(6):
+        step = spec.step_for_group(g)
+        _, a = box(spec, step)
+        a = 3.0 * step if a == np.inf else a
+        e = step / 100.0 if probe_eps is None else probe_eps
+        values += [[0.0, -0.0, 0.3 * a], [a, -a, a - e / 2], [a + e / 2, -a - e / 2, a - e],
+                   [a + e, -a - e, 0.5 * a], [4.0 * a + 3 * e, -5.0 * a - 3 * e, 0.9 * a],
+                   [a + 2 * e, -(a - e / 3), -0.0]][g]
+    weights = GroupedWeights(np.array(values), 3)
+    got = mean_field_sensitivity(weights, spec, probe_eps=probe_eps)
+    for w, step, j in zip(weights.values, weights.per_weight(spec.step), got):
+        e = step / 100.0 if probe_eps is None else probe_eps
+        h, a = box(spec, step)
+        assert abs(j - midpoint_slope(w, spec, step, e)) <= h * step / (e * MIDPOINTS) + 1e-12
+        if abs(w) + e <= a:  # a window inside the box: exactly h
+            assert j == h
+        elif abs(w) - e >= a:  # one outside it: exactly +0.0
+            assert np.float64(j).tobytes() == np.float64(0.0).tobytes()
 
 
 @SETTINGS
