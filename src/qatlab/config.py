@@ -6,7 +6,10 @@ are the schema: unknown keys are errors, every omitted key takes its
 default, and a given value must have its default's type (a number is
 finite, an integer is also a number, every integer lies in int64, and
 true/false is never a number). Ranges are checked by the objects each
-section builds, and every rejection names its dotted field. The parsed
+section builds, and every rejection names its dotted field. A size whose
+array numpy cannot index (over 2**63 - 1 bytes: the data block, the
+weight vector, a gain update's probe sums) is refused before any array
+is built. The parsed
 config echoes back with all defaults filled so a summary alone reproduces
 the run. Defaults follow the package-wide conventions: EMA rate 0.9,
 refresh interval 100, group size 128.
@@ -138,6 +141,7 @@ _DEFAULTS = {"seed": 0, "objective": _OBJECTIVE_DEFAULTS, "quant": _QUANT_DEFAUL
 _NULLABLE = {"objective.seed": int, "objective.path": str, "quant.bits": int,
              "train.probe_sigma": float, "sweep.refresh_intervals": [int]}
 _INT64 = range(-2**63, 2**63)  # numpy's default integer: a larger one overflows on use
+_MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)  # numpy refuses a larger array outright
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 _KINDS = ("quadratic", "pl", "saturating", "linear_regression",
@@ -192,6 +196,13 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _require_indexable(shape: tuple[int, ...], sized: str) -> None:
+    """Refuse a float64 array of ``shape`` that numpy cannot index; ``sized`` names its fields."""
+    size = 8 * math.prod(shape)
+    _require(size <= _MAX_ARRAY_BYTES, f"{sized} a {shape} float64 array of {size} bytes, "
+             f"over numpy's limit of {_MAX_ARRAY_BYTES} bytes")
+
+
 @contextmanager
 def _fields(*sections: str):
     """Name the field of a constructor's ValueError: "step must be ..." -> "quant.step must be ...".
@@ -221,6 +232,12 @@ def _build_objective(cfg: dict, group_size: int, master_seed: int,
     _require(dim >= 1, "objective.dim must be a positive integer")
     _require(n >= 1, "objective.n_samples must be a positive integer")
     _require(cfg["w0_scale"] >= 0, "objective.w0_scale must be >= 0")
+    if kind != "csv":  # checked before any array is built; a csv file brings its own sizes
+        _require_indexable((dim,), "objective.dim makes the weight vector")
+        if kind == "mlp":
+            _require_indexable((cfg["hidden_width"] * (dim + 2) + 1,),
+                               "objective.hidden_width makes the MLP's weight vector")
+        _require_indexable((n, dim), "objective.n_samples and objective.dim make the data block")
 
     if kind == "saturating":
         _require(cfg["w0_scale"] == 1.0,
@@ -317,6 +334,10 @@ def parse_config_dict(raw: dict, seed_override: int | None = None) -> RunSetup:
             "jac_modes": [train.jac_mode],
         })
         _check_sweep(sweep, weights, train)
+    # a gain update holds (2, n_groups, num_probes) floats; the smallest group makes the most
+    smallest = min([weights.group_size, *(sweep["group_sizes"] if sweep else [])])
+    _require_indexable((2, -(-weights.dim // smallest), train.num_probes),
+                       "train.num_probes makes the gain update")
     return RunSetup(config=cfg, objective=objective, weights=weights, spec=spec,
                     train=train, loop=train_cfg["loop"], sweep=sweep, seed=seed)
 

@@ -48,10 +48,7 @@ __all__ = [
 
 _MODES = ("generic", "w2", "w1_58", "w1", "identity")
 
-# Mean-field chunk size: each chunk's column sum is added to the total, so
-# it fixes only the summation order (which the A3 golden pins), not memory.
-_MC_CHUNK_ELEMS = 2_000_000
-# Every pass over samples or probes (a Monte-Carlo chunk, a full-data gradient
+# Every pass over samples or probes (a Monte-Carlo average, a full-data gradient
 # or loss, a gain update's probes) holds one (rows, width) block of at most this
 # many float64 elements at a time.
 _BLOCK_ELEMS = 16_384
@@ -262,7 +259,7 @@ def draw_dither(weights: GroupedWeights, spec: QuantSpec, seed: int, seed_tag: i
 
 
 def dither_quantize(weights: GroupedWeights, r: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    """De-dithered proxy: quantize(W + r) - r for a (dim,) dither r."""
+    """De-dithered proxy: quantize(W + r) - r for a (dim,) dither r, or a (..., dim) block of them."""
     r = np.asarray(r, dtype=float)
     step = weights.broadcast(spec.step)
     if np.any(np.abs(r) > 0.5 * step + 1e-15):
@@ -278,37 +275,21 @@ def mean_field(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: i
     per-coordinate standard error of the mean is returned as well, for
     callers that need an MC tolerance.
 
-    Group g draws from its ("dither", g) stream. The per-group chunk
-    schedule fixes only the summation order. Memory is bounded by one row
-    block: each block's dither is drawn into one buffer the size of the
-    first block, sampled, and added to the chunk's carried column sums.
+    The samples are the dithered forward of training: row blocks of the
+    ("dither",) stream drawn by ``next_dither``, mapped by ``dither_quantize``
+    and summed by ``carried_sum``. The bits are those of one (n_samples, dim)
+    draw summed over its rows, and memory is bounded by one row block.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    values = weights.values
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite weight")
-    total, total_sq = np.zeros((2, values.size))
-    for g, (lo, hi) in enumerate(weights.group_bounds):
-        w = values[None, lo:hi]
-        step_g = spec.step_for_group(g)
-        low, high = -0.5 * step_g, 0.5 * step_g
-        rng = substream(seed, "dither", g)
-        chunk = max(1, _MC_CHUNK_ELEMS // (hi - lo))
-        buf = np.empty((next(row_blocks(min(chunk, n_samples), hi - lo)).stop, hi - lo))
-        for done in range(0, n_samples, chunk):
-            s_sum = sq_sum = -0.0  # the chunk's carried column sums of s and s**2
-            for rows in row_blocks(min(chunk, n_samples - done), hi - lo):
-                r = buf[:rows.stop - rows.start]
-                rng.random(out=r)
-                r *= high - low  # Generator.uniform(low, high)'s bits: low + (high - low) * u
-                r += low
-                s = quantize_array(w + r, spec, step=step_g) - r
-                if return_sem:
-                    sq_sum = carried_sum(np.square(s), sq_sum)
-                s_sum = carried_sum(s, s_sum)
-            total[lo:hi] += s_sum
-            total_sq[lo:hi] += sq_sum
+    rng = substream(seed, "dither")
+    total = total_sq = -0.0  # the carried column sums of s and s**2
+    for rows in row_blocks(n_samples, weights.dim):
+        r = next_dither(weights, spec, rng, (rows.stop - rows.start,))
+        s = dither_quantize(weights, r, spec)  # checks r's range and the weights' finiteness
+        if return_sem:
+            total_sq = carried_sum(np.square(s), total_sq)
+        total = carried_sum(s, total)
     mean = total / n_samples
     if not return_sem:
         return mean

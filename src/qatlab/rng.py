@@ -5,15 +5,15 @@ A single master seed spawns independent generators keyed by a label
 draws to one stream never perturbs another.
 
 Keys of the training and oracle draws (the trainer's draw_key and
-seed_tag are the step; g is a group). A training draw is one block over
-all weights, whatever the group layout. The golden digests pin this layout:
+seed_tag are the step). A draw is one block over all weights, whatever
+the group layout. The golden digests pin this layout:
 
   ("probe", draw_key)         (num_probes, dim) gain-update probes
   ("dither_block", draw_key)  (num_probes, dim) per-probe dither of
                               dither_update, or the (dim,) forward dither
                               of draw_dither (key = seed_tag)
-  ("dither", g)               Monte-Carlo oracle mean_field, one stream
-                              per group
+  ("dither",)                 Monte-Carlo oracle mean_field, one
+                              (n_samples, dim) stream drawn in row blocks
   ("minibatch", step), ("refresh", step)
 
 The (label, *key) stream of a seed is numpy's

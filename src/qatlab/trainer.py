@@ -263,8 +263,8 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
             trace.append(_record(step, loss, v_bar, g, gain_stats, weights, clip, False))
             _guard(loss, initial_loss, step, trace)
             raise DivergenceError(f"latent weights became non-finite at step {step}", trace)
-        q_next = None if dithered else quantize(new_weights, spec)
-        last = step == cfg.steps  # no step reads the estimator's memory after the last one
+        last = step == cfg.steps  # no step reads the estimator's memory or q after the last one
+        q_next = None if dithered or last else quantize(new_weights, spec)
         if not last:
             # SARAH differences the next step against this step's point; SAGA's table moves on
             state = ctrl_update(state, q if state.mode == "sarah" else q_next, scale, batch, obj,

@@ -560,6 +560,16 @@ BAD_CONFIGS = [
         {"objective": {"kind": "pl", "dim": 40, "n_samples": 5, "target_spread": 1e308}}, "0"),
     bad("objective.noise",
         {"objective": {"kind": "saturating", "dim": 64, "n_samples": 5, "noise": 1e308}}, "5"),
+    # arrays over numpy's 2**63 - 1 bytes, refused before any is built, by the field that sizes them
+    bad("objective.dim", {"objective": {"kind": "pl", "dim": 2**61}}),
+    bad("objective.n_samples", {"objective": {"n_samples": 2**61}}),
+    bad("objective.hidden_width", {"objective": {"kind": "mlp", "hidden_width": 2**61}}, "1"),
+    bad("train.num_probes",
+        {"quant": {"group_size": 4}, "train": {"num_probes": 2**62, "refresh": {"interval": 1}}},
+        "1"),
+    bad("train.num_probes",  # one group of 8 fits; the sweep's groups of 1 do not
+        {"quant": {"group_size": 8}, "train": {"num_probes": 2**58},
+         "sweep": {"group_sizes": [8, 1]}}, "2"),
 ]
 
 

@@ -6,7 +6,7 @@ The array versions must match them bit for bit over random layouts
 (dim, group_size), including a single short group, groups that divide
 dim exactly and groups of one weight. The grid rule and the Monte-Carlo
 mean-field map are checked the same way against a plain restatement that
-evaluates each chunk in one go with fresh arrays, and the closed-form
+draws and sums all samples in one go with fresh arrays, and the closed-form
 sensitivity against a midpoint-rule average of its slope samples. Each
 gain update or dither draw is one block from one stream, so the draws
 must not depend on the group layout, and the dither stays within half of
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import subprocess
 import sys
-from itertools import product
 from pathlib import Path
 from unittest.mock import patch
 
@@ -149,23 +148,13 @@ def plain_quantize(x, spec, step):
     return np.clip(np.sign(codes) * np.floor(np.abs(codes) + 0.5), -c, c) * step
 
 
-def loop_mc(weights, spec, n_samples, seed, sample, chunk_elems):
-    """Mean and SEM of sample(w, r, step), one whole draw and sum per chunk of each group.
-
-    A chunk holds max(1, chunk_elems // size) samples, the last one short.
-    """
-    total, total_sq = np.zeros(weights.dim), np.zeros(weights.dim)
-    for g, (lo, hi) in enumerate(loop_bounds(weights.dim, weights.group_size)):
-        step = spec.step_for_group(g)
-        rng = substream(seed, "dither", g)
-        rows = max(1, chunk_elems // (hi - lo))
-        for done in range(0, n_samples, rows):
-            r = rng.uniform(-0.5 * step, 0.5 * step, size=(min(rows, n_samples - done), hi - lo))
-            s = sample(weights.values[lo:hi][None, :], r, step)
-            total[lo:hi] += s.sum(axis=0)
-            total_sq[lo:hi] += (s * s).sum(axis=0)
-    mean = total / n_samples
-    return mean, np.sqrt(np.maximum(total_sq / n_samples - mean * mean, 0.0) / n_samples)
+def one_draw_mc(weights, spec, n_samples, seed):
+    """Mean and SEM of the de-dithered proxy over one (n_samples, dim) draw of ("dither",)."""
+    step = loop_step_per_weight(spec, weights)
+    r = substream(seed, "dither").uniform(-0.5 * step, 0.5 * step, size=(n_samples, weights.dim))
+    s = plain_quantize(weights.values + r, spec, step) - r
+    mean = s.sum(axis=0) / n_samples
+    return mean, np.sqrt(np.maximum((s * s).sum(axis=0) / n_samples - mean * mean, 0.0) / n_samples)
 
 
 def loop_slope_samples(w, spec, step, sigma, m, rng, dither=None):
@@ -348,13 +337,13 @@ def test_dither_lies_within_half_of_its_group_step(data, seed, rows):
 
 
 def test_training_dither_is_not_the_oracle_stream():
-    # the forward dither of step g must not replay the MC oracle's ("dither", g) stream
+    # no step's forward dither may replay the MC oracle's ("dither",) stream
     weights = GroupedWeights(substream(3, "w").normal(0.0, 1.0, 24), group_size=24)
     spec = QuantSpec.w2(step=0.5)
-    for seed, g in product((0, 1, 9), (0, 1, 2, 5)):
-        forward = draw_dither(weights, spec, seed, seed_tag=g)
-        oracle = substream(seed, "dither", g).uniform(-0.25, 0.25, size=(1, weights.dim))[0]
-        assert not np.any(forward == oracle)
+    for seed in (0, 1, 9):
+        oracle = next_dither(weights, spec, substream(seed, "dither"), ())
+        for step in (0, 1, 2, 5):
+            assert not np.any(draw_dither(weights, spec, seed, seed_tag=step) == oracle)
 
 
 @SETTINGS
@@ -396,23 +385,26 @@ def test_quantize_array_matches_plain_rule(spec, values):
 
 
 @SETTINGS
-@given(st.data(), st.integers(1, 40), st.integers(1, 64), st.integers(1, 120))
-def test_mean_field_matches_whole_chunk_reference(data, block, chunk, n_samples):
+@given(st.data(), st.integers(1, 40), st.integers(1, 120))
+def test_mean_field_matches_one_draw_reference(data, block, n_samples):
     weights = data.draw(layouts())
     spec = data.draw(specs(weights))
-
-    def dedithered(w, r, step):
-        return plain_quantize(w + r, spec, step) - r
-
-    # Row blocks of `block` elements within chunks of `chunk` elements: several chunks,
-    # most with a short last block and many with a short last chunk; a width-1 group
-    # sums each chunk whole.
-    with (patch.object(quant, "_BLOCK_ELEMS", block),
-          patch.object(quant, "_MC_CHUNK_ELEMS", chunk)):
+    # row blocks of `block` elements: most passes end on a short block, and width 1 sums whole
+    with patch.object(quant, "_BLOCK_ELEMS", block):
         mean, sem = mean_field(weights, spec, n_samples, seed=4, return_sem=True)
-    mean_ref, sem_ref = loop_mc(weights, spec, n_samples, 4, dedithered, chunk)
+    mean_ref, sem_ref = one_draw_mc(weights, spec, n_samples, 4)
     assert_same_bits(mean, mean_ref)
     assert_same_bits(sem, sem_ref)
+
+
+@SETTINGS
+@given(layouts(), st.sampled_from(GRID_SPECS), st.integers(1, 12), st.integers(1, 120))
+def test_mean_field_bits_do_not_depend_on_group_size(weights, spec, group_size, n_samples):
+    # with one scalar step the group layout changes no draw and no sample
+    regrouped = GroupedWeights(weights.values, group_size)
+    for got, expected in zip(mean_field(regrouped, spec, n_samples, seed=6, return_sem=True),
+                             mean_field(weights, spec, n_samples, seed=6, return_sem=True)):
+        assert_same_bits(got, expected)
 
 
 # Midpoint grid of the exactness reference. Over r in (-step/2, step/2) the slope

@@ -168,14 +168,17 @@ def test_mean_field_bits_do_not_depend_on_return_sem():
     assert sem.shape == mean.shape and np.any(sem > 0)
 
 
-def test_mean_field_holds_one_row_block():
-    # 50 000 samples of 3 groups of 48: whole chunks held 33.6 MiB at peak
+@pytest.mark.parametrize("dim,group_size,n_samples", [(144, 48, 50_000), (4, 1, 200_000),
+                                                     (10, 3, 200_000)])
+def test_mean_field_holds_one_row_block(dim, group_size, n_samples):
+    # one row block bounds memory whatever the layout; a per-group chunk would hold
+    # 7.6 and 6.2 MiB for the groups of 1 and of 3 (a width-1 group sums its chunk whole)
     spec = QuantSpec.w2(step=1.0)
-    w = grouped(np.random.default_rng(23).uniform(-2.6, 2.6, size=144), group_size=48)
+    w = grouped(np.random.default_rng(23).uniform(-2.6, 2.6, size=dim), group_size=group_size)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        mean_field(w, spec, n_samples=50_000, seed=17, return_sem=True)
+        mean_field(w, spec, n_samples=n_samples, seed=17, return_sem=True)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
