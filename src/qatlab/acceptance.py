@@ -115,7 +115,7 @@ def a3_dither_fixed_point() -> tuple[bool, dict]:
     oracle = mean_field_sensitivity(weights, spec, probe_eps=0.1)
     target = np.array([np.mean(oracle[lo:hi]) for lo, hi in weights.group_bounds])
     gains = np.ones(weights.n_groups)
-    cfg = ProbeConfig(sigma=0.25, num_probes=16, seed_tag=31, ema_rate=0.05)
+    cfg = ProbeConfig(probe_sigma=0.25, num_probes=16, seed=31, ema_rate=0.05)
     first_reach = None
     max_updates = 2000
     for t in range(max_updates):
@@ -156,7 +156,7 @@ def a4_vr_variance() -> tuple[bool, dict]:
     scale_small = w_small.per_weight(np.array([0.7]))
     q_small = quantize(w_small, spec_small)
     q_moved_small = quantize(w_small.with_values(w_small.values + 0.15), spec_small)
-    _, _, target = surrogate_batch(q_moved_small, scale_small, small, np.arange(6))
+    target = surrogate_batch(q_moved_small, scale_small, small, np.arange(6))
     worst = 0.0
     for mode in ("svrg", "saga"):
         state = init_vr_state(mode, q_small, scale_small, small)

@@ -42,7 +42,9 @@ Schema (type, default in parentheses):
     jac_mode: ste | probe | probe_ls | dither  (probe)
     vr_mode: plain | svrg | saga | sarah  (svrg)
     ema_rate: number (0.9): the gain EMA rate, in (0, 1]
-    probe_sigma: number (null -> half the smallest group step), num_probes: int (1)
+    probe_sigma: number (null): the probes' scale in weight units; null is half
+                 the smallest group step, taken at each gain update
+    num_probes: int (1)
   sweep:                                    [optional; sweep command only]
     group_sizes: ints ([group_size]), jac_modes: strs ([jac_mode]),
     refresh_intervals: ints ([refresh interval]; null -> train.refresh,

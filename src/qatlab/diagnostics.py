@@ -236,7 +236,7 @@ def tracking_harness(spec: QuantSpec, group_dim: int, drift_per_step: np.ndarray
         offset += float(drift[t]) * step
         weights = weights.with_values(start + offset)
         gain = probe_update(weights, spec, gain,
-                            ProbeConfig(sigma=sigma, num_probes=num_probes, seed_tag=seed,
+                            ProbeConfig(probe_sigma=sigma, num_probes=num_probes, seed=seed,
                                         ema_rate=float(betas[t])),
                             draw_key=t)
         gains[t] = float(gain[0])

@@ -29,29 +29,26 @@ __all__ = [
 _REG_EPS = 1e-8  # regulariser of the per-probe slope fit's denominator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ProbeConfig:
-    """Gain-update settings: probe scale (weight units), count, stream id, EMA rate."""
+    """Gain-update settings: probe scale, probe count, master seed, EMA rate.
 
-    sigma: float
+    ``probe_sigma`` is in weight units; None is half the smallest group step
+    of the spec an update is given.
+    """
+
+    probe_sigma: float | None = None
     num_probes: int = 1
-    seed_tag: int = 0
+    seed: int = 0
     ema_rate: float = 0.9
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if self.num_probes < 1:
-            raise ValueError("num_probes must be >= 1")
         if not 0.0 < self.ema_rate <= 1.0:
             raise ValueError("ema_rate must lie in (0, 1]")
-
-    @classmethod
-    def for_spec(cls, spec: QuantSpec, num_probes: int = 1, seed_tag: int = 0,
-                 ema_rate: float = 0.9) -> "ProbeConfig":
-        """Default probe scale: half the smallest group step."""
-        return cls(sigma=0.5 * float(np.min(spec.step)), num_probes=num_probes,
-                   seed_tag=seed_tag, ema_rate=ema_rate)
+        if self.probe_sigma is not None and not self.probe_sigma > 0:
+            raise ValueError("probe_sigma must be positive or null")
+        if self.num_probes < 1:
+            raise ValueError("num_probes must be >= 1")
 
 
 def _group_sums(a: np.ndarray, b: np.ndarray, group_size: int) -> np.ndarray:
@@ -119,7 +116,7 @@ def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: Pr
             dither_rng: np.random.Generator | None = None) -> np.ndarray:
     """One gain update of every group from one (num_probes, dim) probe block.
 
-    The block comes from the (seed_tag, "probe", draw_key) stream; group g
+    The block comes from the (seed, "probe", draw_key) stream; group g
     takes its columns. It is drawn and used in blocks of probe rows
     (``row_blocks``), by consecutive draws of that stream, so an update holds
     one block at a time. ``dither`` is one (dim,) dither shared by every
@@ -135,13 +132,16 @@ def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: Pr
         raise ValueError("gain count does not match group count")
     if not np.all(np.isfinite(gains)):
         raise ValueError("gains must be finite")
+    sigma = 0.5 * float(np.min(spec.step)) if cfg.probe_sigma is None else cfg.probe_sigma
+    if not sigma > 0:
+        raise ValueError("the default probe_sigma, half the smallest group step, is 0")
     values, m = weights.values, cfg.num_probes
     step = weights.broadcast(spec.step)
-    probes = substream(cfg.seed_tag, "probe", draw_key)
+    probes = substream(cfg.seed, "probe", draw_key)
     base = None if dither_rng is not None else _response(values, spec, step, dither)
     cross, energy = np.empty((2, weights.n_groups, m))  # C-ordered: each row sums alike
     for rows in row_blocks(m, weights.dim):
-        deltas = probes.normal(0.0, cfg.sigma, size=(rows.stop - rows.start, weights.dim))
+        deltas = probes.normal(0.0, sigma, size=(rows.stop - rows.start, weights.dim))
         if dither_rng is not None:
             dither = next_dither(weights, spec, dither_rng, deltas.shape[:1])
             base = _response(values, spec, step, dither)

@@ -140,9 +140,6 @@ class QuantSpec:
     def per_group(self) -> bool:
         return not np.isscalar(self.step)
 
-    def step_for_group(self, g: int) -> float:
-        return float(self.step[g]) if self.per_group else float(self.step)
-
     def clip_level(self) -> float | np.ndarray:
         """Magnitude of the largest representable value (mid-tread grids)."""
         c = self.clip_codes
@@ -253,9 +250,9 @@ def next_dither(weights: GroupedWeights, spec: QuantSpec, rng: np.random.Generat
     return -half + (half - -half) * u
 
 
-def draw_dither(weights: GroupedWeights, spec: QuantSpec, seed: int, seed_tag: int = 0) -> np.ndarray:
-    """One (dim,) uniform dither r, |r| <= step/2, from the ("dither_block", seed_tag) stream."""
-    return next_dither(weights, spec, substream(seed, "dither_block", seed_tag), ())
+def draw_dither(weights: GroupedWeights, spec: QuantSpec, seed: int, draw_key: int = 0) -> np.ndarray:
+    """One (dim,) uniform dither r, |r| <= step/2, from the ("dither_block", draw_key) stream."""
+    return next_dither(weights, spec, substream(seed, "dither_block", draw_key), ())
 
 
 def dither_quantize(weights: GroupedWeights, r: np.ndarray, spec: QuantSpec) -> np.ndarray:

@@ -4,14 +4,14 @@ A single master seed spawns independent generators keyed by a label
 ("probe", "dither", "minibatch", ...) plus integer indices, so adding
 draws to one stream never perturbs another.
 
-Keys of the training and oracle draws (the trainer's draw_key and
-seed_tag are the step). A draw is one block over all weights, whatever
-the group layout. The golden digests pin this layout:
+Keys of the training and oracle draws (the trainer's draw_key is the
+step; the seed is the master seed). A draw is one block over all
+weights, whatever the group layout. The golden digests pin this layout:
 
   ("probe", draw_key)         (num_probes, dim) gain-update probes
   ("dither_block", draw_key)  (num_probes, dim) per-probe dither of
                               dither_update, or the (dim,) forward dither
-                              of draw_dither (key = seed_tag)
+                              of draw_dither
   ("dither",)                 Monte-Carlo oracle mean_field, one
                               (n_samples, dim) stream drawn in row blocks
   ("minibatch", step), ("refresh", step)

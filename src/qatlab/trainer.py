@@ -29,7 +29,7 @@ from .jacobian import ProbeConfig, apply_gains, dither_update, probe_ls_update, 
 from .objectives import Objective, batch_grad
 from .quant import GroupedWeights, QuantSpec, calibrate_step, dither_quantize, draw_dither, quantize
 from .rng import substream
-from .vrgrad import ctrl_update, grad_est, init_vr_state, refresh_anchor
+from .vrgrad import _MODES as _VR_MODES, ctrl_update, grad_est, init_vr_state, refresh_anchor
 
 __all__ = [
     "RefreshPolicy",
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 _JAC_MODES = ("ste", "probe", "probe_ls", "dither")
-_VR_MODES = ("plain", "svrg", "saga", "sarah")
 _DIVERGENCE_FACTOR = 1e6
 
 
@@ -73,18 +72,16 @@ class RefreshPolicy:
         return u <= self.probability
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+@dataclass(frozen=True, kw_only=True)
+class TrainConfig(ProbeConfig):
+    """A run's settings; the gain-update settings and the master seed are ProbeConfig's."""
+
     stepsize: float
     batch_size: int
     steps: int
     refresh: RefreshPolicy
     jac_mode: str = "probe"
     vr_mode: str = "svrg"
-    ema_rate: float = 0.9
-    probe_sigma: float | None = None
-    num_probes: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.stepsize > 0:
@@ -97,19 +94,7 @@ class TrainConfig:
             raise ValueError(f"jac_mode {self.jac_mode!r} not one of {'|'.join(_JAC_MODES)}")
         if self.vr_mode not in _VR_MODES:
             raise ValueError(f"vr_mode {self.vr_mode!r} not one of {'|'.join(_VR_MODES)}")
-        if not 0.0 < self.ema_rate <= 1.0:
-            raise ValueError("ema_rate must lie in (0, 1]")
-        if self.probe_sigma is not None and not self.probe_sigma > 0:
-            raise ValueError("probe_sigma must be positive or null")
-        if self.num_probes < 1:
-            raise ValueError("num_probes must be >= 1")
-
-    def probe_config(self, spec: QuantSpec) -> ProbeConfig:
-        if self.probe_sigma is not None:
-            return ProbeConfig(sigma=self.probe_sigma, num_probes=self.num_probes,
-                               seed_tag=self.seed, ema_rate=self.ema_rate)
-        return ProbeConfig.for_spec(spec, num_probes=self.num_probes, seed_tag=self.seed,
-                                    ema_rate=self.ema_rate)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -213,15 +198,14 @@ def _fails_at(what: str, step: int, trace: list[MetricsRecord]):
 
 
 def _update_gains(gains: np.ndarray, weights: GroupedWeights, spec: QuantSpec,
-                  cfg: TrainConfig, probe_cfg: ProbeConfig, step: int,
-                  fixed_dither: np.ndarray | None = None) -> np.ndarray:
+                  cfg: TrainConfig, step: int, fixed_dither: np.ndarray | None = None) -> np.ndarray:
     if cfg.jac_mode == "ste":
         return gains
     if cfg.jac_mode == "probe":
-        return probe_update(weights, spec, gains, probe_cfg, draw_key=step)
+        return probe_update(weights, spec, gains, cfg, draw_key=step)
     if cfg.jac_mode == "probe_ls":
-        return probe_ls_update(weights, spec, gains, probe_cfg, draw_key=step)
-    return dither_update(weights, spec, gains, probe_cfg, dither_seed=cfg.seed,
+        return probe_ls_update(weights, spec, gains, cfg, draw_key=step)
+    return dither_update(weights, spec, gains, cfg, dither_seed=cfg.seed,
                          draw_key=step, fixed_dither=fixed_dither)
 
 
@@ -231,7 +215,6 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
            keep_states: int, base: bool) -> TrainResult:
     if isinstance(keep_states, bool) or keep_states < 0:
         raise ValueError(f"keep_states must be a count >= 0, got {keep_states!r}")
-    probe_cfg = cfg.probe_config(spec)
     gains = np.ones(weights0.n_groups)  # the straight-through starting point
     gain_stats, scale = _gain_stats(gains), weights0.per_weight(gains)
     # each weight's clip level is fixed for the run; the identity grid never clips
@@ -250,7 +233,7 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
         batch = _sample_batch(obj.n, cfg.batch_size, cfg.seed, step)
         dither = None
         if dithered:
-            dither = draw_dither(weights, spec, cfg.seed, seed_tag=step)
+            dither = draw_dither(weights, spec, cfg.seed, draw_key=step)
             q = dither_quantize(weights, dither, spec)
         loss, v_bar = batch_grad(obj, q, batch)
         g = grad_est(v_bar, scale, state, obj, batch)
@@ -273,8 +256,7 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
         refreshed = dithered or (scheduled and cfg.refresh.fires(step, cfg.seed))
         if refreshed:  # the last gains still run: the final record and gains show them
             with _fails_at("gain update", step, trace):
-                gains = _update_gains(gains, new_weights, spec, cfg, probe_cfg, step,
-                                      fixed_dither=dither)
+                gains = _update_gains(gains, new_weights, spec, cfg, step, fixed_dither=dither)
             gain_stats, scale = _gain_stats(gains), new_weights.per_weight(gains)
             if not last:
                 with _fails_at("anchor refresh", step, trace):

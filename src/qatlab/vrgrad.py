@@ -41,14 +41,13 @@ _MODES = ("plain", "svrg", "saga", "sarah")
 
 def surrogate_per_sample(q: np.ndarray, scale: np.ndarray, obj: Objective, i: int) -> np.ndarray:
     """F_i = scale * grad of sample i at the quantized point q."""
-    return surrogate_batch(q, scale, obj, [i])[2]
+    return surrogate_batch(q, scale, obj, [i])
 
 
-def surrogate_batch(q: np.ndarray, scale: np.ndarray, obj: Objective, batch: np.ndarray,
-                    ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean loss, mean raw gradient and mean scaled gradient over a batch at q."""
-    loss, v_bar = batch_grad(obj, q, batch)
-    return loss, v_bar, scale * v_bar
+def surrogate_batch(q: np.ndarray, scale: np.ndarray, obj: Objective,
+                    batch: np.ndarray) -> np.ndarray:
+    """The mean scaled gradient over a batch at q: scale * v̄."""
+    return scale * batch_grad(obj, q, batch)[1]
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ def init_vr_state(mode: str, q: np.ndarray, scale: np.ndarray, obj: Objective) -
         table *= scale
         return VRState(mode, reference=table.mean(axis=0), saga_table=table)
     return VRState(mode, control=(q, scale) if mode == "svrg" else None,
-                   reference=surrogate_batch(q, scale, obj, np.arange(obj.n))[2])
+                   reference=surrogate_batch(q, scale, obj, np.arange(obj.n)))
 
 
 def grad_est(v_bar: np.ndarray, scale: np.ndarray, state: VRState, obj: Objective,
@@ -172,7 +171,7 @@ def estimator_variance(state: VRState, q: np.ndarray, scale: np.ndarray, obj: Ob
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    _, _, g_full = surrogate_batch(q, scale, obj, np.arange(obj.n))
+    g_full = surrogate_batch(q, scale, obj, np.arange(obj.n))
     total = 0.0
     for t in range(trials):
         rng = substream(seed, "minibatch", t)

@@ -263,7 +263,7 @@ def test_full_data_passes_hold_one_row_block():
     assert traced_peak(lambda: init_vr_state("svrg", q, scale, obj)) < 2**20
     assert traced_peak(lambda: obj.full_loss(q)) < 2**20
     # an 8-probe gain update: one (8, d) block is 256 KiB, and each takes several temporaries
-    cfg = ProbeConfig(sigma=0.25, num_probes=8)
+    cfg = ProbeConfig(probe_sigma=0.25, num_probes=8)
     assert traced_peak(lambda: probe_update(weights, QuantSpec.w2(step=0.5),
                                             np.ones(weights.n_groups), cfg)) < 0.75 * 2**20
     # the targets are built in place: the one (n, d) block and little more

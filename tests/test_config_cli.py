@@ -519,6 +519,8 @@ BAD_CONFIGS = [
     bad("quant.step", {"quant": {"step": "1"}}),
     bad("train.probe_sigma", {"train": {"probe_sigma": -1}}),
     bad("train.num_probes", {"train": {"num_probes": 0}}),
+    bad("train.ema_rate", {"train": {"ema_rate": 0}}, "0"),
+    bad("train.ema_rate", {"train": {"ema_rate": 1.5}}, "1"),
     bad("seed", {"seed": -1}),
     bad("quant.group_size", {"quant": {"group_size": 0}}, "0"),
     bad("objective.path", {"objective": {"kind": "csv", "path": "nan.csv"}}, "0"),

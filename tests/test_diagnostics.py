@@ -226,7 +226,7 @@ def every_step_tracking(spec, group_dim, drift_per_step, ema_rates, steps, sigma
         offset += drift_per_step * step
         weights = weights.with_values(start + offset)
         gain = probe_update(weights, spec, gain,
-                            ProbeConfig(sigma=sigma, num_probes=num_probes, seed_tag=seed,
+                            ProbeConfig(probe_sigma=sigma, num_probes=num_probes, seed=seed,
                                         ema_rate=ema_rates),
                             draw_key=t)
         oracle[t] = float(np.mean(mean_field_sensitivity(weights, spec, probe_eps=step / 10.0)))

@@ -37,7 +37,7 @@ def smoothed_sensitivity(w: np.ndarray, spec: QuantSpec, sigma: float) -> np.nda
 def test_identity_quantizer_probe_slope_is_one():
     spec = QuantSpec.identity()
     w = GroupedWeights(np.linspace(-1, 1, 16), group_size=16)
-    cfg = ProbeConfig(sigma=0.3, seed_tag=0, ema_rate=1.0)
+    cfg = ProbeConfig(probe_sigma=0.3, seed=0, ema_rate=1.0)
     out = probe_update(w, spec, np.ones(1), cfg)
     # slope fit of the identity map: |delta|^2 / (|delta|^2 + eps)
     assert out[0] == pytest.approx(1.0, abs=1e-6)
@@ -48,7 +48,7 @@ def test_identity_quantizer_probe_slope_is_one():
 def test_small_probe_inside_bin_gives_zero_slope():
     spec = QuantSpec.w2(step=1.0)
     w = GroupedWeights(np.full(8, 0.1), group_size=8)
-    out = probe_update(w, spec, np.ones(1), ProbeConfig(sigma=1e-4, seed_tag=1, ema_rate=0.9))
+    out = probe_update(w, spec, np.ones(1), ProbeConfig(probe_sigma=1e-4, seed=1, ema_rate=0.9))
     assert out[0] == pytest.approx(0.1)  # EMA pulls 1.0 toward the 0 estimate
 
 
@@ -86,7 +86,7 @@ def test_dither_update_interior_group_near_one():
     rng = np.random.default_rng(3)
     w = GroupedWeights(rng.uniform(-0.4, 0.4, 64), group_size=64)
     out = dither_update(w, spec, np.ones(1),
-                        ProbeConfig(sigma=0.25, num_probes=200, seed_tag=2, ema_rate=1.0),
+                        ProbeConfig(probe_sigma=0.25, num_probes=200, seed=2, ema_rate=1.0),
                         dither_seed=7)
     assert out[0] == pytest.approx(1.0, abs=0.05)
 
@@ -95,7 +95,7 @@ def test_dither_update_saturated_group_zero():
     spec = QuantSpec.w2(step=1.0)
     w = GroupedWeights(np.full(32, 4.0), group_size=32)
     out = dither_update(w, spec, np.ones(1),
-                        ProbeConfig(sigma=0.2, num_probes=8, seed_tag=3, ema_rate=1.0),
+                        ProbeConfig(probe_sigma=0.2, num_probes=8, seed=3, ema_rate=1.0),
                         dither_seed=9)
     assert out[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -110,7 +110,7 @@ def test_dither_update_mixed_group_matches_sensitivity_mean():
     w = GroupedWeights(vals, group_size=64)
     oracle = mean_field_sensitivity(w, spec)
     out = dither_update(w, spec, np.ones(1),
-                        ProbeConfig(sigma=0.25, num_probes=400, seed_tag=4, ema_rate=1.0),
+                        ProbeConfig(probe_sigma=0.25, num_probes=400, seed=4, ema_rate=1.0),
                         dither_seed=11)
     assert abs(out[0] - float(np.mean(oracle))) <= 0.05
 
@@ -128,7 +128,7 @@ def test_dither_iteration_reaches_fixed_point_on_frozen_weights():
     oracle = mean_field_sensitivity(w, spec)
     group_means = np.array([np.mean(oracle[lo:hi]) for lo, hi in w.group_bounds])
     gains = np.ones(w.n_groups)
-    cfg = ProbeConfig(sigma=0.3, num_probes=32, seed_tag=6, ema_rate=0.03)
+    cfg = ProbeConfig(probe_sigma=0.3, num_probes=32, seed=6, ema_rate=0.03)
     for t in range(300):
         gains = dither_update(w, spec, gains, cfg, dither_seed=13, draw_key=t)
     assert np.all(np.abs(gains - group_means) <= 0.05)
@@ -141,7 +141,7 @@ def test_gain_bounds_hold_after_updates():
     w = GroupedWeights(rng.normal(0, 2, 64), group_size=16)
     gains = np.array([1.5, -0.5, 3.0, -2.0])
     for t in range(10):
-        gains = probe_update(w, spec, gains, ProbeConfig(sigma=0.5, seed_tag=t, ema_rate=0.9),
+        gains = probe_update(w, spec, gains, ProbeConfig(probe_sigma=0.5, seed=t, ema_rate=0.9),
                              draw_key=t)
         assert np.all(gains >= 0.0) and np.all(gains <= 1.0)
 
@@ -149,7 +149,7 @@ def test_gain_bounds_hold_after_updates():
 def test_update_rejects_bad_gains():
     spec = QuantSpec.w2(step=1.0)
     w = GroupedWeights(np.linspace(-1, 1, 8), group_size=4)
-    cfg = ProbeConfig(sigma=0.5)
+    cfg = ProbeConfig(probe_sigma=0.5)
     with pytest.raises(ValueError, match="gain count"):
         probe_update(w, spec, np.ones(3), cfg)
     with pytest.raises(ValueError, match="finite"):
@@ -194,7 +194,7 @@ def test_zero_excitation_raises(monkeypatch):
     spec = QuantSpec.w2(step=1.0)
     w = GroupedWeights(np.zeros(4), group_size=4)
     with pytest.raises(ValueError, match="zero excitation"):
-        probe_ls_update(w, spec, np.ones(1), ProbeConfig(sigma=0.5))
+        probe_ls_update(w, spec, np.ones(1), ProbeConfig(probe_sigma=0.5))
 
 
 def test_single_probe_ls_equals_probe_update_up_to_regularizer(monkeypatch):
@@ -202,20 +202,36 @@ def test_single_probe_ls_equals_probe_update_up_to_regularizer(monkeypatch):
     spec = QuantSpec.w2(step=1.0)
     rng = np.random.default_rng(41)
     w = GroupedWeights(rng.uniform(-0.5, 0.5, 32), group_size=32)
-    cfg = ProbeConfig(sigma=0.4, num_probes=1, seed_tag=9, ema_rate=1.0)
+    cfg = ProbeConfig(probe_sigma=0.4, num_probes=1, seed=9, ema_rate=1.0)
     a = probe_update(w, spec, np.ones(1), cfg)
     b = probe_ls_update(w, spec, np.ones(1), cfg)
     assert a[0] == pytest.approx(b[0], abs=1e-12)
 
 
 def test_probe_config_validation():
-    with pytest.raises(ValueError):
-        ProbeConfig(sigma=0.0)
-    with pytest.raises(ValueError):
-        ProbeConfig(sigma=1.0, num_probes=0)
+    with pytest.raises(ValueError, match="probe_sigma"):
+        ProbeConfig(probe_sigma=0.0)
+    with pytest.raises(ValueError, match="num_probes"):
+        ProbeConfig(probe_sigma=1.0, num_probes=0)
     for rate in (0.0, -0.1, 1.5, float("nan")):
         with pytest.raises(ValueError, match="ema_rate"):
-            ProbeConfig(sigma=1.0, ema_rate=rate)
-    spec = QuantSpec.w2(step=0.5)
-    assert ProbeConfig.for_spec(spec).sigma == pytest.approx(0.25)
-    assert ProbeConfig.for_spec(spec, ema_rate=0.3).ema_rate == 0.3
+            ProbeConfig(probe_sigma=1.0, ema_rate=rate)
+
+
+@pytest.mark.parametrize("update", [probe_update, probe_ls_update,
+                                    lambda *a, **k: dither_update(*a, dither_seed=4, **k)],
+                         ids=["probe", "probe_ls", "dither"])
+def test_default_probe_sigma_is_half_the_smallest_group_step(update):
+    w = GroupedWeights(np.linspace(-1.5, 1.5, 12), group_size=4)
+    spec = QuantSpec.w2(step=np.array([0.9, 0.5, 0.7]))
+    gains = np.full(3, 0.5)
+    unset = update(w, spec, gains, ProbeConfig(num_probes=3, seed=8), draw_key=2)
+    halved = update(w, spec, gains, ProbeConfig(probe_sigma=0.25, num_probes=3, seed=8),
+                    draw_key=2)
+    assert unset.tobytes() == halved.tobytes()
+
+
+def test_default_probe_sigma_that_underflows_is_refused():
+    w = GroupedWeights(np.zeros(4), group_size=4)
+    with pytest.raises(ValueError, match="probe_sigma"):
+        probe_update(w, QuantSpec.w2(step=5e-324), np.ones(1), ProbeConfig())

@@ -114,7 +114,7 @@ def loop_bounds(dim, group_size):
 def loop_step_per_weight(spec, weights):
     out = np.empty(weights.dim)
     for g, (lo, hi) in enumerate(loop_bounds(weights.dim, weights.group_size)):
-        out[lo:hi] = spec.step_for_group(g)
+        out[lo:hi] = float(spec.step[g]) if spec.per_group else float(spec.step)
     return out
 
 
@@ -185,17 +185,17 @@ def loop_update(weights, spec, gains, cfg, draw_key, least_squares=False,
                 dither_seed=None, fixed_dither=None):
     """Gain update one group at a time; group g takes its columns of each (m, d) block."""
     shape = (cfg.num_probes, weights.dim)
-    probes = substream(cfg.seed_tag, "probe", draw_key).normal(0.0, cfg.sigma, size=shape)
+    probes = substream(cfg.seed, "probe", draw_key).normal(0.0, cfg.probe_sigma, size=shape)
     estimates = np.zeros(weights.n_groups)
     for g, (lo, hi) in enumerate(loop_bounds(weights.dim, weights.group_size)):
-        step_g = spec.step_for_group(g)
+        step_g = float(spec.step[g]) if spec.per_group else float(spec.step)
         dither = None
         if fixed_dither is not None:
             dither = fixed_dither[lo:hi]
         elif dither_seed is not None:
             dither = substream(dither_seed, "dither_block", draw_key).uniform(
                 -0.5 * step_g, 0.5 * step_g, size=shape)[:, lo:hi]
-        args = (weights.values[lo:hi], spec, step_g, cfg.sigma, cfg.num_probes)
+        args = (weights.values[lo:hi], spec, step_g, cfg.probe_sigma, cfg.num_probes)
         cross, energy = probe_slope_samples(*args, BlockColumns(probes[:, lo:hi]), dither=dither)
         direct = loop_slope_samples(*args, BlockColumns(probes[:, lo:hi]), dither=dither)
         assert_same_bits(cross, direct[0])
@@ -244,9 +244,9 @@ def test_group_sums_match_one_einsum_per_group(dim, group_size, m, seed):
 def test_gain_updates_match_per_group_probe_loop(data, num_probes, draw_key):
     weights = data.draw(layouts())
     spec = data.draw(specs(weights))
-    cfg = ProbeConfig(sigma=0.3, num_probes=num_probes, seed_tag=draw_key + 1, ema_rate=0.7)
+    cfg = ProbeConfig(probe_sigma=0.3, num_probes=num_probes, seed=draw_key + 1, ema_rate=0.7)
     gains = np.ones(weights.n_groups)
-    fixed = draw_dither(weights, spec, seed=3, seed_tag=draw_key)
+    fixed = draw_dither(weights, spec, seed=3, draw_key=draw_key)
     pairs = [
         (probe_update(weights, spec, gains, cfg, draw_key=draw_key),
          loop_update(weights, spec, gains, cfg, draw_key)),
@@ -271,9 +271,9 @@ def test_gain_updates_in_probe_blocks_match_one_block(layout, block, num_probes,
     # blocks of `block` elements: block // dim probe rows each (one when dim >= block),
     # most with a short last block
     weights, spec = layout
-    cfg = ProbeConfig(sigma=0.3, num_probes=num_probes, seed_tag=draw_key + 1, ema_rate=0.7)
+    cfg = ProbeConfig(probe_sigma=0.3, num_probes=num_probes, seed=draw_key + 1, ema_rate=0.7)
     gains = np.ones(weights.n_groups)
-    fixed = draw_dither(weights, spec, seed=3, seed_tag=draw_key)
+    fixed = draw_dither(weights, spec, seed=3, draw_key=draw_key)
     with patch.object(quant, "_BLOCK_ELEMS", block):
         got = [probe_update(weights, spec, gains, cfg, draw_key=draw_key),
                probe_ls_update(weights, spec, gains, cfg, draw_key=draw_key),
@@ -307,7 +307,7 @@ def probe_block_of(weights, spec, cfg, draw_key):
        st.integers(1, 4), st.booleans())
 def test_draws_do_not_depend_on_group_size(dim, size_a, size_b, seed, num_probes, calibrated):
     values = substream(seed, "layout").normal(0.0, 1.0, dim)
-    cfg = ProbeConfig(sigma=0.3, num_probes=num_probes, seed_tag=seed)
+    cfg = ProbeConfig(probe_sigma=0.3, num_probes=num_probes, seed=seed)
     blocks, units = [], []
     for size in (size_a, size_b):
         weights = GroupedWeights(values, size)
@@ -332,8 +332,9 @@ def test_dither_lies_within_half_of_its_group_step(data, seed, rows):
     r = next_dither(weights, spec, substream(seed, "dither_block", seed % 5), rows)
     assert r.shape == (*rows, weights.dim)
     for g, (lo, hi) in enumerate(loop_bounds(weights.dim, weights.group_size)):
-        assert np.all(np.abs(r[..., lo:hi]) <= 0.5 * spec.step_for_group(g))
-    dither_quantize(weights, draw_dither(weights, spec, seed, seed_tag=seed % 5), spec)
+        step = float(spec.step[g]) if spec.per_group else float(spec.step)
+        assert np.all(np.abs(r[..., lo:hi]) <= 0.5 * step)
+    dither_quantize(weights, draw_dither(weights, spec, seed, draw_key=seed % 5), spec)
 
 
 def test_training_dither_is_not_the_oracle_stream():
@@ -343,7 +344,7 @@ def test_training_dither_is_not_the_oracle_stream():
     for seed in (0, 1, 9):
         oracle = next_dither(weights, spec, substream(seed, "dither"), ())
         for step in (0, 1, 2, 5):
-            assert not np.any(draw_dither(weights, spec, seed, seed_tag=step) == oracle)
+            assert not np.any(draw_dither(weights, spec, seed, draw_key=step) == oracle)
 
 
 @SETTINGS
@@ -361,7 +362,7 @@ def test_gains_stay_within_clip_range_after_updates(seed, dim, size, kind, rate,
              * rng.uniform(1.01, 3.0, weights.n_groups)}[start_kind]
     update = {"probe": probe_update, "probe_ls": probe_ls_update,
               "dither": lambda *a, **k: dither_update(*a, dither_seed=seed, **k)}[kind]
-    cfg = ProbeConfig(sigma=0.5, seed_tag=seed, ema_rate=rate)
+    cfg = ProbeConfig(probe_sigma=0.5, seed=seed, ema_rate=rate)
     for t in range(3):
         gains = update(weights, spec, gains, cfg, draw_key=t)
         assert np.all(gains >= 0.0) and np.all(gains <= 1.0)
@@ -450,7 +451,7 @@ def test_sensitivity_is_the_midpoint_mean_of_its_slope_samples(spec, eps_steps):
     # one that only touches it, and deep saturation
     values = []
     for g in range(6):
-        step = spec.step_for_group(g)
+        step = float(spec.step[g]) if spec.per_group else float(spec.step)
         _, a = box(spec, step)
         a = 3.0 * step if a == np.inf else a
         e = step / 100.0 if probe_eps is None else probe_eps

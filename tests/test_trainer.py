@@ -115,7 +115,7 @@ def test_always_refresh_svrg_yields_full_batch_gradient():
     final, trace = result.weights, result.metrics
     w = w0
     for rec in trace:
-        _, _, g_full = surrogate_batch(quantize(w, spec), np.ones(w.dim), obj, np.arange(obj.n))
+        g_full = surrogate_batch(quantize(w, spec), np.ones(w.dim), obj, np.arange(obj.n))
         assert rec.surrogate_grad_norm == pytest.approx(float(np.linalg.norm(g_full)), rel=1e-12)
         w = w.with_values(w.values - eta * g_full)
     np.testing.assert_allclose(final.values, w.values, rtol=1e-12)

@@ -33,8 +33,7 @@ def at(weights, spec, gains):
 
 
 def full_surrogate(obj, q, scale):
-    _, _, g = surrogate_batch(q, scale, obj, np.arange(obj.n))
-    return g
+    return surrogate_batch(q, scale, obj, np.arange(obj.n))
 
 
 def estimate(obj, q, scale, state, batch):
