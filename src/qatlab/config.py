@@ -210,7 +210,8 @@ def _fields(*sections: str):
     """Name the field of a constructor's ValueError: "step must be ..." -> "quant.step must be ...".
 
     Constructors start their messages with the setting at fault, which is
-    its config key; it is looked up in ``sections`` in order.
+    its config key; it is looked up in ``sections`` in order. A message
+    that starts with no key names the first section only: "objective: ...".
     """
     try:
         yield
@@ -218,8 +219,8 @@ def _fields(*sections: str):
         raise
     except ValueError as exc:
         key = str(exc).split(" ", 1)[0]
-        section = next((s for s in sections if key in _DEFAULTS[s]), sections[0])
-        raise ConfigError(f"{section}.{exc}") from exc
+        section = next((s for s in sections if key in _DEFAULTS[s]), None)
+        raise ConfigError(f"{section}.{exc}" if section else f"{sections[0]}: {exc}") from exc
 
 
 def _build_objective(cfg: dict, group_size: int, master_seed: int,
@@ -304,8 +305,15 @@ def parse_config_dict(raw: dict, seed_override: int | None = None) -> RunSetup:
     quant = cfg["quant"]
     _require((quant["bits"] is None) == (quant["mode"] != "generic"),
              "quant.bits must be set for generic mode and null for every other mode")
-    with _fields("objective", "quant"):  # the objective lays its weights out in quant's groups
-        objective, weights, spec = _build_objective(cfg["objective"], quant["group_size"], seed)
+    try:
+        with _fields("objective", "quant"):  # the objective lays its weights out in quant's groups
+            objective, weights, spec = _build_objective(cfg["objective"], quant["group_size"],
+                                                        seed)
+    except MemoryError as exc:  # indexable, but more than this machine will allocate
+        sizes = {"mlp": "objective.n_samples, objective.dim and objective.hidden_width",
+                 "csv": "objective.path's data"}
+        sizes = sizes.get(cfg["objective"]["kind"], "objective.n_samples and objective.dim")
+        raise ConfigError(f"{sizes} make an objective too large to allocate: {exc}") from exc
     if spec is None:
         _require(quant["mode"] in _QUANT_MODES,
                  f"quant.mode {quant['mode']!r} not one of {'|'.join(_QUANT_MODES)}")

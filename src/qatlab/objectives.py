@@ -26,6 +26,7 @@ __all__ = [
     "LinearRegression",
     "LogisticRegression",
     "TwoLayerMLP",
+    "checked_indices",
     "per_sample_grad",
     "batch_grad",
     "make_pl_instance",
@@ -75,12 +76,7 @@ class Objective:
 
     def loss_and_grad_batch(self, q: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Losses (b,) and gradients (b, d) of the samples ``idx`` at q, in the given order."""
-        idx = np.asarray(idx, dtype=int)
-        if idx.size == 0:
-            raise ValueError("empty batch")
-        if idx.min() < 0 or idx.max() >= self.n:
-            raise IndexError("sample index out of range")
-        return self._rows(np.asarray(q, dtype=float), idx)
+        return self._rows(np.asarray(q, dtype=float), checked_indices(idx, self.n))
 
     def full_loss(self, q: np.ndarray) -> float:
         """Mean loss over all samples at q."""
@@ -214,6 +210,16 @@ class TwoLayerMLP(Objective):
     def full_loss(self, q: np.ndarray) -> float:
         df = self._forward(q, self.data.inputs, self.data.targets)[1]
         return float(np.mean(0.5 * df * df))
+
+
+def checked_indices(idx: np.ndarray, n: int) -> np.ndarray:
+    """``idx`` as a non-empty int array of sample indices in [0, n); a negative one never wraps."""
+    idx = np.asarray(idx, dtype=int)
+    if idx.size == 0:
+        raise ValueError("empty batch")
+    if idx.min() < 0 or idx.max() >= n:
+        raise IndexError("sample index out of range")
+    return idx
 
 
 def per_sample_grad(obj: Objective, q: np.ndarray, i: int) -> tuple[float, np.ndarray]:

@@ -9,11 +9,13 @@ and a SARAH-style recursive difference. All share one control-variate form
 
     g = scale * v̄ - c + r,
 
-where c is the batch's control term and r the reference: for SVRG and
-SARAH c = scale_c * ū with ū the batch's mean raw gradient at the
-control point q_c, and r is the anchor's full gradient (SVRG) or the
-previous estimate (SARAH); for SAGA c is the mean of the batch's table rows
-and r the table mean; plain has neither.
+where c is the batch's control term and r the reference. For SVRG,
+c = scale_c * ū with ū the mean of the batch's rows in a table of raw
+per-sample gradients at the anchor, and r is the anchor's full gradient.
+For SAGA, c is the mean of the batch's table rows, each scaled where it was
+written, and r the table mean. For SARAH, c = scale_c * ū with ū the
+batch's mean raw gradient at the previous step's point, and r the previous
+estimate. Plain has neither. SVRG and SAGA both hold n × d floats.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Objective, batch_grad
+from .objectives import Objective, batch_grad, checked_indices
+from .quant import row_blocks
 from .rng import substream
 
 __all__ = [
@@ -52,36 +55,39 @@ def surrogate_batch(q: np.ndarray, scale: np.ndarray, obj: Objective,
 
 @dataclass(frozen=True)
 class VRState:
-    """Estimator memory: a quantized control point, a reference, SAGA's table.
+    """Estimator memory: a reference, a per-sample table, SARAH's control point.
 
-    ``control`` is (quantized control point, its per-weight scale): the
-    anchor for SVRG, the previous step for SARAH, and None for SARAH right
-    after a refresh (its estimate is then the reference). ``reference`` is
-    the anchor gradient (SVRG), the previous estimate (SARAH) or the table
-    mean (SAGA), which ``ctrl_update`` moves in place along with
-    ``saga_table``. A plain state holds nothing.
+    ``reference`` is the anchor's full gradient (SVRG), the table mean
+    (SAGA) or the previous estimate (SARAH). ``table`` holds one gradient
+    row per sample: SVRG's raw rows at its anchor, read times the anchor's
+    per-weight ``table_scale``, or SAGA's rows, scaled where they were
+    written. ``control`` is SARAH's (quantized control point, its per-weight
+    scale), None right after a refresh (its estimate is then the reference).
+    ``ctrl_update`` moves SAGA's table and reference in place, and
+    ``refresh_anchor`` refills SVRG's table in place. A plain state holds nothing.
     """
 
     mode: str
     control: tuple[np.ndarray, np.ndarray] | None = None
     reference: np.ndarray | None = None
-    saga_table: np.ndarray | None = None
+    table: np.ndarray | None = None
+    table_scale: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"unknown VR mode {self.mode!r}")
         if self.mode != "plain" and self.reference is None:
             raise ValueError(f"{self.mode.upper()} state needs its reference gradient")
-        if self.mode == "svrg" and self.control is None:
-            raise ValueError("SVRG state needs its anchor point")
-        if self.mode == "saga" and self.saga_table is None:
+        if self.mode == "svrg" and (self.table is None or self.table_scale is None):
+            raise ValueError("SVRG state needs its anchor table and its scale")
+        if self.mode == "saga" and self.table is None:
             raise ValueError("SAGA state needs its per-index table")
         if self.mode in ("svrg", "sarah") and not np.all(np.isfinite(self.reference)):
             raise ValueError("reference gradient must be finite")
 
 
 def init_vr_state(mode: str, q: np.ndarray, scale: np.ndarray, obj: Objective) -> VRState:
-    """Anchor at the quantized point q; SAGA's table starts from the scaled gradients there.
+    """Anchor at the quantized point q; a table starts from the gradient rows there.
 
     The SVRG and SARAH reference is the mean scaled gradient over the full data.
     """
@@ -90,9 +96,22 @@ def init_vr_state(mode: str, q: np.ndarray, scale: np.ndarray, obj: Objective) -
     if mode == "saga":
         table = obj.loss_and_grad_batch(q, np.arange(obj.n))[1]  # fresh rows: scaled in place
         table *= scale
-        return VRState(mode, reference=table.mean(axis=0), saga_table=table)
-    return VRState(mode, control=(q, scale) if mode == "svrg" else None,
-                   reference=surrogate_batch(q, scale, obj, np.arange(obj.n)))
+        return VRState(mode, reference=table.mean(axis=0), table=table)
+    if mode == "svrg":
+        return _anchor_svrg(np.empty((obj.n, obj.dim)), q, scale, obj)
+    return VRState(mode, reference=surrogate_batch(q, scale, obj, np.arange(obj.n)))
+
+
+def _anchor_svrg(table: np.ndarray, q: np.ndarray, scale: np.ndarray,
+                 obj: Objective) -> VRState:
+    """SVRG anchored at q: ``table`` refilled in place with the raw rows there, block by block.
+
+    The column sum has the bits of ``batch_grad`` over the full data.
+    """
+    for rows in row_blocks(obj.n, obj.dim):
+        table[rows] = obj.loss_and_grad_batch(q, np.arange(rows.start, rows.stop))[1]
+    return VRState("svrg", reference=scale * (table.sum(axis=0) / obj.n), table=table,
+                   table_scale=scale)
 
 
 def grad_est(v_bar: np.ndarray, scale: np.ndarray, state: VRState, obj: Objective,
@@ -107,11 +126,14 @@ def grad_est(v_bar: np.ndarray, scale: np.ndarray, state: VRState, obj: Objectiv
     g = scale * v_bar
     if state.mode == "plain":
         return g
-    if state.mode == "saga":
-        control = np.mean(state.saga_table[np.asarray(batch, dtype=int)], axis=0)
-    else:
+    if state.mode == "sarah":
         q_c, scale_c = state.control
         control = scale_c * batch_grad(obj, q_c, batch)[1]
+    else:
+        # indices checked as loss_and_grad_batch checks them: a negative one must not wrap
+        control = np.mean(state.table[checked_indices(batch, state.table.shape[0])], axis=0)
+        if state.mode == "svrg":
+            control *= state.table_scale
     return g - control + state.reference
 
 
@@ -141,13 +163,13 @@ def ctrl_update(state: VRState, q: np.ndarray, scale: np.ndarray, batch: np.ndar
         raise ValueError("SAGA update needs distinct batch indices")
     fresh = obj.loss_and_grad_batch(q, batch)[1]  # fresh rows: scaled in place
     fresh *= scale
-    diff = state.saga_table[batch]  # a gathered copy, turned into (fresh - old) / n in place
+    diff = state.table[batch]  # a gathered copy, turned into (fresh - old) / n in place
     np.subtract(fresh, diff, out=diff)
-    diff /= state.saga_table.shape[0]
+    diff /= state.table.shape[0]
     reference = state.reference
     for row in diff:  # batch order fixes the rounding
         reference += row
-    state.saga_table[batch] = fresh
+    state.table[batch] = fresh
     return state
 
 
@@ -155,10 +177,13 @@ def refresh_anchor(state: VRState, q: np.ndarray, scale: np.ndarray,
                    obj: Objective) -> VRState:
     """Synchronize the anchor to the quantized point q: SVRG and SARAH start afresh there.
 
+    SVRG refills its table in place, so the state it was given is spent.
     Plain and SAGA states have no anchor and are returned unchanged.
     """
     if state.mode in ("plain", "saga"):
         return state
+    if state.mode == "svrg":
+        return _anchor_svrg(state.table, q, scale, obj)
     return init_vr_state(state.mode, q, scale, obj)
 
 

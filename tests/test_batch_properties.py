@@ -11,7 +11,7 @@ arrays the caller owns, and the SAGA table and ``full_loss`` allocate no
 (n, d) block beyond the one table. With the block size cut to a few
 elements, ``batch_grad`` and ``full_loss`` in row blocks must match their
 one-block references bit for bit, and a full-data pass of the benchmark's
-SVRG problem must hold one block at a time.
+SVRG problem must hold one block at a time beyond SVRG's anchor table.
 """
 
 from __future__ import annotations
@@ -39,7 +39,13 @@ from qatlab.objectives import (
 )
 from qatlab.quant import GroupedWeights, QuantSpec, quantize
 from qatlab.rng import substream
-from qatlab.vrgrad import ctrl_update, grad_est, init_vr_state, surrogate_per_sample
+from qatlab.vrgrad import (
+    ctrl_update,
+    grad_est,
+    init_vr_state,
+    refresh_anchor,
+    surrogate_per_sample,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 KINDS = ("quadratic", "linear_regression", "logistic_regression", "mlp")
@@ -260,7 +266,16 @@ def test_full_data_passes_hold_one_row_block():
     block = obj.targets.nbytes
     weights = GroupedWeights(np.linspace(-1.0, 1.0, obj.dim), group_size=32)
     q, scale = quantize(weights, QuantSpec.w2(step=0.5)), np.full(weights.dim, 0.5)
-    assert traced_peak(lambda: init_vr_state("svrg", q, scale, obj)) < 2**20
+    # SVRG's anchor table is state, the size of the targets; its fill holds the temporaries
+    # of one 128 KiB row block's rows (about 2.5 blocks for this objective) at a time
+    first = np.arange(obj.n)[next(quant.row_blocks(obj.n, obj.dim))]
+    one_block = traced_peak(lambda: obj.loss_and_grad_batch(q, first))
+    assert traced_peak(lambda: init_vr_state("svrg", q, scale, obj)) < block + one_block + 2**14
+    state = init_vr_state("svrg", q, scale, obj)
+    table = state.table
+    moved = quantize(weights.with_values(weights.values + 0.3), QuantSpec.w2(step=0.5))
+    assert traced_peak(lambda: refresh_anchor(state, moved, scale, obj)) < one_block + 2**14
+    assert refresh_anchor(state, moved, scale, obj).table is table
     assert traced_peak(lambda: obj.full_loss(q)) < 2**20
     # an 8-probe gain update: one (8, d) block is 256 KiB, and each takes several temporaries
     cfg = ProbeConfig(probe_sigma=0.25, num_probes=8)
@@ -308,16 +323,18 @@ def test_saga_update_in_place_matches_row_loop(n, d, seed, data):
                                         unique=True)))
     moved = quantize(weights.with_values(weights.values + 0.4), spec)
     fresh = [surrogate_per_sample(moved, scale, obj, int(i)) for i in batch]
-    table, mean = loop_saga_update(state.saga_table, state.reference, fresh, batch)
-    table_id, mean_id = id(state.saga_table), id(state.reference)
+    table, mean = loop_saga_update(state.table, state.reference, fresh, batch)
+    table_id, mean_id = id(state.table), id(state.reference)
     after = ctrl_update(state, moved, scale, batch, obj)
-    assert after is state and id(after.saga_table) == table_id and id(after.reference) == mean_id
-    assert same_bits(after.saga_table, table) and same_bits(after.reference, mean)
+    assert after is state and id(after.table) == table_id and id(after.reference) == mean_id
+    assert same_bits(after.table, table) and same_bits(after.reference, mean)
 
 
-def row_form_estimate(q, scale, state, obj, batch):
+def row_form_estimate(q, scale, state, obj, batch, anchor):
     """mean_i(scale * v_i - h_i) + r, with h_i the control row of sample i.
 
+    SVRG's rows are recomputed at ``anchor``, its (quantized point, scale);
+    SAGA's are read from its table and SARAH's recomputed at its control point.
     Also returns the largest magnitude among the terms, the size of any cancellation.
     """
     if state.mode == "sarah" and state.control is None:
@@ -326,9 +343,9 @@ def row_form_estimate(q, scale, state, obj, batch):
     if state.mode == "plain":
         return np.mean(rows, axis=0), np.max(np.abs(rows))
     if state.mode == "saga":
-        control = state.saga_table[batch]
+        control = state.table[batch]
     else:
-        q_c, scale_c = state.control
+        q_c, scale_c = anchor if state.mode == "svrg" else state.control
         control = scale_c * obj.loss_and_grad_batch(q_c, batch)[1]
     size = max(np.max(np.abs(rows)), np.max(np.abs(control)), np.max(np.abs(state.reference)))
     return np.mean(rows - control, axis=0) + state.reference, size
@@ -363,6 +380,6 @@ def test_mean_gradient_estimate_matches_row_form(mode, kind, n, d, seed, after_r
                      spec)
     batch = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     got = grad_est(batch_grad(obj, moved, batch)[1], scale, state, obj, batch)
-    expected, size = row_form_estimate(moved, scale, state, obj, batch)
+    expected, size = row_form_estimate(moved, scale, state, obj, batch, (q, scale_c))
     # a coordinate that cancels to near zero is compared against what cancelled
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * size)

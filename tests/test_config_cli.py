@@ -597,6 +597,34 @@ def test_bad_config_fails_at_parse_time(tmp_path, monkeypatch, capsys, field, pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind,sizes", [
+    ("pl", "objective.n_samples and objective.dim"),
+    ("mlp", "objective.n_samples, objective.dim and objective.hidden_width"),
+])
+def test_objective_that_cannot_be_allocated_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                              kind, sizes):
+    # indexable sizes that this machine still cannot allocate; the builder only pretends to try
+    def unallocatable(*args):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(config_module, "_build_objective", unallocatable)
+    path = write_config(tmp_path, {"objective": {"kind": kind, "n_samples": 2**40}})
+    assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {sizes} make an objective too large to allocate: Unable to allocate")
+    assert not (tmp_path / "out").exists()
+
+
+def test_value_error_without_a_key_names_its_section(monkeypatch):
+    def keyless(*args):
+        raise ValueError("curvature must be a (d,) diagonal of the (n, d) targets")
+
+    monkeypatch.setattr(config_module, "_build_objective", keyless)
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict({"objective": {"kind": "pl"}})
+    assert str(err.value) == "objective: curvature must be a (d,) diagonal of the (n, d) targets"
+
+
 # -- schema-driven fuzz: no config value gives a traceback ---------------------------
 
 def schema_fields(defaults: dict, prefix: str = ""):

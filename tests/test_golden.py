@@ -7,7 +7,9 @@ ternary grids, every ``jac_mode``, every ``vr_mode``, both loops, and
 eight or more probes (numpy's pairwise summation of probe means). SARAH
 runs twice: on a w1 sign grid, where consecutive quantized points mostly
 coincide, and on a 4-bit grid, where its recursive difference shows in
-the bytes.
+the bytes. SVRG runs three times: within one row block, on one weight
+(numpy sums its 37-row batches pairwise) and on 6000 weights (each batch
+and anchor pass spans several row blocks).
 
 The base-loop configs in ``BASE_CONFIGS`` pin the paths the plain loop
 takes apart from the variance-reduced one: no gain update (``ste``), a
@@ -85,6 +87,20 @@ CONFIGS = {
         "quant": {"mode": "generic", "bits": 4, "group_size": 10, "step": 0.25},
         "train": {"loop": "vr", "vr_mode": "sarah", "jac_mode": "probe", "num_probes": 2,
                   "steps": 30, "refresh": {"interval": 10}},
+    },
+    "svrg-width1-pairwise": {
+        "seed": 13,
+        "objective": {"kind": "quadratic", "dim": 1, "n_samples": 300},
+        "quant": {"mode": "generic", "bits": 4, "group_size": 1, "step": 0.25},
+        "train": {"loop": "vr", "vr_mode": "svrg", "jac_mode": "probe", "num_probes": 2,
+                  "batch_size": 37, "steps": 30, "refresh": {"interval": 7}},
+    },
+    "svrg-multi-block-logistic": {
+        "seed": 14,
+        "objective": {"kind": "logistic_regression", "dim": 6000, "n_samples": 12},
+        "quant": {"mode": "w2", "group_size": 1000, "step": 0.5},
+        "train": {"loop": "vr", "vr_mode": "svrg", "jac_mode": "probe", "num_probes": 2,
+                  "batch_size": 5, "steps": 20, "refresh": {"interval": 6}},
     },
 }
 

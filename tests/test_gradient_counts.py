@@ -7,11 +7,12 @@ size):
 
     mode    per step                        per refresh   at init
     plain   b                               0             0
-    svrg    2b                              n             n
+    svrg    b                               n             n
     saga    2b                              0             n
     sarah   2b (b right after a refresh)    n             n
 
-The last step updates no estimator memory, which nothing reads after it:
+SVRG reads its control rows from the table its last refresh filled at the
+anchor. The last step updates no estimator memory, which nothing reads after it:
 SAGA's last step evaluates b rows, and a refresh at the last step none.
 The loop quantizes each point it steps from once: once at init and once
 per step but the last, whose point only ``final_loss`` quantizes.
@@ -29,7 +30,7 @@ from qatlab.trainer import RefreshPolicy, TrainConfig, train_base, train_vr
 from qatlab.vrgrad import init_vr_state, refresh_anchor
 
 N, B, STEPS, INTERVAL = 12, 3, 40, 5
-ROWS = {"plain": (B, 0, 0), "svrg": (2 * B, N, N), "saga": (2 * B, 0, N), "sarah": (2 * B, N, N)}
+ROWS = {"plain": (B, 0, 0), "svrg": (B, N, N), "saga": (2 * B, 0, N), "sarah": (2 * B, N, N)}
 
 
 class CountingRegression(LinearRegression):

@@ -105,7 +105,7 @@ def test_saga_running_mean_invariant_after_updates():
     for t in range(10):
         point = quantize(weights.with_values(weights.values + rng.normal(0, 0.3, weights.dim)), spec)
         state = ctrl_update(state, point, scale, rng.choice(8, size=3, replace=False), obj)
-        assert np.max(np.abs(state.reference - state.saga_table.mean(axis=0))) <= 1e-10
+        assert np.max(np.abs(state.reference - state.table.mean(axis=0))) <= 1e-10
 
 
 def test_saga_full_update_sets_mean_to_fresh_gradients():
@@ -130,11 +130,11 @@ def test_saga_update_rejects_a_repeated_index():
     obj, weights, spec, gains = setup(n=6)
     q, scale = at(weights, spec, gains)
     state = init_vr_state("saga", q, scale, obj)
-    table, mean = state.saga_table.copy(), state.reference.copy()
+    table, mean = state.table.copy(), state.reference.copy()
     with pytest.raises(ValueError, match="distinct batch indices"):
         ctrl_update(state, quantize(weights.with_values(weights.values + 0.3), spec), scale,
                     np.array([2, 4, 2]), obj)
-    assert np.array_equal(state.saga_table, table) and np.array_equal(state.reference, mean)
+    assert np.array_equal(state.table, table) and np.array_equal(state.reference, mean)
 
 
 def test_missing_saga_table_rejected():
@@ -211,12 +211,38 @@ def test_hand_built_svrg_state_matches_init():
     obj, weights, spec, gains = setup(gains=[0.6, 1.1])
     q, scale = at(weights, spec, gains)
     made = init_vr_state("svrg", q, scale, obj)
-    hand = VRState(mode="svrg", control=(q, scale), reference=full_surrogate(obj, q, scale))
+    hand = VRState(mode="svrg", reference=full_surrogate(obj, q, scale),
+                   table=obj.loss_and_grad_batch(q, np.arange(obj.n))[1], table_scale=scale)
     moved = quantize(weights.with_values(weights.values + 0.35), spec)
     batch = np.array([0, 3, 5])
     g = estimate(obj, moved, scale, hand, batch)
     assert np.all(np.isfinite(g))
     assert np.array_equal(g, estimate(obj, moved, scale, made, batch))
+
+
+def test_svrg_refill_matches_a_fresh_anchor():
+    # refresh_anchor overwrites the old table: it must take the new point and the new scale
+    obj, weights, spec, gains = setup(gains=[0.6, 1.1])
+    q, scale = at(weights, spec, gains)
+    moved = quantize(weights.with_values(weights.values + 0.35), spec)
+    after = refresh_anchor(init_vr_state("svrg", q, scale, obj), moved, 0.5 * scale, obj)
+    fresh = init_vr_state("svrg", moved, 0.5 * scale, obj)
+    assert np.array_equal(after.table, fresh.table)
+    assert np.array_equal(after.reference, fresh.reference)
+    assert np.array_equal(after.table_scale, fresh.table_scale)
+
+
+@pytest.mark.parametrize("mode", ["svrg", "saga"])
+def test_table_read_is_range_checked(mode):
+    obj, weights, spec, gains = setup(n=5)
+    q, scale = at(weights, spec, gains)
+    state = init_vr_state(mode, q, scale, obj)
+    v_bar = batch_grad(obj, q, [0])[1]
+    for bad in ([-1], [0, 5], [2, -5]):
+        with pytest.raises(IndexError, match="out of range"):
+            grad_est(v_bar, scale, state, obj, np.array(bad))
+    with pytest.raises(ValueError, match="empty batch"):
+        grad_est(v_bar, scale, state, obj, np.array([], dtype=int))
 
 
 def test_hand_built_sarah_state_matches_ctrl_update():
@@ -235,9 +261,14 @@ def test_hand_built_sarah_state_matches_ctrl_update():
 
 @pytest.mark.parametrize("mode", ["svrg", "sarah"])
 def test_state_without_anchor_gradient_rejected(mode):
-    _, weights, spec, gains = setup()
+    obj, weights, spec, gains = setup()
+    q, scale = at(weights, spec, gains)
+    table = obj.loss_and_grad_batch(q, np.arange(obj.n))[1]
+    held = {"table": table, "table_scale": scale} if mode == "svrg" else {"control": (q, scale)}
     with pytest.raises(ValueError, match="reference gradient"):
-        VRState(mode=mode, control=at(weights, spec, gains))
-    if mode == "svrg":  # SARAH has no control point right after a refresh, SVRG always has one
-        with pytest.raises(ValueError, match="anchor point"):
-            VRState(mode=mode, reference=np.zeros(weights.dim))
+        VRState(mode=mode, **held)
+    if mode == "svrg":  # SARAH has no control point right after a refresh, SVRG always a table
+        for missing in ("table", "table_scale"):
+            with pytest.raises(ValueError, match="anchor table"):
+                VRState(mode=mode, reference=np.zeros(weights.dim),
+                        **{**held, missing: None})
