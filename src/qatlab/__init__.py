@@ -26,6 +26,7 @@ from .objectives import (
     TwoLayerMLP,
     per_sample_grad,
     batch_grad,
+    full_grad,
     make_pl_instance,
     make_saturating_task,
 )

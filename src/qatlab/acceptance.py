@@ -21,11 +21,11 @@ from .diagnostics import (
     window_composition_harness,
 )
 from .jacobian import ProbeConfig, dither_update
-from .objectives import batch_grad, make_regression_task, make_saturating_task
+from .objectives import batch_grad, full_grad, make_regression_task, make_saturating_task
 from .quant import GroupedWeights, QuantSpec, mean_field, mean_field_sensitivity, quantize, quantize_array
 from .rng import substream
 from .trainer import RefreshPolicy, TrainConfig, train_base, train_vr, write_metrics_csv
-from .vrgrad import estimator_variance, grad_est, init_vr_state, surrogate_batch
+from .vrgrad import estimator_variance, grad_est, init_vr_state
 
 __all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA"]
 
@@ -156,7 +156,7 @@ def a4_vr_variance() -> tuple[bool, dict]:
     scale_small = w_small.per_weight(np.array([0.7]))
     q_small = quantize(w_small, spec_small)
     q_moved_small = quantize(w_small.with_values(w_small.values + 0.15), spec_small)
-    target = surrogate_batch(q_moved_small, scale_small, small, np.arange(6))
+    target = scale_small * full_grad(small, q_moved_small)
     worst = 0.0
     for mode in ("svrg", "saga"):
         state = init_vr_state(mode, q_small, scale_small, small)
@@ -212,7 +212,7 @@ def a6_dominance() -> tuple[bool, dict]:
             var_jq, var_ste = fd_mismatch_variance(res.state_trace, spec)
             fd_var[mode] = var_jq if mode == "probe" else var_ste
             if mode == "probe":
-                _, v_bar = batch_grad(obj, quantize(res.weights, spec), np.arange(obj.n))
+                v_bar = full_grad(obj, quantize(res.weights, spec))
                 rep = bias_report(res.weights, res.gains, v_bar, spec)
             del res
         wins["loss"] += window["probe"] <= window["ste"]

@@ -3,10 +3,11 @@
 Each objective exposes exact analytic gradients of the per-sample loss
 with respect to the (quantized) weight vector, one row per batch sample.
 Rows use ``np.vecdot`` and stacked ``np.matmul`` (not ``X @ q`` or ``einsum``),
-so a row's bits never depend on its batch-mates. A pass over the samples
-(``batch_grad``, ``Quadratic.full_loss``) holds one ``quant.row_blocks`` block
-at a time, with the bits of the whole-data computation. No autodiff framework;
-finite differences in the tests check every kind.
+so a row's bits never depend on its batch-mates. A minibatch (``batch_grad``)
+is one block of batch_size × dim floats per step. A pass over all samples
+(``full_grad``, ``Quadratic.full_loss``) holds one ``quant.row_blocks`` block of
+at most 16 384 elements at a time, with the bits of the whole-data computation.
+No autodiff framework; finite differences in the tests check every kind.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "checked_indices",
     "per_sample_grad",
     "batch_grad",
+    "full_grad",
     "make_pl_instance",
     "make_saturating_task",
     "make_regression_task",
@@ -186,18 +188,20 @@ class TwoLayerMLP(Objective):
         b2 = float(q[-1])
         return w1, b1, w2, b2
 
-    def _forward(self, q: np.ndarray, x: np.ndarray,
+    @staticmethod
+    def _forward(params: tuple[np.ndarray, np.ndarray, np.ndarray, float], x: np.ndarray,
                  y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hidden activations (b, h) and output residuals (b,) of the rows x with targets y."""
-        w1, b1, w2, b2 = self.unpack(q)
+        w1, b1, w2, b2 = params
         a = np.tanh(np.matmul(w1, x[:, :, None])[:, :, 0] + b1)
         return a, np.vecdot(w2, a) + b2 - y
 
     def _rows(self, q: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h, p, b = self.hidden, self.in_dim, idx.size
         x = self.data.inputs[idx]
-        a, df = self._forward(q, x, self.data.targets[idx])
-        w2 = self.unpack(q)[2]
+        params = self.unpack(q)
+        a, df = self._forward(params, x, self.data.targets[idx])
+        w2 = params[2]
         grads = np.empty((b, self.dim))  # each part is written into its slice, in weight order
         dz = grads[:, h * p: h * p + h]
         np.multiply(df[:, None] * w2, 1.0 - a * a, out=dz)
@@ -208,7 +212,7 @@ class TwoLayerMLP(Objective):
         return 0.5 * df * df, grads
 
     def full_loss(self, q: np.ndarray) -> float:
-        df = self._forward(q, self.data.inputs, self.data.targets)[1]
+        df = self._forward(self.unpack(q), self.data.inputs, self.data.targets)[1]
         return float(np.mean(0.5 * df * df))
 
 
@@ -229,19 +233,23 @@ def per_sample_grad(obj: Objective, q: np.ndarray, i: int) -> tuple[float, np.nd
 
 
 def batch_grad(obj: Objective, q: np.ndarray, batch: np.ndarray) -> tuple[float, np.ndarray]:
-    """Arithmetic mean of per-sample losses and gradients, in the given order.
+    """Arithmetic mean of a minibatch's per-sample losses and gradients, in the given order.
 
-    Row blocks with a carried column sum: ``np.mean(grads, axis=0)`` bit for bit.
+    One (b, d) block: ``np.mean`` of the rows, bit for bit.
     """
-    batch = np.asarray(batch, dtype=int)
-    if batch.size == 0:
-        raise ValueError("empty batch")
-    losses = np.empty(batch.size)
+    losses, grads = obj.loss_and_grad_batch(q, batch)
+    return float(np.mean(losses)), grads.sum(axis=0) / losses.size
+
+
+def full_grad(obj: Objective, q: np.ndarray) -> np.ndarray:
+    """Mean gradient over all samples, one row block at a time.
+
+    Row blocks with a carried column sum: the bits of the one-block ``batch_grad``.
+    """
     total = -0.0
-    for rows in row_blocks(batch.size, obj.dim):
-        losses[rows], grads = obj.loss_and_grad_batch(q, batch[rows])
-        total = carried_sum(grads, total)
-    return float(np.mean(losses)), total / batch.size
+    for rows in row_blocks(obj.n, obj.dim):
+        total = carried_sum(obj.loss_and_grad_batch(q, np.arange(rows.start, rows.stop))[1], total)
+    return total / obj.n
 
 
 def _check_noise(noise: float) -> None:

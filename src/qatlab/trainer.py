@@ -190,10 +190,13 @@ def _guard_norms(trace: list[MetricsRecord]) -> None:
 
 @contextmanager
 def _fails_at(what: str, step: int, trace: list[MetricsRecord]):
-    """Turn a numerical ValueError (zero excitation, a non-finite reference) into a divergence."""
+    """Turn a numerical ValueError (zero excitation, a non-finite reference) into a divergence.
+
+    So is a MemoryError: an array that numpy can index but the machine cannot hold.
+    """
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise DivergenceError(f"{what} failed at step {step}: {exc}", trace) from exc
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Objective, batch_grad, checked_indices
-from .quant import row_blocks
+from .objectives import Objective, batch_grad, checked_indices, full_grad
+from .quant import carried_sum, row_blocks
 from .rng import substream
 
 __all__ = [
@@ -99,14 +99,14 @@ def init_vr_state(mode: str, q: np.ndarray, scale: np.ndarray, obj: Objective) -
         return VRState(mode, reference=table.mean(axis=0), table=table)
     if mode == "svrg":
         return _anchor_svrg(np.empty((obj.n, obj.dim)), q, scale, obj)
-    return VRState(mode, reference=surrogate_batch(q, scale, obj, np.arange(obj.n)))
+    return VRState(mode, reference=scale * full_grad(obj, q))
 
 
 def _anchor_svrg(table: np.ndarray, q: np.ndarray, scale: np.ndarray,
                  obj: Objective) -> VRState:
     """SVRG anchored at q: ``table`` refilled in place with the raw rows there, block by block.
 
-    The column sum has the bits of ``batch_grad`` over the full data.
+    The column sum has the bits of ``full_grad``.
     """
     for rows in row_blocks(obj.n, obj.dim):
         table[rows] = obj.loss_and_grad_batch(q, np.arange(rows.start, rows.stop))[1]
@@ -131,10 +131,14 @@ def grad_est(v_bar: np.ndarray, scale: np.ndarray, state: VRState, obj: Objectiv
         control = scale_c * batch_grad(obj, q_c, batch)[1]
     else:
         # indices checked as loss_and_grad_batch checks them: a negative one must not wrap
-        control = np.mean(state.table[checked_indices(batch, state.table.shape[0])], axis=0)
+        idx = checked_indices(batch, state.table.shape[0])
+        control = state.table[idx].sum(axis=0)  # then divided in place: np.mean's bits
+        control /= idx.size
         if state.mode == "svrg":
             control *= state.table_scale
-    return g - control + state.reference
+    g -= control
+    g += state.reference
+    return g
 
 
 def ctrl_update(state: VRState, q: np.ndarray, scale: np.ndarray, batch: np.ndarray,
@@ -144,10 +148,10 @@ def ctrl_update(state: VRState, q: np.ndarray, scale: np.ndarray, batch: np.ndar
     SARAH keeps the step's quantized point q and scale as its control point
     and the step's estimate ``grad`` as its reference, so q is the point the
     estimate was taken at, not the updated one. SAGA writes the touched
-    table rows at q and adjusts the running mean row by row, in place: the
-    state it returns is the one it was given, and the old table and mean
-    are gone. Its batch indices must be distinct. Plain and SVRG states are
-    returned unchanged.
+    table rows at q and adds their differences to the running mean in
+    batch order, in place: the state it returns is the one it was given,
+    and the old table and mean are gone. Its batch indices must be
+    distinct. Plain and SVRG states are returned unchanged.
     """
     if state.mode in ("plain", "svrg"):
         return state
@@ -167,8 +171,11 @@ def ctrl_update(state: VRState, q: np.ndarray, scale: np.ndarray, batch: np.ndar
     np.subtract(fresh, diff, out=diff)
     diff /= state.table.shape[0]
     reference = state.reference
-    for row in diff:  # batch order fixes the rounding
-        reference += row
+    if diff.shape[1] > 1:  # batch order fixes the rounding: one carried sum, row by row
+        reference[...] = carried_sum(diff, reference)
+    else:  # numpy sums a single column pairwise; a running sum keeps batch order
+        diff[0] += reference
+        reference[...] = np.add.accumulate(diff)[-1]
     state.table[batch] = fresh
     return state
 
@@ -196,7 +203,7 @@ def estimator_variance(state: VRState, q: np.ndarray, scale: np.ndarray, obj: Ob
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    g_full = surrogate_batch(q, scale, obj, np.arange(obj.n))
+    g_full = scale * full_grad(obj, q)
     total = 0.0
     for t in range(trials):
         rng = substream(seed, "minibatch", t)

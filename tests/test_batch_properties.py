@@ -9,9 +9,10 @@ table update, and the estimator's one formula on mean gradients against
 the mean of its per-sample control-variate rows. The rows are fresh
 arrays the caller owns, and the SAGA table and ``full_loss`` allocate no
 (n, d) block beyond the one table. With the block size cut to a few
-elements, ``batch_grad`` and ``full_loss`` in row blocks must match their
+elements, ``full_grad`` and ``full_loss`` in row blocks must match their
 one-block references bit for bit, and a full-data pass of the benchmark's
-SVRG problem must hold one block at a time beyond SVRG's anchor table.
+SVRG problem must hold one block at a time beyond SVRG's anchor table. A
+minibatch is one block whatever its width.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from qatlab.objectives import (
     Quadratic,
     TwoLayerMLP,
     batch_grad,
+    full_grad,
     make_mlp_task,
     make_pl_instance,
     per_sample_grad,
@@ -160,7 +162,7 @@ def test_full_loss_is_the_mean_of_the_batch_losses(problem):
 
 
 def one_block_batch_grad(obj, q, batch):
-    """``batch_grad`` with every row in one block: numpy's mean of the whole (b, d) block."""
+    """The mean over one block holding every row: numpy's mean of the whole (b, d) block."""
     losses, grads = obj.loss_and_grad_batch(q, batch)
     return float(np.mean(losses)), np.mean(grads, axis=0)
 
@@ -174,20 +176,50 @@ def test_row_blocks_match_one_block(problem, block):
     # blocks of `block` elements: one row each for dim >= block, most with a short last block
     obj, q, batch = problem
     with patch.object(quant, "_BLOCK_ELEMS", block):
-        loss, grad = batch_grad(obj, q, batch)
+        grad = full_grad(obj, q)
         full = obj.full_loss(q)
-    expected_loss, expected_grad = one_block_batch_grad(obj, q, batch)
-    assert same_bits(loss, expected_loss) and same_bits(grad, expected_grad)
+        loss, batch_mean = batch_grad(obj, q, batch)  # wider than a block: still one block
+    assert same_bits(grad, one_block_batch_grad(obj, q, np.arange(obj.n))[1])
     assert same_bits(full, loop_full_loss(obj, q))
+    expected_loss, expected_grad = one_block_batch_grad(obj, q, batch)
+    assert same_bits(loss, expected_loss) and same_bits(batch_mean, expected_grad)
+
+
+class CallRecorder:
+    """Records the indices of every ``loss_and_grad_batch`` call an objective answers."""
+
+    def __init__(self, obj):
+        self.obj, self.calls = obj, []
+
+    def __getattr__(self, name):
+        return getattr(self.obj, name)
+
+    def loss_and_grad_batch(self, q, idx):
+        self.calls.append(np.asarray(idx).tolist())
+        return self.obj.loss_and_grad_batch(q, idx)
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_batch_grad_checks_every_block(kind):
-    obj = make_objective(kind, 5, 3, seed=0)
+def test_full_grad_checks_every_block(kind):
+    obj = CallRecorder(make_objective(kind, 5, 3, seed=0))
     q = np.zeros(obj.dim)
-    with patch.object(quant, "_BLOCK_ELEMS", 1):  # one row per block: the bad index comes last
+    with patch.object(quant, "_BLOCK_ELEMS", 1):  # one row per block
+        full_grad(obj, q)
+    # every block goes through the checked entry point, each row once, in order
+    assert obj.calls == [[i] for i in range(obj.n)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_minibatch_wider_than_a_block_is_one_checked_block(kind):
+    obj = CallRecorder(make_objective(kind, 5, 3, seed=0))
+    q = np.zeros(obj.dim)
+    with patch.object(quant, "_BLOCK_ELEMS", 1):  # a block of one row: the bad index comes last
+        batch_grad(obj, q, [4, 0, 2])
+        assert obj.calls == [[4, 0, 2]]
         with pytest.raises(IndexError, match="out of range"):
             batch_grad(obj, q, [0, 1, 2, 5])
+        with pytest.raises(IndexError, match="out of range"):
+            batch_grad(obj, q, [0, 1, -1])
         with pytest.raises(ValueError, match="empty"):
             batch_grad(obj, q, [])
 
@@ -271,6 +303,8 @@ def test_full_data_passes_hold_one_row_block():
     first = np.arange(obj.n)[next(quant.row_blocks(obj.n, obj.dim))]
     one_block = traced_peak(lambda: obj.loss_and_grad_batch(q, first))
     assert traced_peak(lambda: init_vr_state("svrg", q, scale, obj)) < block + one_block + 2**14
+    # SARAH's reference is a full-data mean: one block's rows and the carried (d,) sum
+    assert traced_peak(lambda: init_vr_state("sarah", q, scale, obj)) < one_block + 2**15 + 2**14
     state = init_vr_state("svrg", q, scale, obj)
     table = state.table
     moved = quantize(weights.with_values(weights.values + 0.3), QuantSpec.w2(step=0.5))

@@ -293,6 +293,27 @@ def test_cli_train_numerical_failures_end_as_divergence(tmp_path, objective, qua
         assert len(list(csv.reader(fh))) == summary["steps_run"] + 1
 
 
+def test_cli_train_unallocatable_gain_update_ends_as_divergence(tmp_path, monkeypatch, capsys):
+    # the gain update's (2, n_groups, num_probes) buffer fails as numpy fails on a size the
+    # machine cannot hold; the failure is raised in its place, so nothing is allocated
+    def unallocatable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.00 TiB for an array")
+
+    monkeypatch.setattr(trainer, "probe_update", unallocatable)
+    cfg = write_config(tmp_path, {
+        "objective": {"kind": "pl", "dim": 8, "n_samples": 8}, "quant": {"group_size": 4},
+        "train": {"steps": 2, "refresh": {"kind": "interval", "interval": 1}},
+    })
+    out = tmp_path / "unallocatable"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"] == ("gain update failed at step 1: "
+                                "Unable to allocate 2.00 TiB for an array")
+    with open(out / "metrics.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == summary["steps_run"] + 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_codes_that_overflow_give_a_finite_final_loss_without_a_warning(tmp_path, command):
     # w / 1e-320 overflows to +/-inf, which clips to +/-c by design: the final loss too
