@@ -37,7 +37,7 @@ class DiagnosticsReport:
     """Bias of both backward rules against the smoothed target gradient.
 
     ``j_hat`` is the exact oracle sensitivity per weight. ``gamma`` is the
-    straight-through mismatch max_i |1 - J_i|; ``epsilon_sup`` is the
+    straight-through mismatch max_i |1 - J_i|; ``bound_jacquant`` is the
     current gain mismatch times the upstream gradient norm (the quantity
     whose running sup bounds the residual in the convergence statements).
     FD-mismatch variances are not part of this report:
@@ -52,7 +52,6 @@ class DiagnosticsReport:
     bound_ste: float
     jacquant_bound_holds: bool
     ste_bound_holds: bool
-    epsilon_sup: float
 
 
 def bias_report(weights: GroupedWeights, gains: np.ndarray, v_bar: np.ndarray,
@@ -82,7 +81,6 @@ def bias_report(weights: GroupedWeights, gains: np.ndarray, v_bar: np.ndarray,
         bound_ste=bound_ste,
         jacquant_bound_holds=bias_jq <= bound_jq + slack,
         ste_bound_holds=bias_ste <= bound_ste + slack,
-        epsilon_sup=bound_jq,
     )
 
 

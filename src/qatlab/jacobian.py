@@ -123,9 +123,9 @@ def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: Pr
     probe; with ``dither_rng`` each probe draws its own dither row from it,
     block by block (``next_dither``). The per-group estimate is the mean of
     the per-probe slope fits, or the least-squares fit over all probes.
-    Estimates are clipped to [0, 1] and mixed into ``gains`` at
-    ``cfg.ema_rate``; the result is clipped again, so a start outside
-    [0, 1] cannot leak through.
+    A non-finite estimate raises ValueError. Estimates are clipped to
+    [0, 1] and mixed into ``gains`` at ``cfg.ema_rate``; the result is
+    clipped again, so a start outside [0, 1] cannot leak through.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.size != weights.n_groups:
@@ -154,6 +154,8 @@ def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: Pr
         estimates = cross.sum(axis=1) / denom
     else:
         estimates = np.mean(cross / (energy + _REG_EPS), axis=1)
+    if not np.all(np.isfinite(estimates)):  # e.g. probe energies that overflow: inf / inf
+        raise ValueError("non-finite gain estimate")
     rate = cfg.ema_rate
     return np.clip((1.0 - rate) * gains + rate * np.clip(estimates, 0.0, 1.0), 0.0, 1.0)
 

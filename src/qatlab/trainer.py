@@ -18,7 +18,6 @@ import math
 import os
 import tempfile
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from itertools import product
 
@@ -157,47 +156,17 @@ def _norm(x: np.ndarray) -> float:
     return norm
 
 
-def _record(step: int, loss: float, v_bar: np.ndarray, g: np.ndarray,
-            gain_stats: tuple[float, float, float], weights: GroupedWeights,
-            clip: float | np.ndarray | None, refreshed: bool) -> MetricsRecord:
-    mean_gain, min_gain, max_gain = gain_stats
-    return MetricsRecord(
-        step=step,
-        loss=loss,
-        grad_norm=_norm(v_bar),
-        surrogate_grad_norm=_norm(g),
-        mean_gain=mean_gain,
-        min_gain=min_gain,
-        max_gain=max_gain,
-        frac_saturated=0.0 if clip is None else float(np.mean(np.abs(weights.values) > clip)),
-        refresh=refreshed,
-    )
-
-
-def _guard(loss: float, initial_loss: float, step: int, trace: list[MetricsRecord]) -> None:
-    limit = _DIVERGENCE_FACTOR * max(abs(initial_loss), 1e-12)
-    if not np.isfinite(loss) or loss > limit:
-        raise DivergenceError(f"loss {loss:.3e} exceeded divergence guard at step {step}", trace)
-
-
-def _guard_norms(trace: list[MetricsRecord]) -> None:
-    rec = trace[-1]
-    for name in ("grad_norm", "surrogate_grad_norm"):
-        value = getattr(rec, name)
+def _failure(step: int, loss: float, initial_loss: float, new_weights: GroupedWeights,
+             norms: tuple[float, float]) -> str | None:
+    """Why a step ends the run, checked right after its SGD update; None if it does not."""
+    if not np.isfinite(loss) or loss > _DIVERGENCE_FACTOR * max(abs(initial_loss), 1e-12):
+        return f"loss {loss:.3e} exceeded divergence guard at step {step}"
+    if not np.all(np.isfinite(new_weights.values)):
+        return f"latent weights became non-finite at step {step}"
+    for name, value in zip(("grad_norm", "surrogate_grad_norm"), norms):
         if not math.isfinite(value):
-            raise DivergenceError(f"{name} became non-finite ({value}) at step {rec.step}", trace)
-
-
-@contextmanager
-def _fails_at(what: str, step: int, trace: list[MetricsRecord]):
-    """Turn a numerical ValueError (zero excitation, a non-finite reference) into a divergence.
-
-    So is a MemoryError: an array that numpy can index but the machine cannot hold.
-    """
-    try:
-        yield
-    except (ValueError, MemoryError) as exc:
-        raise DivergenceError(f"{what} failed at step {step}: {exc}", trace) from exc
+            return f"{name} became non-finite ({value}) at step {step}"
+    return None
 
 
 def _update_gains(gains: np.ndarray, weights: GroupedWeights, spec: QuantSpec,
@@ -212,7 +181,7 @@ def _update_gains(gains: np.ndarray, weights: GroupedWeights, spec: QuantSpec,
                          draw_key=step, fixed_dither=fixed_dither)
 
 
-# the guards report a non-finite value by name and step; numpy's warnings would only repeat it
+# the step check reports a non-finite value by name and step; numpy's warnings would only repeat it
 @np.errstate(all="ignore")
 def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
            keep_states: int, base: bool) -> TrainResult:
@@ -226,9 +195,11 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
     scheduled = not base or cfg.jac_mode in ("probe", "probe_ls")
     weights = weights0
     q = None if dithered else quantize(weights, spec)  # the hard forward is carried to the next step
-    trace: list[MetricsRecord] = []
-    with _fails_at("estimator setup", 0, trace):
+    try:
         state = init_vr_state("plain" if base else cfg.vr_mode, q, scale, obj)
+    except (ValueError, MemoryError) as exc:
+        raise DivergenceError(f"estimator setup failed at step 0: {exc}", []) from exc
+    trace: list[MetricsRecord] = []
     # only the trailing window a reader asks for stays alive
     states = deque(maxlen=keep_states) if keep_states else None
     initial_loss = None
@@ -245,28 +216,38 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
         new_weights = weights.with_values(weights.values - cfg.stepsize * g)
         if initial_loss is None:
             initial_loss = loss
-        if not np.all(np.isfinite(new_weights.values)):
-            trace.append(_record(step, loss, v_bar, g, gain_stats, weights, clip, False))
-            _guard(loss, initial_loss, step, trace)
-            raise DivergenceError(f"latent weights became non-finite at step {step}", trace)
-        last = step == cfg.steps  # no step reads the estimator's memory or q after the last one
-        q_next = None if dithered or last else quantize(new_weights, spec)
-        if not last:
-            # SARAH differences the next step against this step's point; SAGA's table moves on
-            state = ctrl_update(state, q if state.mode == "sarah" else q_next, scale, batch, obj,
-                                grad=g)
-        q = q_next
-        refreshed = dithered or (scheduled and cfg.refresh.fires(step, cfg.seed))
-        if refreshed:  # the last gains still run: the final record and gains show them
-            with _fails_at("gain update", step, trace):
-                gains = _update_gains(gains, new_weights, spec, cfg, step, fixed_dither=dither)
-            gain_stats, scale = _gain_stats(gains), new_weights.per_weight(gains)
+        norms = _norm(v_bar), _norm(g)
+        failure = _failure(step, loss, initial_loss, new_weights, norms)
+        refreshed = False
+        if failure is None:
+            last = step == cfg.steps  # no step reads the estimator's memory or q after the last one
+            q_next = None if dithered or last else quantize(new_weights, spec)
             if not last:
-                with _fails_at("anchor refresh", step, trace):
+                # SARAH differences the next step against this step's point; SAGA's table moves on
+                state = ctrl_update(state, q if state.mode == "sarah" else q_next, scale, batch,
+                                    obj, grad=g)
+            q = q_next
+            refreshed = dithered or (scheduled and cfg.refresh.fires(step, cfg.seed))
+        if refreshed:  # the last gains still run: the final record and gains show them
+            # a numerical ValueError (zero excitation, a non-finite reference) or an array the
+            # machine cannot hold ends the run; the step's row keeps the gains it ran with
+            phase = "gain update"
+            try:
+                gains = _update_gains(gains, new_weights, spec, cfg, step, fixed_dither=dither)
+                scale = new_weights.per_weight(gains)
+                if not last:
+                    phase = "anchor refresh"
                     state = refresh_anchor(state, q, scale, obj)
-        trace.append(_record(step, loss, v_bar, g, gain_stats, weights, clip, refreshed))
-        _guard(loss, initial_loss, step, trace)
-        _guard_norms(trace)
+                gain_stats = _gain_stats(gains)
+            except (ValueError, MemoryError) as exc:
+                failure, refreshed = f"{phase} failed at step {step}: {exc}", False
+        trace.append(MetricsRecord(
+            step, loss, *norms, *gain_stats,
+            frac_saturated=0.0 if clip is None else float(np.mean(np.abs(weights.values) > clip)),
+            refresh=refreshed,
+        ))
+        if failure is not None:
+            raise DivergenceError(failure, trace)
         weights = new_weights
     return TrainResult(weights=weights, gains=gains, metrics=trace,
                        state_trace=None if states is None else list(states))

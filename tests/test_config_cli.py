@@ -30,6 +30,25 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def assert_failing_row(out, summary):
+    """A failed run keeps one row per step run, the failing one last.
+
+    That row shows the gains its step ran with (the previous row's, or the
+    starting ones) and no refresh. A failure at step 0 writes no row.
+    """
+    failed_at = int(re.search(r"at step (\d+)", summary["error"]).group(1))
+    with open(out / "metrics.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == summary["steps_run"] == failed_at
+    if rows:
+        gains = [header.index(name) for name in ("mean_gain", "min_gain", "max_gain")]
+        ran_with = [rows[-2][i] for i in gains] if len(rows) > 1 else ["1.0"] * 3
+        assert rows[-1][header.index("step")] == str(failed_at)
+        assert [rows[-1][i] for i in gains] == ran_with
+        assert rows[-1][header.index("refresh")] == "0"
+    return rows
+
+
 def test_minimal_config_fills_all_defaults(tmp_path):
     path = write_config(tmp_path, {"objective": {"kind": "quadratic"}})
     setup = parse_config(path)
@@ -222,6 +241,38 @@ def test_cli_train_divergence_reports_error(tmp_path):
     assert status == 1
     summary = json.loads((out / "summary.json").read_text())
     assert "divergence" in summary["error"]
+    assert_failing_row(out, summary)
+
+
+def test_cli_train_loss_divergence_skips_the_step_refresh(tmp_path, monkeypatch):
+    # every step refreshes, and the loss of step 3 exceeds the divergence guard: that step
+    # updates no gains and refills no anchor, since nothing would read them
+    calls = {"probe_update": 0, "refresh_anchor": 0}
+
+    def counted(name):
+        real = getattr(trainer, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(trainer, name, counted(name))
+    cfg = write_config(tmp_path, {
+        "objective": {"kind": "pl", "dim": 8, "mu": 1.0, "l_smooth": 1.0,
+                      "n_samples": 4, "target_spread": 0.1},
+        "quant": {"mode": "identity", "group_size": 8},
+        "train": {"steps": 200, "stepsize": 50.0, "jac_mode": "probe", "vr_mode": "svrg",
+                  "refresh": {"interval": 1}},
+    })
+    out = tmp_path / "div"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"] == "loss 2.313e+07 exceeded divergence guard at step 3"
+    rows = assert_failing_row(out, summary)
+    assert [row[-1] for row in rows] == ["1", "1", "0"]
+    assert calls == {"probe_update": 2, "refresh_anchor": 2}
 
 
 @pytest.mark.parametrize("loop", ["base", "vr"])
@@ -235,10 +286,33 @@ def test_cli_train_non_finite_weights_end_as_divergence(tmp_path, loop):
     assert main(["train", "--config", cfg, "--out", str(out)]) == 1  # no overflow warning
     summary = json.loads((out / "summary.json").read_text())
     assert "non-finite" in summary["error"]
-    with open(out / "metrics.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert summary["steps_run"] == len(rows) - 1 >= 1
-    assert all(np.isfinite(float(row[1])) for row in rows[1:])
+    rows = assert_failing_row(out, summary)
+    assert len(rows) >= 1
+    assert all(np.isfinite(float(row[1])) for row in rows)
+
+
+def test_cli_train_non_finite_gradient_norm_ends_as_divergence(tmp_path, monkeypatch):
+    # the second step's mean gradient is finite but its norm is out of range; the loss and
+    # the weights stay finite, so the recorded norm ends the run
+    real, calls = trainer.batch_grad, []
+
+    def overflowing(obj, q, batch):
+        loss, v_bar = real(obj, q, batch)
+        calls.append(batch)
+        return (loss, np.full_like(v_bar, 1.7e308)) if len(calls) == 2 else (loss, v_bar)
+
+    monkeypatch.setattr(trainer, "batch_grad", overflowing)
+    cfg = write_config(tmp_path, {
+        "objective": {"kind": "saturating", "dim": 64, "n_samples": 8},
+        "quant": {"group_size": 16},
+        "train": {"vr_mode": "plain", "steps": 5, "refresh": {"interval": 1}},
+    })
+    out = tmp_path / "norm"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"] == "grad_norm became non-finite (inf) at step 2"
+    rows = assert_failing_row(out, summary)
+    assert rows[0][-1] == "1" and rows[0][4:7] != ["1.0"] * 3  # step 1 moved the gains
 
 
 @pytest.mark.parametrize("objective,error", [
@@ -263,6 +337,7 @@ def test_cli_train_extreme_initial_weights(tmp_path, objective, error):
     assert len(rows) == summary["steps_run"] + 1 == 2
     if error is not None:
         assert re.fullmatch(error, summary["error"])
+        assert_failing_row(out, summary)
         return
     assert summary["error"] is None and summary["final_loss"] == pytest.approx(4.65e-4, rel=1e-3)
     assert all(np.isfinite(float(value)) for value in rows[1])
@@ -275,11 +350,15 @@ def test_cli_train_extreme_initial_weights(tmp_path, objective, error):
      "gain update failed at step 1: zero excitation"),
     ({}, {}, {"jac_mode": "probe", "probe_sigma": 1e308},  # the probes overflow
      "gain update failed at step 1: non-finite weight"),
+    # the default probe_sigma, half of 1e308, overflows the probe energies: inf / inf
     ({}, {"step": 1e308}, {"vr_mode": "svrg"},
-     "anchor refresh failed at step 1: reference gradient must be finite"),
+     "gain update failed at step 1: non-finite gain estimate"),
+    ({}, {"step": 1e308}, {"vr_mode": "saga"},
+     "gain update failed at step 1: non-finite gain estimate"),
     ({"kind": "pl", "l_smooth": 1e308}, {}, {"vr_mode": "svrg"},
      "estimator setup failed at step 0: reference gradient must be finite"),
-], ids=["probe_ls_zero_excitation", "probe_overflow", "svrg_anchor", "svrg_setup"])
+], ids=["probe_ls_zero_excitation", "probe_overflow", "svrg_anchor", "saga_nan_gains",
+        "svrg_setup"])
 def test_cli_train_numerical_failures_end_as_divergence(tmp_path, objective, quant, train, error):
     cfg = write_config(tmp_path, {
         "objective": {"dim": 40, "n_samples": 5, **objective}, "quant": quant,
@@ -289,8 +368,7 @@ def test_cli_train_numerical_failures_end_as_divergence(tmp_path, objective, qua
     assert main(["train", "--config", cfg, "--out", str(out)]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["error"] == error
-    with open(out / "metrics.csv", newline="") as fh:
-        assert len(list(csv.reader(fh))) == summary["steps_run"] + 1
+    assert_failing_row(out, summary)
 
 
 def test_cli_train_unallocatable_gain_update_ends_as_divergence(tmp_path, monkeypatch, capsys):
@@ -309,9 +387,32 @@ def test_cli_train_unallocatable_gain_update_ends_as_divergence(tmp_path, monkey
     summary = json.loads((out / "summary.json").read_text())
     assert summary["error"] == ("gain update failed at step 1: "
                                 "Unable to allocate 2.00 TiB for an array")
-    with open(out / "metrics.csv", newline="") as fh:
-        assert len(list(csv.reader(fh))) == summary["steps_run"] + 1
+    assert_failing_row(out, summary)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_train_failing_anchor_refresh_ends_as_divergence(tmp_path, monkeypatch):
+    # the second refresh's gain update succeeds and its anchor refill fails: the failing row
+    # still shows the gains of the first refresh, which the step ran with
+    real, calls = trainer.refresh_anchor, []
+
+    def failing_second(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("reference gradient must be finite")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "refresh_anchor", failing_second)
+    cfg = write_config(tmp_path, {
+        "objective": {"kind": "pl", "dim": 8, "n_samples": 8}, "quant": {"group_size": 4},
+        "train": {"vr_mode": "svrg", "steps": 3, "refresh": {"kind": "interval", "interval": 1}},
+    })
+    out = tmp_path / "anchor"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"] == "anchor refresh failed at step 2: reference gradient must be finite"
+    rows = assert_failing_row(out, summary)
+    assert rows[0][-1] == "1" and rows[0][4:7] != ["1.0"] * 3  # step 1 moved the gains
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])

@@ -65,7 +65,7 @@ def test_bias_report_identity_gains_match_ste_exactly():
     v = substream(10, "v").normal(0, 1, w.dim)
     rep = bias_report(w, np.ones(w.n_groups), v, spec)
     assert rep.bias_jacquant == rep.bias_ste
-    assert rep.epsilon_sup == pytest.approx(rep.gamma * np.linalg.norm(v))
+    assert rep.bound_jacquant == pytest.approx(rep.gamma * np.linalg.norm(v))
 
 
 def test_dominance_when_gains_beat_identity_margin():
