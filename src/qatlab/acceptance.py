@@ -56,8 +56,8 @@ def a1_quantizer_suite() -> tuple[bool, dict]:
     member = idem = mono = True
     for spec in specs:
         w = np.sort(rng.uniform(-4, 4, size=4096))
-        q = quantize_array(w, spec)
         step = float(spec.step)
+        q = quantize_array(w, spec, step)
         if spec.mode == "w1":
             member &= bool(np.all(np.isin(np.round(q / step, 9), (-1.0, 1.0))))
         elif spec.mid_rise:
@@ -69,7 +69,7 @@ def a1_quantizer_suite() -> tuple[bool, dict]:
             codes = q / step
             member &= bool(np.allclose(codes, np.round(codes))
                            and np.max(np.abs(codes)) <= spec.clip_codes + 1e-9)
-        idem &= bool(np.array_equal(quantize_array(q, spec), q))
+        idem &= bool(np.array_equal(quantize_array(q, spec, step), q))
         mono &= bool(np.all(np.diff(q) >= 0))
     checks["grid_membership"] = member
     checks["idempotence"] = idem
@@ -79,7 +79,7 @@ def a1_quantizer_suite() -> tuple[bool, dict]:
     spec = QuantSpec.generic(bits=3, step=1.0)  # clip at 3 steps
     vals = np.array([-2.0, -1.4, -0.7, -0.2, 0.0, 0.3, 1.1, 1.9])
     weights = GroupedWeights(vals, group_size=8)
-    mean, sem = mean_field(weights, spec, n_samples=100_000, seed=17, return_sem=True)
+    mean, sem = mean_field(weights, spec, n_samples=100_000, seed=17)
     dev = np.abs(mean - vals)
     checks["dither_unbiasedness"] = bool(np.all(dev <= 4.0 * sem + 1e-12))
     details = {**checks, "max_unbiasedness_dev": float(np.max(dev)),
@@ -229,7 +229,7 @@ def a6_dominance() -> tuple[bool, dict]:
 def a7_tracking() -> tuple[bool, dict]:
     """Slow drift tracks better than fast drift; static error within 0.05."""
     spec = QuantSpec.w2(step=1.0)
-    common = dict(group_dim=48, ema_rates=0.1, sigma=0.25, num_probes=16, seed=2)
+    common = dict(group_dim=48, ema_rate=0.1, sigma=0.25, num_probes=16, seed=2)
     static = tracking_harness(spec, drift_per_step=0.0, steps=120, **common)
     total = 1.6
     fast = tracking_harness(spec, drift_per_step=total / 60, steps=60, **common)

@@ -19,8 +19,6 @@ flag, config field or path exits 2 without a traceback.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -31,7 +29,7 @@ import numpy as np
 from .acceptance import run_all
 from .config import ConfigError, parse_config
 from .trainer import (DivergenceError, RefreshPolicy, atomic_write_text, final_loss, run_sweep,
-                      train_base, train_vr, write_metrics_csv)
+                      train_base, train_vr, write_csv, write_metrics_csv)
 
 __all__ = ["main", "DIAGNOSE_NAMES"]
 
@@ -59,14 +57,6 @@ def _json_default(value):
     if isinstance(value, np.bool_):
         return bool(value)
     raise TypeError(f"not JSON serializable: {type(value)!r}")
-
-
-def _rows_to_csv(path: str, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -122,8 +112,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                       jobs=args.jobs)
     header = ["group_size", "refresh_kind", "refresh_value", "jac_mode", "seed",
               "final_loss", "steps_run", "error"]
-    _rows_to_csv(os.path.join(out, "sweep.csv"), header,
-                 [[row[k] for k in header] for row in table])
+    write_csv(os.path.join(out, "sweep.csv"), header, [[row[k] for k in header] for row in table])
     errors = [row["error"] for row in table if row["error"]]
     summary = {
         "command": "sweep",
@@ -174,7 +163,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     os.makedirs(out, exist_ok=True)
     result = run_all([DIAGNOSE_NAMES[name]])[0]
     header, rows = _diagnose_table(name, result.details)
-    _rows_to_csv(os.path.join(out, "table.csv"), header, rows)
+    write_csv(os.path.join(out, "table.csv"), header, rows)
     _write_json(os.path.join(out, "verdict.json"), {
         "harness": name,
         "criterion": result.name,

@@ -271,6 +271,7 @@ def _build_objective(cfg: dict, group_size: int, master_seed: int,
             obj = LinearRegression(load_csv_dataset(cfg["path"]))
         except (OSError, ValueError) as exc:  # absent, a directory, unreadable or not numeric
             raise ConfigError(f"objective.path: {exc}") from exc
+        cfg["dim"], cfg["n_samples"] = obj.dim, obj.n  # the echo states the file's sizes
 
     w0 = substream(seed, "init").normal(0.0, cfg["w0_scale"], size=obj.dim)
     _require(np.all(np.isfinite(w0)),

@@ -84,47 +84,35 @@ def bias_report(weights: GroupedWeights, gains: np.ndarray, v_bar: np.ndarray,
     )
 
 
-def fd_reference(weights: GroupedWeights, spec: QuantSpec, eps: float | None = None,
-                 coords: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Central difference of the hard quantizer at sampled coordinates.
+def fd_reference(weights: GroupedWeights, spec: QuantSpec) -> np.ndarray:
+    """Central difference of the hard quantizer at every weight, at offset eps = step/10.
 
-    Values are 0 or step/(2*eps) by construction (eps below half a step).
-    Default eps is step/10.
+    Values are 0 or one grid jump over 2*eps, 5 for a jump of one step (eps is
+    below half a step).
     """
-    if coords is None:
-        coords = np.arange(weights.dim)
-    coords = np.asarray(coords, dtype=int)
-    step_c = weights.per_weight(spec.step)[coords]
-    eps_c = (step_c / 10.0) if eps is None else eps
-    if np.any(np.asarray(eps_c) <= 0):
-        raise ValueError("eps must be positive")
-    w_c = weights.values[coords]
-    hi = quantize_array(w_c + eps_c, spec, step=step_c)
-    lo = quantize_array(w_c - eps_c, spec, step=step_c)
-    return coords, (hi - lo) / (2.0 * eps_c)
+    step = weights.per_weight(spec.step)
+    eps = step / 10.0
+    hi = quantize_array(weights.values + eps, spec, step=step)
+    lo = quantize_array(weights.values - eps, spec, step=step)
+    return (hi - lo) / (2.0 * eps)
 
 
 def fd_mismatch_variance(trace: list[tuple[GroupedWeights, np.ndarray, np.ndarray]],
-                         spec: QuantSpec, eps: float | None = None,
-                         coords: np.ndarray | None = None) -> tuple[float, float]:
+                         spec: QuantSpec) -> tuple[float, float]:
     """Variance of the coordinate-wise mismatch against the FD reference gradient.
 
     The mismatch is rule_i - fd_i * v_i for the learned rule (gains * v)
-    and the straight-through rule (v), pooled over sampled coordinates
-    and trace steps. Both rules' mismatches are written into one
-    preallocated (2, steps, coords) array, so each variance reads one
-    contiguous block.
+    and the straight-through rule (v), pooled over every weight and trace
+    step. Both rules' mismatches are written into one preallocated
+    (2, steps, dim) array, so each variance reads one contiguous block.
     """
     if not trace:
         raise ValueError("empty trace")
-    mism = None
+    mism = np.empty((2, len(trace), trace[0][0].dim))
     for t, (weights, gains, v_bar) in enumerate(trace):
-        idx, fd = fd_reference(weights, spec, eps=eps, coords=coords)
-        v = np.asarray(v_bar, dtype=float)[idx]
-        ref = fd * v
-        if mism is None:
-            mism = np.empty((2, len(trace), idx.size))
-        np.subtract(weights.per_weight(gains)[idx] * v, ref, out=mism[0, t])
+        v = np.asarray(v_bar, dtype=float)
+        ref = fd_reference(weights, spec) * v
+        np.subtract(weights.per_weight(gains) * v, ref, out=mism[0, t])
         np.subtract(v, ref, out=mism[1, t])
     jq, ste = mism.reshape(2, -1)
     return float(np.var(jq)), float(np.var(ste))
@@ -139,21 +127,20 @@ class ProbeRateResult:
 
 
 def probe_rate_harness(spec: QuantSpec, group_dim: int, sigma: float,
-                       probe_counts: list[int], trials: int, seed: int = 0,
-                       interior_halfwidth: float = 2.0) -> ProbeRateResult:
+                       probe_counts: list[int], trials: int, seed: int = 0) -> ProbeRateResult:
     """Least-squares probe error versus probe count on a frozen mixed group.
 
-    Weights are placed half inside the grid and half deep in saturation.
+    Weights are placed half inside the grid, within two steps of zero,
+    and half deep in saturation.
     The probe estimator's population value is the Gaussian-smoothed
     quantizer slope, which matches the dither-smoothed oracle only when
     the probe scale is a sizable fraction of the step (the staircase
     averages out as exp(-2 pi^2 sigma^2 / step^2)) and interior weights
     sit several sigma away from the last grid boundary; callers should
     pass a multi-level grid and sigma >= step/2 so the bias stays below
-    the probe noise at the largest probe count. ``interior_halfwidth``
-    is in units of the step. The target is the group mean of the exact
-    dither-smoothed slope at offset step/10. The fitted log-log slope of
-    mean error against probe count is returned.
+    the probe noise at the largest probe count. The target is the group
+    mean of the exact dither-smoothed slope at offset step/10. The fitted
+    log-log slope of mean error against probe count is returned.
     """
     if len(probe_counts) < 3:
         raise ValueError("need at least three probe counts to fit a slope")
@@ -161,7 +148,7 @@ def probe_rate_harness(spec: QuantSpec, group_dim: int, sigma: float,
     rng = substream(seed, "layout")
     n_sat = group_dim // 2
     vals = np.concatenate([
-        rng.uniform(-interior_halfwidth, interior_halfwidth, group_dim - n_sat) * step,
+        rng.uniform(-2.0, 2.0, group_dim - n_sat) * step,
         rng.choice((-1.0, 1.0), n_sat) * rng.uniform(1.8, 2.6, n_sat) * step * spec.clip_codes,
     ])
     weights = GroupedWeights(vals, group_size=group_dim)
@@ -202,14 +189,14 @@ class TrackingResult:
     terminal_error: float
 
 
-def tracking_harness(spec: QuantSpec, group_dim: int, drift_per_step: np.ndarray | float,
-                     ema_rates: np.ndarray | float, steps: int, sigma: float,
-                     num_probes: int = 8, seed: int = 0) -> TrackingResult:
+def tracking_harness(spec: QuantSpec, group_dim: int, drift_per_step: float, ema_rate: float,
+                     steps: int, sigma: float, num_probes: int = 8,
+                     seed: int = 0) -> TrackingResult:
     """Track the group-mean sensitivity of a drifting weight group.
 
     The group starts spread across the interior with one tail already
     saturated and drifts upward, so the target sensitivity keeps falling
-    for the whole run. Per-step drift and EMA rate may be schedules.
+    for the whole run, by ``drift_per_step`` steps per step.
     The terminal error is the mean tracking error over the last tenth of
     the run, against the group mean of the exact dither-smoothed slope at
     offset step/10; the oracle is evaluated in that window only (each
@@ -219,8 +206,7 @@ def tracking_harness(spec: QuantSpec, group_dim: int, drift_per_step: np.ndarray
     if steps < 1:
         raise ValueError("steps must be >= 1")
     step = float(spec.step)
-    drift = np.broadcast_to(np.asarray(drift_per_step, dtype=float), (steps,))
-    betas = np.broadcast_to(np.asarray(ema_rates, dtype=float), (steps,))
+    cfg = ProbeConfig(probe_sigma=sigma, num_probes=num_probes, seed=seed, ema_rate=ema_rate)
     rng = substream(seed, "layout")
     start = rng.uniform(-1.3, 0.9, group_dim) * step * spec.clip_codes
     weights = GroupedWeights(start, group_size=group_dim)
@@ -231,12 +217,9 @@ def tracking_harness(spec: QuantSpec, group_dim: int, drift_per_step: np.ndarray
     oracle_trace = np.empty(tail)
     offset = 0.0
     for t in range(steps):
-        offset += float(drift[t]) * step
+        offset += drift_per_step * step
         weights = weights.with_values(start + offset)
-        gain = probe_update(weights, spec, gain,
-                            ProbeConfig(probe_sigma=sigma, num_probes=num_probes, seed=seed,
-                                        ema_rate=float(betas[t])),
-                            draw_key=t)
+        gain = probe_update(weights, spec, gain, cfg, draw_key=t)
         gains[t] = float(gain[0])
         if t >= window:
             oracle = mean_field_sensitivity(weights, spec, probe_eps=step / 10.0)
@@ -256,21 +239,22 @@ class PLContractionResult:
 
 
 def pl_contraction_harness(mu: float, l_smooth: float, eta: float, jac_err: float,
-                           steps: int = 400, dim: int = 16, group_size: int = 8,
-                           seed: int = 0, instance_seed: int = 3) -> PLContractionResult:
+                           seed: int = 0) -> PLContractionResult:
     """Full-batch descent on a gradient-dominated quadratic with perturbed oracle gains.
 
-    The quantizer is pass-through (the smooth surrogate of a
+    The quadratic is instance 3 of dimension 16, in groups of 8, and the
+    run takes 400 steps. The quantizer is pass-through (the smooth surrogate of a
     code-preserving window), so the oracle sensitivity is one; each step
     perturbs the gains downward by jac_err * U(0,1) per group. The floor
     is the mean gap over the trailing fifth of the run, and the
     contraction bound 1 - eta * mu + 1e-3 is checked per step above the
     floor.
     """
-    obj = make_pl_instance(dim, mu, l_smooth, seed=instance_seed)
+    steps, dim = 400, 16
+    obj = make_pl_instance(dim, mu, l_smooth, seed=3)
     t_bar = obj.mean_target()
     w = t_bar + substream(seed, "w0").normal(0.0, 1.0, dim)
-    layout = GroupedWeights(w, group_size)
+    layout = GroupedWeights(w, group_size=8)
     gaps = np.empty(steps)
     l_star = obj.optimal_loss()
     for t in range(steps):
@@ -295,23 +279,24 @@ class WindowCompositionResult:
     final_gap: float
 
 
-def window_composition_harness(deltas: np.ndarray, steps_per_window: int, dim: int = 12,
-                               mu: float = 0.1, l_smooth: float = 1.0, eta: float = 0.5,
+def window_composition_harness(deltas: np.ndarray, steps_per_window: int,
                                seed: int = 0) -> WindowCompositionResult:
     """Chain of quadratic windows whose optimum shifts by delta_k between windows.
 
-    Each window warm-starts from the previous endpoint and trains full
-    batch under the pass-through quantizer, with all weights in one group;
-    the terminal optimality gap of each window is recorded.
+    The quadratic has dimension 12, mu 0.1 and smoothness 1. Each window
+    warm-starts from the previous endpoint and trains full batch at
+    stepsize 0.5 under the pass-through quantizer, with all weights in
+    one group; the terminal optimality gap of each window is recorded.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
         raise ValueError("need a 1-D schedule of window shifts")
-    base = make_pl_instance(dim, mu, l_smooth, seed=seed)
+    dim = 12
+    base = make_pl_instance(dim, 0.1, 1.0, seed=seed)
     target = base.mean_target().copy()
     spec = QuantSpec.identity()
     weights = GroupedWeights(target + substream(seed, "w0").normal(0, 1.0, dim), group_size=dim)
-    cfg = TrainConfig(stepsize=eta, batch_size=1, steps=steps_per_window,
+    cfg = TrainConfig(stepsize=0.5, batch_size=1, steps=steps_per_window,
                       refresh=RefreshPolicy("interval", interval=10 ** 9),
                       jac_mode="ste", vr_mode="plain", seed=seed)
     gaps = np.empty(deltas.size)

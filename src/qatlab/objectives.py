@@ -343,13 +343,15 @@ def make_regression_task(d: int, n_samples: int, seed: int, noise: float = 0.1) 
     return LinearRegression(Dataset(inputs=inputs, targets=targets))
 
 
-def make_classification_task(d: int, n_samples: int, seed: int,
-                             margin: float = 1.0) -> LogisticRegression:
-    """Seeded linearly-separable-ish logistic task with +-1 labels."""
+def make_classification_task(d: int, n_samples: int, seed: int) -> LogisticRegression:
+    """Seeded linearly-separable-ish logistic task with +-1 labels.
+
+    A label is the sign of a random linear score plus N(0, 0.25**2) noise.
+    """
     rng = substream(seed, "objective")
     inputs = rng.normal(0.0, 1.0, size=(n_samples, d))
     truth = rng.uniform(-1.0, 1.0, size=d)
-    scores = inputs @ truth + margin * rng.normal(0.0, 0.25, size=n_samples)
+    scores = inputs @ truth + rng.normal(0.0, 0.25, size=n_samples)
     labels = np.where(scores >= 0, 1.0, -1.0)
     return LogisticRegression(Dataset(inputs=inputs, targets=labels))
 

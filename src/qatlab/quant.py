@@ -199,17 +199,13 @@ class GroupedWeights:
         return new
 
 
-def quantize_array(x: np.ndarray, spec: QuantSpec, step: float | np.ndarray | None = None) -> np.ndarray:
-    """Quantize a raw array; ``step`` broadcasts against ``x`` (scalar by default)."""
+def quantize_array(x: np.ndarray, spec: QuantSpec, step: float | np.ndarray) -> np.ndarray:
+    """Quantize a raw array on ``spec``'s grid; ``step`` broadcasts against ``x``."""
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("non-finite weight")
     if spec.mode == "identity":
         return x.copy()
-    if step is None:
-        if spec.per_group:
-            raise ValueError("per-group step requires an explicit step argument")
-        step = float(spec.step)
     if spec.mode == "w1":
         return np.where(x >= 0, 1.0, -1.0) * step
     c = spec.clip_codes
@@ -264,13 +260,12 @@ def dither_quantize(weights: GroupedWeights, r: np.ndarray, spec: QuantSpec) -> 
     return quantize_array(weights.values + r, spec, step=step) - r
 
 
-def mean_field(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: int,
-               return_sem: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo average of the de-dithered proxy over fresh dither draws.
+def mean_field(weights: GroupedWeights, spec: QuantSpec, n_samples: int,
+               seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo mean of the de-dithered proxy over fresh dither draws, and its standard error.
 
-    Deterministic for fixed (weights, spec, seed). With ``return_sem`` the
-    per-coordinate standard error of the mean is returned as well, for
-    callers that need an MC tolerance.
+    Deterministic for fixed (weights, spec, seed). The per-coordinate
+    standard error of the mean is the Monte-Carlo tolerance of the average.
 
     The samples are the dithered forward of training: row blocks of the
     ("dither",) stream drawn by ``next_dither``, mapped by ``dither_quantize``
@@ -284,12 +279,9 @@ def mean_field(weights: GroupedWeights, spec: QuantSpec, n_samples: int, seed: i
     for rows in row_blocks(n_samples, weights.dim):
         r = next_dither(weights, spec, rng, (rows.stop - rows.start,))
         s = dither_quantize(weights, r, spec)  # checks r's range and the weights' finiteness
-        if return_sem:
-            total_sq = carried_sum(np.square(s), total_sq)
+        total_sq = carried_sum(np.square(s), total_sq)
         total = carried_sum(s, total)
     mean = total / n_samples
-    if not return_sem:
-        return mean
     var = np.maximum(total_sq / n_samples - mean * mean, 0.0)
     return mean, np.sqrt(var / n_samples)
 
@@ -327,8 +319,8 @@ def mean_field_sensitivity(weights: GroupedWeights, spec: QuantSpec,
     return height * np.where((lo >= -a) & (hi <= a), 1.0, share)
 
 
-def calibrate_step(weights: GroupedWeights, spec: QuantSpec, floor: float = 1e-12) -> QuantSpec:
-    """Per-group step = max-abs(group) / clip_codes, frozen thereafter."""
+def calibrate_step(weights: GroupedWeights, spec: QuantSpec) -> QuantSpec:
+    """Per-group step = max-abs(group) / clip_codes, at least 1e-12, frozen thereafter."""
     starts = np.arange(0, weights.dim, weights.group_size)
     peaks = np.maximum.reduceat(np.abs(weights.values), starts)
-    return replace(spec, step=np.maximum(peaks / spec.clip_codes, floor))
+    return replace(spec, step=np.maximum(peaks / spec.clip_codes, 1e-12))

@@ -18,6 +18,7 @@ import math
 import os
 import tempfile
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 from itertools import product
 
@@ -40,6 +41,7 @@ __all__ = [
     "train_base",
     "run_sweep",
     "final_loss",
+    "write_csv",
     "write_metrics_csv",
     "METRICS_HEADER",
 ]
@@ -349,12 +351,17 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_metrics_csv(trace: list[MetricsRecord], path: str) -> None:
-    """Fixed-header CSV, one row per step; written whole-file-or-nothing."""
+def write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """A header line and one line per row, written whole-file-or-nothing."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(METRICS_HEADER)
-    for rec in trace:  # floats as repr, the refresh flag as 0/1
-        writer.writerow([int(v) if isinstance(v, bool) else repr(v)
-                         for v in (getattr(rec, name) for name in METRICS_HEADER)])
+    writer.writerow(header)
+    writer.writerows(rows)
     atomic_write_text(path, buf.getvalue())
+
+
+def write_metrics_csv(trace: list[MetricsRecord], path: str) -> None:
+    """Fixed-header CSV, one row per step; written whole-file-or-nothing."""
+    rows = ([int(v) if isinstance(v, bool) else repr(v)  # floats as repr, the refresh flag as 0/1
+             for v in (getattr(rec, name) for name in METRICS_HEADER)] for rec in trace)
+    write_csv(path, METRICS_HEADER, rows)  # one row at a time: no list of every formatted row

@@ -171,6 +171,18 @@ def test_seed_override(tmp_path, capsys):
     assert (again / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
 
 
+def test_csv_run_summary_states_the_file_sizes(tmp_path, monkeypatch):
+    # dim and n_samples given or defaulted, the echo states what the file holds
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text("a,b,y\n1.0,2.0,0.5\n-1.0,0.5,1.5\n0.25,-2.0,-1.0\n")
+    for sizes in ({"dim": 7, "n_samples": 99}, {}):
+        path = write_config(tmp_path, {"objective": {"kind": "csv", "path": "d.csv", **sizes},
+                                       "train": {"steps": 3, "batch_size": 2}})
+        assert main(["train", "--config", path, "--out", "out"]) == 0
+        echo = json.loads((tmp_path / "out" / "summary.json").read_text())["config"]
+        assert (echo["objective"]["dim"], echo["objective"]["n_samples"]) == (2, 3)
+
+
 def test_config_echo_reproduces_weights(tmp_path):
     payload = {"seed": 3, "objective": {"kind": "saturating", "dim": 64},
                "quant": {"group_size": 16}}

@@ -88,12 +88,12 @@ def test_dominance_when_gains_beat_identity_margin():
 def test_fd_reference_values_are_zero_or_one_jump():
     spec = QuantSpec.w2(step=1.0)
     w = GroupedWeights(np.array([0.2, 0.48, 5.0, -0.52]), group_size=4)
-    coords, fd = fd_reference(w, spec, eps=0.05)
-    assert np.array_equal(coords, np.arange(4))
+    fd = fd_reference(w, spec)  # eps = step/10
+    assert fd.shape == (4,)
     assert fd[0] == 0.0           # interior, far from a boundary
-    assert fd[1] == pytest.approx(10.0)  # boundary 0.5 within eps: step/(2 eps)
+    assert fd[1] == pytest.approx(5.0)  # boundary 0.5 within eps: step/(2 eps)
     assert fd[2] == 0.0           # deep saturation
-    assert fd[3] == pytest.approx(10.0)
+    assert fd[3] == pytest.approx(5.0)
 
 
 def test_fd_reference_sparsity_matches_boundary_hit_probability():
@@ -103,8 +103,8 @@ def test_fd_reference_sparsity_matches_boundary_hit_probability():
     n = 100_000
     vals = rng.uniform(-(c - 1), c - 1, n)
     w = GroupedWeights(vals, group_size=n)
-    eps = 0.1
-    _, fd = fd_reference(w, spec, eps=eps)
+    eps = 0.1  # step/10
+    fd = fd_reference(w, spec)
     frac = float(np.mean(fd != 0.0))
     p = 2 * eps / 1.0
     sd = np.sqrt(p * (1 - p) / n)
@@ -130,29 +130,26 @@ def test_fd_mismatch_variance_oracle_gains_dominate_ste():
     assert var_jq <= var_ste
 
 
-def fd_mismatch_variance_by_concatenation(trace, spec, eps=None, coords=None):
+def fd_mismatch_variance_by_concatenation(trace, spec):
     """Reference: per-step mismatch lists, concatenated, then one variance each."""
     mism_jq, mism_ste = [], []
     for weights, gains, v_bar in trace:
-        idx, fd = fd_reference(weights, spec, eps=eps, coords=coords)
-        v = np.asarray(v_bar, dtype=float)[idx]
-        ref = fd * v
-        mism_jq.append(weights.per_weight(gains)[idx] * v - ref)
+        v = np.asarray(v_bar, dtype=float)
+        ref = fd_reference(weights, spec) * v
+        mism_jq.append(weights.per_weight(gains) * v - ref)
         mism_ste.append(v - ref)
     return float(np.var(np.concatenate(mism_jq))), float(np.var(np.concatenate(mism_ste)))
 
 
 @pytest.mark.parametrize("steps", [1, 2, 7, 100])
-@pytest.mark.parametrize("coords,eps", [(None, None), (np.array([3, 0, 17, 3, 40]), None),
-                                        (np.arange(0, 48, 5), 0.05)])
-def test_fd_mismatch_variance_matches_concatenated_lists_bit_for_bit(steps, coords, eps):
+def test_fd_mismatch_variance_matches_concatenated_lists_bit_for_bit(steps):
     spec = QuantSpec.w2(step=1.0)
     rng = substream(20, "trace", steps)
     w = mixed_weights(seed=21)
     trace = [(w.with_values(w.values + rng.normal(0, 0.3, w.dim)),
               rng.uniform(0, 1, w.n_groups), rng.normal(0, 1, w.dim)) for _ in range(steps)]
-    got = fd_mismatch_variance(trace, spec, eps=eps, coords=coords)
-    want = fd_mismatch_variance_by_concatenation(trace, spec, eps=eps, coords=coords)
+    got = fd_mismatch_variance(trace, spec)
+    want = fd_mismatch_variance_by_concatenation(trace, spec)
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
@@ -175,20 +172,20 @@ def test_probe_rate_slope_near_half_and_sigma_invariant():
 
 def test_tracking_static_and_drift_ordering():
     spec = QuantSpec.w2(step=1.0)
-    static = tracking_harness(spec, group_dim=48, drift_per_step=0.0, ema_rates=0.1,
+    static = tracking_harness(spec, group_dim=48, drift_per_step=0.0, ema_rate=0.1,
                               steps=120, sigma=0.25, num_probes=16, seed=2)
     assert static.terminal_error <= 0.05
     total = 1.6
-    fast = tracking_harness(spec, group_dim=48, drift_per_step=total / 60, ema_rates=0.1,
+    fast = tracking_harness(spec, group_dim=48, drift_per_step=total / 60, ema_rate=0.1,
                             steps=60, sigma=0.25, num_probes=16, seed=2)
-    slow = tracking_harness(spec, group_dim=48, drift_per_step=total / 360, ema_rates=0.1,
+    slow = tracking_harness(spec, group_dim=48, drift_per_step=total / 360, ema_rate=0.1,
                             steps=360, sigma=0.25, num_probes=16, seed=2)
     assert slow.terminal_error < fast.terminal_error
     # slow drift settles to a plateau below the straight-through gain of one's error
     assert slow.terminal_error < np.mean(np.abs(1.0 - slow.oracle))
 
 
-TRACKING = dict(group_dim=48, ema_rates=0.1, sigma=0.25, num_probes=16, seed=2)
+TRACKING = dict(group_dim=48, ema_rate=0.1, sigma=0.25, num_probes=16, seed=2)
 
 
 @pytest.mark.parametrize("steps", [1, 9, 10, 25, 120])
@@ -213,7 +210,7 @@ def test_tracking_rejects_an_empty_run():
         tracking_harness(QuantSpec.w2(step=1.0), drift_per_step=0.0, steps=0, **TRACKING)
 
 
-def every_step_tracking(spec, group_dim, drift_per_step, ema_rates, steps, sigma,
+def every_step_tracking(spec, group_dim, drift_per_step, ema_rate, steps, sigma,
                         num_probes, seed):
     """Reference loop: the oracle at every step, the error averaged over the last tenth."""
     step = float(spec.step)
@@ -227,7 +224,7 @@ def every_step_tracking(spec, group_dim, drift_per_step, ema_rates, steps, sigma
         weights = weights.with_values(start + offset)
         gain = probe_update(weights, spec, gain,
                             ProbeConfig(probe_sigma=sigma, num_probes=num_probes, seed=seed,
-                                        ema_rate=ema_rates),
+                                        ema_rate=ema_rate),
                             draw_key=t)
         oracle[t] = float(np.mean(mean_field_sensitivity(weights, spec, probe_eps=step / 10.0)))
         gains[t] = float(gain[0])
@@ -251,7 +248,7 @@ def test_tracking_matches_an_every_step_oracle_bit_for_bit(drift, steps):
 
 def test_tracking_no_smoothing_matches_single_probe_noise():
     spec = QuantSpec.w2(step=1.0)
-    res = tracking_harness(spec, group_dim=48, drift_per_step=0.0, ema_rates=1.0,
+    res = tracking_harness(spec, group_dim=48, drift_per_step=0.0, ema_rate=1.0,
                            steps=60, sigma=0.25, num_probes=1, seed=3)
     # beta = 1 keeps no memory: the error trace is raw single-probe noise
     raw_std = np.std(res.gains)

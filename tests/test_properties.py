@@ -125,11 +125,11 @@ def loop_apply_gains(gains, v, weights):
     return out
 
 
-def loop_calibrate_step(weights, spec, floor=1e-12):
+def loop_calibrate_step(weights, spec):
     bounds = loop_bounds(weights.dim, weights.group_size)
     steps = np.empty(len(bounds))
     for g, (lo, hi) in enumerate(bounds):
-        steps[g] = max(float(np.max(np.abs(weights.values[lo:hi]))) / spec.clip_codes, floor)
+        steps[g] = max(float(np.max(np.abs(weights.values[lo:hi]))) / spec.clip_codes, 1e-12)
     return steps
 
 
@@ -379,8 +379,8 @@ GRID_SPECS = [QuantSpec.w2(step=0.5), QuantSpec.generic(3, step=0.3),
                 min_size=1, max_size=40))
 def test_quantize_array_matches_plain_rule(spec, values):
     x = np.array(values)
-    assert_same_bits(quantize_array(x, spec), plain_quantize(x, spec, float(spec.step)))
-    scalar = quantize_array(values[0], spec)
+    assert_same_bits(quantize_array(x, spec, spec.step), plain_quantize(x, spec, float(spec.step)))
+    scalar = quantize_array(values[0], spec, spec.step)
     assert isinstance(scalar, np.float64)
     assert_same_bits(scalar, plain_quantize(np.float64(values[0]), spec, float(spec.step)))
 
@@ -392,7 +392,7 @@ def test_mean_field_matches_one_draw_reference(data, block, n_samples):
     spec = data.draw(specs(weights))
     # row blocks of `block` elements: most passes end on a short block, and width 1 sums whole
     with patch.object(quant, "_BLOCK_ELEMS", block):
-        mean, sem = mean_field(weights, spec, n_samples, seed=4, return_sem=True)
+        mean, sem = mean_field(weights, spec, n_samples, seed=4)
     mean_ref, sem_ref = one_draw_mc(weights, spec, n_samples, 4)
     assert_same_bits(mean, mean_ref)
     assert_same_bits(sem, sem_ref)
@@ -403,8 +403,8 @@ def test_mean_field_matches_one_draw_reference(data, block, n_samples):
 def test_mean_field_bits_do_not_depend_on_group_size(weights, spec, group_size, n_samples):
     # with one scalar step the group layout changes no draw and no sample
     regrouped = GroupedWeights(weights.values, group_size)
-    for got, expected in zip(mean_field(regrouped, spec, n_samples, seed=6, return_sem=True),
-                             mean_field(weights, spec, n_samples, seed=6, return_sem=True)):
+    for got, expected in zip(mean_field(regrouped, spec, n_samples, seed=6),
+                             mean_field(weights, spec, n_samples, seed=6)):
         assert_same_bits(got, expected)
 
 
