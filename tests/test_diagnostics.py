@@ -142,8 +142,11 @@ def fd_mismatch_variance_by_concatenation(trace, spec):
 
 
 @pytest.mark.parametrize("steps", [1, 2, 7, 100])
-def test_fd_mismatch_variance_matches_concatenated_lists_bit_for_bit(steps):
-    spec = QuantSpec.w2(step=1.0)
+@pytest.mark.parametrize("spec", [QuantSpec.w2(step=1.0), QuantSpec.generic(3, step=0.4),
+                                  QuantSpec.w2(step=np.array([0.5, 1.0, 1.5, 2.0]))],
+                         ids=["w2", "generic3", "per_group_step"])
+def test_fd_mismatch_variance_matches_concatenated_lists_bit_for_bit(steps, spec):
+    # a per-group step gives each group its own offset step/10
     rng = substream(20, "trace", steps)
     w = mixed_weights(seed=21)
     trace = [(w.with_values(w.values + rng.normal(0, 0.3, w.dim)),
