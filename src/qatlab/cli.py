@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from .acceptance import run_all
+from .acceptance import A5_JAC_ERRS, run_all
 from .config import ConfigError, parse_config
 from .trainer import (DivergenceError, RefreshPolicy, atomic_write_text, final_loss, run_sweep,
                       train_base, train_vr, write_csv, write_metrics_csv)
@@ -142,8 +142,8 @@ def _diagnose_table(name: str, details: dict) -> tuple[list[str], list[list]]:
                                            ["plain", details["plain_variance"]]]
     if name == "pl-contraction":
         return ["jac_err", "floor", "worst_ratio"], [
-            [0.2, details["floor_jac_err_0.2"], details["worst_ratio_perturbed"]],
-            [0.0, details["floor_jac_err_0"], details["worst_ratio_clean"]]]
+            [err, details[f"floor_jac_err_{err:g}"], details[f"worst_ratio_{arm}"]]
+            for arm, err in A5_JAC_ERRS.items()]
     if name == "dominance":
         header = ["seed", "loss_probe", "loss_ste", "bias_probe", "bias_ste",
                   "fd_var_probe", "fd_var_ste"]

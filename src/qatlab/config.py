@@ -79,7 +79,7 @@ from .quant import GroupedWeights, QuantSpec, calibrate_step
 from .rng import substream
 from .trainer import RefreshPolicy, TrainConfig
 
-__all__ = ["RunSetup", "parse_config", "parse_config_dict", "serialize_config", "ConfigError"]
+__all__ = ["RunSetup", "parse_config", "parse_config_dict", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -232,10 +232,10 @@ def _build_objective(cfg: dict, group_size: int, master_seed: int,
     seed = master_seed if cfg["seed"] is None else cfg["seed"]
     dim = cfg["dim"]
     n = cfg["n_samples"]
-    _require(dim >= 1, "objective.dim must be a positive integer")
-    _require(n >= 1, "objective.n_samples must be a positive integer")
     _require(cfg["w0_scale"] >= 0, "objective.w0_scale must be >= 0")
     if kind != "csv":  # checked before any array is built; a csv file brings its own sizes
+        _require(dim >= 1, "objective.dim must be a positive integer")
+        _require(n >= 1, "objective.n_samples must be a positive integer")
         _require_indexable((dim,), "objective.dim makes the weight vector")
         if kind == "mlp":
             _require_indexable((cfg["hidden_width"] * (dim + 2) + 1,),
@@ -364,7 +364,3 @@ def parse_config(path: str, seed_override: int | None = None) -> RunSetup:
         raise ConfigError(f"parse error in {path}: {exc}") from exc
     return parse_config_dict(raw, seed_override=seed_override)
 
-
-def serialize_config(setup: RunSetup) -> str:
-    """Canonical JSON echo; parsing it back reproduces the same setup."""
-    return json.dumps(setup.config, indent=2, sort_keys=True)

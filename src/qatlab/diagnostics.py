@@ -34,54 +34,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Bias of both backward rules against the smoothed target gradient.
+    """Bias of one backward rule, the gains' rule, against the smoothed target gradient.
 
-    ``j_hat`` is the exact oracle sensitivity per weight. ``gamma`` is the
-    straight-through mismatch max_i |1 - J_i|; ``bound_jacquant`` is the
-    current gain mismatch times the upstream gradient norm (the quantity
-    whose running sup bounds the residual in the convergence statements).
-    FD-mismatch variances are not part of this report:
-    :func:`fd_mismatch_variance` measures them over a run's state trace.
+    ``j_hat`` is the exact oracle sensitivity per weight. ``bound`` is the
+    gain mismatch max_i |b_i - J_i| times the upstream gradient norm (the
+    quantity whose running sup bounds the residual in the convergence
+    statements). All-ones gains are the straight-through rule: their bound
+    is max_i |1 - J_i| * |v|. FD-mismatch variances are not part of this
+    report: :func:`fd_mismatch_variance` measures them over a run's state
+    trace.
     """
 
     j_hat: np.ndarray
-    gamma: float
-    bias_jacquant: float
-    bias_ste: float
-    bound_jacquant: float
-    bound_ste: float
-    jacquant_bound_holds: bool
-    ste_bound_holds: bool
+    bias: float
+    bound: float
+    bound_holds: bool
 
 
 def bias_report(weights: GroupedWeights, gains: np.ndarray, v_bar: np.ndarray,
                 spec: QuantSpec) -> DiagnosticsReport:
-    """Compare both backward rules against the smoothed target gradient J_i * v_i.
+    """Compare the gains' backward rule against the smoothed target gradient J_i * v_i.
 
     The sensitivity oracle J is the exact expected slope of
     :func:`~qatlab.quant.mean_field_sensitivity` at its default offset.
     """
     v_bar = np.asarray(v_bar, dtype=float)
     j_hat = mean_field_sensitivity(weights, spec)
-    g_target = j_hat * v_bar
-    g_learned = apply_gains(gains, v_bar, weights)
+    bias = float(np.linalg.norm(apply_gains(gains, v_bar, weights) - j_hat * v_bar))
     v_norm = float(np.linalg.norm(v_bar))
-    gamma = float(np.max(np.abs(1.0 - j_hat)))
-    bias_jq = float(np.linalg.norm(g_learned - g_target))
-    bias_ste = float(np.linalg.norm(v_bar - g_target))
-    bound_jq = float(np.max(np.abs(weights.per_weight(gains) - j_hat))) * v_norm
-    bound_ste = gamma * v_norm
-    slack = 1e-9 * max(v_norm, 1.0)
-    return DiagnosticsReport(
-        j_hat=j_hat,
-        gamma=gamma,
-        bias_jacquant=bias_jq,
-        bias_ste=bias_ste,
-        bound_jacquant=bound_jq,
-        bound_ste=bound_ste,
-        jacquant_bound_holds=bias_jq <= bound_jq + slack,
-        ste_bound_holds=bias_ste <= bound_ste + slack,
-    )
+    bound = float(np.max(np.abs(weights.per_weight(gains) - j_hat))) * v_norm
+    return DiagnosticsReport(j_hat=j_hat, bias=bias, bound=bound,
+                             bound_holds=bias <= bound + 1e-9 * max(v_norm, 1.0))
 
 
 def fd_reference(weights: GroupedWeights, spec: QuantSpec) -> np.ndarray:
@@ -98,24 +81,22 @@ def fd_reference(weights: GroupedWeights, spec: QuantSpec) -> np.ndarray:
 
 
 def fd_mismatch_variance(trace: list[tuple[GroupedWeights, np.ndarray, np.ndarray]],
-                         spec: QuantSpec) -> tuple[float, float]:
+                         spec: QuantSpec) -> float:
     """Variance of the coordinate-wise mismatch against the FD reference gradient.
 
-    The mismatch is rule_i - fd_i * v_i for the learned rule (gains * v)
-    and the straight-through rule (v), pooled over every weight and trace
-    step. Both rules' mismatches are written into one preallocated
-    (2, steps, dim) array, so each variance reads one contiguous block.
+    The mismatch is gains_i * v_i - fd_i * v_i for the rule of the trace's
+    own gains (all ones: the straight-through rule), pooled over every
+    weight and trace step. The mismatches are written into one
+    preallocated (steps, dim) array, so the variance reads one contiguous
+    block.
     """
     if not trace:
         raise ValueError("empty trace")
-    mism = np.empty((2, len(trace), trace[0][0].dim))
+    mism = np.empty((len(trace), trace[0][0].dim))
     for t, (weights, gains, v_bar) in enumerate(trace):
         v = np.asarray(v_bar, dtype=float)
-        ref = fd_reference(weights, spec) * v
-        np.subtract(weights.per_weight(gains) * v, ref, out=mism[0, t])
-        np.subtract(v, ref, out=mism[1, t])
-    jq, ste = mism.reshape(2, -1)
-    return float(np.var(jq)), float(np.var(ste))
+        np.subtract(weights.per_weight(gains) * v, fd_reference(weights, spec) * v, out=mism[t])
+    return float(np.var(mism.reshape(-1)))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from qatlab import config as config_module
 from qatlab import trainer
 from qatlab.cli import DIAGNOSE_NAMES, main
-from qatlab.config import ConfigError, parse_config, parse_config_dict, serialize_config
+from qatlab.config import ConfigError, parse_config, parse_config_dict
 from qatlab.objectives import Quadratic
 from qatlab.quant import QuantSpec
 from qatlab.rng import substream
@@ -136,9 +136,9 @@ def test_round_trip_is_idempotent_over_random_configs(tmp_path):
                      "jac_modes": [pick(jac_modes), pick(jac_modes)]}
             payload["sweep"] = {k: v for k, v in sweep.items() if pick([True, False])}
         first = parse_config_dict(payload)
-        echo = serialize_config(first)
+        echo = json.dumps(first.config, sort_keys=True)
         second = parse_config_dict(json.loads(echo))
-        assert serialize_config(second) == echo
+        assert json.dumps(second.config, sort_keys=True) == echo
         assert first.config == second.config
         assert np.array_equal(first.weights.values, second.weights.values)
         assert first.weights.group_size == second.weights.group_size
@@ -172,10 +172,10 @@ def test_seed_override(tmp_path, capsys):
 
 
 def test_csv_run_summary_states_the_file_sizes(tmp_path, monkeypatch):
-    # dim and n_samples given or defaulted, the echo states what the file holds
+    # dim and n_samples given (even as 0) or defaulted, the echo states what the file holds
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d.csv").write_text("a,b,y\n1.0,2.0,0.5\n-1.0,0.5,1.5\n0.25,-2.0,-1.0\n")
-    for sizes in ({"dim": 7, "n_samples": 99}, {}):
+    for sizes in ({"dim": 7, "n_samples": 99}, {"dim": 0}, {"n_samples": 0}, {}):
         path = write_config(tmp_path, {"objective": {"kind": "csv", "path": "d.csv", **sizes},
                                        "train": {"steps": 3, "batch_size": 2}})
         assert main(["train", "--config", path, "--out", "out"]) == 0
@@ -187,7 +187,7 @@ def test_config_echo_reproduces_weights(tmp_path):
     payload = {"seed": 3, "objective": {"kind": "saturating", "dim": 64},
                "quant": {"group_size": 16}}
     a = parse_config_dict(payload)
-    b = parse_config_dict(json.loads(serialize_config(a)))
+    b = parse_config_dict(json.loads(json.dumps(a.config)))
     assert np.array_equal(a.weights.values, b.weights.values)
     assert np.array_equal(a.objective.targets, b.objective.targets)
 
@@ -202,7 +202,7 @@ def test_saturating_objective_takes_only_its_own_grid(key, value):
     own = {"mode": "w2", "step": 1, "mid_rise": False, "calibrate": False, "bits": None}
     setup = parse_config_dict({"objective": objective, "quant": own})
     assert setup.spec == QuantSpec.w2(step=1.0)
-    assert parse_config_dict(json.loads(serialize_config(setup))).config == setup.config
+    assert parse_config_dict(json.loads(json.dumps(setup.config))).config == setup.config
 
 
 def test_cli_train_writes_metrics_and_summary(tmp_path):
