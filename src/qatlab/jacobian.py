@@ -71,24 +71,44 @@ def _group_sums(a: np.ndarray, b: np.ndarray, group_size: int) -> np.ndarray:
     return out
 
 
+def _draw_probes(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.ndarray:
+    """The next probe rows of ``rng``, standard normals scaled by sigma in place in ``out``.
+
+    These are the bits of ``rng.normal(0.0, sigma, out.shape)``, whose own map
+    is 0.0 + sigma * z, except that a product of exactly -0.0 keeps its sign
+    where that sum makes it +0.0. A product that overflows is an inf, silently
+    as in ``normal``; the quantizer then refuses it as a non-finite weight.
+    """
+    rng.standard_normal(out=out)
+    with np.errstate(over="ignore"):
+        out *= sigma
+    return out
+
+
 def _response(x: np.ndarray, spec: QuantSpec, step: float | np.ndarray,
-              dither: np.ndarray | None) -> np.ndarray:
-    """Quantizer response at x: quantize(x), or the de-dithered quantize(x + r) - r."""
+              dither: np.ndarray | None, work: np.ndarray | None = None) -> np.ndarray:
+    """Quantizer response at x: quantize(x), or the de-dithered quantize(x + r) - r.
+
+    x + r is built in ``work``, a buffer of its shape (x itself may be it), or
+    in a fresh array when ``work`` is None.
+    """
     if dither is None:
         return quantize_array(x, spec, step=step)
-    out = quantize_array(x + dither, spec, step=step)
+    out = quantize_array(np.add(x, dither, out=work), spec, step=step)
     out -= dither
     return out
 
 
 def _slope_sums(values: np.ndarray, spec: QuantSpec, step: float | np.ndarray,
                 deltas: np.ndarray, dither: np.ndarray | None, group_size: int,
-                base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                base: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-group cross <dq_k, delta_k> and energy |delta_k|^2, each (n_groups, m).
 
-    ``base`` is the unperturbed response, ``_response(values, ..., dither)``.
+    ``base`` is the unperturbed response, ``_response(values, ..., dither)``;
+    the perturbed input values + deltas (+ dither) is built in ``work``, a
+    buffer of the deltas' shape.
     """
-    dq = _response(values + deltas, spec, step, dither)
+    dq = _response(np.add(values, deltas, out=work), spec, step, dither, work)
     dq -= base
     return _group_sums(dq, deltas, group_size), _group_sums(deltas, deltas, group_size)
 
@@ -99,15 +119,19 @@ def probe_slope_samples(w_group: np.ndarray, spec: QuantSpec, step: float,
     """Slope-fit ingredients for one group and m probes.
 
     Returns (cross, energy): per-probe inner products <dq_k, delta_k> and
-    probe energies |delta_k|^2. When ``dither`` is given, each probe's two
-    quantizer evaluations share the same dither draw (common random
-    numbers), so the fit targets the dither-smoothed sensitivity. A 1-D
-    dither is shared across probes; a (m, group) array is per-probe.
+    probe energies |delta_k|^2. The (m, group) probes are the gain update's
+    draw: standard normals of ``rng`` scaled by sigma in place, with the bits
+    of ``rng.normal(0.0, sigma, (m, group))`` (``_draw_probes``). When
+    ``dither`` is given, each probe's two quantizer evaluations share the
+    same dither draw (common random numbers), so the fit targets the
+    dither-smoothed sensitivity. A 1-D dither is shared across probes; a
+    (m, group) array is per-probe.
     """
-    deltas = rng.normal(0.0, sigma, size=(m, w_group.size))
+    deltas = _draw_probes(rng, sigma, np.empty((m, w_group.size)))
     dither = None if dither is None else np.atleast_2d(dither)
     base = _response(w_group, spec, step, dither)
-    cross, energy = _slope_sums(w_group, spec, step, deltas, dither, w_group.size, base)
+    cross, energy = _slope_sums(w_group, spec, step, deltas, dither, w_group.size, base,
+                                np.empty_like(deltas))
     return cross[0], energy[0]
 
 
@@ -119,18 +143,20 @@ def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: Pr
     The block comes from the (seed, "probe", draw_key) stream; group g
     takes its columns. It is drawn and used in blocks of probe rows
     (``row_blocks``), by consecutive draws of that stream, so an update holds
-    one block at a time. ``dither`` is one (dim,) dither shared by every
-    probe; with ``dither_rng`` each probe draws its own dither row from it,
-    block by block (``next_dither``). The per-group estimate is the mean of
-    the per-probe slope fits, or the least-squares fit over all probes.
-    A non-finite estimate raises ValueError. Estimates are clipped to
-    [0, 1] and mixed into ``gains`` at ``cfg.ema_rate``; the result is
-    clipped again, so a start outside [0, 1] cannot leak through.
+    one block at a time: standard normals scaled by sigma in place in one
+    reused buffer, with the bits of ``normal(0, sigma)`` (``_draw_probes``),
+    and the perturbed input in a second one. ``dither`` is one (dim,) dither
+    shared by every probe; with ``dither_rng`` each probe draws its own
+    dither row from it, block by block (``next_dither``). The per-group
+    estimate is the mean of the per-probe slope fits, or the least-squares
+    fit over all probes. A non-finite estimate raises ValueError. Estimates
+    are clipped to [0, 1] and mixed into ``gains`` at ``cfg.ema_rate``; the
+    result is clipped again, so a start outside [0, 1] cannot leak through.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.size != weights.n_groups:
         raise ValueError("gain count does not match group count")
-    if not np.all(np.isfinite(gains)):
+    if not np.isfinite(gains).all():
         raise ValueError("gains must be finite")
     sigma = 0.5 * float(np.min(spec.step)) if cfg.probe_sigma is None else cfg.probe_sigma
     if not sigma > 0:
@@ -140,24 +166,28 @@ def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: Pr
     probes = substream(cfg.seed, "probe", draw_key)
     base = None if dither_rng is not None else _response(values, spec, step, dither)
     cross, energy = np.empty((2, weights.n_groups, m))  # C-ordered: each row sums alike
+    # the probe block and the perturbed input, as many rows as the first (longest) block
+    buffers = np.empty((2, next(row_blocks(m, weights.dim)).stop, weights.dim))
     for rows in row_blocks(m, weights.dim):
-        deltas = probes.normal(0.0, sigma, size=(rows.stop - rows.start, weights.dim))
+        deltas, work = buffers[:, :rows.stop - rows.start]
+        _draw_probes(probes, sigma, deltas)
         if dither_rng is not None:
             dither = next_dither(weights, spec, dither_rng, deltas.shape[:1])
-            base = _response(values, spec, step, dither)
+            base = _response(values, spec, step, dither, work)
         cross[:, rows], energy[:, rows] = _slope_sums(values, spec, step, deltas, dither,
-                                                      weights.group_size, base)
+                                                      weights.group_size, base, work)
     if least_squares:
         denom = energy.sum(axis=1)
-        if np.any(denom == 0.0):
+        if (denom == 0.0).any():
             raise ValueError("zero excitation")
         estimates = cross.sum(axis=1) / denom
     else:
-        estimates = np.mean(cross / (energy + _REG_EPS), axis=1)
-    if not np.all(np.isfinite(estimates)):  # e.g. probe energies that overflow: inf / inf
+        estimates = (cross / (energy + _REG_EPS)).sum(axis=1) / m  # np.mean's bits
+    if not np.isfinite(estimates).all():  # e.g. probe energies that overflow: inf / inf
         raise ValueError("non-finite gain estimate")
     rate = cfg.ema_rate
-    return np.clip((1.0 - rate) * gains + rate * np.clip(estimates, 0.0, 1.0), 0.0, 1.0)
+    # the clip ufunc keeps a -0.0 estimate's sign, as np.clip does
+    return ((1.0 - rate) * gains + rate * estimates.clip(0.0, 1.0)).clip(0.0, 1.0)
 
 
 def probe_update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray,

@@ -235,10 +235,10 @@ def per_sample_grad(obj: Objective, q: np.ndarray, i: int) -> tuple[float, np.nd
 def batch_grad(obj: Objective, q: np.ndarray, batch: np.ndarray) -> tuple[float, np.ndarray]:
     """Arithmetic mean of a minibatch's per-sample losses and gradients, in the given order.
 
-    One (b, d) block: ``np.mean`` of the rows, bit for bit.
+    One (b, d) block: ``np.mean`` of the rows, bit for bit (its sum, then a true divide).
     """
     losses, grads = obj.loss_and_grad_batch(q, batch)
-    return float(np.mean(losses)), grads.sum(axis=0) / losses.size
+    return float(losses.sum() / losses.size), grads.sum(axis=0) / losses.size
 
 
 def full_grad(obj: Objective, q: np.ndarray) -> np.ndarray:

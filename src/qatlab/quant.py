@@ -221,9 +221,8 @@ def quantize_array(x: np.ndarray, spec: QuantSpec, step: float | np.ndarray) -> 
         np.abs(codes, out=codes)
         codes += 0.5
         np.floor(codes, out=codes)
+        np.minimum(codes, c, out=codes)  # the clip is symmetric: clip the magnitude, then sign it
         codes *= sign
-        np.minimum(codes, c, out=codes)
-        np.maximum(codes, -c, out=codes)
     codes *= step
     return codes[()]
 

@@ -140,8 +140,8 @@ class TrainResult:
 
 
 def _gain_stats(gains: np.ndarray) -> tuple[float, float, float]:
-    """Mean, min and max gain: recomputed only when the gains change."""
-    return float(np.mean(gains)), float(np.min(gains)), float(np.max(gains))
+    """Mean (np.mean's sum and divide), min and max gain: recomputed only when gains change."""
+    return float(gains.sum() / gains.size), float(gains.min()), float(gains.max())
 
 
 def _sample_batch(n: int, batch_size: int, seed: int, step: int) -> np.ndarray:
@@ -150,20 +150,24 @@ def _sample_batch(n: int, batch_size: int, seed: int, step: int) -> np.ndarray:
 
 
 def _norm(x: np.ndarray) -> float:
-    """Euclidean norm; rescaled by max |x| only when the plain one overflows on finite entries."""
-    norm = float(np.linalg.norm(x))
-    if not math.isfinite(norm) and np.all(np.isfinite(x)):
+    """Euclidean norm of a contiguous 1-D x, sqrt(x . x): ``np.linalg.norm``'s own formula.
+
+    Rescaled by max |x| only when the plain one overflows on finite entries.
+    """
+    norm = math.sqrt(x.dot(x))
+    if not math.isfinite(norm) and np.isfinite(x).all():
         m = float(np.max(np.abs(x)))
-        norm = m * float(np.linalg.norm(x / m))
+        y = x / m
+        norm = m * math.sqrt(y.dot(y))
     return norm
 
 
 def _failure(step: int, loss: float, initial_loss: float, new_weights: GroupedWeights,
              norms: tuple[float, float]) -> str | None:
     """Why a step ends the run, checked right after its SGD update; None if it does not."""
-    if not np.isfinite(loss) or loss > _DIVERGENCE_FACTOR * max(abs(initial_loss), 1e-12):
+    if not math.isfinite(loss) or loss > _DIVERGENCE_FACTOR * max(abs(initial_loss), 1e-12):
         return f"loss {loss:.3e} exceeded divergence guard at step {step}"
-    if not np.all(np.isfinite(new_weights.values)):
+    if not np.isfinite(new_weights.values).all():
         return f"latent weights became non-finite at step {step}"
     for name, value in zip(("grad_norm", "surrogate_grad_norm"), norms):
         if not math.isfinite(value):
@@ -245,7 +249,9 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
                 failure, refreshed = f"{phase} failed at step {step}: {exc}", False
         trace.append(MetricsRecord(
             step, loss, *norms, *gain_stats,
-            frac_saturated=0.0 if clip is None else float(np.mean(np.abs(weights.values) > clip)),
+            # a count over dim: np.mean's bits; float() keeps numpy's scalar type out of the csv
+            frac_saturated=0.0 if clip is None else float(
+                np.count_nonzero(np.abs(weights.values) > clip) / weights.dim),
             refresh=refreshed,
         ))
         if failure is not None:

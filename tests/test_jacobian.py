@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -187,14 +189,39 @@ def test_apply_gains_contraction():
 
 def test_zero_excitation_raises(monkeypatch):
     class ZeroRng:
-        def normal(self, loc, scale, size):
-            return np.zeros(size)
+        def standard_normal(self, out):
+            out[...] = 0.0
+            return out
 
     monkeypatch.setattr(jacobian_mod, "substream", lambda *a, **k: ZeroRng())
     spec = QuantSpec.w2(step=1.0)
     w = GroupedWeights(np.zeros(4), group_size=4)
     with pytest.raises(ValueError, match="zero excitation"):
         probe_ls_update(w, spec, np.ones(1), ProbeConfig(probe_sigma=0.5))
+
+
+OVERFLOWING_UPDATES = {
+    "probe": probe_update,
+    "probe_ls": probe_ls_update,
+    "dither": lambda *a, **k: dither_update(*a, dither_seed=4, **k),
+    "fixed_dither": lambda w, spec, *a, **k: dither_update(
+        w, spec, *a, dither_seed=4, fixed_dither=np.zeros(w.dim), **k),
+    "slope_samples": lambda w, spec, gains, cfg, draw_key: probe_slope_samples(
+        w.values, spec, 1.0, cfg.probe_sigma, cfg.num_probes,
+        substream(cfg.seed, "probe", draw_key)),
+}
+
+
+@pytest.mark.parametrize("update", OVERFLOWING_UPDATES.values(), ids=OVERFLOWING_UPDATES.keys())
+def test_overflowing_probes_are_refused_without_a_warning(update):
+    # normal(0, 1e308) overflows silently; the in-place scale must too, outside any errstate
+    w = GroupedWeights(np.linspace(-1.0, 1.0, 40), group_size=8)
+    cfg = ProbeConfig(probe_sigma=1e308, num_probes=4, seed=6)
+    assert np.abs(substream(6, "probe", 1).standard_normal((4, 40))).max() > 2.0  # 2e308 is inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite weight"):
+            update(w, QuantSpec.w2(step=1.0), np.ones(w.n_groups), cfg, draw_key=1)
 
 
 def test_single_probe_ls_equals_probe_update_up_to_regularizer(monkeypatch):

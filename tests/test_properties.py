@@ -11,8 +11,9 @@ sensitivity against a midpoint-rule average of its slope samples. Each
 gain update or dither draw is one block from one stream, so the draws
 must not depend on the group layout, and the dither stays within half of
 each group's step. A gain update drawn and used in blocks of probe rows
-must match the one-block loop reference bit for bit. A failing property, run under this
-repo's pytest settings, reports its falsifying example.
+must match the one-block loop reference bit for bit, at probe scales from 5e-324 to
+1e300, and its probe rows must be normal(0, sigma)'s, up to the sign of a zero. A
+failing property, run under this repo's pytest settings, reports its falsifying example.
 """
 
 from __future__ import annotations
@@ -171,21 +172,36 @@ def loop_slope_samples(w, spec, step, sigma, m, rng, dither=None):
 
 
 class BlockColumns:
-    """Stands in for a generator: hands out one group's columns of a drawn block."""
+    """Stands in for a generator: hands out one group's columns of a drawn block.
 
-    def __init__(self, columns):
-        self.columns = columns
+    ``normal`` gives the columns of the reference draw normal(0, sigma) and
+    ``standard_normal`` the same columns of the stream's standard normals,
+    which the code under test scales itself.
+    """
+
+    def __init__(self, scaled, unit):
+        self.scaled, self.unit = scaled, unit
 
     def normal(self, loc, scale, size):
-        assert size == self.columns.shape
-        return self.columns
+        assert size == self.scaled.shape
+        return self.scaled
+
+    def standard_normal(self, out):
+        out[...] = self.unit
+        return out
 
 
 def loop_update(weights, spec, gains, cfg, draw_key, least_squares=False,
                 dither_seed=None, fixed_dither=None):
-    """Gain update one group at a time; group g takes its columns of each (m, d) block."""
+    """Gain update one group at a time; group g takes its columns of each (m, d) block.
+
+    The probes are drawn with normal(0, sigma), sigma the config's or half
+    the smallest group step; a zero least-squares denominator raises.
+    """
     shape = (cfg.num_probes, weights.dim)
-    probes = substream(cfg.seed, "probe", draw_key).normal(0.0, cfg.probe_sigma, size=shape)
+    sigma = 0.5 * float(np.min(spec.step)) if cfg.probe_sigma is None else cfg.probe_sigma
+    probes = substream(cfg.seed, "probe", draw_key).normal(0.0, sigma, size=shape)
+    unit = substream(cfg.seed, "probe", draw_key).standard_normal(shape)
     estimates = np.zeros(weights.n_groups)
     for g, (lo, hi) in enumerate(loop_bounds(weights.dim, weights.group_size)):
         step_g = float(spec.step[g]) if spec.per_group else float(spec.step)
@@ -195,12 +211,15 @@ def loop_update(weights, spec, gains, cfg, draw_key, least_squares=False,
         elif dither_seed is not None:
             dither = substream(dither_seed, "dither_block", draw_key).uniform(
                 -0.5 * step_g, 0.5 * step_g, size=shape)[:, lo:hi]
-        args = (weights.values[lo:hi], spec, step_g, cfg.probe_sigma, cfg.num_probes)
-        cross, energy = probe_slope_samples(*args, BlockColumns(probes[:, lo:hi]), dither=dither)
-        direct = loop_slope_samples(*args, BlockColumns(probes[:, lo:hi]), dither=dither)
+        args = (weights.values[lo:hi], spec, step_g, sigma, cfg.num_probes)
+        columns = BlockColumns(probes[:, lo:hi], unit[:, lo:hi])
+        cross, energy = probe_slope_samples(*args, columns, dither=dither)
+        direct = loop_slope_samples(*args, columns, dither=dither)
         assert_same_bits(cross, direct[0])
         assert_same_bits(energy, direct[1])
         if least_squares:
+            if float(energy.sum()) == 0.0:
+                raise ValueError("zero excitation")
             estimates[g] = float(cross.sum()) / float(energy.sum())
         else:
             estimates[g] = float(np.mean(cross / (energy + 1e-8)))
@@ -262,30 +281,66 @@ def test_gain_updates_match_per_group_probe_loop(data, num_probes, draw_key):
         assert_same_bits(got, expected)
 
 
+def assert_normal_bits_up_to_zero_signs(block, reference):
+    """``block`` has ``reference``'s bits, except that a -0.0 may stand for a +0.0."""
+    differ = block.view(np.uint64) != reference.view(np.uint64)
+    assert np.all((block[differ] == 0.0) & np.signbit(block[differ]))
+    assert np.all(reference[differ].view(np.uint64) == 0)  # +0.0
+    return differ
+
+
+def outcome(update, *args, **kwargs):
+    """An update's gains as bytes, or the message of the ValueError it raises."""
+    try:
+        return update(*args, **kwargs).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+# The probe block is sigma * z, scaled in place, where normal(0, sigma) computes
+# 0.0 + sigma * z: the two differ only where sigma * z is -0.0, which the sum makes
+# +0.0. Such a signed zero cannot reach the gains. Where a probe entry is a zero,
+# values + delta (+ dither) differs from the reference's input at most in the sign
+# of a zero, which no grid level depends on (the identity grid maps a zero to
+# itself), so dq there is a zero too. The entry then enters the gains only through
+# delta * dq and delta * delta, zeros that the group sums add to einsum's +0.0
+# start without changing a bit; nothing divides by a probe entry.
+# 5e-324 makes most products round to a zero; None is half the smallest step.
+PROBE_SIGMAS = [5e-324, 1e-300, 0.3, 1e300, None]
+
+
 @SETTINGS
 @given(layouts_with_specs(), st.integers(1, 40), st.sampled_from([1, 2, 3, 7, 9]),
-       st.integers(0, 50))
+       st.integers(0, 50), st.integers(0, 2**16), st.sampled_from(PROBE_SIGMAS))
 @example(layout=(GroupedWeights(np.array([0.4]), 1), QuantSpec.w2(step=0.5)), block=2,
-         num_probes=7, draw_key=3)  # one weight: all 7 probes in one block
-def test_gain_updates_in_probe_blocks_match_one_block(layout, block, num_probes, draw_key):
+         num_probes=7, draw_key=3, seed=4, sigma=0.3)  # one weight: all 7 probes in one block
+@example(layout=(GroupedWeights(substream(5, "w").normal(0.0, 1.0, 40), 8), QuantSpec.w2(0.5)),
+         block=40, num_probes=9, draw_key=2, seed=3, sigma=5e-324)  # nine one-row blocks
+def test_gain_updates_in_probe_blocks_match_one_block(layout, block, num_probes, draw_key, seed,
+                                                      sigma):
     # blocks of `block` elements: block // dim probe rows each (one when dim >= block),
-    # most with a short last block
+    # most with a short last block; the drawn rows are normal(0, sigma)'s, zero signs aside
     weights, spec = layout
-    cfg = ProbeConfig(probe_sigma=0.3, num_probes=num_probes, seed=draw_key + 1, ema_rate=0.7)
-    gains = np.ones(weights.n_groups)
+    cfg = ProbeConfig(probe_sigma=sigma, num_probes=num_probes, seed=seed, ema_rate=0.7)
+    gains = substream(seed, "start").uniform(0.0, 1.0, weights.n_groups)
     fixed = draw_dither(weights, spec, seed=3, draw_key=draw_key)
     with patch.object(quant, "_BLOCK_ELEMS", block):
-        got = [probe_update(weights, spec, gains, cfg, draw_key=draw_key),
-               probe_ls_update(weights, spec, gains, cfg, draw_key=draw_key),
-               dither_update(weights, spec, gains, cfg, dither_seed=5, draw_key=draw_key),
-               dither_update(weights, spec, gains, cfg, dither_seed=5, draw_key=draw_key,
-                             fixed_dither=fixed)]
-    expected = [loop_update(weights, spec, gains, cfg, draw_key),
-                loop_update(weights, spec, gains, cfg, draw_key, least_squares=True),
-                loop_update(weights, spec, gains, cfg, draw_key, dither_seed=5),
-                loop_update(weights, spec, gains, cfg, draw_key, fixed_dither=fixed)]
-    for a, b in zip(got, expected, strict=True):
-        assert_same_bits(a, b)
+        drawn = probe_block_of(weights, spec, cfg, draw_key)
+        got = [outcome(probe_update, weights, spec, gains, cfg, draw_key=draw_key),
+               outcome(probe_ls_update, weights, spec, gains, cfg, draw_key=draw_key),
+               outcome(dither_update, weights, spec, gains, cfg, dither_seed=5, draw_key=draw_key),
+               outcome(dither_update, weights, spec, gains, cfg, dither_seed=5, draw_key=draw_key,
+                       fixed_dither=fixed)]
+    scale = 0.5 * float(np.min(spec.step)) if sigma is None else sigma
+    reference = substream(seed, "probe", draw_key).normal(0.0, scale, (num_probes, weights.dim))
+    differ = assert_normal_bits_up_to_zero_signs(drawn, reference)
+    if sigma == 5e-324 and drawn.size >= 128:  # each entry is a -0.0 with probability 0.19
+        assert differ.any()  # the exception is taken, not only allowed
+    expected = [outcome(loop_update, weights, spec, gains, cfg, draw_key),
+                outcome(loop_update, weights, spec, gains, cfg, draw_key, least_squares=True),
+                outcome(loop_update, weights, spec, gains, cfg, draw_key, dither_seed=5),
+                outcome(loop_update, weights, spec, gains, cfg, draw_key, fixed_dither=fixed)]
+    assert got == expected
 
 
 def probe_block_of(weights, spec, cfg, draw_key):
@@ -294,7 +349,7 @@ def probe_block_of(weights, spec, cfg, draw_key):
     kernel = jacobian._slope_sums
 
     def spy(values, spec, step, deltas, *rest):
-        seen.append(deltas)
+        seen.append(deltas.copy())  # the update draws each block into one reused buffer
         return kernel(values, spec, step, deltas, *rest)
 
     with patch.object(jacobian, "_slope_sums", spy):
