@@ -144,10 +144,8 @@ def a4_vr_variance() -> tuple[bool, dict]:
     direction = substream(47, "dir").normal(0, 1, 16)
     direction *= 0.1 * np.linalg.norm(weights.values) / np.linalg.norm(direction)
     q_moved = quantize(weights.with_values(weights.values + direction), spec)
-    v_svrg = estimator_variance(state_svrg, q_moved, scale, obj, batch_size=4,
-                                trials=1000, seed=53)
-    v_plain = estimator_variance(state_plain, q_moved, scale, obj, batch_size=4,
-                                 trials=1000, seed=53)
+    v_svrg, v_plain = estimator_variance((state_svrg, state_plain), q_moved, scale, obj,
+                                         batch_size=4, trials=1000, seed=53)
     variance_ok = v_svrg <= 0.5 * v_plain and v_plain > 0
 
     # exhaustive unbiasedness on a small instance

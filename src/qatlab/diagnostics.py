@@ -146,9 +146,8 @@ def probe_rate_harness(spec: QuantSpec, group_dim: int, sigma: float,
                 raise ValueError("zero excitation")
             errs[t] = abs(float(cross.sum()) / denom - target)
         mean_errors[k] = float(np.mean(errs))
-    effective = np.maximum(mean_errors, 0.0)
-    if np.all(effective > 1e-12):
-        slope = float(np.polyfit(np.log(counts), np.log(effective), 1)[0])
+    if np.all(mean_errors > 1e-12):
+        slope = float(np.polyfit(np.log(counts), np.log(mean_errors), 1)[0])
     else:
         slope = float("-inf")
     return ProbeRateResult(probe_counts=counts, mean_errors=mean_errors, slope=slope,

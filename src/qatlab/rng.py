@@ -18,16 +18,15 @@ weights, whatever the group layout. The golden digests pin this layout:
 
 The (label, *key) stream of a seed is numpy's
 ``default_rng(SeedSequence(seed, spawn_key=(crc32(label), *key)))``, bit
-for bit. Its PCG64 seed is derived here with Python integers by
-SeedSequence's own hash, numpy's Python-level path being the slower part
-of making a stream. The entropy words are the seed's little-endian 32-bit
-words, zero-padded to four (a spawn key follows), then crc32(label), then
-each key's words (a key of 0 is one zero word). The first four are hashed
-into a pool of four words, each pool word is mixed into every other one,
-and each further word is mixed into all four. The pool then yields eight
-32-bit words, paired little-endian into PCG64's four uint64 seed words.
-The pool after the (seed, label) words is cached. numpy.random is imported
-with the first stream, not with this module.
+for bit. The pool after the (seed, label) words is numpy's own
+``SeedSequence(seed, spawn_key=(crc32(label),)).pool``, cached with the
+hash constant that follows it. The rest is done per call with Python
+integers by SeedSequence's own hash, numpy's Python-level path being the
+slower part of making a stream: each key's 32-bit words (a key of 0 is
+one zero word) are mixed into all four pool words, then the pool yields
+eight 32-bit words, paired little-endian into PCG64's four uint64 seed
+words. numpy.random is imported with the first stream, not with this
+module.
 """
 
 from __future__ import annotations
@@ -57,23 +56,10 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _hashmix(value: int, const: int) -> tuple[int, int]:
-    """SeedSequence's hashmix: the mixed value and the next hash constant."""
-    value ^= const
-    const = const * _MULT_A & _MASK
-    value = value * const & _MASK
-    return value ^ value >> 16, const
-
-
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK
-    return result ^ result >> 16
-
-
 def _mix_in(pool: list[int], words: list[int], const: int) -> int:
     """Mix each word into every pool word, in place; returns the hash constant.
 
-    ``_mix(pool[dst], _hashmix(word, const))`` inlined: this runs for every stream.
+    SeedSequence's hashmix and mix, inlined: this runs for every stream.
     """
     for word in words:
         for dst in range(_POOL):
@@ -88,20 +74,14 @@ def _mix_in(pool: list[int], words: list[int], const: int) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _label_pool(seed: int, label: str) -> tuple[tuple[int, ...], int]:
-    """The pool and hash constant after the seed's and the label's entropy words."""
-    words = _words(seed)
-    words += [0] * (_POOL - len(words))  # padded because a spawn key follows
-    const, pool = _INIT_A, []
-    for word in words[:_POOL]:
-        hashed, const = _hashmix(word, const)
-        pool.append(hashed)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    const = _mix_in(pool, [*words[_POOL:], zlib.crc32(label.encode("utf-8"))], const)
-    return tuple(pool), const
+    """numpy's pool and hash constant after the seed's and the label's entropy words."""
+    from numpy.random import SeedSequence
+
+    pool = SeedSequence(seed, spawn_key=(zlib.crc32(label.encode("utf-8")),)).pool
+    # numpy's hashmix calls, each advancing the constant: 4 to fill the pool, 12 to
+    # cross-mix it, then 4 for each word past the first four (seed words, then the label)
+    n_hashes = _POOL * (max(len(_words(seed)), _POOL) + 1)
+    return tuple(pool.tolist()), _INIT_A * pow(_MULT_A, n_hashes, 2**32) & _MASK
 
 
 @functools.cache

@@ -20,6 +20,7 @@ estimate. Plain has neither. SVRG and SAGA both hold n × d floats.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,21 +195,23 @@ def refresh_anchor(state: VRState, q: np.ndarray, scale: np.ndarray,
     return init_vr_state(state.mode, q, scale, obj)
 
 
-def estimator_variance(state: VRState, q: np.ndarray, scale: np.ndarray, obj: Objective,
-                       batch_size: int, trials: int, seed: int = 0) -> float:
-    """Mean squared deviation of the estimator from the full-batch scaled gradient at q.
+def estimator_variance(states: Sequence[VRState], q: np.ndarray, scale: np.ndarray,
+                       obj: Objective, batch_size: int, trials: int,
+                       seed: int = 0) -> list[float]:
+    """Each state's mean squared deviation from the full-batch scaled gradient at q.
 
     Measured empirically over independent minibatch draws (without
-    replacement within a batch).
+    replacement within a batch); every state sees the same draws.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
     g_full = scale * full_grad(obj, q)
-    total = 0.0
+    totals = [0.0] * len(states)
     for t in range(trials):
         rng = substream(seed, "minibatch", t)
         batch = rng.choice(obj.n, size=batch_size, replace=False)
-        g = grad_est(batch_grad(obj, q, batch)[1], scale, state, obj, batch)
-        diff = g - g_full
-        total += float(diff @ diff)
-    return total / trials
+        v_bar = batch_grad(obj, q, batch)[1]
+        for k, state in enumerate(states):
+            diff = grad_est(v_bar, scale, state, obj, batch) - g_full
+            totals[k] += float(diff @ diff)
+    return [total / trials for total in totals]

@@ -3,8 +3,10 @@
 ``substream(seed, label, *key)`` must be the generator that
 ``default_rng(SeedSequence(seed, spawn_key=(crc32(label), *key)))`` makes,
 for every label of the key table in ``rng.py``'s docstring, seeds across
-int64 and keys on both sides of 2**32. Importing the CLI must not import
-``numpy.random``: the first stream does.
+int64 and past it (three to eight 32-bit words: each word past the fourth
+advances the cached pool's hash constant) and keys on both sides of
+2**32. Importing the CLI must not import ``numpy.random``: the first
+stream does.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from qatlab.rng import substream
 
 KEY_TABLE_LABELS = sorted(set(re.findall(r'\("(\w+)"', rng.__doc__)))
 KEYS = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**80) | st.just(0)
+SEEDS = st.integers(0, 2**63 - 1) | st.integers(2**64, 2**256 - 1)
 
 
 def numpy_stream(seed, label, *key):
@@ -36,12 +39,15 @@ def test_the_key_table_lists_the_training_and_oracle_labels():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**63 - 1), st.sampled_from(KEY_TABLE_LABELS) | st.text(max_size=8),
+@given(SEEDS, st.sampled_from(KEY_TABLE_LABELS) | st.text(max_size=8),
        st.lists(KEYS, max_size=3))
 @example(0, "probe", [])
 @example(2**32 - 1, "dither", [0])
 @example(2**32, "dither_block", [2**32, 0])
 @example(2**63 - 1, "minibatch", [2**64 - 1, 2**32 - 1, 7])
+@example(2**96, "probe", [3])
+@example(2**128 + 5, "refresh", [])
+@example(2**160, "dither", [2**40, 1])
 def test_substream_is_numpys_seed_sequence_stream(seed, label, key):
     got, want = substream(seed, label, *key), numpy_stream(seed, label, *key)
     assert got.bit_generator.state == want.bit_generator.state

@@ -184,7 +184,7 @@ def test_estimator_variance_full_batch_is_zero():
     q, scale = at(weights, spec, gains)
     state = init_vr_state("plain", q, scale, obj)
     # full batch in permuted order: only accumulation round-off remains
-    v = estimator_variance(state, q, scale, obj, batch_size=6, trials=5)
+    [v] = estimator_variance([state], q, scale, obj, batch_size=6, trials=5)
     assert v <= 1e-28
 
 
@@ -192,7 +192,7 @@ def test_estimator_variance_svrg_zero_at_anchor():
     obj, weights, spec, gains = setup(n=8)
     q, scale = at(weights, spec, gains)
     state = init_vr_state("svrg", q, scale, obj)
-    v = estimator_variance(state, q, scale, obj, batch_size=2, trials=10)
+    [v] = estimator_variance([state], q, scale, obj, batch_size=2, trials=10)
     assert v <= 1e-24
 
 
@@ -202,8 +202,8 @@ def test_svrg_variance_below_plain_near_anchor():
     state_svrg = init_vr_state("svrg", q, scale, obj)
     state_plain = init_vr_state("plain", q, scale, obj)
     moved = quantize(weights.with_values(weights.values * (1.0 + 0.05)), spec)
-    v_svrg = estimator_variance(state_svrg, moved, scale, obj, batch_size=4, trials=200)
-    v_plain = estimator_variance(state_plain, moved, scale, obj, batch_size=4, trials=200)
+    v_svrg, v_plain = estimator_variance([state_svrg, state_plain], moved, scale, obj,
+                                         batch_size=4, trials=200)
     assert v_svrg <= v_plain
 
 
