@@ -4,7 +4,10 @@ The gains are one float per group, a (n_groups,) array that replaces the
 identity a straight-through backward pass would use. They are estimated
 from the quantizer's measured response to random perturbations (probe
 slope fit, probe least squares, or a dithered common-random-number slope
-fit), clipped to [0, 1], and smoothed by an EMA. The straight-through
+fit), clipped to [0, 1], and smoothed by an EMA. The hard modes probe with
+Gaussian perturbations, whose smoothing of the staircase stands in for a
+dither; the dithered fit probes with +-sigma signs, so its mean is the
+central difference of the dither-smoothed map. The straight-through
 rule is the special case of all-ones gains.
 """
 
@@ -85,6 +88,20 @@ def _draw_probes(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.
     return out
 
 
+def _draw_signs(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.ndarray:
+    """The next probe rows of ``rng`` as +-sigma signs, (2b - 1) * sigma, in ``out``.
+
+    Each row takes ceil(dim / 64) raw uint64 words of the bit generator, one
+    bit b per entry, low bit first; a row's surplus bits go unused. So a run
+    of blocks gives the signs of one whole draw, at any dim. The signs are
+    exact and finite at any finite sigma.
+    """
+    rows, dim = out.shape
+    words = rng.bit_generator.random_raw((rows, -(-dim // 64))).astype("<u8", copy=False)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=dim, bitorder="little")
+    return np.multiply(2 * bits.view(np.int8) - 1, sigma, out=out)
+
+
 def _response(x: np.ndarray, spec: QuantSpec, step: float | np.ndarray,
               dither: np.ndarray | None, work: np.ndarray | None = None) -> np.ndarray:
     """Quantizer response at x: quantize(x), or the de-dithered quantize(x + r) - r.
@@ -113,24 +130,18 @@ def _slope_sums(values: np.ndarray, spec: QuantSpec, step: float | np.ndarray,
     return _group_sums(dq, deltas, group_size), _group_sums(deltas, deltas, group_size)
 
 
-def probe_slope_samples(w_group: np.ndarray, spec: QuantSpec, step: float,
-                        sigma: float, m: int, rng: np.random.Generator,
-                        dither: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Slope-fit ingredients for one group and m probes.
+def probe_slope_samples(w_group: np.ndarray, spec: QuantSpec, step: float, sigma: float,
+                        m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Slope-fit ingredients of the hard quantizer for one group and m probes.
 
     Returns (cross, energy): per-probe inner products <dq_k, delta_k> and
-    probe energies |delta_k|^2. The (m, group) probes are the gain update's
-    draw: standard normals of ``rng`` scaled by sigma in place, with the bits
-    of ``rng.normal(0.0, sigma, (m, group))`` (``_draw_probes``). When
-    ``dither`` is given, each probe's two quantizer evaluations share the
-    same dither draw (common random numbers), so the fit targets the
-    dither-smoothed sensitivity. A 1-D dither is shared across probes; a
-    (m, group) array is per-probe.
+    probe energies |delta_k|^2. The (m, group) probes are the hard-mode gain
+    update's draw: standard normals of ``rng`` scaled by sigma in place, with
+    the bits of ``rng.normal(0.0, sigma, (m, group))`` (``_draw_probes``).
     """
     deltas = _draw_probes(rng, sigma, np.empty((m, w_group.size)))
-    dither = None if dither is None else np.atleast_2d(dither)
-    base = _response(w_group, spec, step, dither)
-    cross, energy = _slope_sums(w_group, spec, step, deltas, dither, w_group.size, base,
+    base = quantize_array(w_group, spec, step=step)
+    cross, energy = _slope_sums(w_group, spec, step, deltas, None, w_group.size, base,
                                 np.empty_like(deltas))
     return cross[0], energy[0]
 
@@ -143,9 +154,11 @@ def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: Pr
     The block comes from the (seed, "probe", draw_key) stream; group g
     takes its columns. It is drawn and used in blocks of probe rows
     (``row_blocks``), by consecutive draws of that stream, so an update holds
-    one block at a time: standard normals scaled by sigma in place in one
-    reused buffer, with the bits of ``normal(0, sigma)`` (``_draw_probes``),
-    and the perturbed input in a second one. ``dither`` is one (dim,) dither
+    one block at a time in one reused buffer, and the perturbed input in a
+    second one. A hard update's probes are standard normals scaled by sigma
+    in place, with the bits of ``normal(0, sigma)`` (``_draw_probes``); a
+    dithered one's are +-sigma signs, one bit of the stream's raw words each
+    (``_draw_signs``). ``dither`` is one (dim,) dither
     shared by every probe; with ``dither_rng`` each probe draws its own
     dither row from it, block by block (``next_dither``). The per-group
     estimate is the mean of the per-probe slope fits, or the least-squares
@@ -164,26 +177,29 @@ def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: Pr
     values, m = weights.values, cfg.num_probes
     step = weights.broadcast(spec.step)
     probes = substream(cfg.seed, "probe", draw_key)
+    draw = _draw_probes if dither is None and dither_rng is None else _draw_signs
     base = None if dither_rng is not None else _response(values, spec, step, dither)
     cross, energy = np.empty((2, weights.n_groups, m))  # C-ordered: each row sums alike
     # the probe block and the perturbed input, as many rows as the first (longest) block
     buffers = np.empty((2, next(row_blocks(m, weights.dim)).stop, weights.dim))
     for rows in row_blocks(m, weights.dim):
         deltas, work = buffers[:, :rows.stop - rows.start]
-        _draw_probes(probes, sigma, deltas)
+        draw(probes, sigma, deltas)
         if dither_rng is not None:
             dither = next_dither(weights, spec, dither_rng, deltas.shape[:1])
             base = _response(values, spec, step, dither, work)
         cross[:, rows], energy[:, rows] = _slope_sums(values, spec, step, deltas, dither,
                                                       weights.group_size, base, work)
-    if least_squares:
-        denom = energy.sum(axis=1)
-        if (denom == 0.0).any():
-            raise ValueError("zero excitation")
-        estimates = cross.sum(axis=1) / denom
-    else:
-        estimates = (cross / (energy + _REG_EPS)).sum(axis=1) / m  # np.mean's bits
-    if not np.isfinite(estimates).all():  # e.g. probe energies that overflow: inf / inf
+    # sums that overflow (sigma near the float maximum) make an inf / inf, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if least_squares:
+            denom = energy.sum(axis=1)
+            if (denom == 0.0).any():
+                raise ValueError("zero excitation")
+            estimates = cross.sum(axis=1) / denom
+        else:
+            estimates = (cross / (energy + _REG_EPS)).sum(axis=1) / m  # np.mean's bits
+    if not np.isfinite(estimates).all():
         raise ValueError("non-finite gain estimate")
     rate = cfg.ema_rate
     # the clip ufunc keeps a -0.0 estimate's sign, as np.clip does
@@ -210,11 +226,15 @@ def dither_update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray,
                   fixed_dither: np.ndarray | None = None) -> np.ndarray:
     """Slope fit on the de-dithered proxy, common dither across both evaluations.
 
+    The probes are +-sigma signs (SPSA's symmetric Bernoulli perturbations).
     Each probe draws its own dither row from one (num_probes, dim) block of
     the (dither_seed, "dither_block", draw_key) stream, shared by that
     probe's base and perturbed evaluation.
     ``fixed_dither`` reuses an externally drawn (dim,) dither (e.g. the
-    forward dither of a training step) for every probe instead.
+    forward dither of a training step) for every probe instead. Over the
+    signs and the dither, a probe's slope then has the mean
+    (Qbar(w + sigma) - Qbar(w - sigma)) / (2 sigma) of the dither-smoothed
+    map Qbar, per weight: ``mean_field_sensitivity(probe_eps=sigma)``.
     """
     if fixed_dither is not None:
         return _update(weights, spec, gains, cfg, draw_key, least_squares=False,

@@ -210,18 +210,38 @@ OVERFLOWING_UPDATES = {
         w.values, spec, 1.0, cfg.probe_sigma, cfg.num_probes,
         substream(cfg.seed, "probe", draw_key)),
 }
+# Gaussian probes at 1e308 overflow to inf, a non-finite weight; +-sigma signs stay finite,
+# and their slope sums overflow instead, to an inf / inf estimate
+OVERFLOW_MESSAGES = {"probe": "non-finite weight", "probe_ls": "non-finite weight",
+                     "dither": "non-finite gain estimate",
+                     "fixed_dither": "non-finite gain estimate",
+                     "slope_samples": "non-finite weight"}
 
 
-@pytest.mark.parametrize("update", OVERFLOWING_UPDATES.values(), ids=OVERFLOWING_UPDATES.keys())
-def test_overflowing_probes_are_refused_without_a_warning(update):
+@pytest.mark.parametrize("name", OVERFLOWING_UPDATES)
+def test_overflowing_probes_are_refused_without_a_warning(name):
     # normal(0, 1e308) overflows silently; the in-place scale must too, outside any errstate
     w = GroupedWeights(np.linspace(-1.0, 1.0, 40), group_size=8)
     cfg = ProbeConfig(probe_sigma=1e308, num_probes=4, seed=6)
     assert np.abs(substream(6, "probe", 1).standard_normal((4, 40))).max() > 2.0  # 2e308 is inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="non-finite weight"):
-            update(w, QuantSpec.w2(step=1.0), np.ones(w.n_groups), cfg, draw_key=1)
+        with pytest.raises(ValueError, match=OVERFLOW_MESSAGES[name]):
+            OVERFLOWING_UPDATES[name](w, QuantSpec.w2(step=1.0), np.ones(w.n_groups), cfg,
+                                      draw_key=1)
+
+
+@pytest.mark.parametrize("name", ["probe", "probe_ls", "dither", "fixed_dither"])
+def test_slope_sums_that_overflow_are_refused_without_a_warning(name):
+    # finite probes of 5e307 whose cross and energy sums overflow: inf / inf is no estimate
+    w = GroupedWeights(np.linspace(-1.0, 1.0, 40), group_size=8)
+    cfg = ProbeConfig(probe_sigma=5e307, num_probes=4, seed=6)
+    assert np.abs(substream(6, "probe", 1).standard_normal((4, 40))).max() < 3.5  # no inf probe
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite gain estimate"):
+            OVERFLOWING_UPDATES[name](w, QuantSpec.w2(step=1.0), np.ones(w.n_groups), cfg,
+                                      draw_key=1)
 
 
 def test_single_probe_ls_equals_probe_update_up_to_regularizer(monkeypatch):

@@ -12,12 +12,15 @@ gain update or dither draw is one block from one stream, so the draws
 must not depend on the group layout, and the dither stays within half of
 each group's step. A gain update drawn and used in blocks of probe rows
 must match the one-block loop reference bit for bit, at probe scales from 5e-324 to
-1e300, and its probe rows must be normal(0, sigma)'s, up to the sign of a zero. A
-failing property, run under this repo's pytest settings, reports its falsifying example.
+1e300. A hard update's probe rows must be normal(0, sigma)'s, up to the sign of a
+zero; a dithered one's are exactly +-sigma, one bit of the stream each, and their
+mean slope is unbiased for the closed-form central-difference oracle. A failing
+property, run under this repo's pytest settings, reports its falsifying example.
 """
 
 from __future__ import annotations
 
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -158,8 +161,7 @@ def one_draw_mc(weights, spec, n_samples, seed):
     return mean, np.sqrt(np.maximum((s * s).sum(axis=0) / n_samples - mean * mean, 0.0) / n_samples)
 
 
-def loop_slope_samples(w, spec, step, sigma, m, rng, dither=None):
-    deltas = rng.normal(0.0, sigma, size=(m, w.size))
+def loop_slope_samples(w, spec, step, deltas, dither=None):
     if dither is None:
         base = quantize_array(w, spec, step=step)[None, :]
         shifted = quantize_array(w[None, :] + deltas, spec, step=step)
@@ -172,36 +174,45 @@ def loop_slope_samples(w, spec, step, sigma, m, rng, dither=None):
 
 
 class BlockColumns:
-    """Stands in for a generator: hands out one group's columns of a drawn block.
+    """Stands in for a generator: hands out one group's columns of the stream's standard
+    normals, which the code under test scales itself."""
 
-    ``normal`` gives the columns of the reference draw normal(0, sigma) and
-    ``standard_normal`` the same columns of the stream's standard normals,
-    which the code under test scales itself.
-    """
-
-    def __init__(self, scaled, unit):
-        self.scaled, self.unit = scaled, unit
-
-    def normal(self, loc, scale, size):
-        assert size == self.scaled.shape
-        return self.scaled
+    def __init__(self, unit):
+        self.unit = unit
 
     def standard_normal(self, out):
         out[...] = self.unit
         return out
 
 
+def loop_signs(seed, draw_key, shape, sigma):
+    """The (m, d) +-sigma probe block of a dithered update, one bit at a time.
+
+    Row i takes ceil(d / 64) raw words of the ("probe", draw_key) stream; entry j
+    is +sigma where bit j % 64 of its word j // 64 is set, -sigma where it is not.
+    """
+    m, d = shape
+    words = substream(seed, "probe", draw_key).bit_generator.random_raw((m, -(-d // 64)))
+    return np.array([[sigma if int(words[i, j // 64]) >> j % 64 & 1 else -sigma
+                      for j in range(d)] for i in range(m)]).reshape(shape)
+
+
 def loop_update(weights, spec, gains, cfg, draw_key, least_squares=False,
                 dither_seed=None, fixed_dither=None):
     """Gain update one group at a time; group g takes its columns of each (m, d) block.
 
-    The probes are drawn with normal(0, sigma), sigma the config's or half
-    the smallest group step; a zero least-squares denominator raises.
+    A hard update's probes are drawn with normal(0, sigma), a dithered one's are
+    ``loop_signs``; sigma is the config's or half the smallest group step. A zero
+    least-squares denominator raises.
     """
     shape = (cfg.num_probes, weights.dim)
     sigma = 0.5 * float(np.min(spec.step)) if cfg.probe_sigma is None else cfg.probe_sigma
-    probes = substream(cfg.seed, "probe", draw_key).normal(0.0, sigma, size=shape)
-    unit = substream(cfg.seed, "probe", draw_key).standard_normal(shape)
+    dithered = dither_seed is not None or fixed_dither is not None
+    if dithered:
+        probes = loop_signs(cfg.seed, draw_key, shape, sigma)
+    else:
+        probes = substream(cfg.seed, "probe", draw_key).normal(0.0, sigma, size=shape)
+        unit = substream(cfg.seed, "probe", draw_key).standard_normal(shape)
     estimates = np.zeros(weights.n_groups)
     for g, (lo, hi) in enumerate(loop_bounds(weights.dim, weights.group_size)):
         step_g = float(spec.step[g]) if spec.per_group else float(spec.step)
@@ -211,12 +222,13 @@ def loop_update(weights, spec, gains, cfg, draw_key, least_squares=False,
         elif dither_seed is not None:
             dither = substream(dither_seed, "dither_block", draw_key).uniform(
                 -0.5 * step_g, 0.5 * step_g, size=shape)[:, lo:hi]
-        args = (weights.values[lo:hi], spec, step_g, sigma, cfg.num_probes)
-        columns = BlockColumns(probes[:, lo:hi], unit[:, lo:hi])
-        cross, energy = probe_slope_samples(*args, columns, dither=dither)
-        direct = loop_slope_samples(*args, columns, dither=dither)
-        assert_same_bits(cross, direct[0])
-        assert_same_bits(energy, direct[1])
+        cross, energy = loop_slope_samples(weights.values[lo:hi], spec, step_g,
+                                           probes[:, lo:hi], dither)
+        if not dithered:  # the hard modes' one-group kernel draws the same columns
+            kernel = probe_slope_samples(weights.values[lo:hi], spec, step_g, sigma,
+                                         cfg.num_probes, BlockColumns(unit[:, lo:hi]))
+            assert_same_bits(kernel[0], cross)
+            assert_same_bits(kernel[1], energy)
         if least_squares:
             if float(energy.sum()) == 0.0:
                 raise ValueError("zero excitation")
@@ -343,8 +355,8 @@ def test_gain_updates_in_probe_blocks_match_one_block(layout, block, num_probes,
     assert got == expected
 
 
-def probe_block_of(weights, spec, cfg, draw_key):
-    """The (m, d) probe block one probe_update hands to the slope kernel."""
+def probe_block_of(weights, spec, cfg, draw_key, update=probe_update):
+    """The (m, d) probe block one update hands to the slope kernel."""
     seen = []
     kernel = jacobian._slope_sums
 
@@ -353,8 +365,35 @@ def probe_block_of(weights, spec, cfg, draw_key):
         return kernel(values, spec, step, deltas, *rest)
 
     with patch.object(jacobian, "_slope_sums", spy):
-        probe_update(weights, spec, np.ones(weights.n_groups), cfg, draw_key)
+        update(weights, spec, np.ones(weights.n_groups), cfg, draw_key=draw_key)
     return np.concatenate(seen)
+
+
+def per_probe_dither(*args, **kwargs):
+    return dither_update(*args, dither_seed=5, **kwargs)
+
+
+# dims that end a row's last raw word early, fill it exactly, or need one short word more
+@pytest.mark.parametrize("dim", [4100, 4096, 65])
+@pytest.mark.parametrize("rows_per_block", [1, 3, 8])
+@pytest.mark.parametrize("sigma", [5e-324, 0.3, 1e300])
+def test_sign_probes_in_row_blocks_match_one_block(dim, rows_per_block, sigma):
+    # 8 probes in blocks of 1, 3 (3 + 3 + 2) or all 8 rows: each row takes ceil(dim / 64)
+    # raw words, so split blocks draw one whole block's signs and give its gains bit for bit
+    weights = GroupedWeights(substream(dim, "w").normal(0.0, 1.0, dim), 64)
+    spec = QuantSpec.w2(step=0.5)
+    cfg = ProbeConfig(probe_sigma=sigma, num_probes=8, seed=7, ema_rate=0.7)
+    gains = substream(dim, "start").uniform(0.0, 1.0, weights.n_groups)
+    fixed = draw_dither(weights, spec, seed=3, draw_key=2)
+    signs = loop_signs(cfg.seed, 2, (8, dim), sigma)
+    assert set(np.unique(signs)) == {-sigma, sigma}
+    cases = [(per_probe_dither, loop_update(weights, spec, gains, cfg, 2, dither_seed=5)),
+             (functools.partial(per_probe_dither, fixed_dither=fixed),
+              loop_update(weights, spec, gains, cfg, 2, fixed_dither=fixed))]
+    with patch.object(quant, "_BLOCK_ELEMS", rows_per_block * dim):
+        for update, one_block in cases:
+            assert_same_bits(probe_block_of(weights, spec, cfg, 2, update), signs)
+            assert_same_bits(update(weights, spec, gains, cfg, draw_key=2), one_block)
 
 
 @SETTINGS
@@ -363,20 +402,81 @@ def probe_block_of(weights, spec, cfg, draw_key):
 def test_draws_do_not_depend_on_group_size(dim, size_a, size_b, seed, num_probes, calibrated):
     values = substream(seed, "layout").normal(0.0, 1.0, dim)
     cfg = ProbeConfig(probe_sigma=0.3, num_probes=num_probes, seed=seed)
-    blocks, units = [], []
+    blocks, signs, units = [], [], []
     for size in (size_a, size_b):
         weights = GroupedWeights(values, size)
         spec = QuantSpec.w2(step=0.5)
         spec = calibrate_step(weights, spec) if calibrated else spec
         half = 0.5 * weights.per_weight(spec.step)
         blocks.append(probe_block_of(weights, spec, cfg, draw_key=seed % 7))
+        signs.append(probe_block_of(weights, spec, cfg, seed % 7, per_probe_dither))
         units.append(next_dither(weights, spec, substream(seed, "dither_block", seed % 7),
                                  (num_probes,)) / half)
     assert_same_bits(blocks[0], blocks[1])
+    assert_same_bits(signs[0], signs[1])
     assert units[0].shape == (num_probes, dim)
     # r = -h + 2h * u rounds relative to h, so only a calibrated (per-group) h moves r / h
     tolerance = 4 * np.finfo(float).eps if calibrated else 0.0
     assert np.all(np.abs(units[0] - units[1]) <= tolerance)
+
+
+def estimates_before_clip(update, weights, spec, cfg, draw_key):
+    """An update's per-group estimates, the mean of its per-probe slope fits, unclipped."""
+    sums = []
+    kernel = jacobian._slope_sums
+
+    def spy(*args):
+        sums.append(kernel(*args))
+        return sums[-1]
+
+    with patch.object(jacobian, "_slope_sums", spy):
+        update(weights, spec, np.ones(weights.n_groups), cfg, draw_key=draw_key)
+    cross, energy = (np.concatenate(parts, axis=1) for parts in zip(*sums))
+    return (cross / (energy + jacobian._REG_EPS)).mean(axis=1)
+
+
+def mixed_groups(spec, sigma, insides, seed):
+    """Groups of 24 weights: ``inside`` deep in the box of ``mean_field_sensitivity``,
+    12 just outside its edge, within 1.5 sigma, the rest saturated.
+
+    Near the edge the central difference of the dither-smoothed map reads less
+    than a Gaussian smoothing of it would: 0 from sigma outward, where a
+    Gaussian-probe estimate still reads 0.16 of the box height.
+    """
+    step = float(spec.step)
+    a = 0.5 * step if spec.mode == "w1" else step * spec.clip_codes
+    rng = substream(seed, "mixed")
+    groups = []
+    for inside in insides:
+        outside = 12 - inside
+        groups += [rng.uniform(-(a - sigma), a - sigma, inside),
+                   rng.choice((-1.0, 1.0), 12) * rng.uniform(a, a + 1.5 * sigma, 12),
+                   rng.choice((-1.0, 1.0), outside) * rng.uniform(a + sigma, a + 4 * step, outside)]
+    return GroupedWeights(np.concatenate(groups), 24)
+
+
+# the w1 box has height 2, so its groups hold fewer interior weights
+@pytest.mark.parametrize("spec,sigma,insides", [(QuantSpec.w2(step=1.0), 0.25, (2, 6, 10)),
+                                                (QuantSpec.w1(step=0.5), 0.1, (1, 3, 5))],
+                         ids=["w2", "w1"])
+@pytest.mark.parametrize("fixed", [False, True], ids=["per-probe-dither", "fixed-dither"])
+def test_sign_probe_estimate_is_unbiased_for_the_central_difference_oracle(spec, sigma, insides,
+                                                                          fixed):
+    # over the signs and the dither, a +-sigma probe's slope has the mean
+    # (Qbar(w + sigma) - Qbar(w - sigma)) / (2 sigma): mean_field_sensitivity(probe_eps=sigma)
+    weights = mixed_groups(spec, sigma, insides, seed=1)
+    oracle = mean_field_sensitivity(weights, spec, probe_eps=sigma)
+    target = np.array([oracle[lo:hi].mean() for lo, hi in weights.group_bounds])
+    assert np.all((target > 0.1) & (target < 0.9))  # inside the gains' range [0, 1]
+    cfg = ProbeConfig(probe_sigma=sigma, num_probes=4, seed=2)
+    draws = []
+    for t in range(1024):  # a fresh forward dither per draw key, as a training step draws it
+        kwargs = {"fixed_dither": draw_dither(weights, spec, 3, draw_key=t)} if fixed else {}
+        draws.append(estimates_before_clip(functools.partial(per_probe_dither, **kwargs),
+                                           weights, spec, cfg, t))
+    draws = np.array(draws)
+    sem = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
+    assert np.all(np.abs(draws.mean(axis=0) - target) <= 4 * sem)
 
 
 @SETTINGS
