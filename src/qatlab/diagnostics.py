@@ -139,7 +139,7 @@ def probe_rate_harness(spec: QuantSpec, group_dim: int, sigma: float,
     for k, m in enumerate(counts):
         errs = np.empty(trials)
         for t in range(trials):
-            cross, energy = probe_slope_samples(vals, spec, step, sigma, int(m),
+            cross, energy = probe_slope_samples(weights, spec, sigma, int(m),
                                                 substream(seed, "trial", k, t))
             denom = float(energy.sum())
             if denom == 0.0:

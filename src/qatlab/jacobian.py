@@ -4,7 +4,8 @@ The gains are one float per group, a (n_groups,) array that replaces the
 identity a straight-through backward pass would use. They are estimated
 from the quantizer's measured response to random perturbations (probe
 slope fit, probe least squares, or a dithered common-random-number slope
-fit), clipped to [0, 1], and smoothed by an EMA. The hard modes probe with
+fit), clipped to [0, 1], and smoothed by an EMA. Every update measures the
+response with one kernel, ``probe_slope_samples``. The hard modes probe with
 Gaussian perturbations, whose smoothing of the staircase stands in for a
 dither; the dithered fit probes with +-sigma signs, so its mean is the
 central difference of the dither-smoothed map. The straight-through
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import GroupedWeights, QuantSpec, next_dither, quantize_array, row_blocks
+from .quant import (GroupedWeights, QuantSpec, checked_dither, next_dither, quantize_array,
+                    row_blocks)
 from .rng import substream
 
 __all__ = [
@@ -116,55 +118,54 @@ def _response(x: np.ndarray, spec: QuantSpec, step: float | np.ndarray,
     return out
 
 
-def _slope_sums(values: np.ndarray, spec: QuantSpec, step: float | np.ndarray,
-                deltas: np.ndarray, dither: np.ndarray | None, group_size: int,
-                base: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group cross <dq_k, delta_k> and energy |delta_k|^2, each (n_groups, m).
+def probe_slope_samples(weights: GroupedWeights, spec: QuantSpec, sigma: float, m: int,
+                        probes: np.random.Generator, dither: np.ndarray | None = None,
+                        dither_rng: np.random.Generator | None = None,
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group slope-fit sums of m probes: (cross, energy), each (n_groups, m), C-ordered.
 
-    ``base`` is the unperturbed response, ``_response(values, ..., dither)``;
-    the perturbed input values + deltas (+ dither) is built in ``work``, a
-    buffer of the deltas' shape.
+    cross[g, k] is <dq_k, delta_k> and energy[g, k] is |delta_k|^2 over group g's
+    columns, for probe row k of the ``probes`` stream and the response change dq_k.
+    This is the one probe kernel: every gain update and the probe-rate harness run it.
+    The (m, dim) block is drawn and used in blocks of probe rows (``row_blocks``), by
+    consecutive draws of the stream, in one reused buffer, the perturbed input in a
+    second. Hard probes are standard normals scaled by sigma in place, with the bits
+    of ``normal(0, sigma)`` (``_draw_probes``); dithered ones are +-sigma signs
+    (``_draw_signs``). The response is de-dithered by ``dither``, one (dim,) dither
+    shared by every probe, or by each probe's own row of ``dither_rng`` (``next_dither``).
     """
-    dq = _response(np.add(values, deltas, out=work), spec, step, dither, work)
-    dq -= base
-    return _group_sums(dq, deltas, group_size), _group_sums(deltas, deltas, group_size)
-
-
-def probe_slope_samples(w_group: np.ndarray, spec: QuantSpec, step: float, sigma: float,
-                        m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Slope-fit ingredients of the hard quantizer for one group and m probes.
-
-    Returns (cross, energy): per-probe inner products <dq_k, delta_k> and
-    probe energies |delta_k|^2. The (m, group) probes are the hard-mode gain
-    update's draw: standard normals of ``rng`` scaled by sigma in place, with
-    the bits of ``rng.normal(0.0, sigma, (m, group))`` (``_draw_probes``).
-    """
-    deltas = _draw_probes(rng, sigma, np.empty((m, w_group.size)))
-    base = quantize_array(w_group, spec, step=step)
-    cross, energy = _slope_sums(w_group, spec, step, deltas, None, w_group.size, base,
-                                np.empty_like(deltas))
-    return cross[0], energy[0]
+    if m < 1:
+        raise ValueError(f"the probe count must be >= 1, got {m}")
+    values = weights.values
+    step = weights.broadcast(spec.step)
+    draw = _draw_probes if dither is None and dither_rng is None else _draw_signs
+    base = None if dither_rng is not None else _response(values, spec, step, dither)
+    cross, energy = np.empty((2, weights.n_groups, m))
+    # the probe block and the perturbed input, as many rows as the first (longest) block
+    buffers = np.empty((2, next(row_blocks(m, weights.dim)).stop, weights.dim))
+    for rows in row_blocks(m, weights.dim):
+        deltas, work = buffers[:, :rows.stop - rows.start]
+        draw(probes, sigma, deltas)
+        if dither_rng is not None:
+            dither = next_dither(weights, spec, dither_rng, deltas.shape[:1])
+            base = _response(values, spec, step, dither, work)
+        dq = _response(np.add(values, deltas, out=work), spec, step, dither, work)
+        dq -= base
+        cross[:, rows] = _group_sums(dq, deltas, weights.group_size)
+        energy[:, rows] = _group_sums(deltas, deltas, weights.group_size)
+    return cross, energy
 
 
 def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: ProbeConfig,
             draw_key: int, least_squares: bool, dither: np.ndarray | None = None,
             dither_rng: np.random.Generator | None = None) -> np.ndarray:
-    """One gain update of every group from one (num_probes, dim) probe block.
+    """One gain update of every group from the slope-fit sums of ``probe_slope_samples``.
 
-    The block comes from the (seed, "probe", draw_key) stream; group g
-    takes its columns. It is drawn and used in blocks of probe rows
-    (``row_blocks``), by consecutive draws of that stream, so an update holds
-    one block at a time in one reused buffer, and the perturbed input in a
-    second one. A hard update's probes are standard normals scaled by sigma
-    in place, with the bits of ``normal(0, sigma)`` (``_draw_probes``); a
-    dithered one's are +-sigma signs, one bit of the stream's raw words each
-    (``_draw_signs``). ``dither`` is one (dim,) dither
-    shared by every probe; with ``dither_rng`` each probe draws its own
-    dither row from it, block by block (``next_dither``). The per-group
-    estimate is the mean of the per-probe slope fits, or the least-squares
-    fit over all probes. A non-finite estimate raises ValueError. Estimates
-    are clipped to [0, 1] and mixed into ``gains`` at ``cfg.ema_rate``; the
-    result is clipped again, so a start outside [0, 1] cannot leak through.
+    Its probes come from the (seed, "probe", draw_key) stream. The per-group
+    estimate is the mean of the per-probe slope fits, or the least-squares fit
+    over all probes; a non-finite one raises ValueError. Estimates are clipped to
+    [0, 1] and mixed into ``gains`` at ``cfg.ema_rate``; the result is clipped
+    again, so a start outside [0, 1] cannot leak through.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.size != weights.n_groups:
@@ -174,22 +175,8 @@ def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: Pr
     sigma = 0.5 * float(np.min(spec.step)) if cfg.probe_sigma is None else cfg.probe_sigma
     if not sigma > 0:
         raise ValueError("the default probe_sigma, half the smallest group step, is 0")
-    values, m = weights.values, cfg.num_probes
-    step = weights.broadcast(spec.step)
-    probes = substream(cfg.seed, "probe", draw_key)
-    draw = _draw_probes if dither is None and dither_rng is None else _draw_signs
-    base = None if dither_rng is not None else _response(values, spec, step, dither)
-    cross, energy = np.empty((2, weights.n_groups, m))  # C-ordered: each row sums alike
-    # the probe block and the perturbed input, as many rows as the first (longest) block
-    buffers = np.empty((2, next(row_blocks(m, weights.dim)).stop, weights.dim))
-    for rows in row_blocks(m, weights.dim):
-        deltas, work = buffers[:, :rows.stop - rows.start]
-        draw(probes, sigma, deltas)
-        if dither_rng is not None:
-            dither = next_dither(weights, spec, dither_rng, deltas.shape[:1])
-            base = _response(values, spec, step, dither, work)
-        cross[:, rows], energy[:, rows] = _slope_sums(values, spec, step, deltas, dither,
-                                                      weights.group_size, base, work)
+    cross, energy = probe_slope_samples(weights, spec, sigma, cfg.num_probes,
+                                        substream(cfg.seed, "probe", draw_key), dither, dither_rng)
     # sums that overflow (sigma near the float maximum) make an inf / inf, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         if least_squares:
@@ -198,7 +185,7 @@ def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: Pr
                 raise ValueError("zero excitation")
             estimates = cross.sum(axis=1) / denom
         else:
-            estimates = (cross / (energy + _REG_EPS)).sum(axis=1) / m  # np.mean's bits
+            estimates = (cross / (energy + _REG_EPS)).sum(axis=1) / cfg.num_probes  # np.mean's bits
     if not np.isfinite(estimates).all():
         raise ValueError("non-finite gain estimate")
     rate = cfg.ema_rate
@@ -231,12 +218,16 @@ def dither_update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray,
     the (dither_seed, "dither_block", draw_key) stream, shared by that
     probe's base and perturbed evaluation.
     ``fixed_dither`` reuses an externally drawn (dim,) dither (e.g. the
-    forward dither of a training step) for every probe instead. Over the
-    signs and the dither, a probe's slope then has the mean
+    forward dither of a training step) for every probe instead; one of
+    another shape, or beyond half a step, is refused before any probe is
+    drawn. Over the signs and the dither, a probe's slope then has the mean
     (Qbar(w + sigma) - Qbar(w - sigma)) / (2 sigma) of the dither-smoothed
     map Qbar, per weight: ``mean_field_sensitivity(probe_eps=sigma)``.
     """
     if fixed_dither is not None:
+        if np.shape(fixed_dither) != (weights.dim,):
+            raise ValueError("invalid dither")
+        fixed_dither = checked_dither(fixed_dither, weights.broadcast(spec.step))
         return _update(weights, spec, gains, cfg, draw_key, least_squares=False,
                        dither=fixed_dither)
     return _update(weights, spec, gains, cfg, draw_key, least_squares=False,

@@ -38,6 +38,7 @@ __all__ = [
     "quantize_array",
     "dither_quantize",
     "draw_dither",
+    "checked_dither",
     "mean_field",
     "mean_field_sensitivity",
     "calibrate_step",
@@ -250,12 +251,18 @@ def draw_dither(weights: GroupedWeights, spec: QuantSpec, seed: int, draw_key: i
     return next_dither(weights, spec, substream(seed, "dither_block", draw_key), ())
 
 
-def dither_quantize(weights: GroupedWeights, r: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    """De-dithered proxy: quantize(W + r) - r for a (dim,) dither r, or a (..., dim) block of them."""
+def checked_dither(r: np.ndarray, step: float | np.ndarray) -> np.ndarray:
+    """``r`` as floats, each within half of its weight's ``step`` (+1e-15), else ValueError."""
     r = np.asarray(r, dtype=float)
-    step = weights.broadcast(spec.step)
     if np.any(np.abs(r) > 0.5 * step + 1e-15):
         raise ValueError("invalid dither")
+    return r
+
+
+def dither_quantize(weights: GroupedWeights, r: np.ndarray, spec: QuantSpec) -> np.ndarray:
+    """De-dithered proxy: quantize(W + r) - r for a (dim,) dither r, or a (..., dim) block of them."""
+    step = weights.broadcast(spec.step)
+    r = checked_dither(r, step)
     return quantize_array(weights.values + r, spec, step=step) - r
 
 

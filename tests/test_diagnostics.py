@@ -177,6 +177,13 @@ def test_probe_rate_slope_near_half_and_sigma_invariant():
     assert -0.65 <= res2.slope <= -0.35
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_probe_rate_refuses_a_probe_count_below_one(count):
+    with pytest.raises(ValueError, match=f"probe count must be >= 1, got {count}$"):
+        probe_rate_harness(QuantSpec.generic(bits=4), group_dim=8, sigma=0.5,
+                           probe_counts=[count, 4, 16], trials=2)
+
+
 def test_tracking_static_and_drift_ordering():
     spec = QuantSpec.w2(step=1.0)
     static = tracking_harness(spec, group_dim=48, drift_per_step=0.0, ema_rate=0.1,

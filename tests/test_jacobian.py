@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qatlab.diagnostics as diagnostics_mod
 import qatlab.jacobian as jacobian_mod
 from qatlab.jacobian import (
     ProbeConfig,
@@ -14,7 +15,13 @@ from qatlab.jacobian import (
     probe_slope_samples,
     probe_update,
 )
-from qatlab.quant import GroupedWeights, QuantSpec, mean_field_sensitivity
+from qatlab.quant import (
+    GroupedWeights,
+    QuantSpec,
+    dither_quantize,
+    draw_dither,
+    mean_field_sensitivity,
+)
 from qatlab.rng import substream
 
 
@@ -60,7 +67,7 @@ def test_probe_mean_matches_gaussian_smoothed_sensitivity():
     rng = np.random.default_rng(5)
     vals = rng.uniform(-0.5, 0.5, size=128)
     w = GroupedWeights(vals, group_size=128)
-    cross, energy = probe_slope_samples(vals, spec, 1.0, 0.5, 10_000, substream(42, "probe"))
+    cross, energy = probe_slope_samples(w, spec, 0.5, 10_000, substream(42, "probe"))
     estimates = cross / (energy + 1e-8)
     expected = float(np.mean(smoothed_sensitivity(vals, spec, 0.5)))
     sem = float(np.std(estimates) / np.sqrt(estimates.size))
@@ -71,13 +78,13 @@ def test_probe_ls_error_shrinks_with_probe_count():
     spec = QuantSpec.w2(step=1.0)
     rng = np.random.default_rng(11)
     vals = np.concatenate([rng.uniform(-0.2, 0.2, 8), rng.choice((-1, 1), 8) * rng.uniform(2.0, 3.0, 8)])
-    w_flat = vals
-    target = float(np.mean(smoothed_sensitivity(w_flat, spec, 0.25)))
+    w = GroupedWeights(vals, group_size=16)
+    target = float(np.mean(smoothed_sensitivity(vals, spec, 0.25)))
     errors = []
     for m in (8, 128):
         trials = []
         for t in range(64):
-            cross, energy = probe_slope_samples(w_flat, spec, 1.0, 0.25, m, substream(t, "probe"))
+            cross, energy = probe_slope_samples(w, spec, 0.25, m, substream(t, "probe"))
             trials.append(abs(cross.sum() / energy.sum() - target))
         errors.append(np.mean(trials))
     assert errors[1] < 0.6 * errors[0]
@@ -207,8 +214,7 @@ OVERFLOWING_UPDATES = {
     "fixed_dither": lambda w, spec, *a, **k: dither_update(
         w, spec, *a, dither_seed=4, fixed_dither=np.zeros(w.dim), **k),
     "slope_samples": lambda w, spec, gains, cfg, draw_key: probe_slope_samples(
-        w.values, spec, 1.0, cfg.probe_sigma, cfg.num_probes,
-        substream(cfg.seed, "probe", draw_key)),
+        w, spec, cfg.probe_sigma, cfg.num_probes, substream(cfg.seed, "probe", draw_key)),
 }
 # Gaussian probes at 1e308 overflow to inf, a non-finite weight; +-sigma signs stay finite,
 # and their slope sums overflow instead, to an inf / inf estimate
@@ -282,3 +288,49 @@ def test_default_probe_sigma_that_underflows_is_refused():
     w = GroupedWeights(np.zeros(4), group_size=4)
     with pytest.raises(ValueError, match="probe_sigma"):
         probe_update(w, QuantSpec.w2(step=5e-324), np.ones(1), ProbeConfig())
+
+
+def refuse_any_probe(*args, **kwargs):
+    raise AssertionError("a probe was drawn")
+
+
+# a dither the forward pass would refuse: beyond half a step, a group's own step
+# (0.3 > 0.2 / 2 in the second group only), or a shape that only broadcasts to (dim,)
+@pytest.mark.parametrize("fixed", [np.full(16, 10.0), np.r_[np.zeros(8), np.full(8, 0.3)],
+                                   np.full(1, 0.1), np.zeros((2, 16))],
+                         ids=["ten-steps", "own-group-step", "one-entry", "block"])
+def test_dither_update_refuses_a_fixed_dither_the_forward_refuses(fixed, monkeypatch):
+    w = GroupedWeights(np.linspace(-1.0, 1.0, 16), group_size=8)
+    spec = QuantSpec.w2(step=np.array([1.0, 0.2]))
+    if fixed.shape == (16,):
+        with pytest.raises(ValueError, match="invalid dither"):
+            dither_quantize(w, fixed, spec)
+    monkeypatch.setattr(jacobian_mod, "probe_slope_samples", refuse_any_probe)
+    with pytest.raises(ValueError, match="invalid dither"):
+        dither_update(w, spec, np.ones(2), ProbeConfig(probe_sigma=0.1, num_probes=2),
+                      dither_seed=0, fixed_dither=fixed)
+
+
+def test_every_gain_update_and_the_probe_rate_harness_run_the_one_kernel(monkeypatch):
+    calls = []
+    kernel = jacobian_mod.probe_slope_samples
+
+    def spy(*args):
+        calls.append(args[3])  # the probe count
+        return kernel(*args)
+
+    for module in (jacobian_mod, diagnostics_mod):  # the harness holds its own reference
+        monkeypatch.setattr(module, "probe_slope_samples", spy)
+    w = GroupedWeights(np.linspace(-1.0, 1.0, 40), group_size=8)
+    spec = QuantSpec.w2(step=0.5)
+    cfg = ProbeConfig(probe_sigma=0.2, num_probes=3, seed=1)
+    fixed = draw_dither(w, spec, seed=4)
+    updates = [probe_update, probe_ls_update,
+               lambda *a, **k: dither_update(*a, dither_seed=2, **k),
+               lambda *a, **k: dither_update(*a, dither_seed=2, fixed_dither=fixed, **k)]
+    for n, update in enumerate(updates, 1):
+        update(w, spec, np.ones(w.n_groups), cfg, draw_key=n)
+        assert calls == [3] * n
+    diagnostics_mod.probe_rate_harness(QuantSpec.generic(bits=4), group_dim=8, sigma=0.5,
+                                       probe_counts=[2, 4, 8], trials=2)
+    assert calls[4:] == [2, 2, 4, 4, 8, 8]  # one call per trial

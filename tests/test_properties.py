@@ -20,6 +20,7 @@ property, run under this repo's pytest settings, reports its falsifying example.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import subprocess
 import sys
@@ -224,11 +225,12 @@ def loop_update(weights, spec, gains, cfg, draw_key, least_squares=False,
                 -0.5 * step_g, 0.5 * step_g, size=shape)[:, lo:hi]
         cross, energy = loop_slope_samples(weights.values[lo:hi], spec, step_g,
                                            probes[:, lo:hi], dither)
-        if not dithered:  # the hard modes' one-group kernel draws the same columns
-            kernel = probe_slope_samples(weights.values[lo:hi], spec, step_g, sigma,
+        if not dithered:  # the kernel on this group alone draws the same columns
+            group = GroupedWeights(weights.values[lo:hi], hi - lo)
+            kernel = probe_slope_samples(group, dataclasses.replace(spec, step=step_g), sigma,
                                          cfg.num_probes, BlockColumns(unit[:, lo:hi]))
-            assert_same_bits(kernel[0], cross)
-            assert_same_bits(kernel[1], energy)
+            assert_same_bits(kernel[0][0], cross)
+            assert_same_bits(kernel[1][0], energy)
         if least_squares:
             if float(energy.sum()) == 0.0:
                 raise ValueError("zero excitation")
@@ -356,15 +358,16 @@ def test_gain_updates_in_probe_blocks_match_one_block(layout, block, num_probes,
 
 
 def probe_block_of(weights, spec, cfg, draw_key, update=probe_update):
-    """The (m, d) probe block one update hands to the slope kernel."""
+    """The (m, d) probe block one update hands to the group sums, block by block."""
     seen = []
-    kernel = jacobian._slope_sums
+    kernel = jacobian._group_sums
 
-    def spy(values, spec, step, deltas, *rest):
-        seen.append(deltas.copy())  # the update draws each block into one reused buffer
-        return kernel(values, spec, step, deltas, *rest)
+    def spy(a, b, group_size):
+        if a is b:  # the energy sums: the probe block with itself
+            seen.append(a.copy())  # the kernel draws each block into one reused buffer
+        return kernel(a, b, group_size)
 
-    with patch.object(jacobian, "_slope_sums", spy):
+    with patch.object(jacobian, "_group_sums", spy):
         update(weights, spec, np.ones(weights.n_groups), cfg, draw_key=draw_key)
     return np.concatenate(seen)
 
@@ -423,15 +426,15 @@ def test_draws_do_not_depend_on_group_size(dim, size_a, size_b, seed, num_probes
 def estimates_before_clip(update, weights, spec, cfg, draw_key):
     """An update's per-group estimates, the mean of its per-probe slope fits, unclipped."""
     sums = []
-    kernel = jacobian._slope_sums
+    kernel = jacobian.probe_slope_samples
 
     def spy(*args):
         sums.append(kernel(*args))
         return sums[-1]
 
-    with patch.object(jacobian, "_slope_sums", spy):
+    with patch.object(jacobian, "probe_slope_samples", spy):
         update(weights, spec, np.ones(weights.n_groups), cfg, draw_key=draw_key)
-    cross, energy = (np.concatenate(parts, axis=1) for parts in zip(*sums))
+    (cross, energy), = sums
     return (cross / (energy + jacobian._REG_EPS)).mean(axis=1)
 
 
