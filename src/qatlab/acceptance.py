@@ -24,7 +24,7 @@ from .jacobian import ProbeConfig, dither_update
 from .objectives import batch_grad, full_grad, make_regression_task, make_saturating_task
 from .quant import GroupedWeights, QuantSpec, mean_field, mean_field_sensitivity, quantize, quantize_array
 from .rng import substream
-from .trainer import RefreshPolicy, TrainConfig, train_base, train_vr, write_metrics_csv
+from .trainer import RefreshPolicy, TrainConfig, train_vr, write_metrics_csv
 from .vrgrad import estimator_variance, grad_est, init_vr_state
 
 __all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA", "A5_JAC_ERRS"]
@@ -210,7 +210,7 @@ def a6_dominance() -> tuple[bool, dict]:
                               jac_mode=mode, vr_mode="plain", probe_sigma=0.25,
                               num_probes=8, seed=seed + 100)
             # each run is reduced before the next one trains: one 100-state window at a time
-            res = train_base(obj, w0, spec, cfg, keep_states=100)
+            res = train_vr(obj, w0, spec, cfg, keep_states=100)
             window[mode] = float(np.mean([r.loss for r in res.metrics[-50:]]))
             fd_var[mode] = fd_mismatch_variance(res.state_trace, spec)  # ste gains are all ones
             if mode == "probe":  # both rules' bias at the learned run's final point

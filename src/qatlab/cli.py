@@ -29,7 +29,7 @@ import numpy as np
 from .acceptance import A5_JAC_ERRS, run_all
 from .config import ConfigError, parse_config
 from .trainer import (DivergenceError, RefreshPolicy, atomic_write_text, final_loss, run_sweep,
-                      train_base, train_vr, write_csv, write_metrics_csv)
+                      train_vr, write_csv, write_metrics_csv)
 
 __all__ = ["main", "DIAGNOSE_NAMES"]
 
@@ -66,7 +66,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     summary = {
         "command": "train",
         "config": setup.config,
-        "seed": setup.seed,
+        "seed": setup.train.seed,
         "error": None,
         "final_loss": None,
         "steps_run": 0,
@@ -75,9 +75,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     }
     start = time.perf_counter()
     status = 0
-    runner = train_base if setup.loop == "base" else train_vr
     try:
-        result = runner(setup.objective, setup.weights, setup.spec, setup.train)
+        result = train_vr(setup.objective, setup.weights, setup.spec, setup.train)
         write_metrics_csv(result.metrics, os.path.join(out, "metrics.csv"))
         summary["final_loss"] = final_loss(setup.objective, result.weights, setup.spec)
         summary["steps_run"] = len(result.metrics)
@@ -108,7 +107,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                       group_sizes=sweep.get("group_sizes"),
                       refresh_policies=policies,
                       jac_modes=sweep.get("jac_modes"),
-                      use_base=setup.loop == "base",
                       jobs=args.jobs)
     header = ["group_size", "refresh_kind", "refresh_value", "jac_mode", "seed",
               "final_loss", "steps_run", "error"]
@@ -117,7 +115,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     summary = {
         "command": "sweep",
         "config": setup.config,
-        "seed": setup.seed,
+        "seed": setup.train.seed,
         "cells": len(table),
         "cells_with_errors": len(errors),
         "errors": errors,

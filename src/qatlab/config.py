@@ -35,7 +35,8 @@ Schema (type, default in parentheses):
     mid_rise: bool (false): true only for generic and w2 grids
     bits: int (null): generic mode only, where it is required; 2 to 53
   train:
-    loop: vr | base (vr)
+    loop: vr | base (vr): base is the plain estimator (vr_mode unread) and, in
+          dither mode, a dithered forward with a gain update every step
     stepsize: number (0.05), batch_size: int (8), steps: int (200)
     refresh: {kind: interval | probability (interval), interval: int (100),
               probability: number (0.01)}
@@ -95,9 +96,7 @@ class RunSetup:
     weights: GroupedWeights
     spec: QuantSpec
     train: TrainConfig
-    loop: str
     sweep: dict | None
-    seed: int
 
 
 _OBJECTIVE_DEFAULTS = {
@@ -331,9 +330,8 @@ def parse_config_dict(raw: dict, seed_override: int | None = None) -> RunSetup:
                      f"got {json.dumps(quant[key])}")
 
     train_cfg = cfg["train"]
-    _require(train_cfg["loop"] in ("vr", "base"), "train.loop must be vr or base")
     with _fields("train"):
-        train = TrainConfig(**{k: v for k, v in train_cfg.items() if k not in ("loop", "refresh")},
+        train = TrainConfig(**{k: v for k, v in train_cfg.items() if k != "refresh"},
                             refresh=RefreshPolicy(**train_cfg["refresh"]), seed=seed)
 
     sweep = None
@@ -350,7 +348,7 @@ def parse_config_dict(raw: dict, seed_override: int | None = None) -> RunSetup:
     _require_indexable((2, -(-weights.dim // smallest), train.num_probes),
                        "train.num_probes makes the gain update")
     return RunSetup(config=cfg, objective=objective, weights=weights, spec=spec,
-                    train=train, loop=train_cfg["loop"], sweep=sweep, seed=seed)
+                    train=train, sweep=sweep)
 
 
 def parse_config(path: str, seed_override: int | None = None) -> RunSetup:

@@ -225,9 +225,9 @@ def dither_update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray,
     map Qbar, per weight: ``mean_field_sensitivity(probe_eps=sigma)``.
     """
     if fixed_dither is not None:
-        if np.shape(fixed_dither) != (weights.dim,):
+        if np.ndim(fixed_dither) != 1:
             raise ValueError("invalid dither")
-        fixed_dither = checked_dither(fixed_dither, weights.broadcast(spec.step))
+        fixed_dither = checked_dither(fixed_dither, weights.broadcast(spec.step), weights.dim)
         return _update(weights, spec, gains, cfg, draw_key, least_squares=False,
                        dither=fixed_dither)
     return _update(weights, spec, gains, cfg, draw_key, least_squares=False,

@@ -251,10 +251,10 @@ def draw_dither(weights: GroupedWeights, spec: QuantSpec, seed: int, draw_key: i
     return next_dither(weights, spec, substream(seed, "dither_block", draw_key), ())
 
 
-def checked_dither(r: np.ndarray, step: float | np.ndarray) -> np.ndarray:
-    """``r`` as floats, each within half of its weight's ``step`` (+1e-15), else ValueError."""
+def checked_dither(r: np.ndarray, step: float | np.ndarray, dim: int) -> np.ndarray:
+    """A (..., dim) ``r`` as floats, each within half its weight's step (+1e-15); else ValueError."""
     r = np.asarray(r, dtype=float)
-    if np.any(np.abs(r) > 0.5 * step + 1e-15):
+    if r.ndim == 0 or r.shape[-1] != dim or np.any(np.abs(r) > 0.5 * step + 1e-15):
         raise ValueError("invalid dither")
     return r
 
@@ -262,7 +262,7 @@ def checked_dither(r: np.ndarray, step: float | np.ndarray) -> np.ndarray:
 def dither_quantize(weights: GroupedWeights, r: np.ndarray, spec: QuantSpec) -> np.ndarray:
     """De-dithered proxy: quantize(W + r) - r for a (dim,) dither r, or a (..., dim) block of them."""
     step = weights.broadcast(spec.step)
-    r = checked_dither(r, step)
+    r = checked_dither(r, step, weights.dim)
     return quantize_array(weights.values + r, spec, step=step) - r
 
 

@@ -1,13 +1,13 @@
-"""One training loop, entered as the variance-reduced or the plain baseline loop.
+"""One training loop; ``train.loop`` picks the variance-reduced or the plain baseline run.
 
 One step samples a minibatch, evaluates its per-sample gradients once at
 the step's quantized point, estimates a gradient from their gain-modulated
-mean, and applies a constant-stepsize SGD update. The entry points differ
-only in forward and gain cadence: ``train_vr`` refreshes the gains and the
-variance-reduction anchor on probability or fixed-interval events;
-``train_base`` has no control variates, refreshes probe gains on that
-schedule and ``ste`` never, and in ``dither`` mode runs a dithered forward
-and updates the gains every step. Everything is deterministic given the seed.
+mean, and applies a constant-stepsize SGD update. Refresh events, on a
+probability or fixed-interval schedule, update the gains and move the
+variance-reduction anchor; an event that would change neither is skipped.
+``loop: base`` is the plain estimator whatever ``vr_mode`` says, and in
+``dither`` mode also runs a dithered forward and updates the gains every
+step. Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ class TrainConfig(ProbeConfig):
     batch_size: int
     steps: int
     refresh: RefreshPolicy
+    loop: str = "vr"
     jac_mode: str = "probe"
     vr_mode: str = "svrg"
 
@@ -91,6 +92,8 @@ class TrainConfig(ProbeConfig):
             raise ValueError("steps must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.loop not in ("vr", "base"):
+            raise ValueError("loop must be vr or base")
         if self.jac_mode not in _JAC_MODES:
             raise ValueError(f"jac_mode {self.jac_mode!r} not one of {'|'.join(_JAC_MODES)}")
         if self.vr_mode not in _VR_MODES:
@@ -190,21 +193,23 @@ def _update_gains(gains: np.ndarray, weights: GroupedWeights, spec: QuantSpec,
 # the step check reports a non-finite value by name and step; numpy's warnings would only repeat it
 @np.errstate(all="ignore")
 def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
-           keep_states: int, base: bool) -> TrainResult:
+           keep_states: int) -> TrainResult:
     if isinstance(keep_states, bool) or keep_states < 0:
         raise ValueError(f"keep_states must be a count >= 0, got {keep_states!r}")
     gains = np.ones(weights0.n_groups)  # the straight-through starting point
     gain_stats, scale = _gain_stats(gains), weights0.per_weight(gains)
     # each weight's clip level is fixed for the run; the identity grid never clips
     clip = None if spec.mode == "identity" else weights0.broadcast(spec.clip_level())
+    base = cfg.loop == "base"  # the plain estimator; in dither mode, a dithered forward too
     dithered = base and cfg.jac_mode == "dither"
-    scheduled = not base or cfg.jac_mode in ("probe", "probe_ls")
     weights = weights0
     q = None if dithered else quantize(weights, spec)  # the hard forward is carried to the next step
     try:
         state = init_vr_state("plain" if base else cfg.vr_mode, q, scale, obj)
     except (ValueError, MemoryError) as exc:
         raise DivergenceError(f"estimator setup failed at step 0: {exc}", []) from exc
+    # an event that changes neither the gains nor an anchor is skipped, its draw too
+    scheduled = cfg.jac_mode != "ste" or state.mode in ("svrg", "sarah")
     trace: list[MetricsRecord] = []
     # only the trailing window a reader asks for stays alive
     states = deque(maxlen=keep_states) if keep_states else None
@@ -263,26 +268,20 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
 
 def train_vr(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
              keep_states: int = 0) -> TrainResult:
-    """Variance-reduced loop with anchored refreshes.
+    """Run ``cfg``'s loop from ``weights0``: the one training entry point.
 
     Gains start at one (the straight-through point). Refresh events update
     the gains, synchronize the anchor to the new point, and recompute the
     reference gradient. ``keep_states`` is how many trailing step states
     ``state_trace`` holds (0: none); a bool is refused.
     """
-    return _train(obj, weights0, spec, cfg, keep_states, base=False)
+    return _train(obj, weights0, spec, cfg, keep_states)
 
 
 def train_base(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
                keep_states: int = 0) -> TrainResult:
-    """Plain minibatch loop; no control variates (vr_mode is ignored).
-
-    Probe modes refresh the gains on the configured schedule. Dither mode
-    draws a fresh dither each step, runs the forward on the de-dithered
-    proxy, and updates the gains every step reusing the forward dither.
-    ``keep_states`` works as in :func:`train_vr`.
-    """
-    return _train(obj, weights0, spec, cfg, keep_states, base=True)
+    """:func:`train_vr` with ``loop="base"``; kept for perfbench's tracer, which wraps it."""
+    return train_vr(obj, weights0, spec, replace(cfg, loop="base"), keep_states)
 
 
 @np.errstate(all="ignore")  # as in _train: a code that overflows clips to +/-c by design
@@ -292,7 +291,7 @@ def final_loss(obj: Objective, weights: GroupedWeights, spec: QuantSpec) -> floa
 
 
 def _run_cell(args) -> dict:
-    obj, values, spec, cfg, group_size, refresh, jac_mode, use_base = args
+    obj, values, spec, cfg, group_size, refresh, jac_mode = args
     weights = GroupedWeights(values, group_size)
     cell_spec = calibrate_step(weights, spec) if spec.per_group else spec
     cell_cfg = replace(cfg, refresh=refresh, jac_mode=jac_mode)
@@ -307,8 +306,7 @@ def _run_cell(args) -> dict:
         "error": "",
     }
     try:
-        runner = train_base if use_base else train_vr
-        res = runner(obj, weights, cell_spec, cell_cfg)
+        res = train_vr(obj, weights, cell_spec, cell_cfg)
         result["final_loss"] = final_loss(obj, res.weights, cell_spec)
         result["steps_run"] = len(res.metrics)
     except (DivergenceError, ValueError) as exc:
@@ -320,7 +318,7 @@ def run_sweep(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, base_cf
               group_sizes: list[int] | None = None,
               refresh_policies: list[RefreshPolicy] | None = None,
               jac_modes: list[str] | None = None,
-              use_base: bool = False, jobs: int = 1) -> list[dict]:
+              jobs: int = 1) -> list[dict]:
     """One full run per grid cell; shared seed; errors recorded, sweep continues.
 
     ``final_loss`` is the full-dataset loss at the final quantized point.
@@ -331,7 +329,7 @@ def run_sweep(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, base_cf
     group_sizes = group_sizes or [weights0.group_size]
     refresh_policies = refresh_policies or [base_cfg.refresh]
     jac_modes = jac_modes or [base_cfg.jac_mode]
-    cells = [(obj, weights0.values, spec, base_cfg, gs, rp, jm, use_base)
+    cells = [(obj, weights0.values, spec, base_cfg, gs, rp, jm)
              for gs, rp, jm in product(group_sizes, refresh_policies, jac_modes)]
     workers = min(jobs, len(cells))
     if workers > 1:

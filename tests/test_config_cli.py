@@ -57,7 +57,7 @@ def test_minimal_config_fills_all_defaults(tmp_path):
     assert setup.train.refresh.interval == 100
     assert setup.config["quant"]["group_size"] == 128
     assert setup.config["train"]["jac_mode"] == "probe"
-    assert setup.seed == 0
+    assert setup.train.seed == 0
     assert isinstance(setup.objective, Quadratic)
     assert setup.weights.dim == 64
 
@@ -144,14 +144,14 @@ def test_round_trip_is_idempotent_over_random_configs(tmp_path):
         assert first.weights.group_size == second.weights.group_size
         for field in dataclasses.fields(QuantSpec):
             assert np.array_equal(getattr(first.spec, field.name), getattr(second.spec, field.name))
-        assert first.train == second.train and first.loop == second.loop
+        assert first.train == second.train
         assert first.sweep == second.sweep
 
 
 def test_seed_override(tmp_path, capsys):
     path = write_config(tmp_path, {"seed": 5, "objective": {"kind": "quadratic"}})
-    assert parse_config(path).seed == 5
-    assert parse_config(path, seed_override=9).seed == 9
+    assert parse_config(path).train.seed == 5
+    assert parse_config(path, seed_override=9).train.seed == 9
     # --seed gets the checks of a seed in the file, so the summary's echo always re-runs
     small = write_config(tmp_path, {"objective": {"kind": "quadratic", "dim": 4, "n_samples": 4},
                                     "quant": {"group_size": 2}, "train": {"steps": 5}},

@@ -1,20 +1,21 @@
 """Golden digests: small `qatlab train` runs must reproduce their committed bytes.
 
-Each config runs through ``cli.main``; the test hashes ``metrics.csv`` and
-``summary.json`` without its ``wall_time_s`` field. Together the configs
-cover a short last group, calibrated per-group steps, mid-rise, w1 and
-ternary grids, every ``jac_mode``, every ``vr_mode``, both loops, and
-eight or more probes (numpy's pairwise summation of probe means). SARAH
-runs twice: on a w1 sign grid, where consecutive quantized points mostly
-coincide, and on a 4-bit grid, where its recursive difference shows in
-the bytes. SVRG runs three times: within one row block, on one weight
-(numpy sums its 37-row batches pairwise) and on 6000 weights (each batch
-and anchor pass spans several row blocks).
+Each config runs through ``cli.main``; the test hashes ``metrics.csv``
+and ``summary.json`` without its ``wall_time_s`` field. Together the
+configs cover a short last group, calibrated per-group steps, mid-rise,
+w1 and ternary grids, every ``jac_mode``, every ``vr_mode``, both
+``train.loop`` settings, and eight or more probes (numpy's pairwise
+summation of probe means). SARAH runs twice: on a w1 sign grid, where
+consecutive quantized points mostly coincide, and on a 4-bit grid, where
+its recursive difference shows in the bytes. SVRG runs three times:
+within one row block, on one weight (numpy sums its 37-row batches
+pairwise) and on 6000 weights (each batch and anchor pass spans several
+row blocks).
 
-The base-loop configs in ``BASE_CONFIGS`` pin the paths the plain loop
-takes apart from the variance-reduced one: no gain update (``ste``), a
-scheduled ``probe_ls`` update and a non-default ``vr_mode`` that the base
-loop ignores. Their digests are in ``golden/base_digests.json``.
+The ``loop: base`` configs in ``BASE_CONFIGS`` pin what that setting
+changes in the one loop: no gain update (``ste``), a scheduled
+``probe_ls`` update and a non-default ``vr_mode`` that ``base`` ignores.
+Their digests are in ``golden/base_digests.json``.
 
 A digest may change only with a CHANGES.md entry naming which bytes
 changed and why; on a mismatch the test prints the new digests.

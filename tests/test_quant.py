@@ -128,6 +128,23 @@ def test_dither_out_of_range_rejected():
         dither_quantize(w, np.array([0.0, 0.9]), spec)
 
 
+# a scalar, one entry or a block whose last axis only broadcasts against the 16 weights,
+# and a last axis of another length
+@pytest.mark.parametrize("shape", [(), (1,), (3, 1), (15,)])
+def test_dither_that_only_broadcasts_is_rejected(shape):
+    w = grouped(np.linspace(-1.0, 1.0, 16), group_size=8)
+    with pytest.raises(ValueError, match="invalid dither"):
+        dither_quantize(w, np.full(shape, 0.1), QuantSpec.w2(step=1.0))
+
+
+def test_dither_block_maps_each_row_as_its_own_dither():
+    spec = QuantSpec.w2(step=1.0)
+    w = grouped(np.linspace(-2.0, 2.0, 16), group_size=8)
+    block = np.stack([draw_dither(w, spec, seed=0, draw_key=k) for k in range(3)])
+    rows = [dither_quantize(w, r, spec) for r in block]
+    assert np.array_equal(dither_quantize(w, block, spec), np.stack(rows))
+
+
 def test_dither_draw_stays_in_half_step_interval():
     spec = QuantSpec.generic(bits=3, step=0.25)
     w = grouped(np.zeros(100), group_size=32)

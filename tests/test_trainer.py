@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qatlab.cli import main
 from qatlab.config import parse_config_dict
 from qatlab.jacobian import apply_gains
 from qatlab.objectives import Quadratic, make_pl_instance, make_regression_task, make_saturating_task
@@ -15,6 +18,7 @@ from qatlab.trainer import (
     MetricsRecord,
     RefreshPolicy,
     TrainConfig,
+    final_loss,
     run_sweep,
     train_base,
     train_vr,
@@ -254,10 +258,62 @@ def test_sweep_group_size_sensitivity_is_mild():
                       refresh=RefreshPolicy("interval", interval=25),
                       jac_mode="probe", vr_mode="plain", probe_sigma=0.25,
                       num_probes=8, seed=7)
-    table = run_sweep(obj, w0, spec, cfg, group_sizes=[8, 32, 128], use_base=True)
+    table = run_sweep(obj, w0, spec, cfg, group_sizes=[8, 32, 128])
     losses = [rec["final_loss"] for rec in table]
     assert all(rec["error"] == "" for rec in table)
     assert (max(losses) - min(losses)) / min(losses) < 0.20
+
+
+def loop_metrics(tmp_path, name, train):
+    """The metrics.csv bytes of `qatlab train` on a saturating task (dim 96, groups of 16)."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"seed": 3, "objective": {"kind": "saturating", "dim": 96},
+                                "quant": {"group_size": 16},
+                                "train": {"steps": 40, "num_probes": 4, **train}}))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+    return (tmp_path / name / "metrics.csv").read_bytes()
+
+
+REFRESHES = {"interval": {"kind": "interval", "interval": 5},
+             "probability": {"kind": "probability", "probability": 0.3}}
+
+
+@pytest.mark.parametrize("refresh", sorted(REFRESHES))
+@pytest.mark.parametrize("jac_mode", ["probe", "probe_ls", "ste"])
+def test_base_loop_is_the_plain_estimator(tmp_path, jac_mode, refresh):
+    # outside dither mode the base loop is vr with vr_mode plain, byte for byte; vr_mode is unread
+    common = {"jac_mode": jac_mode, "refresh": REFRESHES[refresh]}
+    base = loop_metrics(tmp_path, "base", {"loop": "base", "vr_mode": "saga", **common})
+    plain = loop_metrics(tmp_path, "plain", {"loop": "vr", "vr_mode": "plain", **common})
+    assert base == plain
+    if jac_mode == "ste":  # nothing would change at an event, so none runs
+        assert all(row.endswith(",0") for row in plain.decode().splitlines()[1:])
+
+
+def test_ste_refresh_still_moves_the_svrg_anchor(tmp_path):
+    # the gains stay at one, but each event synchronizes the anchor: refresh 1 there
+    rows = loop_metrics(tmp_path, "svrg", {"jac_mode": "ste", "vr_mode": "svrg",
+                                           "refresh": REFRESHES["interval"]}).decode()
+    flags = [row.rsplit(",", 1)[1] for row in rows.splitlines()[1:]]
+    assert flags == ["1" if step % 5 == 0 else "0" for step in range(1, 41)]
+
+
+def test_sweep_cells_run_the_configured_loop():
+    obj = make_pl_instance(32, 0.1, 1.0, seed=2, n_samples=16)
+    w0 = GroupedWeights(substream(1, "w0").normal(0.0, 1.0, 32), group_size=8)
+    spec = QuantSpec.w2(step=0.5)
+    cfg = TrainConfig(stepsize=0.1, batch_size=4, steps=15, loop="base",
+                      refresh=RefreshPolicy("interval", interval=5),
+                      jac_mode="probe", probe_sigma=0.1, num_probes=4, seed=6)
+    table = run_sweep(obj, w0, spec, cfg, jac_modes=["ste", "dither"])
+    dither_cfg = replace(cfg, jac_mode="dither")
+    run = train_vr(obj, w0, spec, dither_cfg)
+    assert table[1]["jac_mode"] == "dither"
+    assert table[1]["final_loss"] == final_loss(obj, run.weights, spec)
+    assert table[1]["steps_run"] == len(run.metrics) == 15
+    # the same cell in the vr loop has no dithered forward: another run
+    vr = train_vr(obj, w0, spec, replace(dither_cfg, loop="vr"))
+    assert final_loss(obj, vr.weights, spec) != table[1]["final_loss"]
 
 
 def test_sweep_parallel_jobs_matches_serial():
@@ -282,6 +338,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="jac_mode"):
         TrainConfig(stepsize=0.1, batch_size=1, steps=1,
                     refresh=RefreshPolicy("interval", interval=1), jac_mode="nope")
+    with pytest.raises(ValueError, match="loop must be vr or base"):
+        TrainConfig(stepsize=0.1, batch_size=1, steps=1,
+                    refresh=RefreshPolicy("interval", interval=1), loop="nope")
 
 
 @pytest.mark.parametrize("runner", [train_base, train_vr])
