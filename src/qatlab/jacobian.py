@@ -8,8 +8,10 @@ fit), clipped to [0, 1], and smoothed by an EMA. Every update measures the
 response with one kernel, ``probe_slope_samples``. The hard modes probe with
 Gaussian perturbations, whose smoothing of the staircase stands in for a
 dither; the dithered fit probes with +-sigma signs, so its mean is the
-central difference of the dither-smoothed map. The straight-through
-rule is the special case of all-ones gains.
+central difference of the dither-smoothed map. With one fixed dither
+(a training step's forward dither) each weight has only two perturbed
+responses, so such an update quantizes three (dim,) rows at any probe
+count. The straight-through rule is the special case of all-ones gains.
 """
 
 from __future__ import annotations
@@ -59,20 +61,21 @@ class ProbeConfig:
 def _group_sums(a: np.ndarray, b: np.ndarray, group_size: int) -> np.ndarray:
     """Per-group, per-row inner products of two (m, d) blocks, shape (n_groups, m).
 
+    Either block may be one (1, d) row, which meets every row of the other.
     One einsum over the (m, k, group_size) full groups and one over the
     (m, 1, tail) short last group round exactly like one einsum per group;
     np.add.reduceat would not. The result is C-ordered, so that a reduction
     over probes sums each row the same way.
     """
-    m, d = a.shape
+    d = a.shape[1]
     k, tail = divmod(d, group_size)
     full = d - tail
-    out = np.empty((k + (tail > 0), m))
-    shape = (m, k, group_size)
-    out[:k] = np.einsum("mks,mks->km", a[:, :full].reshape(shape), b[:, :full].reshape(shape))
+    out = np.empty((k + (tail > 0), max(len(a), len(b))))
+    out[:k] = np.einsum("mks,mks->km", a[:, :full].reshape(len(a), k, group_size),
+                        b[:, :full].reshape(len(b), k, group_size))
     if tail:
-        shape = (m, 1, tail)
-        out[k:] = np.einsum("mks,mks->km", a[:, full:].reshape(shape), b[:, full:].reshape(shape))
+        out[k:] = np.einsum("mks,mks->km", a[:, full:].reshape(len(a), 1, tail),
+                            b[:, full:].reshape(len(b), 1, tail))
     return out
 
 
@@ -128,21 +131,50 @@ def probe_slope_samples(weights: GroupedWeights, spec: QuantSpec, sigma: float, 
     columns, for probe row k of the ``probes`` stream and the response change dq_k.
     This is the one probe kernel: every gain update and the probe-rate harness run it.
     The (m, dim) block is drawn and used in blocks of probe rows (``row_blocks``), by
-    consecutive draws of the stream, in one reused buffer, the perturbed input in a
-    second. Hard probes are standard normals scaled by sigma in place, with the bits
-    of ``normal(0, sigma)`` (``_draw_probes``); dithered ones are +-sigma signs
-    (``_draw_signs``). The response is de-dithered by ``dither``, one (dim,) dither
-    shared by every probe, or by each probe's own row of ``dither_rng`` (``next_dither``).
+    consecutive draws of the stream, in one reused buffer. Hard probes are standard
+    normals scaled by sigma in place, with the bits of ``normal(0, sigma)``
+    (``_draw_probes``); dithered ones are +-sigma signs (``_draw_signs``). The response
+    is de-dithered by ``dither``, one (dim,) dither shared by every probe, or by each
+    probe's own row of ``dither_rng`` (``next_dither``); the hard and per-probe dither
+    responses are built in a second buffer, one perturbed (rows, dim) block at a time.
+
+    A fixed ``dither`` costs three quantizer rows at any m. Each sign probe then meets
+    one of two responses per weight, up = Qbar(w + sigma) - Qbar(w) or down =
+    Qbar(w - sigma) - Qbar(w), and delta * dq = delta * (up + down) / 2 + sigma *
+    (up - down) / 2. So cross is the group sum of each probe row against the even part
+    plus that of sigma against the odd part, the central difference, which every probe
+    shares; energy is the group sum of sigma * sigma.
     """
     if m < 1:
         raise ValueError(f"the probe count must be >= 1, got {m}")
     values = weights.values
+    size = weights.group_size
     step = weights.broadcast(spec.step)
-    draw = _draw_probes if dither is None and dither_rng is None else _draw_signs
-    base = None if dither_rng is not None else _response(values, spec, step, dither)
     cross, energy = np.empty((2, weights.n_groups, m))
-    # the probe block and the perturbed input, as many rows as the first (longest) block
-    buffers = np.empty((2, next(row_blocks(m, weights.dim)).stop, weights.dim))
+    first = next(row_blocks(m, weights.dim)).stop  # the rows of the first (longest) block
+    if dither is not None:
+        base = _response(values, spec, step, dither)
+        # an input that overflows is refused by the quantizer as a non-finite weight, and
+        # sums that overflow by the gain update as a non-finite estimate
+        with np.errstate(over="ignore", invalid="ignore"):
+            up = _response(values + sigma, spec, step, dither)
+            down = _response(values - sigma, spec, step, dither)
+            up -= base
+            down -= base
+            even, odd = (up + down) * 0.5, (up - down) * 0.5
+            sigmas = np.full((1, weights.dim), sigma)
+            central = _group_sums(sigmas, odd[None], size)
+            energy[:] = _group_sums(sigmas, sigmas, size)
+            deltas = np.empty((first, weights.dim))
+            for rows in row_blocks(m, weights.dim):
+                block = _draw_signs(probes, sigma, deltas[:rows.stop - rows.start])
+                cross[:, rows] = _group_sums(block, even[None], size)
+            cross += central
+        return cross, energy
+    draw = _draw_probes if dither_rng is None else _draw_signs
+    base = None if dither_rng is not None else quantize_array(values, spec, step=step)
+    # the probe block and the perturbed input
+    buffers = np.empty((2, first, weights.dim))
     for rows in row_blocks(m, weights.dim):
         deltas, work = buffers[:, :rows.stop - rows.start]
         draw(probes, sigma, deltas)
@@ -151,8 +183,8 @@ def probe_slope_samples(weights: GroupedWeights, spec: QuantSpec, sigma: float, 
             base = _response(values, spec, step, dither, work)
         dq = _response(np.add(values, deltas, out=work), spec, step, dither, work)
         dq -= base
-        cross[:, rows] = _group_sums(dq, deltas, weights.group_size)
-        energy[:, rows] = _group_sums(deltas, deltas, weights.group_size)
+        cross[:, rows] = _group_sums(dq, deltas, size)
+        energy[:, rows] = _group_sums(deltas, deltas, size)
     return cross, energy
 
 
@@ -220,9 +252,11 @@ def dither_update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray,
     ``fixed_dither`` reuses an externally drawn (dim,) dither (e.g. the
     forward dither of a training step) for every probe instead; one of
     another shape, or beyond half a step, is refused before any probe is
-    drawn. Over the signs and the dither, a probe's slope then has the mean
-    (Qbar(w + sigma) - Qbar(w - sigma)) / (2 sigma) of the dither-smoothed
-    map Qbar, per weight: ``mean_field_sensitivity(probe_eps=sigma)``.
+    drawn. Such an update quantizes three (dim,) rows, at w and w +- sigma,
+    whatever num_probes is. Over the signs and the dither, a probe's slope
+    then has the mean (Qbar(w + sigma) - Qbar(w - sigma)) / (2 sigma) of
+    the dither-smoothed map Qbar, per weight:
+    ``mean_field_sensitivity(probe_eps=sigma)``.
     """
     if fixed_dither is not None:
         if np.ndim(fixed_dither) != 1:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 import qatlab.diagnostics as diagnostics_mod
 import qatlab.jacobian as jacobian_mod
+import qatlab.quant as quant_mod
 from qatlab.jacobian import (
     ProbeConfig,
     apply_gains,
@@ -21,6 +23,7 @@ from qatlab.quant import (
     dither_quantize,
     draw_dither,
     mean_field_sensitivity,
+    quantize_array,
 )
 from qatlab.rng import substream
 
@@ -334,3 +337,82 @@ def test_every_gain_update_and_the_probe_rate_harness_run_the_one_kernel(monkeyp
     diagnostics_mod.probe_rate_harness(QuantSpec.generic(bits=4), group_dim=8, sigma=0.5,
                                        probe_counts=[2, 4, 8], trials=2)
     assert calls[4:] == [2, 2, 4, 4, 8, 8]  # one call per trial
+
+
+UPDATES = {
+    "probe": probe_update,
+    "probe_ls": probe_ls_update,
+    "per_probe_dither": lambda *a, **k: dither_update(*a, dither_seed=2, **k),
+    "fixed_dither": lambda w, spec, *a, **k: dither_update(
+        w, spec, *a, dither_seed=2, fixed_dither=draw_dither(w, spec, seed=4), **k),
+}
+
+
+@pytest.mark.parametrize("num_probes", [1, 8, 64])
+@pytest.mark.parametrize("name", UPDATES)
+def test_a_fixed_dither_update_quantizes_three_rows_at_any_probe_count(name, num_probes,
+                                                                       monkeypatch):
+    # 4 probe rows of 4096 weights fill a block: the hard and per-probe dither updates
+    # quantize each (rows, dim) block, and the hard ones their base point too
+    w = GroupedWeights(substream(1, "w").normal(0.0, 1.0, 4096), group_size=32)
+    shapes = []
+
+    def spy(x, spec, step):
+        shapes.append(np.shape(x))
+        return quantize_array(x, spec, step)
+
+    monkeypatch.setattr(jacobian_mod, "quantize_array", spy)
+    UPDATES[name](w, QuantSpec.w2(step=0.5), np.ones(w.n_groups),
+                  ProbeConfig(probe_sigma=0.2, num_probes=num_probes, seed=1), draw_key=3)
+    blocks = [(min(4, num_probes - a), 4096) for a in range(0, num_probes, 4)]
+    expected = {"probe": [(4096,), *blocks], "probe_ls": [(4096,), *blocks],
+                "per_probe_dither": [s for block in blocks for s in (block, block)],
+                "fixed_dither": [(4096,)] * 3}
+    assert shapes == expected[name]
+
+
+def per_probe_sums(w, spec, sigma, m, probes, dither):
+    """The per-probe slope sums of a fixed dither: <dq_k, delta_k> over one whole sign draw.
+
+    Also returns each group's largest |dq * delta| per probe.
+    """
+    deltas = jacobian_mod._draw_signs(probes, sigma, np.empty((m, w.dim)))
+    step = w.broadcast(spec.step)
+    base = quantize_array(w.values + dither, spec, step) - dither
+    dq = quantize_array(w.values + deltas + dither, spec, step) - dither
+    dq -= base
+    terms = np.abs(dq * deltas)
+    largest = np.array([terms[:, lo:hi].max(axis=1) for lo, hi in w.group_bounds])
+    sums = (jacobian_mod._group_sums(dq, deltas, w.group_size),
+            jacobian_mod._group_sums(deltas, deltas, w.group_size))
+    return sums, largest
+
+
+# 70 weights in groups of 32: the last group is a short one of 6
+FIXED_DITHER_SPECS = {
+    "w2": QuantSpec.w2(step=0.5),
+    "w1": QuantSpec.w1(step=0.5),
+    "identity": QuantSpec.identity(),
+    "mid_rise_generic": QuantSpec.generic(bits=4, step=np.array([0.3, 0.1, 0.7]), mid_rise=True),
+}
+
+
+@pytest.mark.parametrize("rows_per_block", [3, None], ids=["split", "one-block"])
+@pytest.mark.parametrize("sigma", [0.05, 0.3, 1.7])
+@pytest.mark.parametrize("name", FIXED_DITHER_SPECS)
+def test_fixed_dither_sums_agree_with_the_per_probe_sums(name, sigma, rows_per_block):
+    # even / odd sums round otherwise than the per-probe <dq_k, delta_k>; both round at the
+    # scale of a whole group sum, so they agree within 4 ulps of size * largest term
+    spec = FIXED_DITHER_SPECS[name]
+    for seed in range(20):
+        w = GroupedWeights(substream(seed, "w").normal(0.0, 1.0, 70), group_size=32)
+        dither = draw_dither(w, spec, seed=seed)
+        (cross, energy), largest = per_probe_sums(w, spec, sigma, 8, substream(seed, "probe"),
+                                                  dither)
+        with patch.object(quant_mod, "_BLOCK_ELEMS", (rows_per_block or 8) * w.dim):
+            got = probe_slope_samples(w, spec, sigma, 8, substream(seed, "probe"), dither)
+        one_block = probe_slope_samples(w, spec, sigma, 8, substream(seed, "probe"), dither)
+        assert got[0].tobytes() == one_block[0].tobytes()
+        assert got[1].tobytes() == one_block[1].tobytes() == energy.tobytes()
+        sizes = np.array([[hi - lo] for lo, hi in w.group_bounds])
+        assert np.all(np.abs(got[0] - cross) <= 4 * np.spacing(sizes * largest))

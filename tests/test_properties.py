@@ -167,11 +167,28 @@ def loop_slope_samples(w, spec, step, deltas, dither=None):
         base = quantize_array(w, spec, step=step)[None, :]
         shifted = quantize_array(w[None, :] + deltas, spec, step=step)
     else:
-        dither = np.atleast_2d(dither)
         base = quantize_array(w[None, :] + dither, spec, step=step) - dither
         shifted = quantize_array(w[None, :] + deltas + dither, spec, step=step) - dither
     dq = shifted - base
     return np.einsum("ij,ij->i", dq, deltas), np.einsum("ij,ij->i", deltas, deltas)
+
+
+def loop_fixed_dither_sums(w, spec, step, deltas, dither, sigma):
+    """A fixed dither's slope sums from its three responses, at w, w + sigma and w - sigma.
+
+    A +-sigma probe entry meets up = Qbar(w + sigma) - Qbar(w) or down = Qbar(w - sigma) -
+    Qbar(w), and delta * dq = delta * (up + down) / 2 + sigma * (up - down) / 2: the probe
+    row against the even part, plus sigma against the odd part, which every probe shares.
+    """
+    def response(x):
+        return quantize_array(x + dither, spec, step=step) - dither
+
+    base = response(w)
+    up, down = response(w + sigma) - base, response(w - sigma) - base
+    with np.errstate(over="ignore", invalid="ignore"):  # sums at 1e300 overflow, as they may
+        central = np.einsum("s,s->", np.full(w.size, sigma), (up - down) / 2)
+        cross = np.einsum("ms,s->m", deltas, (up + down) / 2) + central
+    return cross, np.einsum("ij,ij->i", deltas, deltas)
 
 
 class BlockColumns:
@@ -203,7 +220,8 @@ def loop_update(weights, spec, gains, cfg, draw_key, least_squares=False,
     """Gain update one group at a time; group g takes its columns of each (m, d) block.
 
     A hard update's probes are drawn with normal(0, sigma), a dithered one's are
-    ``loop_signs``; sigma is the config's or half the smallest group step. A zero
+    ``loop_signs``; sigma is the config's or half the smallest group step. A fixed
+    dither's sums come from its three responses (``loop_fixed_dither_sums``). A zero
     least-squares denominator raises.
     """
     shape = (cfg.num_probes, weights.dim)
@@ -217,14 +235,16 @@ def loop_update(weights, spec, gains, cfg, draw_key, least_squares=False,
     estimates = np.zeros(weights.n_groups)
     for g, (lo, hi) in enumerate(loop_bounds(weights.dim, weights.group_size)):
         step_g = float(spec.step[g]) if spec.per_group else float(spec.step)
-        dither = None
         if fixed_dither is not None:
-            dither = fixed_dither[lo:hi]
-        elif dither_seed is not None:
-            dither = substream(dither_seed, "dither_block", draw_key).uniform(
-                -0.5 * step_g, 0.5 * step_g, size=shape)[:, lo:hi]
-        cross, energy = loop_slope_samples(weights.values[lo:hi], spec, step_g,
-                                           probes[:, lo:hi], dither)
+            cross, energy = loop_fixed_dither_sums(weights.values[lo:hi], spec, step_g,
+                                                   probes[:, lo:hi], fixed_dither[lo:hi], sigma)
+        else:
+            dither = None
+            if dither_seed is not None:
+                dither = substream(dither_seed, "dither_block", draw_key).uniform(
+                    -0.5 * step_g, 0.5 * step_g, size=shape)[:, lo:hi]
+            cross, energy = loop_slope_samples(weights.values[lo:hi], spec, step_g,
+                                               probes[:, lo:hi], dither)
         if not dithered:  # the kernel on this group alone draws the same columns
             group = GroupedWeights(weights.values[lo:hi], hi - lo)
             kernel = probe_slope_samples(group, dataclasses.replace(spec, step=step_g), sigma,
@@ -266,9 +286,13 @@ def test_group_layout_ops_match_loops(data):
 def test_group_sums_match_one_einsum_per_group(dim, group_size, m, seed):
     a = substream(seed, "a").normal(0.0, 1.0, size=(m, dim))
     b = substream(seed, "b").normal(0.0, 1.0, size=(m, dim))
-    for x, y in ((a, b), (b, b)):  # the cross and the energy sums of a gain update
+    row = b[:1]  # one row meets every row of the other block, as m copies of it would
+    for x, y, expected in ((a, b, loop_group_sums(a, b, group_size)),  # a gain update's cross
+                           (b, b, loop_group_sums(b, b, group_size)),  # and energy sums
+                           (a, row, loop_group_sums(a, np.repeat(row, m, axis=0), group_size)),
+                           (row, row, loop_group_sums(row, row, group_size))):
         got = jacobian._group_sums(x, y, group_size)
-        assert_same_bits(got, loop_group_sums(x, y, group_size))
+        assert_same_bits(got, expected)
         assert got.flags.c_contiguous  # the mean over probes rounds by memory order
 
 
@@ -358,16 +382,17 @@ def test_gain_updates_in_probe_blocks_match_one_block(layout, block, num_probes,
 
 
 def probe_block_of(weights, spec, cfg, draw_key, update=probe_update):
-    """The (m, d) probe block one update hands to the group sums, block by block."""
+    """The (m, d) probe block one update draws, block by block."""
     seen = []
-    kernel = jacobian._group_sums
 
-    def spy(a, b, group_size):
-        if a is b:  # the energy sums: the probe block with itself
-            seen.append(a.copy())  # the kernel draws each block into one reused buffer
-        return kernel(a, b, group_size)
+    def spying(draw):
+        def spy(rng, sigma, out):
+            seen.append(draw(rng, sigma, out).copy())  # each block reuses one buffer
+            return out
+        return spy
 
-    with patch.object(jacobian, "_group_sums", spy):
+    with (patch.object(jacobian, "_draw_probes", spying(jacobian._draw_probes)),
+          patch.object(jacobian, "_draw_signs", spying(jacobian._draw_signs))):
         update(weights, spec, np.ones(weights.n_groups), cfg, draw_key=draw_key)
     return np.concatenate(seen)
 
