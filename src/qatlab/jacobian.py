@@ -10,8 +10,9 @@ Gaussian perturbations, whose smoothing of the staircase stands in for a
 dither; the dithered fit probes with +-sigma signs, so its mean is the
 central difference of the dither-smoothed map. With one fixed dither
 (a training step's forward dither) each weight has only two perturbed
-responses, so such an update quantizes three (dim,) rows at any probe
-count. The straight-through rule is the special case of all-ones gains.
+responses, so such an update quantizes three (dim,) rows and reads each
+weight's signs only as its count of +sigma ones, at any probe count.
+The straight-through rule is the special case of all-ones gains.
 """
 
 from __future__ import annotations
@@ -93,17 +94,23 @@ def _draw_probes(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.
     return out
 
 
+def _sign_bits(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
+    """The next (rows, dim) probe sign bits of ``rng`` as uint8, 1 for +sigma and 0 for -sigma.
+
+    Each row takes ceil(dim / 64) raw uint64 words of the bit generator, one
+    bit per entry, low bit first; a row's surplus bits go unused. So a run
+    of blocks gives the bits of one whole draw, at any dim.
+    """
+    words = rng.bit_generator.random_raw((rows, -(-dim // 64))).astype("<u8", copy=False)
+    return np.unpackbits(words.view(np.uint8), axis=1, count=dim, bitorder="little")
+
+
 def _draw_signs(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.ndarray:
     """The next probe rows of ``rng`` as +-sigma signs, (2b - 1) * sigma, in ``out``.
 
-    Each row takes ceil(dim / 64) raw uint64 words of the bit generator, one
-    bit b per entry, low bit first; a row's surplus bits go unused. So a run
-    of blocks gives the signs of one whole draw, at any dim. The signs are
-    exact and finite at any finite sigma.
+    b are the rows' ``_sign_bits``. The signs are exact and finite at any finite sigma.
     """
-    rows, dim = out.shape
-    words = rng.bit_generator.random_raw((rows, -(-dim // 64))).astype("<u8", copy=False)
-    bits = np.unpackbits(words.view(np.uint8), axis=1, count=dim, bitorder="little")
+    bits = _sign_bits(rng, *out.shape)
     return np.multiply(2 * bits.view(np.int8) - 1, sigma, out=out)
 
 
@@ -130,29 +137,36 @@ def probe_slope_samples(weights: GroupedWeights, spec: QuantSpec, sigma: float, 
     cross[g, k] is <dq_k, delta_k> and energy[g, k] is |delta_k|^2 over group g's
     columns, for probe row k of the ``probes`` stream and the response change dq_k.
     This is the one probe kernel: every gain update and the probe-rate harness run it.
-    The (m, dim) block is drawn and used in blocks of probe rows (``row_blocks``), by
-    consecutive draws of the stream, in one reused buffer. Hard probes are standard
-    normals scaled by sigma in place, with the bits of ``normal(0, sigma)``
-    (``_draw_probes``); dithered ones are +-sigma signs (``_draw_signs``). The response
-    is de-dithered by ``dither``, one (dim,) dither shared by every probe, or by each
-    probe's own row of ``dither_rng`` (``next_dither``); the hard and per-probe dither
-    responses are built in a second buffer, one perturbed (rows, dim) block at a time.
+    The (m, dim) block is drawn in blocks of probe rows (``row_blocks``), by
+    consecutive draws of the stream. Hard probes are standard normals scaled by sigma
+    in place, with the bits of ``normal(0, sigma)`` (``_draw_probes``). Dithered ones
+    are +-sigma signs, one bit of the stream each (``_sign_bits``); as delta * delta
+    is sigma * sigma, every sign probe's energy is the group sums of one sigma row.
+    The hard and per-probe dither blocks are used one (rows, dim) block at a time in
+    one reused buffer, their perturbed responses built in a second; the per-probe
+    dither is each probe's own row of ``dither_rng`` (``next_dither``).
 
-    A fixed ``dither`` costs three quantizer rows at any m. Each sign probe then meets
-    one of two responses per weight, up = Qbar(w + sigma) - Qbar(w) or down =
-    Qbar(w - sigma) - Qbar(w), and delta * dq = delta * (up + down) / 2 + sigma *
-    (up - down) / 2. So cross is the group sum of each probe row against the even part
-    plus that of sigma against the odd part, the central difference, which every probe
-    shares; energy is the group sum of sigma * sigma.
+    A fixed ``dither``, one (dim,) row shared by every probe, returns one column each,
+    (n_groups, 1): cross summed over the m probes, and the energy that every probe
+    has; the mean of the per-probe slope fits is then cross / (energy + eps) / m. Each
+    sign probe meets one of two responses per weight, up = Qbar(w + sigma) - Qbar(w) or
+    down = Qbar(w - sigma) - Qbar(w). So such a call quantizes three rows and counts
+    each weight's P +sigma signs, at any m: sum_k delta_k * dq_k = sigma * (P * up -
+    (m - P) * down), one group sum of one row.
     """
     if m < 1:
         raise ValueError(f"the probe count must be >= 1, got {m}")
     values = weights.values
     size = weights.group_size
     step = weights.broadcast(spec.step)
-    cross, energy = np.empty((2, weights.n_groups, m))
-    first = next(row_blocks(m, weights.dim)).stop  # the rows of the first (longest) block
+    # a sign probe's |delta| per weight
+    sigmas = None if dither is None and dither_rng is None else np.full((1, weights.dim), sigma)
     if dither is not None:
+        # each weight's count of +sigma signs: fewer than 256 probes count in a byte
+        plus = np.zeros(weights.dim, np.uint8 if m < 256 else np.uint64)
+        for rows in row_blocks(m, weights.dim):
+            bits = _sign_bits(probes, rows.stop - rows.start, weights.dim)
+            plus += bits.sum(axis=0, dtype=plus.dtype)
         base = _response(values, spec, step, dither)
         # an input that overflows is refused by the quantizer as a non-finite weight, and
         # sums that overflow by the gain update as a non-finite estimate
@@ -161,18 +175,16 @@ def probe_slope_samples(weights: GroupedWeights, spec: QuantSpec, sigma: float, 
             down = _response(values - sigma, spec, step, dither)
             up -= base
             down -= base
-            even, odd = (up + down) * 0.5, (up - down) * 0.5
-            sigmas = np.full((1, weights.dim), sigma)
-            central = _group_sums(sigmas, odd[None], size)
-            energy[:] = _group_sums(sigmas, sigmas, size)
-            deltas = np.empty((first, weights.dim))
-            for rows in row_blocks(m, weights.dim):
-                block = _draw_signs(probes, sigma, deltas[:rows.stop - rows.start])
-                cross[:, rows] = _group_sums(block, even[None], size)
-            cross += central
-        return cross, energy
+            up *= plus
+            down *= m - plus
+            up -= down
+            return _group_sums(sigmas, up[None], size), _group_sums(sigmas, sigmas, size)
+    cross, energy = np.empty((2, weights.n_groups, m))
+    if dither_rng is not None:
+        energy[:] = _group_sums(sigmas, sigmas, size)
     draw = _draw_probes if dither_rng is None else _draw_signs
     base = None if dither_rng is not None else quantize_array(values, spec, step=step)
+    first = next(row_blocks(m, weights.dim)).stop  # the rows of the first (longest) block
     # the probe block and the perturbed input
     buffers = np.empty((2, first, weights.dim))
     for rows in row_blocks(m, weights.dim):
@@ -184,7 +196,8 @@ def probe_slope_samples(weights: GroupedWeights, spec: QuantSpec, sigma: float, 
         dq = _response(np.add(values, deltas, out=work), spec, step, dither, work)
         dq -= base
         cross[:, rows] = _group_sums(dq, deltas, size)
-        energy[:, rows] = _group_sums(deltas, deltas, size)
+        if dither_rng is None:
+            energy[:, rows] = _group_sums(deltas, deltas, size)
     return cross, energy
 
 
@@ -195,9 +208,11 @@ def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: Pr
 
     Its probes come from the (seed, "probe", draw_key) stream. The per-group
     estimate is the mean of the per-probe slope fits, or the least-squares fit
-    over all probes; a non-finite one raises ValueError. Estimates are clipped to
-    [0, 1] and mixed into ``gains`` at ``cfg.ema_rate``; the result is clipped
-    again, so a start outside [0, 1] cannot leak through.
+    over all probes; a non-finite one raises ValueError. A fixed dither's one
+    column of probe totals gives that mean as total / (energy + eps) / m; no
+    update fits it by least squares. Estimates are clipped to [0, 1] and mixed
+    into ``gains`` at ``cfg.ema_rate``; the result is clipped again, so a start
+    outside [0, 1] cannot leak through.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.size != weights.n_groups:
@@ -253,10 +268,12 @@ def dither_update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray,
     forward dither of a training step) for every probe instead; one of
     another shape, or beyond half a step, is refused before any probe is
     drawn. Such an update quantizes three (dim,) rows, at w and w +- sigma,
-    whatever num_probes is. Over the signs and the dither, a probe's slope
-    then has the mean (Qbar(w + sigma) - Qbar(w - sigma)) / (2 sigma) of
-    the dither-smoothed map Qbar, per weight:
-    ``mean_field_sensitivity(probe_eps=sigma)``.
+    and counts each weight's P +sigma signs, whatever num_probes is: its
+    probes' slope sums add up to one group sum of sigma * (P * up - (m - P) *
+    down), where up and down are the responses at w +- sigma less that at w.
+    Over the signs and the dither, a probe's slope then has the mean
+    (Qbar(w + sigma) - Qbar(w - sigma)) / (2 sigma) of the dither-smoothed
+    map Qbar, per weight: ``mean_field_sensitivity(probe_eps=sigma)``.
     """
     if fixed_dither is not None:
         if np.ndim(fixed_dither) != 1:

@@ -401,8 +401,11 @@ FIXED_DITHER_SPECS = {
 @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.7])
 @pytest.mark.parametrize("name", FIXED_DITHER_SPECS)
 def test_fixed_dither_sums_agree_with_the_per_probe_sums(name, sigma, rows_per_block):
-    # even / odd sums round otherwise than the per-probe <dq_k, delta_k>; both round at the
-    # scale of a whole group sum, so they agree within 4 ulps of size * largest term
+    # a fixed dither's kernel returns one column each: the total of cross over the probes,
+    # from each weight's count of +sigma signs, and the energy that every probe shares.
+    # The total rounds otherwise than the sum of the per-probe <dq_k, delta_k>; both round
+    # at the scale of m whole group sums, so they agree within 4 ulps of m * size * largest
+    # term (2 at worst over 300 seeds). The energy is each probe's, bit for bit
     spec = FIXED_DITHER_SPECS[name]
     for seed in range(20):
         w = GroupedWeights(substream(seed, "w").normal(0.0, 1.0, 70), group_size=32)
@@ -412,7 +415,61 @@ def test_fixed_dither_sums_agree_with_the_per_probe_sums(name, sigma, rows_per_b
         with patch.object(quant_mod, "_BLOCK_ELEMS", (rows_per_block or 8) * w.dim):
             got = probe_slope_samples(w, spec, sigma, 8, substream(seed, "probe"), dither)
         one_block = probe_slope_samples(w, spec, sigma, 8, substream(seed, "probe"), dither)
+        assert got[0].shape == got[1].shape == (w.n_groups, 1)
         assert got[0].tobytes() == one_block[0].tobytes()
-        assert got[1].tobytes() == one_block[1].tobytes() == energy.tobytes()
-        sizes = np.array([[hi - lo] for lo, hi in w.group_bounds])
-        assert np.all(np.abs(got[0] - cross) <= 4 * np.spacing(sizes * largest))
+        assert got[1].tobytes() == one_block[1].tobytes()
+        for k in range(8):
+            assert got[1][:, 0].tobytes() == energy[:, k].tobytes()
+        sizes = np.array([hi - lo for lo, hi in w.group_bounds])
+        bound = 4 * np.spacing(8 * sizes * largest.max(axis=1))
+        assert np.all(np.abs(got[0][:, 0] - cross.sum(axis=1)) <= bound)
+
+
+# rows that fill their last raw word or end it early; all but 4096 end on a short group
+@pytest.mark.parametrize("dim", [144, 4096, 4100, 70, 65, 40])
+@pytest.mark.parametrize("sigma", [5e-324, 1e-300, 0.3, 1e154])
+def test_a_sign_probes_energy_is_the_group_sums_of_one_sigma_row(dim, sigma):
+    # delta * delta is sigma * sigma for either sign, so one (1, dim) row of sigma gives the
+    # energy of the whole (m, dim) sign block bit for bit; the per-probe dither path uses it
+    w = GroupedWeights(substream(dim, "w").normal(0.0, 1.0, dim), group_size=32)
+    spec = QuantSpec.w2(step=0.5)
+    signs = jacobian_mod._draw_signs(substream(dim, "probe"), sigma, np.empty((6, dim)))
+    block = jacobian_mod._group_sums(signs, signs, 32)
+    row = np.full((1, dim), sigma)
+    row_sums = jacobian_mod._group_sums(row, row, 32)
+    assert np.broadcast_to(row_sums, block.shape).tobytes() == block.tobytes()
+    _, energy = probe_slope_samples(w, spec, sigma, 6, substream(dim, "probe"),
+                                    dither_rng=substream(dim, "dither_block"))
+    assert energy.tobytes() == block.tobytes()
+
+
+@pytest.mark.parametrize("num_probes", [1, 8, 64])
+@pytest.mark.parametrize("name", UPDATES)
+def test_a_fixed_dither_update_sums_one_row_per_group_sum(name, num_probes, monkeypatch):
+    # a fixed dither counts its signs without drawing a float sign block, and sums one
+    # (1, dim) row per group sum; the hard and per-probe dither updates draw and sum each
+    # (rows, dim) block of 4 probe rows, and the per-probe one its energy from a sigma row
+    w = GroupedWeights(substream(1, "w").normal(0.0, 1.0, 4096), group_size=32)
+    calls = []
+
+    def spying(name, function):
+        def spy(*args):
+            calls.append((name, *(np.shape(a) for a in args if isinstance(a, np.ndarray))))
+            return function(*args)
+        return spy
+
+    for function in ("_draw_probes", "_draw_signs", "_group_sums"):
+        monkeypatch.setattr(jacobian_mod, function,
+                            spying(function, getattr(jacobian_mod, function)))
+    UPDATES[name](w, QuantSpec.w2(step=0.5), np.ones(w.n_groups),
+                  ProbeConfig(probe_sigma=0.2, num_probes=num_probes, seed=1), draw_key=3)
+    row = (1, 4096)
+    blocks = [(min(4, num_probes - a), 4096) for a in range(0, num_probes, 4)]
+    hard = [c for b in blocks for c in (("_draw_probes", b), ("_group_sums", b, b),
+                                        ("_group_sums", b, b))]
+    expected = {"probe": hard, "probe_ls": hard,
+                "per_probe_dither": [("_group_sums", row, row),
+                                     *[c for b in blocks for c in (("_draw_signs", b),
+                                                                   ("_group_sums", b, b))]],
+                "fixed_dither": [("_group_sums", row, row)] * 2}
+    assert calls == expected[name]

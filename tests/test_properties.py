@@ -14,8 +14,10 @@ each group's step. A gain update drawn and used in blocks of probe rows
 must match the one-block loop reference bit for bit, at probe scales from 5e-324 to
 1e300. A hard update's probe rows must be normal(0, sigma)'s, up to the sign of a
 zero; a dithered one's are exactly +-sigma, one bit of the stream each, and their
-mean slope is unbiased for the closed-form central-difference oracle. A failing
-property, run under this repo's pytest settings, reports its falsifying example.
+mean slope is unbiased for the closed-form central-difference oracle. A fixed
+dither's update counts each weight's +sigma signs, and a count past 255 must not
+wrap. A failing property, run under this repo's pytest settings, reports its
+falsifying example.
 """
 
 from __future__ import annotations
@@ -174,21 +176,25 @@ def loop_slope_samples(w, spec, step, deltas, dither=None):
 
 
 def loop_fixed_dither_sums(w, spec, step, deltas, dither, sigma):
-    """A fixed dither's slope sums from its three responses, at w, w + sigma and w - sigma.
+    """A fixed dither's slope sums: their total over the probes, and the energy each probe has.
 
     A +-sigma probe entry meets up = Qbar(w + sigma) - Qbar(w) or down = Qbar(w - sigma) -
-    Qbar(w), and delta * dq = delta * (up + down) / 2 + sigma * (up - down) / 2: the probe
-    row against the even part, plus sigma against the odd part, which every probe shares.
+    Qbar(w). With P of a weight's m signs +sigma, counted here one probe row at a time, its
+    m terms delta * dq add up to sigma * (P * up - (m - P) * down).
     """
     def response(x):
         return quantize_array(x + dither, spec, step=step) - dither
 
+    m = len(deltas)
+    plus = np.zeros(w.size, dtype=int)
+    for row in deltas:
+        plus += row > 0
     base = response(w)
     up, down = response(w + sigma) - base, response(w - sigma) - base
+    sigmas = np.full(w.size, sigma)
     with np.errstate(over="ignore", invalid="ignore"):  # sums at 1e300 overflow, as they may
-        central = np.einsum("s,s->", np.full(w.size, sigma), (up - down) / 2)
-        cross = np.einsum("ms,s->m", deltas, (up + down) / 2) + central
-    return cross, np.einsum("ij,ij->i", deltas, deltas)
+        return (np.einsum("s,s->", sigmas, plus * up - (m - plus) * down),
+                np.einsum("s,s->", sigmas, sigmas))
 
 
 class BlockColumns:
@@ -221,8 +227,9 @@ def loop_update(weights, spec, gains, cfg, draw_key, least_squares=False,
 
     A hard update's probes are drawn with normal(0, sigma), a dithered one's are
     ``loop_signs``; sigma is the config's or half the smallest group step. A fixed
-    dither's sums come from its three responses (``loop_fixed_dither_sums``). A zero
-    least-squares denominator raises.
+    dither's probe total comes from its three responses and its sign counts
+    (``loop_fixed_dither_sums``); its mean slope fit is that total / (energy + eps) / m.
+    A zero least-squares denominator raises.
     """
     shape = (cfg.num_probes, weights.dim)
     sigma = 0.5 * float(np.min(spec.step)) if cfg.probe_sigma is None else cfg.probe_sigma
@@ -236,15 +243,16 @@ def loop_update(weights, spec, gains, cfg, draw_key, least_squares=False,
     for g, (lo, hi) in enumerate(loop_bounds(weights.dim, weights.group_size)):
         step_g = float(spec.step[g]) if spec.per_group else float(spec.step)
         if fixed_dither is not None:
-            cross, energy = loop_fixed_dither_sums(weights.values[lo:hi], spec, step_g,
+            total, energy = loop_fixed_dither_sums(weights.values[lo:hi], spec, step_g,
                                                    probes[:, lo:hi], fixed_dither[lo:hi], sigma)
-        else:
-            dither = None
-            if dither_seed is not None:
-                dither = substream(dither_seed, "dither_block", draw_key).uniform(
-                    -0.5 * step_g, 0.5 * step_g, size=shape)[:, lo:hi]
-            cross, energy = loop_slope_samples(weights.values[lo:hi], spec, step_g,
-                                               probes[:, lo:hi], dither)
+            estimates[g] = float(total / (energy + 1e-8)) / cfg.num_probes
+            continue
+        dither = None
+        if dither_seed is not None:
+            dither = substream(dither_seed, "dither_block", draw_key).uniform(
+                -0.5 * step_g, 0.5 * step_g, size=shape)[:, lo:hi]
+        cross, energy = loop_slope_samples(weights.values[lo:hi], spec, step_g,
+                                           probes[:, lo:hi], dither)
         if not dithered:  # the kernel on this group alone draws the same columns
             group = GroupedWeights(weights.values[lo:hi], hi - lo)
             kernel = probe_slope_samples(group, dataclasses.replace(spec, step=step_g), sigma,
@@ -382,17 +390,22 @@ def test_gain_updates_in_probe_blocks_match_one_block(layout, block, num_probes,
 
 
 def probe_block_of(weights, spec, cfg, draw_key, update=probe_update):
-    """The (m, d) probe block one update draws, block by block."""
+    """The (m, d) probe block one update draws, block by block; sign bits read as +-sigma."""
+    sigma = 0.5 * float(np.min(spec.step)) if cfg.probe_sigma is None else cfg.probe_sigma
     seen = []
+    draw_probes, sign_bits = jacobian._draw_probes, jacobian._sign_bits
 
-    def spying(draw):
-        def spy(rng, sigma, out):
-            seen.append(draw(rng, sigma, out).copy())  # each block reuses one buffer
-            return out
-        return spy
+    def probes_spy(rng, sigma, out):
+        seen.append(draw_probes(rng, sigma, out).copy())  # each block reuses one buffer
+        return out
 
-    with (patch.object(jacobian, "_draw_probes", spying(jacobian._draw_probes)),
-          patch.object(jacobian, "_draw_signs", spying(jacobian._draw_signs))):
+    def bits_spy(rng, rows, dim):
+        bits = sign_bits(rng, rows, dim)
+        seen.append(np.where(bits == 1, sigma, -sigma))
+        return bits
+
+    with (patch.object(jacobian, "_draw_probes", probes_spy),
+          patch.object(jacobian, "_sign_bits", bits_spy)):
         update(weights, spec, np.ones(weights.n_groups), cfg, draw_key=draw_key)
     return np.concatenate(seen)
 
@@ -424,6 +437,35 @@ def test_sign_probes_in_row_blocks_match_one_block(dim, rows_per_block, sigma):
             assert_same_bits(update(weights, spec, gains, cfg, draw_key=2), one_block)
 
 
+# 255 +sigma signs are the most a byte holds; past them a count must not wrap
+@pytest.mark.parametrize("num_probes", [1, 8, 255, 256, 300])
+def test_fixed_dither_sign_counts_do_not_wrap(num_probes):
+    # 70 weights in groups of 32, a short last group of 6; blocks of 7 rows, or one block.
+    # The counts are exact integers, so both give the per-probe loop reference's gains
+    weights = GroupedWeights(substream(num_probes, "w").normal(0.0, 1.0, 70), 32)
+    spec = QuantSpec.w1(step=0.5)
+    cfg = ProbeConfig(probe_sigma=0.3, num_probes=num_probes, seed=2, ema_rate=0.7)
+    gains = substream(num_probes, "start").uniform(0.0, 1.0, weights.n_groups)
+    fixed = draw_dither(weights, spec, seed=3, draw_key=1)
+    expected = loop_update(weights, spec, gains, cfg, 1, fixed_dither=fixed)
+    for rows in (7, num_probes):
+        with patch.object(quant, "_BLOCK_ELEMS", rows * weights.dim):
+            got = dither_update(weights, spec, gains, cfg, dither_seed=5, draw_key=1,
+                                fixed_dither=fixed)
+        assert_same_bits(got, expected)
+    # every sign +sigma: each count is num_probes itself
+    def all_plus(rng, rows, dim):
+        return np.ones((rows, dim), np.uint8)
+
+    with patch.object(jacobian, "_sign_bits", all_plus):
+        total, energy = probe_slope_samples(weights, spec, 0.3, num_probes, None, fixed)
+    for g, (lo, hi) in enumerate(weights.group_bounds):
+        reference = loop_fixed_dither_sums(weights.values[lo:hi], spec, 0.5,
+                                           np.full((num_probes, hi - lo), 0.3), fixed[lo:hi], 0.3)
+        assert_same_bits(total[g, 0], reference[0])
+        assert_same_bits(energy[g, 0], reference[1])
+
+
 @SETTINGS
 @given(st.integers(1, 40), st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**16),
        st.integers(1, 4), st.booleans())
@@ -449,7 +491,10 @@ def test_draws_do_not_depend_on_group_size(dim, size_a, size_b, seed, num_probes
 
 
 def estimates_before_clip(update, weights, spec, cfg, draw_key):
-    """An update's per-group estimates, the mean of its per-probe slope fits, unclipped."""
+    """An update's per-group estimates, the mean of its per-probe slope fits, unclipped.
+
+    A fixed dither's kernel returns the probe total of its slope sums in one column.
+    """
     sums = []
     kernel = jacobian.probe_slope_samples
 
@@ -460,7 +505,7 @@ def estimates_before_clip(update, weights, spec, cfg, draw_key):
     with patch.object(jacobian, "probe_slope_samples", spy):
         update(weights, spec, np.ones(weights.n_groups), cfg, draw_key=draw_key)
     (cross, energy), = sums
-    return (cross / (energy + jacobian._REG_EPS)).mean(axis=1)
+    return (cross / (energy + jacobian._REG_EPS)).sum(axis=1) / cfg.num_probes
 
 
 def mixed_groups(spec, sigma, insides, seed):
