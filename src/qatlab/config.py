@@ -45,7 +45,10 @@ Schema (type, default in parentheses):
     ema_rate: number (0.9): the gain EMA rate, in (0, 1]
     probe_sigma: number (null): the probes' scale in weight units; null is half
                  the smallest group step, taken at each gain update
-    num_probes: int (1)
+    num_probes: int (1): the rows of a gain update: Gaussian probes in the
+                probe and probe_ls modes, per-probe dither rows in dither
+                mode; with loop base, dither mode's one forward dither is
+                the only row, and num_probes is not read
   sweep:                                    [optional; sweep command only]
     group_sizes: ints ([group_size]), jac_modes: strs ([jac_mode]),
     refresh_intervals: ints ([refresh interval]; null -> train.refresh,

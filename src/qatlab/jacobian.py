@@ -7,11 +7,11 @@ slope fit, probe least squares, or a dithered common-random-number slope
 fit), clipped to [0, 1], and smoothed by an EMA. Every update measures the
 response with one kernel, ``probe_slope_samples``. The hard modes probe with
 Gaussian perturbations, whose smoothing of the staircase stands in for a
-dither; the dithered fit probes with +-sigma signs, so its mean is the
-central difference of the dither-smoothed map. With one fixed dither
-(a training step's forward dither) each weight has only two perturbed
-responses, so such an update quantizes three (dim,) rows and reads each
-weight's signs only as its count of +sigma ones, at any probe count.
+dither. The dithered fit takes a central difference per dither row, the
+mean of +-sigma sign probes given that row, so its mean is the central
+difference of the dither-smoothed map; each row costs two quantizer rows,
+and one fixed dither (a training step's forward dither) is one row at any
+probe count.
 The straight-through rule is the special case of all-ones gains.
 """
 
@@ -94,125 +94,82 @@ def _draw_probes(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.
     return out
 
 
-def _sign_bits(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
-    """The next (rows, dim) probe sign bits of ``rng`` as uint8, 1 for +sigma and 0 for -sigma.
-
-    Each row takes ceil(dim / 64) raw uint64 words of the bit generator, one
-    bit per entry, low bit first; a row's surplus bits go unused. So a run
-    of blocks gives the bits of one whole draw, at any dim.
-    """
-    words = rng.bit_generator.random_raw((rows, -(-dim // 64))).astype("<u8", copy=False)
-    return np.unpackbits(words.view(np.uint8), axis=1, count=dim, bitorder="little")
-
-
-def _draw_signs(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.ndarray:
-    """The next probe rows of ``rng`` as +-sigma signs, (2b - 1) * sigma, in ``out``.
-
-    b are the rows' ``_sign_bits``. The signs are exact and finite at any finite sigma.
-    """
-    bits = _sign_bits(rng, *out.shape)
-    return np.multiply(2 * bits.view(np.int8) - 1, sigma, out=out)
-
-
-def _response(x: np.ndarray, spec: QuantSpec, step: float | np.ndarray,
-              dither: np.ndarray | None, work: np.ndarray | None = None) -> np.ndarray:
-    """Quantizer response at x: quantize(x), or the de-dithered quantize(x + r) - r.
-
-    x + r is built in ``work``, a buffer of its shape (x itself may be it), or
-    in a fresh array when ``work`` is None.
-    """
-    if dither is None:
-        return quantize_array(x, spec, step=step)
-    out = quantize_array(np.add(x, dither, out=work), spec, step=step)
-    out -= dither
-    return out
-
-
 def probe_slope_samples(weights: GroupedWeights, spec: QuantSpec, sigma: float, m: int,
-                        probes: np.random.Generator, dither: np.ndarray | None = None,
+                        probes: np.random.Generator | None = None,
+                        dither: np.ndarray | None = None,
                         dither_rng: np.random.Generator | None = None,
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group slope-fit sums of m probes: (cross, energy), each (n_groups, m), C-ordered.
+    """Per-group slope-fit sums (cross, energy), each (n_groups, columns), C-ordered.
 
-    cross[g, k] is <dq_k, delta_k> and energy[g, k] is |delta_k|^2 over group g's
-    columns, for probe row k of the ``probes`` stream and the response change dq_k.
     This is the one probe kernel: every gain update and the probe-rate harness run it.
-    The (m, dim) block is drawn in blocks of probe rows (``row_blocks``), by
-    consecutive draws of the stream. Hard probes are standard normals scaled by sigma
-    in place, with the bits of ``normal(0, sigma)`` (``_draw_probes``). Dithered ones
-    are +-sigma signs, one bit of the stream each (``_sign_bits``); as delta * delta
-    is sigma * sigma, every sign probe's energy is the group sums of one sigma row.
-    The hard and per-probe dither blocks are used one (rows, dim) block at a time in
-    one reused buffer, their perturbed responses built in a second; the per-probe
-    dither is each probe's own row of ``dither_rng`` (``next_dither``).
+    Column k is one perturbation delta_k and the response change dq_k it makes:
+    cross[g, k] is <dq_k, delta_k> and energy[g, k] is |delta_k|^2 over group g's columns.
 
-    A fixed ``dither``, one (dim,) row shared by every probe, returns one column each,
-    (n_groups, 1): cross summed over the m probes, and the energy that every probe
-    has; the mean of the per-probe slope fits is then cross / (energy + eps) / m. Each
-    sign probe meets one of two responses per weight, up = Qbar(w + sigma) - Qbar(w) or
-    down = Qbar(w - sigma) - Qbar(w). So such a call quantizes three rows and counts
-    each weight's P +sigma signs, at any m: sum_k delta_k * dq_k = sigma * (P * up -
-    (m - P) * down), one group sum of one row.
+    With neither dither, the m columns are Gaussian probe rows of the ``probes`` stream
+    against the hard quantizer at w: standard normals scaled by sigma in place, with the
+    bits of ``normal(0, sigma)`` (``_draw_probes``). They are drawn and used one block of
+    rows (``row_blocks``) at a time, by consecutive draws of the stream, in one reused
+    buffer, their perturbed inputs built in a second.
+
+    A dithered column is one dither row r, and its sums are the mean over +-sigma sign
+    probes given r: cross is sigma * (Q(w + sigma + r) - Q(w - sigma + r)) / 2 and energy
+    sigma * sigma, summed over the group. r cancels in the difference, and each row costs
+    two quantizer rows. A fixed ``dither``, one (dim,) row, gives one column at any m;
+    with ``dither_rng`` the m columns are that stream's next m rows (``next_dither``),
+    drawn in blocks of rows. ``probes`` is not read.
     """
     if m < 1:
         raise ValueError(f"the probe count must be >= 1, got {m}")
     values = weights.values
     size = weights.group_size
     step = weights.broadcast(spec.step)
-    # a sign probe's |delta| per weight
-    sigmas = None if dither is None and dither_rng is None else np.full((1, weights.dim), sigma)
-    if dither is not None:
-        # each weight's count of +sigma signs: fewer than 256 probes count in a byte
-        plus = np.zeros(weights.dim, np.uint8 if m < 256 else np.uint64)
+    if dither is None and dither_rng is None:
+        cross, energy = np.empty((2, weights.n_groups, m))
+        base = quantize_array(values, spec, step=step)
+        first = next(row_blocks(m, weights.dim)).stop  # the rows of the first (longest) block
+        # the probe block and the perturbed input
+        buffers = np.empty((2, first, weights.dim))
         for rows in row_blocks(m, weights.dim):
-            bits = _sign_bits(probes, rows.stop - rows.start, weights.dim)
-            plus += bits.sum(axis=0, dtype=plus.dtype)
-        base = _response(values, spec, step, dither)
-        # an input that overflows is refused by the quantizer as a non-finite weight, and
-        # sums that overflow by the gain update as a non-finite estimate
-        with np.errstate(over="ignore", invalid="ignore"):
-            up = _response(values + sigma, spec, step, dither)
-            down = _response(values - sigma, spec, step, dither)
-            up -= base
-            down -= base
-            up *= plus
-            down *= m - plus
-            up -= down
-            return _group_sums(sigmas, up[None], size), _group_sums(sigmas, sigmas, size)
-    cross, energy = np.empty((2, weights.n_groups, m))
-    if dither_rng is not None:
-        energy[:] = _group_sums(sigmas, sigmas, size)
-    draw = _draw_probes if dither_rng is None else _draw_signs
-    base = None if dither_rng is not None else quantize_array(values, spec, step=step)
-    first = next(row_blocks(m, weights.dim)).stop  # the rows of the first (longest) block
-    # the probe block and the perturbed input
-    buffers = np.empty((2, first, weights.dim))
-    for rows in row_blocks(m, weights.dim):
-        deltas, work = buffers[:, :rows.stop - rows.start]
-        draw(probes, sigma, deltas)
-        if dither_rng is not None:
-            dither = next_dither(weights, spec, dither_rng, deltas.shape[:1])
-            base = _response(values, spec, step, dither, work)
-        dq = _response(np.add(values, deltas, out=work), spec, step, dither, work)
-        dq -= base
-        cross[:, rows] = _group_sums(dq, deltas, size)
-        if dither_rng is None:
+            deltas, work = buffers[:, :rows.stop - rows.start]
+            _draw_probes(probes, sigma, deltas)
+            dq = quantize_array(np.add(values, deltas, out=work), spec, step=step)
+            dq -= base
+            cross[:, rows] = _group_sums(dq, deltas, size)
             energy[:, rows] = _group_sums(deltas, deltas, size)
+        return cross, energy
+    if dither is not None:
+        blocks = [(slice(0, 1), dither[None])]
+    else:
+        blocks = ((rows, next_dither(weights, spec, dither_rng, (rows.stop - rows.start,)))
+                  for rows in row_blocks(m, weights.dim))
+    sigmas = np.full((1, weights.dim), sigma)
+    cross, energy = np.empty((2, weights.n_groups, 1 if dither is not None else m))
+    # an input that overflows is refused by the quantizer as a non-finite weight, and
+    # sums that overflow by the gain update as a non-finite estimate
+    with np.errstate(over="ignore", invalid="ignore"):
+        up, down = values + sigma, values - sigma
+        for rows, r in blocks:
+            dq = quantize_array(up + r, spec, step=step)
+            dq -= quantize_array(down + r, spec, step=step)
+            cross[:, rows] = _group_sums(sigmas, dq, size)
+        cross *= 0.5
+        energy[:] = _group_sums(sigmas, sigmas, size)
     return cross, energy
 
 
 def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: ProbeConfig,
-            draw_key: int, least_squares: bool, dither: np.ndarray | None = None,
+            least_squares: bool, probes: np.random.Generator | None = None,
+            dither: np.ndarray | None = None,
             dither_rng: np.random.Generator | None = None) -> np.ndarray:
     """One gain update of every group from the slope-fit sums of ``probe_slope_samples``.
 
-    Its probes come from the (seed, "probe", draw_key) stream. The per-group
-    estimate is the mean of the per-probe slope fits, or the least-squares fit
-    over all probes; a non-finite one raises ValueError. A fixed dither's one
-    column of probe totals gives that mean as total / (energy + eps) / m; no
-    update fits it by least squares. Estimates are clipped to [0, 1] and mixed
-    into ``gains`` at ``cfg.ema_rate``; the result is clipped again, so a start
-    outside [0, 1] cannot leak through.
+    The kernel measures with ``probes``, a Gaussian probe stream, or with a
+    dither. The per-group estimate is the mean of the per-column slope fits
+    cross / (energy + eps) over the columns the kernel returns, or the
+    least-squares fit over all of them; a non-finite one raises ValueError.
+    Estimates are clipped to [0, 1] and mixed into ``gains`` at
+    ``cfg.ema_rate``; the result is clipped again, so a start outside [0, 1]
+    cannot leak through.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.size != weights.n_groups:
@@ -222,8 +179,8 @@ def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: Pr
     sigma = 0.5 * float(np.min(spec.step)) if cfg.probe_sigma is None else cfg.probe_sigma
     if not sigma > 0:
         raise ValueError("the default probe_sigma, half the smallest group step, is 0")
-    cross, energy = probe_slope_samples(weights, spec, sigma, cfg.num_probes,
-                                        substream(cfg.seed, "probe", draw_key), dither, dither_rng)
+    cross, energy = probe_slope_samples(weights, spec, sigma, cfg.num_probes, probes, dither,
+                                        dither_rng)
     # sums that overflow (sigma near the float maximum) make an inf / inf, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         if least_squares:
@@ -231,8 +188,8 @@ def _update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray, cfg: Pr
             if (denom == 0.0).any():
                 raise ValueError("zero excitation")
             estimates = cross.sum(axis=1) / denom
-        else:
-            estimates = (cross / (energy + _REG_EPS)).sum(axis=1) / cfg.num_probes  # np.mean's bits
+        else:  # np.mean's bits
+            estimates = (cross / (energy + _REG_EPS)).sum(axis=1) / cross.shape[1]
     if not np.isfinite(estimates).all():
         raise ValueError("non-finite gain estimate")
     rate = cfg.ema_rate
@@ -244,44 +201,42 @@ def probe_update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray,
                  cfg: ProbeConfig, draw_key: int = 0) -> np.ndarray:
     """One-step slope fit per group: <dq, delta> / (|delta|^2 + eps), then clip + EMA.
 
-    With num_probes > 1 the raw estimates are averaged before clipping.
+    The probes come from the (seed, "probe", draw_key) stream. With
+    num_probes > 1 the raw estimates are averaged before clipping.
     """
-    return _update(weights, spec, gains, cfg, draw_key, least_squares=False)
+    return _update(weights, spec, gains, cfg, least_squares=False,
+                   probes=substream(cfg.seed, "probe", draw_key))
 
 
 def probe_ls_update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray,
                     cfg: ProbeConfig, draw_key: int = 0) -> np.ndarray:
     """Scalar least-squares over the probe batch: sum<dq,delta> / sum|delta|^2."""
-    return _update(weights, spec, gains, cfg, draw_key, least_squares=True)
+    return _update(weights, spec, gains, cfg, least_squares=True,
+                   probes=substream(cfg.seed, "probe", draw_key))
 
 
 def dither_update(weights: GroupedWeights, spec: QuantSpec, gains: np.ndarray,
                   cfg: ProbeConfig, dither_seed: int, draw_key: int = 0,
                   fixed_dither: np.ndarray | None = None) -> np.ndarray:
-    """Slope fit on the de-dithered proxy, common dither across both evaluations.
+    """Central-difference slope fit on the de-dithered proxy, one dither row per fit.
 
-    The probes are +-sigma signs (SPSA's symmetric Bernoulli perturbations).
-    Each probe draws its own dither row from one (num_probes, dim) block of
-    the (dither_seed, "dither_block", draw_key) stream, shared by that
-    probe's base and perturbed evaluation.
-    ``fixed_dither`` reuses an externally drawn (dim,) dither (e.g. the
-    forward dither of a training step) for every probe instead; one of
-    another shape, or beyond half a step, is refused before any probe is
-    drawn. Such an update quantizes three (dim,) rows, at w and w +- sigma,
-    and counts each weight's P +sigma signs, whatever num_probes is: its
-    probes' slope sums add up to one group sum of sigma * (P * up - (m - P) *
-    down), where up and down are the responses at w +- sigma less that at w.
-    Over the signs and the dither, a probe's slope then has the mean
-    (Qbar(w + sigma) - Qbar(w - sigma)) / (2 sigma) of the dither-smoothed
-    map Qbar, per weight: ``mean_field_sensitivity(probe_eps=sigma)``.
+    Per dither row r and group, the estimate is sum sigma * (Q(w + sigma + r) -
+    Q(w - sigma + r)) / 2 / (sum sigma^2 + eps): the mean of SPSA's +-sigma
+    sign probes given r, so no sign is drawn. Its mean over r is the central
+    difference (Qbar(w + sigma) - Qbar(w - sigma)) / (2 sigma) of the
+    dither-smoothed map Qbar, per weight: ``mean_field_sensitivity(probe_eps=sigma)``.
+    The num_probes rows come from the (dither_seed, "dither_block", draw_key)
+    stream. ``fixed_dither`` is one externally drawn (dim,) row instead (e.g.
+    the forward dither of a training step), whatever num_probes is; one of
+    another shape, or beyond half a step, is refused before anything is
+    quantized. Each row costs two quantizer rows.
     """
     if fixed_dither is not None:
         if np.ndim(fixed_dither) != 1:
             raise ValueError("invalid dither")
         fixed_dither = checked_dither(fixed_dither, weights.broadcast(spec.step), weights.dim)
-        return _update(weights, spec, gains, cfg, draw_key, least_squares=False,
-                       dither=fixed_dither)
-    return _update(weights, spec, gains, cfg, draw_key, least_squares=False,
+        return _update(weights, spec, gains, cfg, least_squares=False, dither=fixed_dither)
+    return _update(weights, spec, gains, cfg, least_squares=False,
                    dither_rng=substream(dither_seed, "dither_block", draw_key))
 
 

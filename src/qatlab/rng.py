@@ -8,11 +8,9 @@ Keys of the training and oracle draws (the trainer's draw_key is the
 step; the seed is the master seed). A draw is one block over all
 weights, whatever the group layout. The golden digests pin this layout:
 
-  ("probe", draw_key)         (num_probes, dim) gain-update probes: normals
-                              in the hard modes; in dither mode
-                              (num_probes, ceil(dim/64)) raw uint64 words,
-                              one +-sigma sign per bit, low bit first
-  ("dither_block", draw_key)  (num_probes, dim) per-probe dither of
+  ("probe", draw_key)         (num_probes, dim) normal gain-update probes
+                              of the hard modes; dither mode draws none
+  ("dither_block", draw_key)  (num_probes, dim) per-probe dither rows of
                               dither_update, or the (dim,) forward dither
                               of draw_dither
   ("dither",)                 Monte-Carlo oracle mean_field, one

@@ -369,11 +369,14 @@ def test_cli_train_extreme_initial_weights(tmp_path, objective, error):
      "gain update failed at step 1: non-finite gain estimate"),
     ({"kind": "pl", "l_smooth": 1e308}, {}, {"vr_mode": "svrg"},
      "estimator setup failed at step 0: reference gradient must be finite"),
-    # a fixed forward dither's +-1e308 sign probes stay finite; their slope sums overflow
+    # a dithered update's inputs w +- 1e308 + r stay finite; its slope sums overflow, with a
+    # fixed forward dither and with per-probe dither rows alike
     ({}, {}, {"loop": "base", "jac_mode": "dither", "probe_sigma": 1e308},
      "gain update failed at step 1: non-finite gain estimate"),
+    ({}, {}, {"jac_mode": "dither", "vr_mode": "plain", "probe_sigma": 1e308},
+     "gain update failed at step 1: non-finite gain estimate"),
 ], ids=["probe_ls_zero_excitation", "probe_overflow", "svrg_anchor", "saga_nan_gains",
-        "svrg_setup", "base_dither_overflow"])
+        "svrg_setup", "base_dither_overflow", "per_probe_dither_overflow"])
 def test_cli_train_numerical_failures_end_as_divergence(tmp_path, objective, quant, train, error):
     cfg = write_config(tmp_path, {
         "objective": {"dim": 40, "n_samples": 5, **objective}, "quant": quant,

@@ -219,8 +219,9 @@ OVERFLOWING_UPDATES = {
     "slope_samples": lambda w, spec, gains, cfg, draw_key: probe_slope_samples(
         w, spec, cfg.probe_sigma, cfg.num_probes, substream(cfg.seed, "probe", draw_key)),
 }
-# Gaussian probes at 1e308 overflow to inf, a non-finite weight; +-sigma signs stay finite,
-# and their slope sums overflow instead, to an inf / inf estimate
+# Gaussian probes at 1e308 overflow to inf, a non-finite weight; a dithered update's
+# inputs w +- sigma + r stay finite, and its slope sums overflow instead, to an inf / inf
+# estimate
 OVERFLOW_MESSAGES = {"probe": "non-finite weight", "probe_ls": "non-finite weight",
                      "dither": "non-finite gain estimate",
                      "fixed_dither": "non-finite gain estimate",
@@ -350,10 +351,10 @@ UPDATES = {
 
 @pytest.mark.parametrize("num_probes", [1, 8, 64])
 @pytest.mark.parametrize("name", UPDATES)
-def test_a_fixed_dither_update_quantizes_three_rows_at_any_probe_count(name, num_probes,
-                                                                       monkeypatch):
-    # 4 probe rows of 4096 weights fill a block: the hard and per-probe dither updates
-    # quantize each (rows, dim) block, and the hard ones their base point too
+def test_each_dither_row_costs_two_quantizer_rows(name, num_probes, monkeypatch):
+    # 4 rows of 4096 weights fill a block: the hard updates quantize their base point and
+    # each (rows, dim) probe block, a per-probe dither update each (rows, dim) dither block
+    # at w + sigma and at w - sigma, and a fixed dither update its one row, at any probe count
     w = GroupedWeights(substream(1, "w").normal(0.0, 1.0, 4096), group_size=32)
     shapes = []
 
@@ -367,25 +368,28 @@ def test_a_fixed_dither_update_quantizes_three_rows_at_any_probe_count(name, num
     blocks = [(min(4, num_probes - a), 4096) for a in range(0, num_probes, 4)]
     expected = {"probe": [(4096,), *blocks], "probe_ls": [(4096,), *blocks],
                 "per_probe_dither": [s for block in blocks for s in (block, block)],
-                "fixed_dither": [(4096,)] * 3}
+                "fixed_dither": [(1, 4096)] * 2}
     assert shapes == expected[name]
 
 
-def per_probe_sums(w, spec, sigma, m, probes, dither):
-    """The per-probe slope sums of a fixed dither: <dq_k, delta_k> over one whole sign draw.
+@pytest.mark.parametrize("name", UPDATES)
+def test_a_dithered_update_never_draws_from_the_probe_stream(name, monkeypatch):
+    # the central difference has no probes: only the hard updates make a ("probe", key)
+    # stream, and only the per-probe dither update a ("dither_block", key) one
+    labels = []
 
-    Also returns each group's largest |dq * delta| per probe.
-    """
-    deltas = jacobian_mod._draw_signs(probes, sigma, np.empty((m, w.dim)))
-    step = w.broadcast(spec.step)
-    base = quantize_array(w.values + dither, spec, step) - dither
-    dq = quantize_array(w.values + deltas + dither, spec, step) - dither
-    dq -= base
-    terms = np.abs(dq * deltas)
-    largest = np.array([terms[:, lo:hi].max(axis=1) for lo, hi in w.group_bounds])
-    sums = (jacobian_mod._group_sums(dq, deltas, w.group_size),
-            jacobian_mod._group_sums(deltas, deltas, w.group_size))
-    return sums, largest
+    def spy(seed, label, *key):
+        labels.append((label, *key))
+        return substream(seed, label, *key)
+
+    # the fixed dither is drawn by quant, not through this module's streams
+    w = GroupedWeights(np.linspace(-1.0, 1.0, 40), group_size=8)
+    monkeypatch.setattr(jacobian_mod, "substream", spy)
+    UPDATES[name](w, QuantSpec.w2(step=0.5), np.ones(w.n_groups),
+                  ProbeConfig(probe_sigma=0.2, num_probes=3), draw_key=3)
+    expected = {"probe": [("probe", 3)], "probe_ls": [("probe", 3)],
+                "per_probe_dither": [("dither_block", 3)], "fixed_dither": []}
+    assert labels == expected[name]
 
 
 # 70 weights in groups of 32: the last group is a short one of 6
@@ -400,55 +404,47 @@ FIXED_DITHER_SPECS = {
 @pytest.mark.parametrize("rows_per_block", [3, None], ids=["split", "one-block"])
 @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.7])
 @pytest.mark.parametrize("name", FIXED_DITHER_SPECS)
-def test_fixed_dither_sums_agree_with_the_per_probe_sums(name, sigma, rows_per_block):
-    # a fixed dither's kernel returns one column each: the total of cross over the probes,
-    # from each weight's count of +sigma signs, and the energy that every probe shares.
-    # The total rounds otherwise than the sum of the per-probe <dq_k, delta_k>; both round
-    # at the scale of m whole group sums, so they agree within 4 ulps of m * size * largest
-    # term (2 at worst over 300 seeds). The energy is each probe's, bit for bit
+def test_a_fixed_dither_is_the_one_row_case_of_the_per_probe_form(name, sigma, rows_per_block):
+    # a training step's forward dither is the first row of the per-probe stream of its seed
+    # and key, so the fixed form's one column is the per-probe form's first, bit for bit,
+    # at any probe count and with the per-probe rows in blocks of 3 or in one block; the
+    # energy of every column is the same
     spec = FIXED_DITHER_SPECS[name]
     for seed in range(20):
         w = GroupedWeights(substream(seed, "w").normal(0.0, 1.0, 70), group_size=32)
-        dither = draw_dither(w, spec, seed=seed)
-        (cross, energy), largest = per_probe_sums(w, spec, sigma, 8, substream(seed, "probe"),
-                                                  dither)
-        with patch.object(quant_mod, "_BLOCK_ELEMS", (rows_per_block or 8) * w.dim):
-            got = probe_slope_samples(w, spec, sigma, 8, substream(seed, "probe"), dither)
-        one_block = probe_slope_samples(w, spec, sigma, 8, substream(seed, "probe"), dither)
-        assert got[0].shape == got[1].shape == (w.n_groups, 1)
-        assert got[0].tobytes() == one_block[0].tobytes()
-        assert got[1].tobytes() == one_block[1].tobytes()
-        for k in range(8):
-            assert got[1][:, 0].tobytes() == energy[:, k].tobytes()
-        sizes = np.array([hi - lo for lo, hi in w.group_bounds])
-        bound = 4 * np.spacing(8 * sizes * largest.max(axis=1))
-        assert np.all(np.abs(got[0][:, 0] - cross.sum(axis=1)) <= bound)
+        fixed = probe_slope_samples(w, spec, sigma, 8, None, draw_dither(w, spec, seed=seed))
+        assert fixed[0].shape == fixed[1].shape == (w.n_groups, 1)
+        for m in (1, 8):
+            with patch.object(quant_mod, "_BLOCK_ELEMS", (rows_per_block or m) * w.dim):
+                cross, energy = probe_slope_samples(
+                    w, spec, sigma, m, None, dither_rng=substream(seed, "dither_block", 0))
+            assert cross.shape == energy.shape == (w.n_groups, m)
+            assert cross[:, :1].tobytes() == fixed[0].tobytes()
+            assert energy.tobytes() == np.repeat(fixed[1], m, axis=1).tobytes()
 
 
-# rows that fill their last raw word or end it early; all but 4096 end on a short group
+# rows that fill a row block exactly or not; all but 4096 end on a short group
 @pytest.mark.parametrize("dim", [144, 4096, 4100, 70, 65, 40])
 @pytest.mark.parametrize("sigma", [5e-324, 1e-300, 0.3, 1e154])
-def test_a_sign_probes_energy_is_the_group_sums_of_one_sigma_row(dim, sigma):
-    # delta * delta is sigma * sigma for either sign, so one (1, dim) row of sigma gives the
-    # energy of the whole (m, dim) sign block bit for bit; the per-probe dither path uses it
+def test_a_dithered_energy_is_the_group_sums_of_one_sigma_row(dim, sigma):
+    # every column of either dithered form has the energy of one (1, dim) row of sigma
     w = GroupedWeights(substream(dim, "w").normal(0.0, 1.0, dim), group_size=32)
     spec = QuantSpec.w2(step=0.5)
-    signs = jacobian_mod._draw_signs(substream(dim, "probe"), sigma, np.empty((6, dim)))
-    block = jacobian_mod._group_sums(signs, signs, 32)
     row = np.full((1, dim), sigma)
     row_sums = jacobian_mod._group_sums(row, row, 32)
-    assert np.broadcast_to(row_sums, block.shape).tobytes() == block.tobytes()
-    _, energy = probe_slope_samples(w, spec, sigma, 6, substream(dim, "probe"),
+    _, energy = probe_slope_samples(w, spec, sigma, 6, None,
                                     dither_rng=substream(dim, "dither_block"))
-    assert energy.tobytes() == block.tobytes()
+    assert energy.tobytes() == np.repeat(row_sums, 6, axis=1).tobytes()
+    _, energy = probe_slope_samples(w, spec, sigma, 6, None, draw_dither(w, spec, seed=dim))
+    assert energy.tobytes() == row_sums.tobytes()
 
 
 @pytest.mark.parametrize("num_probes", [1, 8, 64])
 @pytest.mark.parametrize("name", UPDATES)
 def test_a_fixed_dither_update_sums_one_row_per_group_sum(name, num_probes, monkeypatch):
-    # a fixed dither counts its signs without drawing a float sign block, and sums one
-    # (1, dim) row per group sum; the hard and per-probe dither updates draw and sum each
-    # (rows, dim) block of 4 probe rows, and the per-probe one its energy from a sigma row
+    # the hard updates draw and sum each (rows, dim) block of 4 probe rows; a dithered one
+    # draws no probes and sums one sigma row against each block of central differences,
+    # one row for a fixed dither, and then against itself for the energy
     w = GroupedWeights(substream(1, "w").normal(0.0, 1.0, 4096), group_size=32)
     calls = []
 
@@ -458,7 +454,7 @@ def test_a_fixed_dither_update_sums_one_row_per_group_sum(name, num_probes, monk
             return function(*args)
         return spy
 
-    for function in ("_draw_probes", "_draw_signs", "_group_sums"):
+    for function in ("_draw_probes", "_group_sums"):
         monkeypatch.setattr(jacobian_mod, function,
                             spying(function, getattr(jacobian_mod, function)))
     UPDATES[name](w, QuantSpec.w2(step=0.5), np.ones(w.n_groups),
@@ -468,8 +464,29 @@ def test_a_fixed_dither_update_sums_one_row_per_group_sum(name, num_probes, monk
     hard = [c for b in blocks for c in (("_draw_probes", b), ("_group_sums", b, b),
                                         ("_group_sums", b, b))]
     expected = {"probe": hard, "probe_ls": hard,
-                "per_probe_dither": [("_group_sums", row, row),
-                                     *[c for b in blocks for c in (("_draw_signs", b),
-                                                                   ("_group_sums", b, b))]],
+                "per_probe_dither": [*[("_group_sums", row, b) for b in blocks],
+                                     ("_group_sums", row, row)],
                 "fixed_dither": [("_group_sums", row, row)] * 2}
     assert calls == expected[name]
+
+
+def test_per_probe_central_differences_average_to_the_sensitivity_oracle():
+    # each dither row's estimate cross / (energy + eps) is one draw whose mean over the
+    # dither is the group mean of mean_field_sensitivity(probe_eps=sigma). Groups of 24:
+    # interior weights, weights within 1.5 sigma outside the box edge, saturated ones
+    spec, sigma = QuantSpec.w2(step=1.0), 0.25
+    rng = substream(3, "mixed")
+    groups = []
+    for inside in (4, 12, 20):
+        groups += [rng.uniform(-0.7, 0.7, inside),
+                   rng.choice((-1.0, 1.0), 4) * rng.uniform(1.0, 1.0 + 1.5 * sigma, 4),
+                   rng.choice((-1.0, 1.0), 20 - inside) * rng.uniform(1.5, 4.0, 20 - inside)]
+    w = GroupedWeights(np.concatenate(groups), group_size=24)
+    oracle = mean_field_sensitivity(w, spec, probe_eps=sigma)
+    target = np.array([oracle[lo:hi].mean() for lo, hi in w.group_bounds])
+    cross, energy = probe_slope_samples(w, spec, sigma, 20_000, None,
+                                        dither_rng=substream(5, "dither_block"))
+    estimates = cross / (energy + 1e-8)
+    sem = estimates.std(axis=1, ddof=1) / np.sqrt(estimates.shape[1])
+    assert np.all(sem > 0)
+    assert np.all(np.abs(estimates.mean(axis=1) - target) <= 4 * sem)

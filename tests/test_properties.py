@@ -10,13 +10,11 @@ draws and sums all samples in one go with fresh arrays, and the closed-form
 sensitivity against a midpoint-rule average of its slope samples. Each
 gain update or dither draw is one block from one stream, so the draws
 must not depend on the group layout, and the dither stays within half of
-each group's step. A gain update drawn and used in blocks of probe rows
-must match the one-block loop reference bit for bit, at probe scales from 5e-324 to
-1e300. A hard update's probe rows must be normal(0, sigma)'s, up to the sign of a
-zero; a dithered one's are exactly +-sigma, one bit of the stream each, and their
-mean slope is unbiased for the closed-form central-difference oracle. A fixed
-dither's update counts each weight's +sigma signs, and a count past 255 must not
-wrap. A failing property, run under this repo's pytest settings, reports its
+each group's step. A gain update drawn and used in blocks of probe or dither rows must match the
+one-block loop reference bit for bit, at probe scales from 5e-324 to 1e300. A hard
+update's probe rows must be normal(0, sigma)'s, up to the sign of a zero; a dithered
+one draws no probes, takes a central difference per dither row, and its mean slope
+is unbiased for the closed-form central-difference oracle. A failing property, run under this repo's pytest settings, reports its
 falsifying example.
 """
 
@@ -164,37 +162,23 @@ def one_draw_mc(weights, spec, n_samples, seed):
     return mean, np.sqrt(np.maximum((s * s).sum(axis=0) / n_samples - mean * mean, 0.0) / n_samples)
 
 
-def loop_slope_samples(w, spec, step, deltas, dither=None):
-    if dither is None:
-        base = quantize_array(w, spec, step=step)[None, :]
-        shifted = quantize_array(w[None, :] + deltas, spec, step=step)
-    else:
-        base = quantize_array(w[None, :] + dither, spec, step=step) - dither
-        shifted = quantize_array(w[None, :] + deltas + dither, spec, step=step) - dither
+def loop_slope_samples(w, spec, step, deltas):
+    base = quantize_array(w, spec, step=step)[None, :]
+    shifted = quantize_array(w[None, :] + deltas, spec, step=step)
     dq = shifted - base
     return np.einsum("ij,ij->i", dq, deltas), np.einsum("ij,ij->i", deltas, deltas)
 
 
-def loop_fixed_dither_sums(w, spec, step, deltas, dither, sigma):
-    """A fixed dither's slope sums: their total over the probes, and the energy each probe has.
+def loop_central_differences(w, spec, step, dither, sigma):
+    """One group's dithered slope sums, one per (rows, n) dither row r.
 
-    A +-sigma probe entry meets up = Qbar(w + sigma) - Qbar(w) or down = Qbar(w - sigma) -
-    Qbar(w). With P of a weight's m signs +sigma, counted here one probe row at a time, its
-    m terms delta * dq add up to sigma * (P * up - (m - P) * down).
+    cross is sum sigma * (Q(w + sigma + r) - Q(w - sigma + r)) / 2 and energy sum sigma^2,
+    the mean of a +-sigma sign probe's sums given r.
     """
-    def response(x):
-        return quantize_array(x + dither, spec, step=step) - dither
-
-    m = len(deltas)
-    plus = np.zeros(w.size, dtype=int)
-    for row in deltas:
-        plus += row > 0
-    base = response(w)
-    up, down = response(w + sigma) - base, response(w - sigma) - base
-    sigmas = np.full(w.size, sigma)
-    with np.errstate(over="ignore", invalid="ignore"):  # sums at 1e300 overflow, as they may
-        return (np.einsum("s,s->", sigmas, plus * up - (m - plus) * down),
-                np.einsum("s,s->", sigmas, sigmas))
+    dq = (quantize_array((w + sigma)[None, :] + dither, spec, step=step)
+          - quantize_array((w - sigma)[None, :] + dither, spec, step=step))
+    sigmas = np.full(dq.shape, sigma)
+    return np.einsum("ij,ij->i", sigmas, dq) * 0.5, np.einsum("ij,ij->i", sigmas[:1], sigmas[:1])
 
 
 class BlockColumns:
@@ -209,51 +193,37 @@ class BlockColumns:
         return out
 
 
-def loop_signs(seed, draw_key, shape, sigma):
-    """The (m, d) +-sigma probe block of a dithered update, one bit at a time.
-
-    Row i takes ceil(d / 64) raw words of the ("probe", draw_key) stream; entry j
-    is +sigma where bit j % 64 of its word j // 64 is set, -sigma where it is not.
-    """
-    m, d = shape
-    words = substream(seed, "probe", draw_key).bit_generator.random_raw((m, -(-d // 64)))
-    return np.array([[sigma if int(words[i, j // 64]) >> j % 64 & 1 else -sigma
-                      for j in range(d)] for i in range(m)]).reshape(shape)
-
-
 def loop_update(weights, spec, gains, cfg, draw_key, least_squares=False,
                 dither_seed=None, fixed_dither=None):
     """Gain update one group at a time; group g takes its columns of each (m, d) block.
 
-    A hard update's probes are drawn with normal(0, sigma), a dithered one's are
-    ``loop_signs``; sigma is the config's or half the smallest group step. A fixed
-    dither's probe total comes from its three responses and its sign counts
-    (``loop_fixed_dither_sums``); its mean slope fit is that total / (energy + eps) / m.
+    A hard update's probes are drawn with normal(0, sigma); sigma is the config's or
+    half the smallest group step. A dithered one's slope sums are
+    ``loop_central_differences`` of its dither rows: the (m, d) block of the
+    (dither_seed, "dither_block", draw_key) stream, or the one fixed row.
     A zero least-squares denominator raises.
     """
     shape = (cfg.num_probes, weights.dim)
     sigma = 0.5 * float(np.min(spec.step)) if cfg.probe_sigma is None else cfg.probe_sigma
     dithered = dither_seed is not None or fixed_dither is not None
-    if dithered:
-        probes = loop_signs(cfg.seed, draw_key, shape, sigma)
-    else:
+    if not dithered:
         probes = substream(cfg.seed, "probe", draw_key).normal(0.0, sigma, size=shape)
         unit = substream(cfg.seed, "probe", draw_key).standard_normal(shape)
     estimates = np.zeros(weights.n_groups)
     for g, (lo, hi) in enumerate(loop_bounds(weights.dim, weights.group_size)):
         step_g = float(spec.step[g]) if spec.per_group else float(spec.step)
         if fixed_dither is not None:
-            total, energy = loop_fixed_dither_sums(weights.values[lo:hi], spec, step_g,
-                                                   probes[:, lo:hi], fixed_dither[lo:hi], sigma)
-            estimates[g] = float(total / (energy + 1e-8)) / cfg.num_probes
-            continue
-        dither = None
-        if dither_seed is not None:
+            dither = fixed_dither[None, lo:hi]
+        elif dither_seed is not None:
             dither = substream(dither_seed, "dither_block", draw_key).uniform(
                 -0.5 * step_g, 0.5 * step_g, size=shape)[:, lo:hi]
-        cross, energy = loop_slope_samples(weights.values[lo:hi], spec, step_g,
-                                           probes[:, lo:hi], dither)
-        if not dithered:  # the kernel on this group alone draws the same columns
+        if dithered:
+            cross, energy = loop_central_differences(weights.values[lo:hi], spec, step_g,
+                                                     dither, sigma)
+        else:
+            cross, energy = loop_slope_samples(weights.values[lo:hi], spec, step_g,
+                                               probes[:, lo:hi])
+            # the kernel on this group alone draws the same columns
             group = GroupedWeights(weights.values[lo:hi], hi - lo)
             kernel = probe_slope_samples(group, dataclasses.replace(spec, step=step_g), sigma,
                                          cfg.num_probes, BlockColumns(unit[:, lo:hi]))
@@ -346,7 +316,7 @@ def outcome(update, *args, **kwargs):
 # The probe block is sigma * z, scaled in place, where normal(0, sigma) computes
 # 0.0 + sigma * z: the two differ only where sigma * z is -0.0, which the sum makes
 # +0.0. Such a signed zero cannot reach the gains. Where a probe entry is a zero,
-# values + delta (+ dither) differs from the reference's input at most in the sign
+# values + delta differs from the reference's input at most in the sign
 # of a zero, which no grid level depends on (the identity grid maps a zero to
 # itself), so dq there is a zero too. The entry then enters the gains only through
 # delta * dq and delta * delta, zeros that the group sums add to einsum's +0.0
@@ -389,24 +359,17 @@ def test_gain_updates_in_probe_blocks_match_one_block(layout, block, num_probes,
     assert got == expected
 
 
-def probe_block_of(weights, spec, cfg, draw_key, update=probe_update):
-    """The (m, d) probe block one update draws, block by block; sign bits read as +-sigma."""
-    sigma = 0.5 * float(np.min(spec.step)) if cfg.probe_sigma is None else cfg.probe_sigma
+def probe_block_of(weights, spec, cfg, draw_key):
+    """The (m, d) probe block one hard update draws, block by block."""
     seen = []
-    draw_probes, sign_bits = jacobian._draw_probes, jacobian._sign_bits
+    draw_probes = jacobian._draw_probes
 
     def probes_spy(rng, sigma, out):
         seen.append(draw_probes(rng, sigma, out).copy())  # each block reuses one buffer
         return out
 
-    def bits_spy(rng, rows, dim):
-        bits = sign_bits(rng, rows, dim)
-        seen.append(np.where(bits == 1, sigma, -sigma))
-        return bits
-
-    with (patch.object(jacobian, "_draw_probes", probes_spy),
-          patch.object(jacobian, "_sign_bits", bits_spy)):
-        update(weights, spec, np.ones(weights.n_groups), cfg, draw_key=draw_key)
+    with patch.object(jacobian, "_draw_probes", probes_spy):
+        probe_update(weights, spec, np.ones(weights.n_groups), cfg, draw_key=draw_key)
     return np.concatenate(seen)
 
 
@@ -414,56 +377,50 @@ def per_probe_dither(*args, **kwargs):
     return dither_update(*args, dither_seed=5, **kwargs)
 
 
-# dims that end a row's last raw word early, fill it exactly, or need one short word more
+# groups of 64: dims with a short last group of 4 or 1, or none
 @pytest.mark.parametrize("dim", [4100, 4096, 65])
 @pytest.mark.parametrize("rows_per_block", [1, 3, 8])
 @pytest.mark.parametrize("sigma", [5e-324, 0.3, 1e300])
-def test_sign_probes_in_row_blocks_match_one_block(dim, rows_per_block, sigma):
-    # 8 probes in blocks of 1, 3 (3 + 3 + 2) or all 8 rows: each row takes ceil(dim / 64)
-    # raw words, so split blocks draw one whole block's signs and give its gains bit for bit
+def test_dither_rows_in_row_blocks_match_one_block(dim, rows_per_block, sigma):
+    # 8 dither rows in blocks of 1, 3 (3 + 3 + 2) or all 8: consecutive draws give one
+    # whole block's rows, and each row's central difference is its own column, so split
+    # blocks give the one-block loop reference's gains bit for bit
     weights = GroupedWeights(substream(dim, "w").normal(0.0, 1.0, dim), 64)
     spec = QuantSpec.w2(step=0.5)
     cfg = ProbeConfig(probe_sigma=sigma, num_probes=8, seed=7, ema_rate=0.7)
     gains = substream(dim, "start").uniform(0.0, 1.0, weights.n_groups)
-    fixed = draw_dither(weights, spec, seed=3, draw_key=2)
-    signs = loop_signs(cfg.seed, 2, (8, dim), sigma)
-    assert set(np.unique(signs)) == {-sigma, sigma}
-    cases = [(per_probe_dither, loop_update(weights, spec, gains, cfg, 2, dither_seed=5)),
-             (functools.partial(per_probe_dither, fixed_dither=fixed),
-              loop_update(weights, spec, gains, cfg, 2, fixed_dither=fixed))]
-    with patch.object(quant, "_BLOCK_ELEMS", rows_per_block * dim):
-        for update, one_block in cases:
-            assert_same_bits(probe_block_of(weights, spec, cfg, 2, update), signs)
-            assert_same_bits(update(weights, spec, gains, cfg, draw_key=2), one_block)
+    drawn = []
+
+    def dither_spy(*args):
+        drawn.append(next_dither(*args))
+        return drawn[-1]
+
+    with (patch.object(quant, "_BLOCK_ELEMS", rows_per_block * dim),
+          patch.object(jacobian, "next_dither", dither_spy)):
+        got = per_probe_dither(weights, spec, gains, cfg, draw_key=2)
+    assert [len(rows) for rows in drawn] == [len(range(8)[a:a + rows_per_block])
+                                             for a in range(0, 8, rows_per_block)]
+    one_draw = next_dither(weights, spec, substream(5, "dither_block", 2), (8,))
+    assert_same_bits(np.concatenate(drawn), one_draw)
+    assert_same_bits(got, loop_update(weights, spec, gains, cfg, 2, dither_seed=5))
 
 
-# 255 +sigma signs are the most a byte holds; past them a count must not wrap
-@pytest.mark.parametrize("num_probes", [1, 8, 255, 256, 300])
-def test_fixed_dither_sign_counts_do_not_wrap(num_probes):
-    # 70 weights in groups of 32, a short last group of 6; blocks of 7 rows, or one block.
-    # The counts are exact integers, so both give the per-probe loop reference's gains
-    weights = GroupedWeights(substream(num_probes, "w").normal(0.0, 1.0, 70), 32)
+@pytest.mark.parametrize("num_probes", [1, 8, 300])
+def test_a_fixed_dither_update_does_not_read_num_probes(num_probes):
+    # one fixed row is one central difference: any probe count, in blocks of 7 rows or one
+    # block, gives the loop reference's one-row gains bit for bit. 70 w1 weights in groups
+    # of 32 end on a short group of 6
+    weights = GroupedWeights(substream(70, "w").normal(0.0, 1.0, 70), 32)
     spec = QuantSpec.w1(step=0.5)
-    cfg = ProbeConfig(probe_sigma=0.3, num_probes=num_probes, seed=2, ema_rate=0.7)
-    gains = substream(num_probes, "start").uniform(0.0, 1.0, weights.n_groups)
+    gains = substream(70, "start").uniform(0.0, 1.0, weights.n_groups)
     fixed = draw_dither(weights, spec, seed=3, draw_key=1)
-    expected = loop_update(weights, spec, gains, cfg, 1, fixed_dither=fixed)
+    expected = loop_update(weights, spec, gains, ProbeConfig(probe_sigma=0.3, seed=2,
+                                                             ema_rate=0.7), 1, fixed_dither=fixed)
+    cfg = ProbeConfig(probe_sigma=0.3, num_probes=num_probes, seed=2, ema_rate=0.7)
     for rows in (7, num_probes):
         with patch.object(quant, "_BLOCK_ELEMS", rows * weights.dim):
-            got = dither_update(weights, spec, gains, cfg, dither_seed=5, draw_key=1,
-                                fixed_dither=fixed)
+            got = per_probe_dither(weights, spec, gains, cfg, draw_key=1, fixed_dither=fixed)
         assert_same_bits(got, expected)
-    # every sign +sigma: each count is num_probes itself
-    def all_plus(rng, rows, dim):
-        return np.ones((rows, dim), np.uint8)
-
-    with patch.object(jacobian, "_sign_bits", all_plus):
-        total, energy = probe_slope_samples(weights, spec, 0.3, num_probes, None, fixed)
-    for g, (lo, hi) in enumerate(weights.group_bounds):
-        reference = loop_fixed_dither_sums(weights.values[lo:hi], spec, 0.5,
-                                           np.full((num_probes, hi - lo), 0.3), fixed[lo:hi], 0.3)
-        assert_same_bits(total[g, 0], reference[0])
-        assert_same_bits(energy[g, 0], reference[1])
 
 
 @SETTINGS
@@ -472,18 +429,16 @@ def test_fixed_dither_sign_counts_do_not_wrap(num_probes):
 def test_draws_do_not_depend_on_group_size(dim, size_a, size_b, seed, num_probes, calibrated):
     values = substream(seed, "layout").normal(0.0, 1.0, dim)
     cfg = ProbeConfig(probe_sigma=0.3, num_probes=num_probes, seed=seed)
-    blocks, signs, units = [], [], []
+    blocks, units = [], []
     for size in (size_a, size_b):
         weights = GroupedWeights(values, size)
         spec = QuantSpec.w2(step=0.5)
         spec = calibrate_step(weights, spec) if calibrated else spec
         half = 0.5 * weights.per_weight(spec.step)
         blocks.append(probe_block_of(weights, spec, cfg, draw_key=seed % 7))
-        signs.append(probe_block_of(weights, spec, cfg, seed % 7, per_probe_dither))
         units.append(next_dither(weights, spec, substream(seed, "dither_block", seed % 7),
                                  (num_probes,)) / half)
     assert_same_bits(blocks[0], blocks[1])
-    assert_same_bits(signs[0], signs[1])
     assert units[0].shape == (num_probes, dim)
     # r = -h + 2h * u rounds relative to h, so only a calibrated (per-group) h moves r / h
     tolerance = 4 * np.finfo(float).eps if calibrated else 0.0
@@ -491,9 +446,9 @@ def test_draws_do_not_depend_on_group_size(dim, size_a, size_b, seed, num_probes
 
 
 def estimates_before_clip(update, weights, spec, cfg, draw_key):
-    """An update's per-group estimates, the mean of its per-probe slope fits, unclipped.
+    """An update's per-group estimates, the mean of its per-column slope fits, unclipped.
 
-    A fixed dither's kernel returns the probe total of its slope sums in one column.
+    A fixed dither's kernel returns one column.
     """
     sums = []
     kernel = jacobian.probe_slope_samples
@@ -505,7 +460,7 @@ def estimates_before_clip(update, weights, spec, cfg, draw_key):
     with patch.object(jacobian, "probe_slope_samples", spy):
         update(weights, spec, np.ones(weights.n_groups), cfg, draw_key=draw_key)
     (cross, energy), = sums
-    return (cross / (energy + jacobian._REG_EPS)).sum(axis=1) / cfg.num_probes
+    return (cross / (energy + jacobian._REG_EPS)).sum(axis=1) / cross.shape[1]
 
 
 def mixed_groups(spec, sigma, insides, seed):
@@ -533,9 +488,9 @@ def mixed_groups(spec, sigma, insides, seed):
                                                 (QuantSpec.w1(step=0.5), 0.1, (1, 3, 5))],
                          ids=["w2", "w1"])
 @pytest.mark.parametrize("fixed", [False, True], ids=["per-probe-dither", "fixed-dither"])
-def test_sign_probe_estimate_is_unbiased_for_the_central_difference_oracle(spec, sigma, insides,
-                                                                          fixed):
-    # over the signs and the dither, a +-sigma probe's slope has the mean
+def test_dithered_estimate_is_unbiased_for_the_central_difference_oracle(spec, sigma, insides,
+                                                                         fixed):
+    # over the dither, a row's central difference has the mean
     # (Qbar(w + sigma) - Qbar(w - sigma)) / (2 sigma): mean_field_sensitivity(probe_eps=sigma)
     weights = mixed_groups(spec, sigma, insides, seed=1)
     oracle = mean_field_sensitivity(weights, spec, probe_eps=sigma)
