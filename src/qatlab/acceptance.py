@@ -1,8 +1,10 @@
 """Aggregate acceptance checks: one callable per criterion, plus a runner.
 
 Every check pins its own tolerances and seeds, measures what it claims,
-and reports measured values alongside the thresholds. Statistical checks
-use frozen seeds so results are reproducible run to run.
+and returns its verdict, its measured values alongside the thresholds,
+and the ``(header, rows)`` table that ``qatlab diagnose`` writes for it
+(None for A1 and A9, which have none). Statistical checks use frozen
+seeds so results are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -27,10 +29,7 @@ from .rng import substream
 from .trainer import RefreshPolicy, TrainConfig, train_vr, write_metrics_csv
 from .vrgrad import estimator_variance, grad_est, init_vr_state
 
-__all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA", "A5_JAC_ERRS"]
-
-# the gain error of each of A5's two runs; the pl-contraction table reads them from here
-A5_JAC_ERRS = {"perturbed": 0.2, "clean": 0.0}
+__all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA"]
 
 TIME_BUDGETS = {"A1": 10.0, "A2": 60.0, "A3": 60.0, "A4": 60.0, "A5": 30.0,
                 "A6": 300.0, "A7": 60.0, "A8": 60.0, "A9": 600.0}
@@ -43,13 +42,14 @@ class CriterionResult:
     passed: bool
     elapsed_s: float
     details: dict = field(default_factory=dict)
+    table: tuple[list[str], list[list]] | None = None  # diagnose's table.csv; not in any json
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{self.name} {status} ({self.elapsed_s:.1f}s) {self.description}"
 
 
-def a1_quantizer_suite() -> tuple[bool, dict]:
+def a1_quantizer_suite() -> tuple[bool, dict, None]:
     """Grid membership, idempotence, monotonicity, dither unbiasedness."""
     rng = np.random.default_rng(11)
     checks = {}
@@ -87,21 +87,22 @@ def a1_quantizer_suite() -> tuple[bool, dict]:
     checks["dither_unbiasedness"] = bool(np.all(dev <= 4.0 * sem + 1e-12))
     details = {**checks, "max_unbiasedness_dev": float(np.max(dev)),
                "max_allowed": float(np.max(4.0 * sem))}
-    return all(checks.values()), details
+    return all(checks.values()), details, None
 
 
-def a2_probe_ls_rate() -> tuple[bool, dict]:
+def a2_probe_ls_rate() -> tuple[bool, dict, tuple]:
     """Log-log slope of probe-LS error vs probe count within [-0.65, -0.35]."""
     res = probe_rate_harness(QuantSpec.generic(bits=4, step=1.0), group_dim=16,
                              sigma=0.6, probe_counts=[16, 64, 256, 1024],
                              trials=200, seed=1)
     passed = -0.65 <= res.slope <= -0.35
-    return passed, {"slope": res.slope, "band": [-0.65, -0.35],
-                    "mean_errors": res.mean_errors.tolist(),
-                    "probe_counts": res.probe_counts.tolist()}
+    counts, errors = res.probe_counts.tolist(), res.mean_errors.tolist()
+    return passed, {"slope": res.slope, "band": [-0.65, -0.35], "mean_errors": errors,
+                    "probe_counts": counts}, (["probe_count", "mean_error"],
+                                              [[m, e] for m, e in zip(counts, errors)])
 
 
-def a3_dither_fixed_point() -> tuple[bool, dict]:
+def a3_dither_fixed_point() -> tuple[bool, dict, tuple]:
     """Iterated dither updates land within 0.05 of the group-mean sensitivity."""
     spec = QuantSpec.w2(step=1.0)
     rng = substream(23, "layout")
@@ -116,7 +117,7 @@ def a3_dither_fixed_point() -> tuple[bool, dict]:
         groups.append(seg)
     weights = GroupedWeights(np.concatenate(groups), group_size=d_g)
     oracle = mean_field_sensitivity(weights, spec, probe_eps=0.1)
-    target = np.array([np.mean(oracle[lo:hi]) for lo, hi in weights.group_bounds])
+    target = oracle.reshape(weights.n_groups, d_g).mean(axis=1)
     gains = np.ones(weights.n_groups)
     cfg = ProbeConfig(probe_sigma=0.25, num_probes=16, seed=31, ema_rate=0.05)
     first_reach = None
@@ -127,12 +128,15 @@ def a3_dither_fixed_point() -> tuple[bool, dict]:
             first_reach = t + 1
     final_err = np.abs(gains - target)
     passed = bool(np.all(final_err <= 0.05)) and first_reach is not None
+    targets, gains = target.tolist(), gains.tolist()
     return passed, {"max_final_error": float(np.max(final_err)), "tolerance": 0.05,
                     "first_reach_update": first_reach, "max_updates": max_updates,
-                    "targets": target.tolist(), "gains": gains.tolist()}
+                    "targets": targets, "gains": gains}, (
+        ["group", "gain", "target", "abs_error"],
+        [[g, gain, t, abs(gain - t)] for g, (gain, t) in enumerate(zip(gains, targets))])
 
 
-def a4_vr_variance() -> tuple[bool, dict]:
+def a4_vr_variance() -> tuple[bool, dict, tuple]:
     """SVRG variance halves the plain variance near the anchor; exact unbiasedness."""
     obj = make_regression_task(16, 64, seed=41)
     weights = GroupedWeights(substream(43, "w0").normal(0, 1, 16), group_size=8)
@@ -173,24 +177,27 @@ def a4_vr_variance() -> tuple[bool, dict]:
     return passed, {"svrg_variance": v_svrg, "plain_variance": v_plain,
                     "ratio": v_svrg / v_plain if v_plain else float("nan"),
                     "ratio_threshold": 0.5,
-                    "max_unbiasedness_dev": worst, "unbiasedness_tol": 1e-12}
+                    "max_unbiasedness_dev": worst, "unbiasedness_tol": 1e-12}, (
+        ["estimator", "variance"], [["svrg", v_svrg], ["plain", v_plain]])
 
 
-def a5_pl_contraction() -> tuple[bool, dict]:
+def a5_pl_contraction() -> tuple[bool, dict, tuple]:
     """Per-step contraction at 1 - eta*mu + 1e-3; floor grows with the gain error."""
+    jac_errs = {"perturbed": 0.2, "clean": 0.0}
     runs = {arm: pl_contraction_harness(mu=0.1, l_smooth=1.0, eta=0.5, jac_err=err, seed=4)
-            for arm, err in A5_JAC_ERRS.items()}
+            for arm, err in jac_errs.items()}
     noisy, clean = runs["perturbed"], runs["clean"]
     passed = (noisy.contraction_holds and clean.contraction_holds
               and clean.floor < noisy.floor)
     details = {"bound": noisy.contraction_bound}
-    for arm, err in A5_JAC_ERRS.items():
+    for arm, err in jac_errs.items():
         details[f"worst_ratio_{arm}"] = runs[arm].worst_ratio
         details[f"floor_jac_err_{err:g}"] = runs[arm].floor
-    return passed, details
+    return passed, details, (["jac_err", "floor", "worst_ratio"], [
+        [err, runs[arm].floor, runs[arm].worst_ratio] for arm, err in jac_errs.items()])
 
 
-def a6_dominance() -> tuple[bool, dict]:
+def a6_dominance() -> tuple[bool, dict, tuple]:
     """Learned gains beat the straight-through rule on the saturating task.
 
     Three comparisons per seed: terminal-window loss, bias to the smoothed
@@ -226,10 +233,11 @@ def a6_dominance() -> tuple[bool, dict]:
                          "bias_ste": bias["ste"], "fd_var_probe": fd_var["probe"],
                          "fd_var_ste": fd_var["ste"]})
     passed = all(v >= 4 for v in wins.values())
-    return passed, {"wins_of_5": wins, "required": 4, "per_seed": per_seed}
+    return passed, {"wins_of_5": wins, "required": 4, "per_seed": per_seed}, (
+        list(per_seed[0]), [list(row.values()) for row in per_seed])
 
 
-def a7_tracking() -> tuple[bool, dict]:
+def a7_tracking() -> tuple[bool, dict, tuple]:
     """Slow drift tracks better than fast drift; static error within 0.05."""
     spec = QuantSpec.w2(step=1.0)
     common = dict(group_dim=48, ema_rate=0.1, sigma=0.25, num_probes=16, seed=2)
@@ -240,22 +248,28 @@ def a7_tracking() -> tuple[bool, dict]:
     passed = static.terminal_error <= 0.05 and slow.terminal_error < fast.terminal_error
     return passed, {"static_terminal": static.terminal_error, "static_tol": 0.05,
                     "slow_terminal": slow.terminal_error,
-                    "fast_terminal": fast.terminal_error}
+                    "fast_terminal": fast.terminal_error}, (
+        ["schedule", "terminal_error"], [["static", static.terminal_error],
+                                         ["slow", slow.terminal_error],
+                                         ["fast", fast.terminal_error]])
 
 
-def a8_window_composition() -> tuple[bool, dict]:
+def a8_window_composition() -> tuple[bool, dict, tuple]:
     """Decaying inter-window shifts end lower than constant shifts."""
     decaying = window_composition_harness(0.1 * 0.5 ** np.arange(6),
                                           steps_per_window=40, seed=6)
     constant = window_composition_harness(np.full(6, 0.1), steps_per_window=40, seed=6)
     passed = decaying.final_gap < constant.final_gap
+    gaps_decaying, gaps_constant = decaying.window_gaps.tolist(), constant.window_gaps.tolist()
     return passed, {"final_gap_decaying": decaying.final_gap,
                     "final_gap_constant": constant.final_gap,
-                    "window_gaps_decaying": decaying.window_gaps.tolist(),
-                    "window_gaps_constant": constant.window_gaps.tolist()}
+                    "window_gaps_decaying": gaps_decaying,
+                    "window_gaps_constant": gaps_constant}, (
+        ["window", "gap_decaying", "gap_constant"],
+        [[k, d, c] for k, (d, c) in enumerate(zip(gaps_decaying, gaps_constant))])
 
 
-def a9_reduction_determinism() -> tuple[bool, dict]:
+def a9_reduction_determinism() -> tuple[bool, dict, None]:
     """Pass-through STE run reproduces plain SGD; same seed, same bytes."""
     import os
     import tempfile
@@ -286,7 +300,7 @@ def a9_reduction_determinism() -> tuple[bool, dict]:
             identical = f1.read() == f2.read()
     passed = reduction_ok and identical
     return passed, {"max_sgd_deviation": max_dev, "sgd_tol": 1e-8,
-                    "byte_identical_metrics": identical}
+                    "byte_identical_metrics": identical}, None
 
 
 CRITERIA = {
@@ -308,7 +322,7 @@ CRITERIA = {
 def run_criterion(name: str) -> CriterionResult:
     description, fn = CRITERIA[name]
     start = time.perf_counter()
-    passed, details = fn()
+    passed, details, table = fn()
     elapsed = time.perf_counter() - start
     budget = TIME_BUDGETS[name]
     details["elapsed_budget_s"] = budget
@@ -316,7 +330,7 @@ def run_criterion(name: str) -> CriterionResult:
         details["over_time_budget"] = True
         passed = False
     return CriterionResult(name=name, description=description, passed=bool(passed),
-                           elapsed_s=elapsed, details=details)
+                           elapsed_s=elapsed, details=details, table=table)
 
 
 def run_all(names: list[str] | None = None, echo: bool = False) -> list[CriterionResult]:

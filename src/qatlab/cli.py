@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from .acceptance import A5_JAC_ERRS, run_all
+from .acceptance import run_all
 from .config import ConfigError, parse_config
 from .trainer import (DivergenceError, RefreshPolicy, atomic_write_text, final_loss, run_sweep,
                       train_vr, write_csv, write_metrics_csv)
@@ -127,41 +127,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if errors else 0
 
 
-def _diagnose_table(name: str, details: dict) -> tuple[list[str], list[list]]:
-    if name == "probe-rate":
-        return ["probe_count", "mean_error"], [
-            [m, e] for m, e in zip(details["probe_counts"], details["mean_errors"])]
-    if name == "dither-fixed-point":
-        return ["group", "gain", "target", "abs_error"], [
-            [g, gain, target, abs(gain - target)]
-            for g, (gain, target) in enumerate(zip(details["gains"], details["targets"]))]
-    if name == "vr-variance":
-        return ["estimator", "variance"], [["svrg", details["svrg_variance"]],
-                                           ["plain", details["plain_variance"]]]
-    if name == "pl-contraction":
-        return ["jac_err", "floor", "worst_ratio"], [
-            [err, details[f"floor_jac_err_{err:g}"], details[f"worst_ratio_{arm}"]]
-            for arm, err in A5_JAC_ERRS.items()]
-    if name == "dominance":
-        header = ["seed", "loss_probe", "loss_ste", "bias_probe", "bias_ste",
-                  "fd_var_probe", "fd_var_ste"]
-        return header, [[row[k] for k in header] for row in details["per_seed"]]
-    if name == "tracking":
-        return ["schedule", "terminal_error"], [["static", details["static_terminal"]],
-                                                ["slow", details["slow_terminal"]],
-                                                ["fast", details["fast_terminal"]]]
-    # windows
-    return ["window", "gap_decaying", "gap_constant"], [
-        [k, d, c] for k, (d, c) in enumerate(zip(details["window_gaps_decaying"],
-                                                 details["window_gaps_constant"]))]
-
-
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     name, out = args.harness, args.out
     os.makedirs(out, exist_ok=True)
     result = run_all([DIAGNOSE_NAMES[name]])[0]
-    header, rows = _diagnose_table(name, result.details)
-    write_csv(os.path.join(out, "table.csv"), header, rows)
+    write_csv(os.path.join(out, "table.csv"), *result.table)
     _write_json(os.path.join(out, "verdict.json"), {
         "harness": name,
         "criterion": result.name,

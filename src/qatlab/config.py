@@ -48,7 +48,8 @@ Schema (type, default in parentheses):
     num_probes: int (1): the rows of a gain update: Gaussian probes in the
                 probe and probe_ls modes, per-probe dither rows in dither
                 mode; with loop base, dither mode's one forward dither is
-                the only row, and num_probes is not read
+                the only row, and num_probes is not read: such a run's gain
+                update is sized at one column, whatever num_probes says
   sweep:                                    [optional; sweep command only]
     group_sizes: ints ([group_size]), jac_modes: strs ([jac_mode]),
     refresh_intervals: ints ([refresh interval]; null -> train.refresh,
@@ -346,9 +347,13 @@ def parse_config_dict(raw: dict, seed_override: int | None = None) -> RunSetup:
             "jac_modes": [train.jac_mode],
         })
         _check_sweep(sweep, weights, train)
-    # a gain update holds (2, n_groups, num_probes) floats; the smallest group makes the most
+    # a gain update holds (2, n_groups, num_probes) floats; the smallest group makes the most.
+    # Only a hard (probe, probe_ls) or per-probe (vr-loop dither) update reads num_probes
     smallest = min([weights.group_size, *(sweep["group_sizes"] if sweep else [])])
-    _require_indexable((2, -(-weights.dim // smallest), train.num_probes),
+    per_probe = {"probe", "probe_ls", "dither"} if train.loop == "vr" else {"probe", "probe_ls"}
+    columns = train.num_probes if per_probe.intersection(sweep["jac_modes"] if sweep
+                                                         else [train.jac_mode]) else 1
+    _require_indexable((2, -(-weights.dim // smallest), columns),
                        "train.num_probes makes the gain update")
     return RunSetup(config=cfg, objective=objective, weights=weights, spec=spec,
                     train=train, sweep=sweep)

@@ -192,8 +192,15 @@ def _update_gains(gains: np.ndarray, weights: GroupedWeights, spec: QuantSpec,
 
 # the step check reports a non-finite value by name and step; numpy's warnings would only repeat it
 @np.errstate(all="ignore")
-def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
-           keep_states: int) -> TrainResult:
+def train_vr(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
+             keep_states: int = 0) -> TrainResult:
+    """Run ``cfg``'s loop from ``weights0``: the one training entry point.
+
+    Gains start at one (the straight-through point). Refresh events update
+    the gains, synchronize the anchor to the new point, and recompute the
+    reference gradient. ``keep_states`` is how many trailing step states
+    ``state_trace`` holds (0: none); a bool is refused.
+    """
     if isinstance(keep_states, bool) or keep_states < 0:
         raise ValueError(f"keep_states must be a count >= 0, got {keep_states!r}")
     gains = np.ones(weights0.n_groups)  # the straight-through starting point
@@ -266,25 +273,13 @@ def _train(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Train
                        state_trace=None if states is None else list(states))
 
 
-def train_vr(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
-             keep_states: int = 0) -> TrainResult:
-    """Run ``cfg``'s loop from ``weights0``: the one training entry point.
-
-    Gains start at one (the straight-through point). Refresh events update
-    the gains, synchronize the anchor to the new point, and recompute the
-    reference gradient. ``keep_states`` is how many trailing step states
-    ``state_trace`` holds (0: none); a bool is refused.
-    """
-    return _train(obj, weights0, spec, cfg, keep_states)
-
-
 def train_base(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: TrainConfig,
                keep_states: int = 0) -> TrainResult:
     """:func:`train_vr` with ``loop="base"``; kept for perfbench's tracer, which wraps it."""
     return train_vr(obj, weights0, spec, replace(cfg, loop="base"), keep_states)
 
 
-@np.errstate(all="ignore")  # as in _train: a code that overflows clips to +/-c by design
+@np.errstate(all="ignore")  # as in train_vr: a code that overflows clips to +/-c by design
 def final_loss(obj: Objective, weights: GroupedWeights, spec: QuantSpec) -> float:
     """The full-data loss at the quantized weights: the loss a finished run reports."""
     return obj.full_loss(quantize(weights, spec))

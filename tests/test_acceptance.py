@@ -2,15 +2,14 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 PASS/FAIL lines as they complete. The module runs the CLI's ``verify-all``
-once and reads every criterion from its ``report.json``, which without its
+once and keeps the results it wrote to ``report.json``, which without its
 wall times is pinned byte-wise by ``golden/verify_all_report.json``. Every
-``diagnose`` table is checked on those same results, with no criterion run
-a second time.
+``diagnose`` table is written from those same results, with no criterion
+run a second time, and pinned byte-wise by ``golden/diagnose_tables.json``.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from pathlib import Path
@@ -18,24 +17,32 @@ from unittest.mock import patch
 
 import pytest
 
-from qatlab.acceptance import TIME_BUDGETS, CriterionResult
+from qatlab.acceptance import TIME_BUDGETS, run_all
 from qatlab.cli import DIAGNOSE_NAMES, main
 
 REPORT_DIGEST_PATH = Path(__file__).parent / "golden" / "verify_all_report.json"
+TABLE_DIGESTS_PATH = Path(__file__).parent / "golden" / "diagnose_tables.json"
 WALL_TIME_KEYS = ("elapsed_s", "total_elapsed_s")
 
 
 @pytest.fixture(scope="module")
 def verify_all(tmp_path_factory):
-    """One ``verify-all`` run for the module: its exit status and its report.json."""
+    """One ``verify-all`` run for the module: its exit status, report.json and results."""
     out = tmp_path_factory.mktemp("verify-all")
-    status = main(["verify-all", "--out", str(out)])
-    return status, json.loads((out / "report.json").read_text())
+    recorded = []
+
+    def recording_run_all(*args, **kwargs):
+        recorded.extend(run_all(*args, **kwargs))
+        return recorded
+
+    with patch("qatlab.cli.run_all", recording_run_all):
+        status = main(["verify-all", "--out", str(out)])
+    return status, json.loads((out / "report.json").read_text()), recorded
 
 
 @pytest.fixture(scope="module")
 def results(verify_all):
-    return {c["name"]: CriterionResult(**c) for c in verify_all[1]["criteria"]}
+    return {r.name: r for r in verify_all[2]}
 
 
 def _without_wall_times(value):
@@ -113,7 +120,7 @@ def test_verify_all_end_to_end(results, verify_all):
                 ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8"))
     print(f"verify-all core criteria total: {total:.1f}s (< 600s)")
     assert total < 600.0
-    status, report = verify_all
+    status, report, _ = verify_all
     assert status == 0
     assert report["passed"] is True
     assert {c["name"] for c in report["criteria"]} == {f"A{i}" for i in range(1, 10)}
@@ -125,18 +132,9 @@ def test_verify_all_end_to_end(results, verify_all):
         "verify-all report changed; new digest:\n" + json.dumps(got, indent=2))
 
 
-# each harness's table.csv header, and its row count from the criterion's details
-DIAGNOSE_TABLES = {
-    "probe-rate": (["probe_count", "mean_error"], lambda d: len(d["probe_counts"])),
-    "dither-fixed-point": (["group", "gain", "target", "abs_error"], lambda d: len(d["gains"])),
-    "vr-variance": (["estimator", "variance"], lambda d: 2),
-    "pl-contraction": (["jac_err", "floor", "worst_ratio"], lambda d: 2),
-    "dominance": (["seed", "loss_probe", "loss_ste", "bias_probe", "bias_ste",
-                   "fd_var_probe", "fd_var_ste"], lambda d: len(d["per_seed"])),
-    "tracking": (["schedule", "terminal_error"], lambda d: 3),
-    "windows": (["window", "gap_decaying", "gap_constant"],
-                lambda d: len(d["window_gaps_decaying"])),
-}
+def test_only_diagnose_criteria_have_tables(results):
+    assert {name for name, r in results.items() if r.table is not None} == set(
+        DIAGNOSE_NAMES.values())
 
 
 @pytest.mark.parametrize("name", sorted(DIAGNOSE_NAMES))
@@ -144,11 +142,9 @@ def test_diagnose_writes_its_table_and_verdict(results, tmp_path, name):
     criterion = DIAGNOSE_NAMES[name]
     with patch("qatlab.cli.run_all", lambda names: [results[n] for n in names]):
         assert main(["diagnose", name, "--out", str(tmp_path)]) == 0
-    header, row_count = DIAGNOSE_TABLES[name]
-    with open(tmp_path / "table.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == header and len(rows) == 1 + row_count(results[criterion].details)
-    assert len(rows) > 1
-    assert all(len(row) == len(header) for row in rows)
+    # every byte of the table is deterministic; a change must be declared like a golden digest
+    digest = hashlib.sha256((tmp_path / "table.csv").read_bytes()).hexdigest()
+    assert digest == json.loads(TABLE_DIGESTS_PATH.read_text())[name], (
+        f"{name} table.csv changed; new digest: {digest}")
     verdict = json.loads((tmp_path / "verdict.json").read_text())
     assert (verdict["harness"], verdict["criterion"], verdict["passed"]) == (name, criterion, True)

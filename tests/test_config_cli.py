@@ -712,6 +712,9 @@ BAD_CONFIGS = [
     bad("train.num_probes",  # one group of 8 fits; the sweep's groups of 1 do not
         {"quant": {"group_size": 8}, "train": {"num_probes": 2**58},
          "sweep": {"group_sizes": [8, 1]}}, "2"),
+    bad("train.num_probes",  # a base-loop dither cell reads one column; the probe cell reads all
+        {"train": {"loop": "base", "jac_mode": "dither", "num_probes": 2**62},
+         "sweep": {"jac_modes": ["dither", "probe"]}}, "3"),
 ]
 
 
@@ -735,6 +738,20 @@ def test_bad_config_fails_at_parse_time(tmp_path, monkeypatch, capsys, field, pa
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}")
     assert not (tmp_path / "out").exists()
+
+
+def test_base_loop_dither_gain_update_is_one_column_at_any_probe_count(tmp_path):
+    # its one forward dither is the only row: num_probes is not read, so 2**62 is no error
+    metrics = []
+    for num_probes in (1, 2**62):
+        path = write_config(tmp_path, {
+            "objective": {"dim": 8, "n_samples": 4}, "quant": {"group_size": 4},
+            "train": {"loop": "base", "jac_mode": "dither", "num_probes": num_probes, "steps": 5},
+        })
+        out = tmp_path / f"probes-{num_probes}"
+        assert main(["train", "--config", path, "--out", str(out)]) == 0
+        metrics.append((out / "metrics.csv").read_bytes())
+    assert metrics[0] == metrics[1]
 
 
 @pytest.mark.parametrize("kind,sizes", [
