@@ -17,6 +17,7 @@ The straight-through rule is the special case of all-ones gains.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,19 @@ def _group_sums(a: np.ndarray, b: np.ndarray, group_size: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16, typed=True)
+def _sigma_energy(sigma: float, dim: int, group_size: int) -> np.ndarray:
+    """The (n_groups, 1) group sums of one (1, dim) row of sigma against itself, read-only.
+
+    The energy of every dithered column; it depends on nothing else, so it is summed
+    once per (sigma, dim, group_size). The row is not kept.
+    """
+    row = np.full((1, dim), sigma)
+    energy = _group_sums(row, row, group_size)
+    energy.flags.writeable = False
+    return energy
+
+
 def _draw_probes(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.ndarray:
     """The next probe rows of ``rng``, standard normals scaled by sigma in place in ``out``.
 
@@ -116,7 +130,9 @@ def probe_slope_samples(weights: GroupedWeights, spec: QuantSpec, sigma: float, 
     sigma * sigma, summed over the group. r cancels in the difference, and each row costs
     two quantizer rows. A fixed ``dither``, one (dim,) row, gives one column at any m;
     with ``dither_rng`` the m columns are that stream's next m rows (``next_dither``),
-    drawn in blocks of rows. ``probes`` is not read.
+    drawn in blocks of rows. ``probes`` is not read. The sigma * sigma group sums are
+    made once per (sigma, dim, group_size) and kept, n_groups floats, in a small cache;
+    each call copies them into its own fresh ``energy``.
     """
     if m < 1:
         raise ValueError(f"the probe count must be >= 1, got {m}")
@@ -153,7 +169,7 @@ def probe_slope_samples(weights: GroupedWeights, spec: QuantSpec, sigma: float, 
             dq -= quantize_array(down + r, spec, step=step)
             cross[:, rows] = _group_sums(sigmas, dq, size)
         cross *= 0.5
-        energy[:] = _group_sums(sigmas, sigmas, size)
+        energy[:] = _sigma_energy(sigma, weights.dim, size)
     return cross, energy
 
 

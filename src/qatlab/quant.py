@@ -252,9 +252,13 @@ def draw_dither(weights: GroupedWeights, spec: QuantSpec, seed: int, draw_key: i
 
 
 def checked_dither(r: np.ndarray, step: float | np.ndarray, dim: int) -> np.ndarray:
-    """A (..., dim) ``r`` as floats, each within half its weight's step (+1e-15); else ValueError."""
+    """A (..., dim) ``r`` as floats, each within half its weight's step; else ValueError.
+
+    There is no slack: ``next_dither``'s draws lie within the same ``0.5 * step`` by
+    construction, at any step size.
+    """
     r = np.asarray(r, dtype=float)
-    if r.ndim == 0 or r.shape[-1] != dim or np.any(np.abs(r) > 0.5 * step + 1e-15):
+    if r.ndim == 0 or r.shape[-1] != dim or np.any(np.abs(r) > 0.5 * step):
         raise ValueError("invalid dither")
     return r
 

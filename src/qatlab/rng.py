@@ -16,6 +16,12 @@ weights, whatever the group layout. The golden digests pin this layout:
   ("dither",)                 Monte-Carlo oracle mean_field, one
                               (n_samples, dim) stream drawn in row blocks
   ("minibatch", step), ("refresh", step)
+                              a training step's minibatch and probability
+                              refresh draw
+
+The trainer makes each step's minibatch, forward dither and refresh draw
+from these streams a block of steps ahead; a stream depends on its key
+alone, so no byte moves.
 
 The (label, *key) stream of a seed is numpy's
 ``default_rng(SeedSequence(seed, spawn_key=(crc32(label), *key)))``, bit

@@ -7,7 +7,10 @@ probability or fixed-interval schedule, update the gains and move the
 variance-reduction anchor; an event that would change neither is skipped.
 ``loop: base`` is the plain estimator whatever ``vr_mode`` says, and in
 ``dither`` mode also runs a dithered forward and updates the gains every
-step. Everything is deterministic given the seed.
+step. Everything is deterministic given the seed: each step's minibatch,
+forward dither and refresh draw comes from its own (seed, label, step)
+stream, and is made by the same call a block of steps ahead, so no byte
+depends on when it is drawn.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import os
 import tempfile
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields, replace
 from itertools import product
 
@@ -27,7 +30,8 @@ import numpy as np
 # apply_gains is unused here; perfbench's tracer test reads qatlab.trainer.apply_gains
 from .jacobian import ProbeConfig, apply_gains, dither_update, probe_ls_update, probe_update
 from .objectives import Objective, batch_grad
-from .quant import GroupedWeights, QuantSpec, calibrate_step, dither_quantize, draw_dither, quantize
+from .quant import (_BLOCK_ELEMS, GroupedWeights, QuantSpec, calibrate_step, dither_quantize,
+                    draw_dither, quantize)
 from .rng import substream
 from .vrgrad import _MODES as _VR_MODES, ctrl_update, grad_est, init_vr_state, refresh_anchor
 
@@ -152,6 +156,24 @@ def _sample_batch(n: int, batch_size: int, seed: int, step: int) -> np.ndarray:
     return rng.choice(n, size=min(batch_size, n), replace=False)
 
 
+def _drawn_ahead(steps: int, width: int, dtype: type, draw: Callable[[int], object]
+                 ) -> Iterator[np.ndarray]:
+    """``draw(step)`` as a (width,) row for steps 1..steps, made a block of steps ahead.
+
+    Each step's draw comes from its own (seed, label, step) stream, never from
+    draw order, so a block keeps every bit. A block is one (rows, width) array
+    of at most ``_BLOCK_ELEMS`` values and at least one row; unlike
+    ``row_blocks``, width 1 is no exception, so no block holds a whole run.
+    """
+    rows = max(1, _BLOCK_ELEMS // width)
+    for start in range(1, steps + 1, rows):
+        keys = range(start, min(start + rows, steps + 1))
+        block = np.empty((len(keys), width), dtype)
+        for row, step in zip(block, keys):
+            row[...] = draw(step)
+        yield from block
+
+
 def _norm(x: np.ndarray) -> float:
     """Euclidean norm of a contiguous 1-D x, sqrt(x . x): ``np.linalg.norm``'s own formula.
 
@@ -215,18 +237,25 @@ def train_vr(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Tra
         state = init_vr_state("plain" if base else cfg.vr_mode, q, scale, obj)
     except (ValueError, MemoryError) as exc:
         raise DivergenceError(f"estimator setup failed at step 0: {exc}", []) from exc
-    # an event that changes neither the gains nor an anchor is skipped, its draw too
-    scheduled = cfg.jac_mode != "ste" or state.mode in ("svrg", "sarah")
+    # each step's minibatch, forward dither and refresh draw, made a block of steps ahead by
+    # a generator that draws nothing until read; an event that changes neither the gains nor
+    # an anchor is skipped, its draw too, and a dithered step updates the gains unscheduled
+    batches = _drawn_ahead(cfg.steps, min(cfg.batch_size, obj.n), np.int64,
+                           lambda step: _sample_batch(obj.n, cfg.batch_size, cfg.seed, step))
+    dithers = _drawn_ahead(cfg.steps, weights0.dim, float,
+                           lambda step: draw_dither(weights0, spec, cfg.seed, draw_key=step))
+    scheduled = not dithered and (cfg.jac_mode != "ste" or state.mode in ("svrg", "sarah"))
+    fires = _drawn_ahead(cfg.steps, 1, bool, lambda step: cfg.refresh.fires(step, cfg.seed))
     trace: list[MetricsRecord] = []
     # only the trailing window a reader asks for stays alive
     states = deque(maxlen=keep_states) if keep_states else None
     initial_loss = None
-    for step in range(1, cfg.steps + 1):
-        batch = _sample_batch(obj.n, cfg.batch_size, cfg.seed, step)
+    for step, batch in enumerate(batches, 1):
         dither = None
         if dithered:
-            dither = draw_dither(weights, spec, cfg.seed, draw_key=step)
+            dither = next(dithers)
             q = dither_quantize(weights, dither, spec)
+        fire = scheduled and bool(next(fires))
         loss, v_bar = batch_grad(obj, q, batch)
         g = grad_est(v_bar, scale, state, obj, batch)
         if states is not None:
@@ -245,7 +274,7 @@ def train_vr(obj: Objective, weights0: GroupedWeights, spec: QuantSpec, cfg: Tra
                 state = ctrl_update(state, q if state.mode == "sarah" else q_next, scale, batch,
                                     obj, grad=g)
             q = q_next
-            refreshed = dithered or (scheduled and cfg.refresh.fires(step, cfg.seed))
+            refreshed = dithered or fire
         if refreshed:  # the last gains still run: the final record and gains show them
             # a numerical ValueError (zero excitation, a non-finite reference) or an array the
             # machine cannot hold ends the run; the step's row keeps the gains it ran with

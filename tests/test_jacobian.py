@@ -299,19 +299,24 @@ def refuse_any_probe(*args, **kwargs):
 
 
 # a dither the forward pass would refuse: beyond half a step, a group's own step
-# (0.3 > 0.2 / 2 in the second group only), or a shape that only broadcasts to (dim,)
-@pytest.mark.parametrize("fixed", [np.full(16, 10.0), np.r_[np.zeros(8), np.full(8, 0.3)],
-                                   np.full(1, 0.1), np.zeros((2, 16))],
-                         ids=["ten-steps", "own-group-step", "one-entry", "block"])
-def test_dither_update_refuses_a_fixed_dither_the_forward_refuses(fixed, monkeypatch):
+# (0.3 > 0.2 / 2 in the second group only), far beyond half of a tiny step, or a shape
+# that only broadcasts to (dim,)
+@pytest.mark.parametrize("fixed, step", [
+    (np.full(16, 10.0), np.array([1.0, 0.2])),
+    (np.r_[np.zeros(8), np.full(8, 0.3)], np.array([1.0, 0.2])),
+    (np.r_[np.full(8, 1e-16), np.full(8, -1e-16)], 1e-300),
+    (np.full(1, 0.1), np.array([1.0, 0.2])),
+    (np.zeros((2, 16)), np.array([1.0, 0.2])),
+], ids=["ten-steps", "own-group-step", "tiny-step", "one-entry", "block"])
+def test_dither_update_refuses_a_fixed_dither_the_forward_refuses(fixed, step, monkeypatch):
     w = GroupedWeights(np.linspace(-1.0, 1.0, 16), group_size=8)
-    spec = QuantSpec.w2(step=np.array([1.0, 0.2]))
+    spec = QuantSpec.w2(step=step)
     if fixed.shape == (16,):
         with pytest.raises(ValueError, match="invalid dither"):
             dither_quantize(w, fixed, spec)
     monkeypatch.setattr(jacobian_mod, "probe_slope_samples", refuse_any_probe)
     with pytest.raises(ValueError, match="invalid dither"):
-        dither_update(w, spec, np.ones(2), ProbeConfig(probe_sigma=0.1, num_probes=2),
+        dither_update(w, spec, np.ones(w.n_groups), ProbeConfig(probe_sigma=0.1, num_probes=2),
                       dither_seed=0, fixed_dither=fixed)
 
 
@@ -444,8 +449,10 @@ def test_a_dithered_energy_is_the_group_sums_of_one_sigma_row(dim, sigma):
 def test_a_fixed_dither_update_sums_one_row_per_group_sum(name, num_probes, monkeypatch):
     # the hard updates draw and sum each (rows, dim) block of 4 probe rows; a dithered one
     # draws no probes and sums one sigma row against each block of central differences,
-    # one row for a fixed dither, and then against itself for the energy
+    # one row for a fixed dither, and then against itself for the energy: only on the first
+    # update of a (sigma, dim, group_size), whose energy is kept for the next ones
     w = GroupedWeights(substream(1, "w").normal(0.0, 1.0, 4096), group_size=32)
+    spec, cfg = QuantSpec.w2(step=0.5), ProbeConfig(probe_sigma=0.2, num_probes=num_probes, seed=1)
     calls = []
 
     def spying(name, function):
@@ -457,17 +464,32 @@ def test_a_fixed_dither_update_sums_one_row_per_group_sum(name, num_probes, monk
     for function in ("_draw_probes", "_group_sums"):
         monkeypatch.setattr(jacobian_mod, function,
                             spying(function, getattr(jacobian_mod, function)))
-    UPDATES[name](w, QuantSpec.w2(step=0.5), np.ones(w.n_groups),
-                  ProbeConfig(probe_sigma=0.2, num_probes=num_probes, seed=1), draw_key=3)
     row = (1, 4096)
     blocks = [(min(4, num_probes - a), 4096) for a in range(0, num_probes, 4)]
     hard = [c for b in blocks for c in (("_draw_probes", b), ("_group_sums", b, b),
                                         ("_group_sums", b, b))]
     expected = {"probe": hard, "probe_ls": hard,
-                "per_probe_dither": [*[("_group_sums", row, b) for b in blocks],
-                                     ("_group_sums", row, row)],
-                "fixed_dither": [("_group_sums", row, row)] * 2}
-    assert calls == expected[name]
+                "per_probe_dither": [("_group_sums", row, b) for b in blocks],
+                "fixed_dither": [("_group_sums", row, row)]}[name]
+    dithered = name.endswith("dither")
+    jacobian_mod._sigma_energy.cache_clear()
+    for first in (True, False):
+        calls.clear()
+        gains = UPDATES[name](w, spec, np.ones(w.n_groups), cfg, draw_key=3)
+        assert calls == expected + [("_group_sums", row, row)] * (dithered and first)
+        if first:
+            first_gains = gains
+    assert gains.tobytes() == first_gains.tobytes()
+    if dithered:  # each call's energy is its own array: writing into one leaves the next alone
+        def energy():
+            source = ({"dither": draw_dither(w, spec, seed=4)} if name == "fixed_dither"
+                      else {"dither_rng": substream(2, "dither_block", 3)})
+            return probe_slope_samples(w, spec, 0.2, num_probes, **source)[1]
+
+        kept = energy()
+        reference = kept.copy()
+        kept[:] = 7.0
+        assert energy().tobytes() == reference.tobytes()
 
 
 def test_per_probe_central_differences_average_to_the_sensitivity_oracle():

@@ -121,11 +121,14 @@ def test_dither_deep_saturation_returns_clip_minus_dither():
         assert dither_quantize(w, r, spec) == pytest.approx(1.0 - r)
 
 
-def test_dither_out_of_range_rejected():
-    spec = QuantSpec.w2(step=1.0)
+# beyond half a step, and 1e284 steps off a tiny step's grid: no absolute slack admits it
+@pytest.mark.parametrize("step, r", [(1.0, [0.0, 0.9]), (1e-300, [1e-16, -1e-16])],
+                         ids=["unit-step", "tiny-step"])
+def test_dither_out_of_range_rejected(step, r):
+    spec = QuantSpec.w2(step=step)
     w = grouped([0.2, 0.3])
     with pytest.raises(ValueError, match="invalid dither"):
-        dither_quantize(w, np.array([0.0, 0.9]), spec)
+        dither_quantize(w, np.array(r), spec)
 
 
 # a scalar, one entry or a block whose last axis only broadcasts against the 16 weights,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -7,11 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qatlab.trainer as trainer_mod
 from qatlab.cli import main
 from qatlab.config import parse_config_dict
 from qatlab.jacobian import apply_gains
 from qatlab.objectives import Quadratic, make_pl_instance, make_regression_task, make_saturating_task
-from qatlab.quant import GroupedWeights, QuantSpec, quantize
+from qatlab.quant import GroupedWeights, QuantSpec, next_dither, quantize
 from qatlab.rng import substream
 from qatlab.trainer import (
     DivergenceError,
@@ -418,3 +420,158 @@ def test_recorded_norms_rescale_only_on_overflow():
         assert _norm(np.array([np.inf, 1.0])) == np.inf
     x = substream(3, "norm").normal(0.0, 1.0, 50)
     assert _norm(x) == np.linalg.norm(x)  # finite norms keep numpy's bits
+
+
+def logged_run(monkeypatch, obj, w0, spec, cfg):
+    """``train_vr`` with each draw and each step's start logged in call order.
+
+    The log holds "minibatch", "dither" or "refresh" for each draw the trainer
+    makes and "step" for each ``batch_grad`` call. It comes back with the batch
+    and the forward dither each step ran with, and the metrics.
+    """
+    log, used = [], {"batch": [], "dither": []}
+
+    def logging(label, function):
+        def call(*args, **kwargs):
+            log.append(label)
+            return function(*args, **kwargs)
+        return call
+
+    def using(name, position, function):
+        def call(*args):
+            used[name].append(args[position].copy())
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(trainer_mod, "_sample_batch",
+                        logging("minibatch", trainer_mod._sample_batch))
+    monkeypatch.setattr(trainer_mod, "draw_dither", logging("dither", trainer_mod.draw_dither))
+    monkeypatch.setattr(RefreshPolicy, "fires", logging("refresh", RefreshPolicy.fires))
+    monkeypatch.setattr(trainer_mod, "batch_grad",
+                        logging("step", using("batch", 2, trainer_mod.batch_grad)))
+    monkeypatch.setattr(trainer_mod, "dither_quantize",
+                        using("dither", 1, trainer_mod.dither_quantize))
+    return log, used, train_vr(obj, w0, spec, cfg).metrics
+
+
+def drawn_ahead_by(log, label):
+    """How many ``label`` draws the trainer had made when each step started."""
+    counts, made = [], 0
+    for entry in log:
+        made += entry == label
+        if entry == "step":
+            counts.append(made)
+    return counts
+
+
+def in_blocks(rows, steps):
+    """The draw counts of a run whose blocks hold ``rows`` steps: every block up to the step's."""
+    return [min(steps, -(-k // rows) * rows) for k in range(1, steps + 1)]
+
+
+def assert_fresh_draws(used, obj, w0, spec, cfg):
+    """Each step ran with the batch and dither of a fresh (seed, label, step) stream."""
+    width = min(cfg.batch_size, obj.n)
+    for step, batch in enumerate(used["batch"], 1):
+        fresh = substream(cfg.seed, "minibatch", step).choice(obj.n, size=width, replace=False)
+        assert batch.tobytes() == fresh.tobytes()
+    for step, dither in enumerate(used["dither"], 1):
+        fresh = next_dither(w0, spec, substream(cfg.seed, "dither_block", step), ())
+        assert dither.tobytes() == fresh.tobytes()
+
+
+def test_forward_dithers_are_drawn_two_steps_ahead_at_dim_6000(monkeypatch):
+    # 6000 floats per dither: blocks of 2, 2, 2 and a short 1; the 7 batches of 8 are one block
+    obj = make_pl_instance(6000, 1.0, 1.0, seed=1, n_samples=16, target_spread=0.1)
+    w0 = GroupedWeights(substream(1, "w0").normal(0.0, 1.0, 6000), group_size=32)
+    spec = QuantSpec.w2(step=0.5)
+    cfg = TrainConfig(stepsize=0.1, batch_size=8, steps=7, loop="base", jac_mode="dither",
+                      refresh=RefreshPolicy("probability", probability=0.5), seed=3)
+    log, used, metrics = logged_run(monkeypatch, obj, w0, spec, cfg)
+    assert len(used["dither"]) == len(metrics) == 7
+    assert drawn_ahead_by(log, "dither") == in_blocks(2, 7) == [2, 2, 4, 4, 6, 6, 7]
+    assert drawn_ahead_by(log, "minibatch") == [7] * 7
+    assert "refresh" not in log  # a dithered step updates the gains unscheduled
+    assert_fresh_draws(used, obj, w0, spec, cfg)
+
+
+def test_batches_of_4096_are_drawn_four_steps_ahead(monkeypatch):
+    # blocks of 4, 4 and a short 2; an unscheduled run (ste, plain) draws no refresh event
+    obj = make_regression_task(2, 4100, seed=2)
+    w0 = GroupedWeights(np.zeros(2), group_size=2)
+    cfg = TrainConfig(stepsize=0.01, batch_size=4096, steps=10, jac_mode="ste", vr_mode="plain",
+                      refresh=RefreshPolicy("probability", probability=0.5), seed=4)
+    log, used, metrics = logged_run(monkeypatch, obj, w0, QuantSpec.identity(), cfg)
+    assert len(used["batch"]) == len(metrics) == 10
+    assert drawn_ahead_by(log, "minibatch") == in_blocks(4, 10) == [4, 4, 4, 4, 8, 8, 8, 8, 10, 10]
+    assert "refresh" not in log
+    assert_fresh_draws(used, obj, w0, QuantSpec.identity(), cfg)
+
+
+@pytest.mark.parametrize("dithered", [False, True], ids=["batch-of-1", "dim-1-dither"])
+def test_a_width_one_block_holds_no_more_than_the_block_size(dithered, monkeypatch):
+    # a one-value-per-step draw is no exception to the block size (here 4 values), unlike
+    # row_blocks' width-1 rule: a run of 10 steps draws in blocks of 4, 4 and 2
+    monkeypatch.setattr(trainer_mod, "_BLOCK_ELEMS", 4)
+    dim = 1 if dithered else 3
+    obj = make_pl_instance(dim, 1.0, 1.0, seed=5, n_samples=6, target_spread=0.1)
+    w0 = GroupedWeights(substream(5, "w0").normal(0.0, 1.0, dim), group_size=dim)
+    spec = QuantSpec.w2(step=0.5)
+    refresh = RefreshPolicy("probability", probability=0.4)
+    cfg = TrainConfig(stepsize=0.05, batch_size=1, steps=10, refresh=refresh, seed=6,
+                      **({"loop": "base", "jac_mode": "dither"} if dithered else {}))
+    log, used, metrics = logged_run(monkeypatch, obj, w0, spec, cfg)
+    assert drawn_ahead_by(log, "minibatch") == in_blocks(4, 10)
+    assert drawn_ahead_by(log, "dither" if dithered else "refresh") == in_blocks(4, 10)
+    assert_fresh_draws(used, obj, w0, spec, cfg)
+    flags = [r.refresh for r in metrics]
+    if dithered:
+        assert all(flags)
+    else:
+        fresh = [float(substream(6, "refresh", step).uniform()) <= 0.4 for step in range(1, 11)]
+        assert flags == fresh and 0 < sum(fresh) < 10
+
+
+def test_a_width_one_block_at_the_real_block_size():
+    # 16 390 one-value draws: 16 384 before the first step, the last 6 before step 16 385
+    made = []
+    draws = trainer_mod._drawn_ahead(16_390, 1, float, lambda step: made.append(step) or step)
+    for step, value in enumerate(draws, 1):
+        assert value.shape == (1,) and value[0] == step
+        assert len(made) == (16_384 if step <= 16_384 else 16_390)
+    assert made == list(range(1, 16_391))
+
+
+# runs that diverge at step 7, with the sha256 of their metrics.csv: inside the second block
+# of four forward dithers (dim 4096), and inside the one block of a 200-step run's batches
+# and refresh draws
+DIVERGING = {
+    "base-dither": (
+        {"objective": {"dim": 4096, "n_samples": 16}, "quant": {"group_size": 32},
+         "train": {"loop": "base", "jac_mode": "dither", "steps": 12}},
+        "3238541a927cdf9a8807a12e0fda27df748d2568fc0eaa8d90aa92e1470c5b6c"),
+    "probability-refresh": (
+        {"objective": {"dim": 8, "n_samples": 4}, "quant": {"group_size": 8},
+         "train": {"jac_mode": "probe", "vr_mode": "svrg", "steps": 200,
+                   "refresh": {"kind": "probability", "probability": 0.5}}},
+        "ea649f92493c43b2577c05fe15eaea293b15fd047ccd63e10c4747dd4890744e"),
+}
+
+
+@pytest.mark.parametrize("name", DIVERGING)
+def test_a_run_diverging_mid_block_writes_the_rows_of_drawing_each_step(tmp_path, name):
+    # the draws a block holds past the failing step are never read: the rows are those of
+    # drawing each step's batch, dither and refresh event at that step (the digests were
+    # recorded so)
+    config, digest = DIVERGING[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "seed": 5,
+        "objective": {"kind": "pl", "mu": 1.0, "l_smooth": 1.0, "target_spread": 0.1,
+                      **config["objective"]},
+        "quant": {"mode": "identity", **config["quant"]},
+        "train": {"stepsize": 4.5, **config["train"]}}))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    rows = (tmp_path / "run" / "metrics.csv").read_bytes()
+    assert rows.count(b"\n") == 1 + 7
+    assert hashlib.sha256(rows).hexdigest() == digest
